@@ -13,6 +13,11 @@ COVER_FLOOR_GNS        ?= 87.0
 COVER_FLOOR_ADMIT      ?= 92.0
 COVER_FLOOR_STRESS     ?= 85.0
 
+# BENCH_OUT is the benchmark record of the current PR: `make bench` writes
+# it, `make bench-gate` compares it against BENCH_baseline.json and `make
+# stress` merges the overload curves into it.
+BENCH_OUT ?= BENCH_pr13.json
+
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
 # short randomized probe on top.
@@ -85,24 +90,24 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) ./$$pkg/ || exit 1; \
 	done
 
-## bench: run the benchmark suite once and record it as BENCH_pr10.json.
+## bench: run the benchmark suite once and record it as $(BENCH_OUT).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -timeout 20m . | tee bench.out
-	$(GO) run ./cmd/benchgate -parse bench.out -o BENCH_pr10.json
+	$(GO) run ./cmd/benchgate -parse bench.out -o $(BENCH_OUT)
 
 ## bench-gate: re-run the suite and fail on regression vs the checked-in
 ## baseline. Simulated-clock metrics and allocs/op gate at 10%; wall-clock
 ## metrics are compared and reported but don't gate (pure machine noise at
 ## -benchtime 1x) — pass -gate-wall to benchgate to enforce them too.
 bench-gate: bench
-	$(GO) run ./cmd/benchgate BENCH_baseline.json BENCH_pr10.json
+	$(GO) run ./cmd/benchgate BENCH_baseline.json $(BENCH_OUT)
 
 ## stress: the full ~10k-workflow overload sweep (admission on vs off at
-## x1 x2 x4 x8 offered load), merging the curves into BENCH_pr10.json and
+## x1 x2 x4 x8 offered load), merging the curves into $(BENCH_OUT) and
 ## failing if goodput collapses. Run after `make bench` so the parse step
 ## doesn't clobber the merged curves.
 stress:
-	$(GO) run ./cmd/stress -o BENCH_pr10.json
+	$(GO) run ./cmd/stress -o $(BENCH_OUT)
 
 ## stress-smoke: the scaled-down CI shape of the same sweep — same ladder,
 ## shorter arrival window, gate only (no JSON record).

@@ -153,12 +153,12 @@ func trimCPUSuffix(rep Report, names []string) {
 // higherIsBetter reports the metric's direction from its unit name.
 // Throughputs ("/s"), speedup ratios ("speedup-x"), hit rates ("hit-%") and
 // overlap shares ("hidden-%") improve upward; everything else is a cost.
-// Simulated-clock readings are always durations — checked first, so a
-// sub-label like "virt-s/single" can't be mistaken for a throughput by its
-// "/s".
+// Simulated-clock readings are durations — checked first, so a sub-label
+// like "virt-s/single" can't be mistaken for a throughput by its "/s" —
+// except the simulated byte rates ("virt-KB/s", "virt-MB/s").
 func higherIsBetter(unit string) bool {
 	if strings.HasPrefix(unit, "virt-") {
-		return false
+		return strings.HasSuffix(unit, "B/s")
 	}
 	return strings.Contains(unit, "/s") ||
 		strings.Contains(unit, "speedup-x") ||

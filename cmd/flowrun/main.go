@@ -80,7 +80,6 @@ func main() {
 	trace := flag.String("trace", "", "stream the JSONL event log to this file")
 	retries := flag.Int("retries", 4, "transport attempts per operation (1 = historical fail-fast)")
 	retryTimeout := flag.Duration("retry-timeout", 10*time.Second, "per-attempt timeout when -retries > 1")
-	batch := flag.Int("batch", 0, "Grid Buffer writer blocks per wire frame (0/1 = one frame per block)")
 	shards := flag.Int("shards", 0, "Grid Buffer block-table shards (0 = default)")
 	cacheMB := flag.Int("cache-mb", 0, "FM block cache budget in MiB for remote reads (0 = disabled)")
 	copyStreamsPerReplica := flag.Int("copy-streams-per-replica", 2, "parallel streams per replica for striped multi-source stage-in")
@@ -222,7 +221,6 @@ func main() {
 			Obs:     observer,
 			// Real-network runs poll faster than the 2004 simulation.
 			PollInterval:    20 * time.Millisecond,
-			WriterBatch:     *batch,
 			BufferShards:    *shards,
 			BlockCacheBytes: int64(*cacheMB) << 20,
 

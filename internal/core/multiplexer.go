@@ -97,14 +97,11 @@ type Config struct {
 	// Machine.Compute to model the CPU cost of polling).
 	PollCost func()
 
-	// WriterWindow / ReaderDepth tune Grid Buffer pipelining (defaults in
-	// package gridbuffer). WriterBatch coalesces that many blocks into one
-	// PUT-BATCH frame (0/1 = the historical frame-per-block protocol).
-	// BufferShards sets the served buffer's block-table shard count (0 =
-	// gridbuffer.DefaultShards).
+	// WriterWindow / ReaderDepth tune Grid Buffer pipelining, in blocks (0
+	// = the byte budgets of package gridbuffer). BufferShards sets the
+	// served buffer's block-table shard count (0 = gridbuffer.DefaultShards).
 	WriterWindow int
 	ReaderDepth  int
-	WriterBatch  int
 	BufferShards int
 	// BufferConnPerCall selects the paper's SOAP-era connection-per-call
 	// buffer transport for writers (see gridbuffer.WriterOptions).
@@ -249,14 +246,15 @@ func New(cfg Config) (*Multiplexer, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New(cfg.Clock)
 	}
-	if cfg.Retry.Enabled() {
-		if cfg.Retry.Clock == nil {
-			cfg.Retry.Clock = cfg.Clock
-		}
-		if cfg.Retry.Obs == nil {
-			cfg.Retry.Obs = cfg.Obs
-			cfg.Retry.Src = cfg.Machine
-		}
+	if cfg.Retry.Enabled() && cfg.Retry.Clock == nil {
+		cfg.Retry.Clock = cfg.Clock
+	}
+	// Armed even on the one-attempt policy: transports also hang their own
+	// instruments (the Grid Buffer's buf.flush.blocks) on the policy's
+	// observer.
+	if cfg.Retry.Obs == nil {
+		cfg.Retry.Obs = cfg.Obs
+		cfg.Retry.Src = cfg.Machine
 	}
 	if cfg.BlockCache == nil && cfg.BlockCacheBytes > 0 {
 		cfg.BlockCache = NewBlockCache(cfg.BlockCacheBytes)
@@ -805,7 +803,7 @@ func (m *Multiplexer) openBuffer(path string, mapping gns.Mapping, writing bool,
 	codec := m.codecFor(mapping.BufferHost)
 	if writing {
 		w, err := gridbuffer.NewWriter(m.cfg.Dialer, mapping.BufferHost, m.cfg.Clock, key, opts,
-			gridbuffer.WriterOptions{Window: m.cfg.WriterWindow, Batch: m.cfg.WriterBatch, ConnPerCall: m.cfg.BufferConnPerCall, Retry: m.cfg.Retry, Codec: codec})
+			gridbuffer.WriterOptions{Window: m.cfg.WriterWindow, ConnPerCall: m.cfg.BufferConnPerCall, Retry: m.cfg.Retry, Codec: codec})
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,9 @@ import (
 
 // Env is one fresh experiment environment: a virtual clock, the Table 1
 // grid with all services running, and a workflow runner configured the way
-// the paper's prototype was (SOAP-style connection-per-call buffers).
+// the paper's prototype was: SOAP-style connection-per-call buffer writers
+// and a two-block request pipeline, the 2004 values of the parameters the
+// modern Grid Buffer transport derives from a byte budget.
 type Env struct {
 	Clock  *simclock.Virtual
 	Grid   *testbed.Grid
@@ -51,7 +53,11 @@ func NewEnv() *Env {
 			Grid:        grid,
 			GNS:         gns.NewStore(v),
 			ConnPerCall: true,
-			PollWork:    0.025,
+			// Two blocks in flight either way, as the paper's
+			// request/response Web-Services transport had.
+			WriterWindow: 2,
+			ReaderDepth:  2,
+			PollWork:     0.025,
 		},
 	}
 	if traceSink != nil {

@@ -19,7 +19,7 @@
 // concurrent writers and broadcast readers on different blocks do not
 // contend on one lock; stream-wide state (capacity, EOF, attach registry)
 // lives behind a separate small lock, and block payloads are recycled
-// through a sync.Pool.
+// through a sync.Pool the Registry shares between buffers of one block size.
 package gridbuffer
 
 import (
@@ -144,7 +144,7 @@ type Buffer struct {
 
 	mask   int64
 	shards []shard
-	pool   sync.Pool // block payloads, capacity == blockSize
+	pool   *sync.Pool // block payloads, capacity == blockSize; shared per Registry
 
 	// smu guards the stream-wide state: capacity accounting, EOF, the
 	// attach registry and the stop flag. Lock order is shard.mu -> smu ->
@@ -159,6 +159,16 @@ type Buffer struct {
 
 	nextReader int
 	attached   map[int]bool
+
+	// ackedTo is each reader's AckBelow watermark: every block below it that
+	// was resident at the time has been marked consumed by that reader, so
+	// the next AckBelow walks only the new range. late lists, per reader, the
+	// blocks inserted below its watermark since (a forward seek skipped them);
+	// the next AckBelow marks those too. maxAcked is the highest watermark,
+	// the one compare a Put pays to learn it is not late.
+	ackedTo  map[int]int64
+	late     map[int][]int64
+	maxAcked atomic.Int64
 
 	// cmu serializes the shared cache file (taken after a shard lock).
 	cmu       *simclock.Mutex
@@ -178,9 +188,10 @@ func NewBuffer(clock simclock.Clock, key string, opts Options) *Buffer {
 		mask:     int64(n - 1),
 		shards:   make([]shard, n),
 		attached: make(map[int]bool),
+		ackedTo:  make(map[int]int64),
+		late:     make(map[int][]int64),
+		pool:     newBlockPool(opts.blockSize()),
 	}
-	bs := opts.blockSize()
-	b.pool.New = func() any { return make([]byte, bs) }
 	for i := range b.shards {
 		s := &b.shards[i]
 		s.mu = simclock.NewMutex(clock)
@@ -236,6 +247,11 @@ func (b *Buffer) lockShard(s *shard) {
 	}
 	b.ins.Load().contended.Inc()
 	s.mu.Lock()
+}
+
+// newBlockPool returns a pool of payloads of capacity bs.
+func newBlockPool(bs int) *sync.Pool {
+	return &sync.Pool{New: func() any { return make([]byte, bs) }}
 }
 
 // copyIn copies data into a pooled payload (capacity == blockSize).
@@ -297,6 +313,8 @@ func (b *Buffer) Detach(id int) {
 		return
 	}
 	delete(b.attached, id)
+	delete(b.ackedTo, id)
+	delete(b.late, id)
 	b.ins.Load().fanout.Set(int64(len(b.attached)))
 	b.smu.Unlock()
 	for i := range b.shards {
@@ -310,8 +328,9 @@ func (b *Buffer) Detach(id int) {
 }
 
 // reserveSlot charges one block against Capacity, stalling while the table
-// is full of unconsumed blocks.
-func (b *Buffer) reserveSlot() error {
+// is full of unconsumed blocks. onStall (may be nil) runs once, without the
+// lock, before the first wait.
+func (b *Buffer) reserveSlot(onStall func()) error {
 	ins := b.ins.Load()
 	b.smu.Lock()
 	defer b.smu.Unlock()
@@ -326,6 +345,13 @@ func (b *Buffer) reserveSlot() error {
 		}
 		if b.resident < b.opts.capacity() {
 			break
+		}
+		if !stalled && onStall != nil {
+			stalled = true
+			b.smu.Unlock()
+			onStall()
+			b.smu.Lock()
+			continue
 		}
 		stalled = true
 		b.wcond.Wait()
@@ -349,7 +375,12 @@ func (b *Buffer) releaseSlot() {
 
 // Put stores data as block idx, stalling while the table is at capacity
 // with unconsumed blocks. Overwriting a resident block never stalls.
-func (b *Buffer) Put(idx int64, data []byte) error {
+func (b *Buffer) Put(idx int64, data []byte) error { return b.put(idx, data, nil) }
+
+// put is Put with a hook the server uses to flush the acknowledgements it is
+// holding before this put stalls on capacity: the writer must not wait for
+// acks that sit behind a put which is itself waiting for the reader.
+func (b *Buffer) put(idx int64, data []byte, onStall func()) error {
 	if idx < 0 {
 		return fmt.Errorf("gridbuffer: negative block index %d", idx)
 	}
@@ -383,7 +414,7 @@ func (b *Buffer) Put(idx int64, data []byte) error {
 	}
 	s.mu.Unlock()
 
-	if err := b.reserveSlot(); err != nil {
+	if err := b.reserveSlot(onStall); err != nil {
 		return err
 	}
 	b.lockShard(s)
@@ -403,10 +434,27 @@ func (b *Buffer) Put(idx int64, data []byte) error {
 		return nil
 	}
 	s.blocks[idx] = b.copyIn(data)
+	if idx < b.maxAcked.Load() {
+		b.noteLate(idx)
+	}
 	s.rcond.Broadcast()
 	s.mu.Unlock()
 	b.noteWritten(idx)
 	return nil
+}
+
+// noteLate queues a block inserted below some reader's watermark for that
+// reader's next AckBelow. The caller holds the shard lock of idx, which
+// orders this against an AckBelow walk: the walk either finds the block
+// resident or had published its watermark before the insert.
+func (b *Buffer) noteLate(idx int64) {
+	b.smu.Lock()
+	for id, mark := range b.ackedTo {
+		if idx < mark {
+			b.late[id] = append(b.late[id], idx)
+		}
+	}
+	b.smu.Unlock()
 }
 
 func (b *Buffer) noteWritten(idx int64) {
@@ -494,18 +542,81 @@ func (b *Buffer) GetKeep(id int, idx int64) (data []byte, eof bool, err error) {
 
 // AckBelow marks every resident block with index < upto as consumed by
 // reader id (spilling to the cache file as usual), freeing capacity for the
-// writer.
+// writer. A reader acknowledges on every request, so the walk covers only
+// the range above the reader's previous watermark, plus any block inserted
+// below that watermark since.
 func (b *Buffer) AckBelow(id int, upto int64) {
-	for i := range b.shards {
-		s := &b.shards[i]
-		b.lockShard(s)
-		for idx := range s.blocks {
+	b.smu.Lock()
+	from := b.ackedTo[id]
+	if upto > from {
+		b.ackedTo[id] = upto
+		if upto > b.maxAcked.Load() {
+			b.maxAcked.Store(upto)
+		}
+	}
+	var late []int64
+	if pending := b.late[id]; len(pending) > 0 {
+		keep := pending[:0]
+		for _, idx := range pending {
 			if idx < upto {
-				b.markConsumedLocked(s, idx, id)
+				late = append(late, idx)
+			} else {
+				keep = append(keep, idx)
 			}
 		}
-		s.mu.Unlock()
+		b.late[id] = keep
 	}
+	resident := int64(b.resident)
+	b.smu.Unlock()
+
+	if upto-from > resident {
+		// A seek far ahead: visiting the resident blocks is cheaper than
+		// walking the index range (and covers the late ones too).
+		for i := range b.shards {
+			s := &b.shards[i]
+			b.lockShard(s)
+			for idx := range s.blocks {
+				if idx < upto {
+					b.markConsumedLocked(s, idx, id)
+				}
+			}
+			s.mu.Unlock()
+		}
+		return
+	}
+	for _, idx := range late {
+		b.ackOne(id, idx)
+	}
+	for idx := from; idx < upto; idx++ {
+		b.ackOne(id, idx)
+	}
+}
+
+// ackOne marks block idx consumed by reader id if it is resident.
+func (b *Buffer) ackOne(id int, idx int64) {
+	s := b.shard(idx)
+	b.lockShard(s)
+	if _, ok := s.blocks[idx]; ok {
+		b.markConsumedLocked(s, idx, id)
+	}
+	s.mu.Unlock()
+}
+
+// Ready reports whether a Get of block idx would return without waiting for
+// the writer: the block is resident or cached, or the stream has ended or
+// been dropped. The server asks before each blocking read so it can flush
+// the responses it is holding first.
+func (b *Buffer) Ready(idx int64) bool {
+	s := b.shard(idx)
+	b.lockShard(s)
+	_, ok := s.blocks[idx]
+	ok = ok || s.inCache[idx]
+	s.mu.Unlock()
+	if ok {
+		return true
+	}
+	stopped, eof, _ := b.streamState()
+	return stopped || eof
 }
 
 func (b *Buffer) get(id int, idx int64, consume bool) (data []byte, eof bool, err error) {
@@ -642,8 +753,9 @@ func (b *Buffer) Resident() int {
 	return b.resident
 }
 
-// Drop aborts the buffer: all blocked operations return ErrStopped and the
-// cache file is closed.
+// Drop aborts the buffer: all blocked operations return ErrStopped, the
+// cache file is closed and the resident payloads go back to the block pool
+// for the next stream.
 func (b *Buffer) Drop() {
 	b.smu.Lock()
 	if b.stopped {
@@ -659,5 +771,14 @@ func (b *Buffer) Drop() {
 		b.cacheFile = nil
 	}
 	b.cmu.Unlock()
-	b.broadcastShards()
+	for i := range b.shards {
+		s := &b.shards[i]
+		s.mu.Lock()
+		for idx, data := range s.blocks {
+			b.Recycle(data)
+			delete(s.blocks, idx)
+		}
+		s.rcond.Broadcast()
+		s.mu.Unlock()
+	}
 }

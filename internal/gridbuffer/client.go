@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"griddles/internal/admit"
+	"griddles/internal/obs"
 	"griddles/internal/retry"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
@@ -20,16 +21,33 @@ type Dialer interface {
 	Dial(addr string) (net.Conn, error)
 }
 
-// DefaultWriterWindow bounds the writer's in-flight unacknowledged Puts in
-// persistent-connection mode. The paper's Grid Buffer is a Web-Services
-// request/response per block, so effective pipelining is shallow — this is
-// the knob behind its observed latency sensitivity (Table 5) and is
-// deliberately small by default. `go test -bench=AblationTransport` sweeps
-// it against the connection-per-call discipline.
-const DefaultWriterWindow = 2
+// The default in-flight budgets are bytes, not blocks: what a pipe needs in
+// flight depends on the path (bandwidth x delay), not on how the application
+// happens to chunk its writes. The writer's unacknowledged window is the
+// budget divided by the negotiated block size — 64 blocks at the paper's
+// 4096-byte writes, 4 at 64 KiB — and the reader's prefetch depth likewise,
+// with a floor of two blocks so a stream always overlaps one block's transfer
+// with the next, and a ceiling of 256 so tiny blocks do not buy an unbounded
+// replay window (or a GET window past what the service accepts). An explicit
+// WriterOptions.Window or ReaderOptions.Depth is in blocks, as it always
+// was; the experiment harness pins both at 2, the shallow request/response
+// pipelining of the paper's 2004 Web-Services transport. (Window never was
+// "the knob behind Table 5": those rows run connection-per-call, where the
+// window is ignored. `go test -bench=AblationTransport` sweeps it against
+// that discipline.)
+const (
+	DefaultWriterWindowBytes = 256 << 10
+	DefaultReaderDepthBytes  = 128 << 10
+)
 
-// DefaultReaderDepth is the reader's prefetch pipeline depth.
-const DefaultReaderDepth = 2
+// inFlightBlocks turns an explicit block count, or else a byte budget, into
+// a window in blocks of blockSize.
+func inFlightBlocks(explicit, budget, blockSize int) int {
+	if explicit > 0 {
+		return explicit
+	}
+	return min(max(budget/blockSize, 2), 256)
+}
 
 // wblock is one block the writer has sent but the server has not yet
 // acknowledged. Acks arrive in send order, so the set is a FIFO; on
@@ -45,14 +63,14 @@ type wblock struct {
 //
 // With a retry policy set (WriterOptions.Retry), the writer survives
 // transport faults: it reconnects, replays the unacknowledged block window,
-// and continues. Without one it fails fast, as the paper's service did.
+// and continues. Without one it fails fast, as the paper's service did: the
+// zero policy is the same code making one attempt with no timeouts.
 type Writer struct {
 	clock     simclock.Clock
-	conn      net.Conn
-	bw        *bufio.Writer
 	key       string
 	blockSize int
 	retry     retry.Policy
+	flushHist *obs.Histogram
 
 	// connection-per-call (SOAP-style) state
 	connPerCall bool
@@ -63,37 +81,40 @@ type Writer struct {
 	// codecName is the codec proposed at every attach; cs is the state the
 	// current connection actually negotiated.
 	codecName string
-	cs        *codecState
+
+	// wmu guards the send side of the current connection, which the
+	// application goroutine and the ack loop share (the ack loop sends held
+	// frames when the last in-flight block is acknowledged). It is held
+	// across socket writes, hence clock-aware.
+	wmu   *simclock.Mutex
+	conn  net.Conn
+	fw    *frameWriter
+	cs    *codecState
+	hdr   wire.Encoder // PUT header scratch
+	wrote int64        // index after the last block queued on this connection
 
 	window  *simclock.Semaphore
 	winSize int64
 	done    *simclock.Event
-	batch   int
 
-	mu      sync.Mutex // guards err, broken, gen, unacked
+	mu      sync.Mutex // guards err, broken, gen, unacked, flushed
 	err     error
 	broken  bool
 	gen     uint64
 	unacked []wblock
+	flushed int64 // every block below this index has been handed to the socket
 	closed  bool
 
 	partial []byte
-	pending []wblock // full blocks accumulated for the next batch frame
 	nextIdx int64
 	total   int64
 }
 
 // WriterOptions tunes a Writer beyond the buffer Options.
 type WriterOptions struct {
-	// Window is the number of unacknowledged in-flight Puts (0 selects
-	// DefaultWriterWindow).
+	// Window is the number of unacknowledged in-flight Puts; 0 derives it
+	// from DefaultWriterWindowBytes and the negotiated block size.
 	Window int
-	// Batch is the number of blocks coalesced into one PUT-BATCH frame
-	// (acknowledged once). 0 or 1 keeps the historical one-frame-per-block
-	// protocol; larger batches amortize the per-frame round trip and are
-	// clamped to the window. Blocks are held client-side until the batch
-	// fills (Close flushes a partial batch).
-	Batch int
 	// Codec names the block codec proposed at attach ("" or "raw" keeps the
 	// stream raw and the attach bytes identical to the historical protocol).
 	// Connection-per-call mode never negotiates and ignores this.
@@ -110,21 +131,38 @@ type WriterOptions struct {
 	Retry retry.Policy
 }
 
-// attach dials addr and performs one Attach handshake, returning the open
-// connection and the negotiated parameters. prev is the reader ID a
-// reconnecting reader resumes (-1 for writers and first attaches); codec,
-// if non-raw, is proposed for the stream (see codec.go — the returned name
-// is what the server settled on, "" against an old server); dl, if
-// non-zero, bounds the whole handshake.
-func attach(dialer Dialer, addr string, key string, role uint8, opts Options, prev int, codec string, dl time.Time) (net.Conn, *bufio.Reader, *bufio.Writer, int, int, string, error) {
+// link is one attached connection and what its Attach exchange negotiated.
+type link struct {
+	conn      net.Conn
+	br        *bufio.Reader
+	fw        *frameWriter
+	readerID  int
+	blockSize int
+	codec     string // what the server settled on; "" against an old server
+}
+
+// attach dials addr and performs one Attach handshake. prev is the reader ID
+// a reconnecting reader resumes (-1 for writers and first attaches); codec,
+// if non-raw, is proposed for the stream (see codec.go); dl, if non-zero,
+// bounds the whole handshake.
+func attach(dialer Dialer, addr string, key string, role uint8, opts Options, prev int, codec string, dl time.Time, hist *obs.Histogram) (*link, error) {
 	conn, err := dialer.Dial(addr)
 	if err != nil {
-		return nil, nil, nil, 0, 0, "", fmt.Errorf("gridbuffer: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("gridbuffer: dial %s: %w", addr, err)
 	}
+	l, err := handshake(conn, key, role, opts, prev, codec, dl, hist)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
+func handshake(conn net.Conn, key string, role uint8, opts Options, prev int, codec string, dl time.Time, hist *obs.Histogram) (*link, error) {
 	if !dl.IsZero() {
 		conn.SetDeadline(dl)
 	}
-	bw := bufio.NewWriter(conn)
+	l := &link{conn: conn, br: bufio.NewReaderSize(conn, connBufSize), fw: newFrameWriter(conn, hist)}
 	e := wire.NewEncoder()
 	e.String(key).U8(role)
 	encodeOptions(e, opts)
@@ -132,51 +170,46 @@ func attach(dialer Dialer, addr string, key string, role uint8, opts Options, pr
 	if codec != "" && codec != wire.CodecRaw {
 		e.String(codec)
 	}
-	if err := wire.WriteFrame(bw, msgAttach, e.Bytes()); err != nil {
-		conn.Close()
-		return nil, nil, nil, 0, 0, "", err
+	if err := l.fw.frame(msgAttach, e.Bytes()); err != nil {
+		return nil, err
 	}
-	if err := bw.Flush(); err != nil {
-		conn.Close()
-		return nil, nil, nil, 0, 0, "", err
+	if err := l.fw.flush(); err != nil {
+		return nil, err
 	}
-	br := bufio.NewReader(conn)
-	typ, resp, err := wire.ReadFrame(br)
+	typ, resp, err := wire.ReadFrame(l.br)
 	if err != nil {
-		conn.Close()
-		return nil, nil, nil, 0, 0, "", err
+		return nil, err
 	}
 	if typ == admit.MsgShed {
 		// Stream-setup shed: the service is at its stream limit. The
 		// attach-level retry policy waits out the hint and redials.
-		conn.Close()
 		shed, derr := admit.DecodeShed(resp)
 		if derr != nil {
-			return nil, nil, nil, 0, 0, "", derr
+			return nil, derr
 		}
-		return nil, nil, nil, 0, 0, "", shed
+		return nil, shed
 	}
 	if typ == msgError {
-		conn.Close()
-		return nil, nil, nil, 0, 0, "", retry.Permanent(errors.New("gridbuffer: " + wire.NewDecoder(resp).String()))
+		return nil, retry.Permanent(errors.New("gridbuffer: " + wire.NewDecoder(resp).String()))
 	}
 	d := wire.NewDecoder(resp)
-	readerID := int(d.I64())
-	blockSize := int(d.U32())
+	l.readerID = int(d.I64())
+	l.blockSize = int(d.U32())
 	// A codec-capable server echoes its choice; an old server's response
 	// ends at blockSize, which means the stream is raw.
-	chosen := ""
 	if d.Err() == nil && d.Remaining() > 0 {
-		chosen = d.String()
+		l.codec = d.String()
 	}
 	if err := d.Err(); err != nil {
-		conn.Close()
-		return nil, nil, nil, 0, 0, "", retry.Permanent(err)
+		return nil, retry.Permanent(err)
+	}
+	if l.blockSize <= 0 {
+		return nil, retry.Permanent(fmt.Errorf("gridbuffer: server negotiated block size %d", l.blockSize))
 	}
 	if !dl.IsZero() {
 		conn.SetDeadline(time.Time{})
 	}
-	return conn, br, bw, readerID, blockSize, chosen, nil
+	return l, nil
 }
 
 // newCodecState turns the server's negotiated codec name into a
@@ -189,6 +222,12 @@ func newCodecState(chosen string) (*codecState, error) {
 	return &codecState{codec: codec}, nil
 }
 
+// flushHistogram is where a client endpoint records frames per socket
+// write: the observer its retry policy already carries (nil discards).
+func flushHistogram(p retry.Policy, side string) *obs.Histogram {
+	return p.Obs.Histogram(obs.Key("buf.flush.blocks", "side", side))
+}
+
 // NewWriter attaches to (or creates) the buffer key on the service at addr
 // and returns a Writer.
 func NewWriter(dialer Dialer, addr string, clock simclock.Clock, key string, opts Options, wopts WriterOptions) (*Writer, error) {
@@ -198,61 +237,46 @@ func NewWriter(dialer Dialer, addr string, clock simclock.Clock, key string, opt
 		// is nowhere to negotiate; the paper's SOAP discipline stays raw.
 		codecName = ""
 	}
-	var conn net.Conn
-	var br *bufio.Reader
-	var bw *bufio.Writer
-	var blockSize int
-	var chosen string
+	hist := flushHistogram(wopts.Retry, "writer")
+	var l *link
 	err := wopts.Retry.Do("gb.attach", func(int) error {
 		var err error
-		conn, br, bw, _, blockSize, chosen, err = attach(dialer, addr, key, roleWriter, opts, -1, codecName, wopts.Retry.Deadline())
+		l, err = attach(dialer, addr, key, roleWriter, opts, -1, codecName, wopts.Retry.Deadline(), hist)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	cs, err := newCodecState(chosen)
+	cs, err := newCodecState(l.codec)
 	if err != nil {
-		conn.Close()
+		l.conn.Close()
 		return nil, err
 	}
-	win := wopts.Window
-	if win <= 0 {
-		win = DefaultWriterWindow
-	}
-	batch := wopts.Batch
-	if batch <= 0 {
-		batch = 1
-	}
-	if batch > win && !wopts.ConnPerCall {
-		batch = win // a batch larger than the window could never be acknowledged
-	}
+	win := int64(inFlightBlocks(wopts.Window, DefaultWriterWindowBytes, l.blockSize))
 	w := &Writer{
 		clock:       clock,
-		conn:        conn,
-		bw:          bw,
 		key:         key,
-		blockSize:   blockSize,
+		blockSize:   l.blockSize,
 		retry:       wopts.Retry,
+		flushHist:   hist,
 		connPerCall: wopts.ConnPerCall,
 		dialer:      dialer,
 		addr:        addr,
 		opts:        opts,
 		codecName:   codecName,
-		cs:          cs,
-		window:      simclock.NewSemaphore(clock, int64(win)),
-		winSize:     int64(win),
+		wmu:         simclock.NewMutex(clock),
+		window:      simclock.NewSemaphore(clock, win),
+		winSize:     win,
 		done:        simclock.NewEvent(clock),
-		batch:       batch,
 	}
 	if w.connPerCall {
 		// The construction connection only created the buffer; each block
 		// travels on its own connection, so close it now.
-		conn.Close()
-		w.conn, w.bw = nil, nil
+		l.conn.Close()
 		return w, nil
 	}
-	w.spawnAckLoop(br)
+	w.conn, w.fw, w.cs = l.conn, l.fw, cs
+	w.spawnAckLoop(l.br)
 	return w, nil
 }
 
@@ -309,65 +333,72 @@ func (w *Writer) oneCall(reqType uint8, payload []byte) error {
 // runs per connection generation; window/done belong to that generation, so
 // a stale loop can never release permits of a successor connection.
 func (w *Writer) ackLoop(br *bufio.Reader, window *simclock.Semaphore, done *simclock.Event, gen uint64) {
+	// However the loop ends, nothing more will be acknowledged on this
+	// connection: unblock whoever waits on it.
+	defer func() {
+		window.Release(w.winSize)
+		done.Set()
+	}()
 	var frameBuf []byte
 	for {
 		typ, payload, err := wire.ReadFrameInto(br, &frameBuf)
 		if err != nil {
 			w.noteTransport(gen, err)
-			window.Release(w.winSize)
-			done.Set()
 			return
 		}
 		switch typ {
 		case msgPutResp:
-			w.popAcked(gen, 1)
+			kick := w.popAcked(gen)
 			window.Release(1)
-		case msgPutBatchResp:
-			n := int64(wire.NewDecoder(payload).U32())
-			if n < 1 {
-				n = 1
+			if kick && w.flushHeld() != nil {
+				return
 			}
-			w.popAcked(gen, n)
-			window.Release(n)
 		case msgCloseWriteResp:
-			done.Set()
 			return
 		case msgError:
 			w.failServer(errors.New("gridbuffer: " + wire.NewDecoder(payload).String()))
-			window.Release(w.winSize)
-			done.Set()
 			return
 		default:
 			w.failServer(fmt.Errorf("gridbuffer: unexpected writer frame %d", typ))
-			window.Release(w.winSize)
-			done.Set()
 			return
 		}
 	}
 }
 
-// popAcked drops the n oldest unacknowledged blocks (acks arrive in send
-// order) if the acknowledging connection is still current.
-func (w *Writer) popAcked(gen uint64, n int64) {
+// popAcked drops the oldest unacknowledged block (acks arrive in send order)
+// if the acknowledging connection is still current. It reports whether that
+// leaves frames held in the buffer with nothing in flight ahead of them —
+// the moment the ack loop, not the application, has to send them.
+func (w *Writer) popAcked(gen uint64) (kick bool) {
 	w.mu.Lock()
-	if w.gen == gen {
-		if n > int64(len(w.unacked)) {
-			n = int64(len(w.unacked))
-		}
-		w.unacked = w.unacked[n:]
+	defer w.mu.Unlock()
+	if w.gen != gen || len(w.unacked) == 0 {
+		return false
 	}
-	w.mu.Unlock()
+	w.unacked = w.unacked[1:]
+	return len(w.unacked) > 0 && !w.inFlightLocked()
 }
 
-// noteTransport records a transport fault seen by the gen ackLoop: with a
-// retry policy the connection is marked broken (the app goroutine
-// reconnects); without one it is the writer's terminal error.
+// inFlightLocked reports whether the socket has been handed a block that is
+// not yet acknowledged.
+func (w *Writer) inFlightLocked() bool {
+	return len(w.unacked) > 0 && w.unacked[0].idx < w.flushed
+}
+
+// noteTransport records a transport fault seen by the gen ackLoop.
 func (w *Writer) noteTransport(gen uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.gen != gen {
 		return // a stale loop observing its own connection being replaced
 	}
+	w.lostLocked(err)
+}
+
+// lostLocked records a transport fault on the current connection: with a
+// retry policy the connection is marked broken (the app goroutine
+// reconnects); without one it is the writer's terminal error.
+func (w *Writer) lostLocked(err error) {
 	if w.retry.Enabled() {
 		w.broken = true
 		return
@@ -377,6 +408,12 @@ func (w *Writer) noteTransport(gen uint64, err error) {
 	}
 }
 
+func (w *Writer) lost(err error) {
+	w.mu.Lock()
+	w.lostLocked(err)
+	w.mu.Unlock()
+}
+
 // failServer records a server-reported error: permanent in every mode.
 func (w *Writer) failServer(err error) {
 	w.mu.Lock()
@@ -384,13 +421,6 @@ func (w *Writer) failServer(err error) {
 		w.err = err
 	}
 	w.mu.Unlock()
-}
-
-// fail records the first error and unblocks anything waiting.
-func (w *Writer) fail(err error) {
-	w.failServer(err)
-	w.window.Release(w.winSize) // unblock senders
-	w.done.Set()
 }
 
 // Err reports the first permanent error, if any.
@@ -416,7 +446,7 @@ func (w *Writer) setBroken() {
 func (w *Writer) BlockSize() int { return w.blockSize }
 
 // Write implements io.Writer: bytes accumulate into blocks; each full block
-// is sent as soon as the in-flight window permits.
+// is queued for the service as soon as the in-flight window permits.
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("gridbuffer: write after close")
@@ -444,197 +474,182 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// sendBlock queues the filled partial block as the next pending batch
-// entry; the batch is flushed to the wire once full (batch == 1 flushes
-// every block, the historical protocol).
+// sendBlock delivers the filled partial block over the configured transport
+// discipline.
 func (w *Writer) sendBlock() error {
-	idx := w.nextIdx
+	blk := wblock{idx: w.nextIdx, data: append([]byte(nil), w.partial...)}
 	w.nextIdx++
-	data := append([]byte(nil), w.partial...)
 	w.partial = w.partial[:0]
-	w.pending = append(w.pending, wblock{idx: idx, data: data})
-	if len(w.pending) < w.batch {
-		return nil
-	}
-	return w.flushPending()
-}
-
-// putFrame encodes blocks as the smallest frame carrying them: the
-// historical one-block PUT (byte-identical to the pre-batch protocol), or a
-// PUT-BATCH.
-func putFrame(e *wire.Encoder, key string, blocks []wblock) uint8 {
-	if len(blocks) == 1 {
-		e.String(key).I64(blocks[0].idx).Bytes32(blocks[0].data)
-		return msgPut
-	}
-	encodePutBatch(e, key, blocks)
-	return msgPutBatch
-}
-
-// flushPending delivers the accumulated batch over the configured
-// transport discipline.
-func (w *Writer) flushPending() error {
-	if len(w.pending) == 0 {
-		return nil
-	}
-	blocks := w.pending
-	w.pending = nil
 
 	if w.connPerCall {
 		e := wire.NewEncoder()
-		typ := putFrame(e, w.key, blocks)
-		err := w.retry.Do("gb.put", func(int) error { return w.oneCall(typ, e.Bytes()) })
+		e.String(w.key).I64(blk.idx).Bytes32(blk.data)
+		err := w.retry.Do("gb.put", func(int) error { return w.oneCall(msgPut, e.Bytes()) })
 		if err != nil {
-			w.fail(err)
-			return err
+			w.failServer(err)
 		}
-		return nil
-	}
-	if !w.retry.Enabled() {
-		return w.sendOnce(blocks)
+		return err
 	}
 
-	appended := false
-	n := int64(len(blocks))
-	first := blocks[0].idx
+	queued := false
 	return w.retry.Do("gb.put", func(int) error {
-		if err := w.Err(); err != nil {
-			return retry.Permanent(err)
+		if err := w.usable(); err != nil {
+			return err
 		}
-		if w.isBroken() {
-			if err := w.reconnect(); err != nil {
-				return err
-			}
-		}
-		if appended {
-			// The reconnect above replayed these blocks with the rest of
-			// the unacknowledged window.
+		if queued {
+			// The reconnect above replayed this block with the rest of the
+			// unacknowledged window.
 			return nil
 		}
-		t := w.retry.Timeout()
-		if !w.window.AcquireTimeout(n, t) {
-			w.setBroken()
-			return fmt.Errorf("gridbuffer: put %d: no acknowledgement within %v", first, t)
-		}
-		if w.isBroken() {
-			// The ackLoop died while we waited; the permits belong to the
-			// dead window. Reconnect on the next attempt.
-			return errors.New("gridbuffer: connection broken")
+		if err := w.acquire(1); err != nil {
+			return err
 		}
 		w.mu.Lock()
-		w.unacked = append(w.unacked, blocks...)
+		w.unacked = append(w.unacked, blk)
 		w.mu.Unlock()
-		appended = true
-		return w.writeBlocks(blocks)
+		queued = true
+		return w.queue(blk)
 	})
 }
 
-// sendOnce is the historical fail-fast send path.
-func (w *Writer) sendOnce(blocks []wblock) error {
-	w.window.Acquire(int64(len(blocks)))
+// usable starts an attempt: it surfaces a permanent error and replaces a
+// broken connection.
+func (w *Writer) usable() error {
 	if err := w.Err(); err != nil {
+		return retry.Permanent(err)
+	}
+	if w.isBroken() {
+		return w.reconnect()
+	}
+	return nil
+}
+
+// acquire takes n window permits, bounded by the policy's per-attempt
+// timeout if there is one. Before it waits it sends the frames the writer is
+// holding: the acknowledgements it is about to wait for may be theirs.
+func (w *Writer) acquire(n int64) error {
+	if !w.window.TryAcquire(n) {
+		if err := w.flushHeld(); err != nil {
+			return err
+		}
+		if t := w.retry.Timeout(); t <= 0 {
+			w.window.Acquire(n)
+		} else if !w.window.AcquireTimeout(n, t) {
+			w.setBroken()
+			return fmt.Errorf("gridbuffer: no acknowledgement within %v", t)
+		}
+	}
+	// A dying ack loop releases the whole window; those permits belong to a
+	// dead connection.
+	if err := w.Err(); err != nil {
+		return retry.Permanent(err)
+	}
+	if w.isBroken() {
+		return errors.New("gridbuffer: connection broken")
+	}
+	return nil
+}
+
+// queue puts one block's PUT frame on the connection under Nagle's rule,
+// clocked by acknowledgements instead of a timer: with nothing in flight the
+// frame leaves at once, so a lone block is never delayed; otherwise it waits
+// in the connection buffer for company until the buffer fills, the
+// application has to wait (acquire, Close), or the ack loop sees the last
+// in-flight block acknowledged.
+func (w *Writer) queue(blk wblock) error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	if err := w.putLocked(blk); err != nil {
 		return err
 	}
 	w.mu.Lock()
-	w.unacked = append(w.unacked, blocks...)
+	// A full buffer sends the frames ahead of this one on its own.
+	w.flushed = w.wrote - w.fw.frames
+	idle := !w.inFlightLocked()
 	w.mu.Unlock()
-	if err := writePutFrame(w.bw, w.key, blocks, w.cs); err != nil {
-		w.fail(err)
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.fail(err)
-		return err
+	if idle {
+		return w.flushLocked()
 	}
 	return nil
 }
 
-// writeBlocks sends one put frame on the persistent connection under the
-// per-attempt write deadline, marking the connection broken on failure.
-func (w *Writer) writeBlocks(blocks []wblock) error {
+// putLocked queues one PUT frame; wmu is held. The payload goes vectored from
+// the block (or the compression arena) into the connection buffer, and the
+// frame is byte-identical to the historical one-block PUT.
+func (w *Writer) putLocked(blk wblock) error {
+	w.armWriteDeadline()
+	data := w.cs.enc(blk.data)
+	w.hdr.Reset()
+	w.hdr.String(w.key).I64(blk.idx).U32(uint32(len(data)))
+	if err := w.fw.frame(msgPut, w.hdr.Bytes(), data); err != nil {
+		w.lost(err)
+		return err
+	}
+	w.wrote = blk.idx + 1
+	return nil
+}
+
+// flushLocked hands every queued frame to the socket; wmu is held.
+func (w *Writer) flushLocked() error {
+	w.armWriteDeadline()
+	if err := w.fw.flush(); err != nil {
+		w.lost(err)
+		return err
+	}
+	w.mu.Lock()
+	w.flushed = w.wrote
+	w.mu.Unlock()
+	return nil
+}
+
+func (w *Writer) flushHeld() error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	return w.flushLocked()
+}
+
+// armWriteDeadline bounds the next socket write by the per-attempt timeout.
+func (w *Writer) armWriteDeadline() {
 	if t := w.retry.Timeout(); t > 0 {
 		w.conn.SetWriteDeadline(w.clock.Now().Add(t))
 	}
-	if err := writePutFrame(w.bw, w.key, blocks, w.cs); err != nil {
-		w.setBroken()
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.setBroken()
-		return err
-	}
-	return nil
 }
 
-// writeFrame sends one frame on the persistent connection under the
-// per-attempt write deadline, marking the connection broken on failure.
-func (w *Writer) writeFrame(typ uint8, payload []byte) error {
-	if t := w.retry.Timeout(); t > 0 {
-		w.conn.SetWriteDeadline(w.clock.Now().Add(t))
-	}
-	if err := wire.WriteFrame(w.bw, typ, payload); err != nil {
-		w.setBroken()
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.setBroken()
-		return err
-	}
-	return nil
-}
-
-// reconnect re-attaches the writer, replays the unacknowledged block
-// window, and restarts the ack loop. Only the application goroutine calls
-// it.
+// reconnect re-attaches the writer, replays the unacknowledged block window
+// through the same held-frame path, and restarts the ack loop. Only the
+// application goroutine calls it.
 func (w *Writer) reconnect() error {
-	if w.conn != nil {
-		w.conn.Close()
-		w.conn = nil
-	}
-	conn, br, bw, _, _, chosen, err := attach(w.dialer, w.addr, w.key, roleWriter, w.opts, -1, w.codecName, w.retry.Deadline())
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	w.conn.Close()
+	l, err := attach(w.dialer, w.addr, w.key, roleWriter, w.opts, -1, w.codecName, w.retry.Deadline(), w.flushHist)
 	if err != nil {
 		return err
 	}
 	// The replacement connection renegotiates from scratch — a failover to
 	// an older server build downgrades the stream to raw mid-flight.
-	cs, err := newCodecState(chosen)
+	cs, err := newCodecState(l.codec)
 	if err != nil {
-		conn.Close()
+		l.conn.Close()
 		return err
 	}
 	w.mu.Lock()
 	w.gen++
 	w.broken = false
-	replay := make([]wblock, len(w.unacked))
-	copy(replay, w.unacked)
+	replay := append([]wblock(nil), w.unacked...)
 	w.mu.Unlock()
-	if t := w.retry.Timeout(); t > 0 {
-		conn.SetWriteDeadline(w.clock.Now().Add(t))
-	}
-	for start := 0; start < len(replay); start += w.batch {
-		end := start + w.batch
-		if end > len(replay) {
-			end = len(replay)
-		}
-		if err := writePutFrame(bw, w.key, replay[start:end], cs); err != nil {
-			conn.Close()
-			w.setBroken()
+	w.conn, w.fw, w.cs = l.conn, l.fw, cs
+	for _, blk := range replay {
+		if err := w.putLocked(blk); err != nil {
 			return err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		conn.Close()
-		w.setBroken()
+	if err := w.flushLocked(); err != nil {
 		return err
 	}
-	w.conn, w.bw, w.cs = conn, bw, cs
-	avail := w.winSize - int64(len(replay))
-	if avail < 0 {
-		avail = 0
-	}
-	w.window = simclock.NewSemaphore(w.clock, avail)
+	w.window = simclock.NewSemaphore(w.clock, max(w.winSize-int64(len(replay)), 0))
 	w.done = simclock.NewEvent(w.clock)
-	w.spawnAckLoop(br)
+	w.spawnAckLoop(l.br)
 	return nil
 }
 
@@ -645,56 +660,40 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
+	if !w.connPerCall {
+		defer func() {
+			w.wmu.Lock()
+			w.conn.Close()
+			w.wmu.Unlock()
+		}()
+	}
 	if len(w.partial) > 0 {
 		if err := w.sendBlock(); err != nil {
 			return err
 		}
 	}
-	if err := w.flushPending(); err != nil {
-		return err
-	}
+	closeWrite := wire.NewEncoder().String(w.key).I64(w.total).Bytes()
 	if w.connPerCall {
-		e := wire.NewEncoder()
-		e.String(w.key).I64(w.total)
-		err := w.retry.Do("gb.close", func(int) error { return w.oneCall(msgCloseWrite, e.Bytes()) })
+		err := w.retry.Do("gb.close", func(int) error { return w.oneCall(msgCloseWrite, closeWrite) })
 		if err != nil {
 			return err
 		}
 		return w.Err()
 	}
-	if !w.retry.Enabled() {
-		return w.closeOnce()
-	}
-	defer func() {
-		if w.conn != nil {
-			w.conn.Close()
-		}
-	}()
-	t := w.retry.Timeout()
 	return w.retry.Do("gb.close", func(int) error {
-		if err := w.Err(); err != nil {
-			return retry.Permanent(err)
-		}
-		if w.isBroken() {
-			if err := w.reconnect(); err != nil {
-				return err
-			}
-		}
-		// Wait for every outstanding Put to be acknowledged.
-		if !w.window.AcquireTimeout(w.winSize, t) {
-			w.setBroken()
-			return errors.New("gridbuffer: close: outstanding puts not acknowledged in time")
-		}
-		if w.isBroken() {
-			return errors.New("gridbuffer: connection broken")
-		}
-		if err := w.Err(); err != nil {
-			return retry.Permanent(err)
-		}
-		if err := w.writeFrame(msgCloseWrite, wire.NewEncoder().String(w.key).I64(w.total).Bytes()); err != nil {
+		if err := w.usable(); err != nil {
 			return err
 		}
-		if !w.done.WaitTimeout(t) {
+		// Wait for every outstanding Put to be acknowledged.
+		if err := w.acquire(w.winSize); err != nil {
+			return err
+		}
+		if err := w.sendCloseWrite(closeWrite); err != nil {
+			return err
+		}
+		if t := w.retry.Timeout(); t <= 0 {
+			w.done.Wait()
+		} else if !w.done.WaitTimeout(t) {
 			w.setBroken()
 			return errors.New("gridbuffer: close-write not acknowledged in time")
 		}
@@ -708,24 +707,15 @@ func (w *Writer) Close() error {
 	})
 }
 
-// closeOnce is the historical fail-fast close path.
-func (w *Writer) closeOnce() error {
-	defer w.conn.Close()
-	// Wait for every outstanding Put to be acknowledged.
-	w.window.Acquire(w.winSize)
-	if err := w.Err(); err != nil {
+func (w *Writer) sendCloseWrite(payload []byte) error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	w.armWriteDeadline()
+	if err := w.fw.frame(msgCloseWrite, payload); err != nil {
+		w.lost(err)
 		return err
 	}
-	e := wire.NewEncoder()
-	e.String(w.key).I64(w.total)
-	if err := wire.WriteFrame(w.bw, msgCloseWrite, e.Bytes()); err != nil {
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	w.done.Wait()
-	return w.Err()
+	return w.flushLocked()
 }
 
 // Reader streams a Grid Buffer to an application, prefetching blocks ahead
@@ -745,11 +735,12 @@ type Reader struct {
 	clock     simclock.Clock
 	conn      net.Conn
 	br        *bufio.Reader
-	bw        *bufio.Writer
+	fw        *frameWriter
 	key       string
 	blockSize int
 	readerID  int
 	depth     int
+	flushHist *obs.Histogram
 	retry     retry.Policy
 	dialer    Dialer
 	addr      string
@@ -772,7 +763,11 @@ type Reader struct {
 
 // ReaderOptions tunes a Reader beyond the buffer Options.
 type ReaderOptions struct {
-	// Depth is the prefetch pipeline depth (0 selects DefaultReaderDepth).
+	// Depth is the prefetch pipeline depth in blocks; 0 derives it from
+	// DefaultReaderDepthBytes and the negotiated block size. It must stay
+	// below the buffer's Capacity: the service answers a reader's requests
+	// in order and frees blocks only on the acknowledgement the next request
+	// carries.
 	Depth int
 	// Codec names the block codec proposed at attach ("" or "raw" keeps the
 	// stream raw and the attach bytes identical to the historical protocol).
@@ -783,32 +778,26 @@ type ReaderOptions struct {
 
 // NewReader attaches to (or creates) the buffer key on the service at addr.
 func NewReader(dialer Dialer, addr string, clock simclock.Clock, key string, opts Options, ropts ReaderOptions) (*Reader, error) {
-	var conn net.Conn
-	var br *bufio.Reader
-	var bw *bufio.Writer
-	var readerID, blockSize int
-	var chosen string
+	hist := flushHistogram(ropts.Retry, "reader")
+	var l *link
 	err := ropts.Retry.Do("gb.attach", func(int) error {
 		var err error
-		conn, br, bw, readerID, blockSize, chosen, err = attach(dialer, addr, key, roleReader, opts, -1, ropts.Codec, ropts.Retry.Deadline())
+		l, err = attach(dialer, addr, key, roleReader, opts, -1, ropts.Codec, ropts.Retry.Deadline(), hist)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	cs, err := newCodecState(chosen)
+	cs, err := newCodecState(l.codec)
 	if err != nil {
-		conn.Close()
+		l.conn.Close()
 		return nil, err
 	}
-	depth := ropts.Depth
-	if depth <= 0 {
-		depth = DefaultReaderDepth
-	}
 	return &Reader{
-		clock: clock, conn: conn, br: br, bw: bw,
-		key: key, blockSize: blockSize, readerID: readerID,
-		depth: depth, retry: ropts.Retry,
+		clock: clock, conn: l.conn, br: l.br, fw: l.fw,
+		key: key, blockSize: l.blockSize, readerID: l.readerID,
+		depth: inFlightBlocks(ropts.Depth, DefaultReaderDepthBytes, l.blockSize),
+		retry: ropts.Retry, flushHist: hist,
 		dialer: dialer, addr: addr, opts: opts,
 		codecName: ropts.Codec, cs: cs,
 		total: -1,
@@ -832,30 +821,29 @@ func (r *Reader) BlockSize() int { return r.blockSize }
 // position, whose blocks the server retained (they were never
 // acknowledged).
 func (r *Reader) reconnect() error {
-	if r.conn != nil {
-		r.conn.Close()
-	}
-	conn, br, bw, id, _, chosen, err := attach(r.dialer, r.addr, r.key, roleReader, r.opts, r.readerID, r.codecName, r.retry.Deadline())
+	r.conn.Close()
+	l, err := attach(r.dialer, r.addr, r.key, roleReader, r.opts, r.readerID, r.codecName, r.retry.Deadline(), r.flushHist)
 	if err != nil {
 		return err
 	}
-	cs, err := newCodecState(chosen)
+	cs, err := newCodecState(l.codec)
 	if err != nil {
-		conn.Close()
+		l.conn.Close()
 		return err
 	}
-	r.conn, r.br, r.bw = conn, br, bw
+	r.conn, r.br, r.fw = l.conn, l.br, l.fw
 	r.cs = cs
-	r.readerID = id
+	r.readerID = l.readerID
 	r.inflight = nil
 	r.broken = false
 	return nil
 }
 
-// sendWindow queues one windowed GET for blocks [first, first+count),
+// sendWindow sends one windowed GET for blocks [first, first+count),
 // acknowledging everything already delivered. The server streams one
 // response frame per block as each becomes available, so the reader keeps
-// count requests outstanding at the cost of a single request frame.
+// count requests outstanding at the cost of a single request frame. The
+// request leaves at once: it is what keeps the reader from blocking later.
 func (r *Reader) sendWindow(first int64, count int) error {
 	if t := r.retry.Timeout(); t > 0 {
 		r.conn.SetWriteDeadline(r.clock.Now().Add(t))
@@ -865,10 +853,10 @@ func (r *Reader) sendWindow(first int64, count int) error {
 		key: r.key, readerID: r.readerID,
 		first: first, count: count, ackBelow: r.acked,
 	})
-	if err := wire.WriteFrame(r.bw, msgGetWin, e.Bytes()); err != nil {
+	if err := r.fw.frame(msgGetWin, e.Bytes()); err != nil {
 		return err
 	}
-	if err := r.bw.Flush(); err != nil {
+	if err := r.fw.flush(); err != nil {
 		return err
 	}
 	for i := 0; i < count; i++ {
@@ -995,7 +983,10 @@ func (r *Reader) readOnce(p []byte) (int, error) {
 		if len(r.inflight) == 0 {
 			r.nextReq = idx
 		}
-		if want := r.depth - len(r.inflight); want > 0 {
+		// Refill in runs of half the window, not a request per block: the
+		// other half is still in flight, so the pipe never drains, and the
+		// service hears from the reader 2/depth times per block.
+		if want := r.depth - len(r.inflight); want >= (r.depth+1)/2 {
 			count := 0
 			for count < want {
 				if r.total >= 0 && (r.nextReq+int64(count))*bs >= r.total {
@@ -1075,7 +1066,8 @@ func (r *Reader) Close() error {
 	r.closed = true
 	e := wire.NewEncoder()
 	e.String(r.key).I64(int64(r.readerID))
-	wire.WriteFrame(r.bw, msgDetach, e.Bytes())
-	r.bw.Flush()
+	if r.fw.frame(msgDetach, e.Bytes()) == nil {
+		_ = r.fw.flush() // best effort: the connection is going away
+	}
 	return r.conn.Close()
 }

@@ -8,41 +8,53 @@ import (
 	"testing"
 	"time"
 
+	"griddles/internal/retry"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 	"griddles/internal/vfs"
 	"griddles/internal/wire"
 )
 
-// TestWritePutFrameMatchesEncoder pins wire-byte identity of the vectored
-// raw put path against the historical Encoder-assembled frames, for both
-// the one-block PUT and the PUT-BATCH shape.
+// TestWritePutFrameMatchesEncoder pins wire-byte identity of the writer's
+// vectored raw PUT against the historical Encoder-assembled frame, and that
+// frames queued behind one another reach the connection as whole frames in
+// one write.
 func TestWritePutFrameMatchesEncoder(t *testing.T) {
-	cases := [][]wblock{
-		{{idx: 0, data: []byte("hello world block")}},
-		{{idx: 3, data: bytes.Repeat([]byte{7}, 4096)}, {idx: 4, data: []byte{}}, {idx: 5, data: []byte("tail")}},
+	blocks := []wblock{
+		{idx: 0, data: []byte("hello world block")},
+		{idx: 3, data: bytes.Repeat([]byte{7}, 4096)},
+		{idx: 4, data: []byte{}},
 	}
-	for _, blocks := range cases {
+	var want bytes.Buffer
+	for _, blk := range blocks {
 		e := wire.NewEncoder()
-		typ := putFrame(e, "k", blocks)
-		var want bytes.Buffer
-		if err := wire.WriteFrame(&want, typ, e.Bytes()); err != nil {
+		e.String("k").I64(blk.idx).Bytes32(blk.data)
+		if err := wire.WriteFrame(&want, msgPut, e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		if err := writePutFrame(&got, "k", blocks, nil); err != nil {
+	}
+	conn := &countingConn{}
+	w := &Writer{key: "k", conn: conn, fw: newFrameWriter(conn, flushHistogram(retry.Policy{}, "writer")), cs: &codecState{}}
+	for _, blk := range blocks {
+		if err := w.putLocked(blk); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("vectored frame differs from encoder frame for %d blocks", len(blocks))
-		}
+	}
+	if err := w.flushLocked(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(conn.sent.Bytes(), want.Bytes()) {
+		t.Fatal("vectored PUT frames differ from the encoder-assembled frames")
+	}
+	if conn.writes != 1 {
+		t.Fatalf("3 queued frames took %d conn writes, want 1", conn.writes)
 	}
 }
 
 // TestCodecStreamRoundTrip: a writer and reader that both negotiate lzb
-// move byte-identical content, batched and unbatched.
+// move byte-identical content, with a shallow and a deep window.
 func TestCodecStreamRoundTrip(t *testing.T) {
-	for _, batch := range []int{1, 4} {
+	for _, window := range []int{2, 8} {
 		b := newBrig(simnet.LinkSpec{Latency: 2 * time.Millisecond})
 		want := bytes.Repeat([]byte("sensor,42,1013.25,ok\n"), 5000)
 		b.v.Run(func() {
@@ -66,7 +78,7 @@ func TestCodecStreamRoundTrip(t *testing.T) {
 				got = data
 			})
 			w, err := NewWriter(b.net.Host("w"), b.addr, b.v, "k", Options{},
-				WriterOptions{Codec: wire.CodecLZB, Window: 8, Batch: batch})
+				WriterOptions{Codec: wire.CodecLZB, Window: window})
 			if err != nil {
 				t.Fatalf("writer: %v", err)
 			}
@@ -78,7 +90,7 @@ func TestCodecStreamRoundTrip(t *testing.T) {
 			}
 			done.Wait()
 			if !bytes.Equal(got, want) {
-				t.Fatalf("batch=%d: reader got %d bytes, want %d (content mismatch)", batch, len(got), len(want))
+				t.Fatalf("window=%d: reader got %d bytes, want %d (content mismatch)", window, len(got), len(want))
 			}
 		})
 	}
@@ -111,7 +123,7 @@ func TestCodecMixedRawReader(t *testing.T) {
 			got = data
 		})
 		w, err := NewWriter(b.net.Host("w"), b.addr, b.v, "k", Options{},
-			WriterOptions{Codec: wire.CodecLZB, Window: 4, Batch: 2})
+			WriterOptions{Codec: wire.CodecLZB, Window: 4})
 		if err != nil {
 			t.Fatalf("writer: %v", err)
 		}
@@ -171,14 +183,14 @@ func serveOldAttach(clock simclock.Clock, reg *Registry, l net.Listener) {
 					data := d.Bytes32()
 					b, _ := reg.Lookup(key)
 					if err := b.Put(idx, data); err != nil {
-						writeError(bw, err)
+						oldWriteError(bw, err)
 					} else {
 						wire.WriteFrame(bw, msgPutResp, nil)
 					}
 				case msgGetWin:
 					req, derr := decodeGetWin(d)
 					if derr != nil {
-						writeError(bw, derr)
+						oldWriteError(bw, derr)
 						break
 					}
 					b, _ := reg.Lookup(req.key)
@@ -189,7 +201,7 @@ func serveOldAttach(clock simclock.Clock, reg *Registry, l net.Listener) {
 						idx := req.first + int64(i)
 						data, eof, gerr := b.GetKeep(req.readerID, idx)
 						if gerr != nil {
-							writeError(bw, gerr)
+							oldWriteError(bw, gerr)
 							break
 						}
 						e := wire.NewEncoder()
@@ -203,14 +215,14 @@ func serveOldAttach(clock simclock.Clock, reg *Registry, l net.Listener) {
 					total := d.I64()
 					b, _ := reg.Lookup(key)
 					if err := b.CloseWrite(total); err != nil {
-						writeError(bw, err)
+						oldWriteError(bw, err)
 					} else {
 						wire.WriteFrame(bw, msgCloseWriteResp, nil)
 					}
 				case msgDetach:
 					wire.WriteFrame(bw, msgDetachResp, nil)
 				default:
-					writeError(bw, errUnknownOldType)
+					oldWriteError(bw, errUnknownOldType)
 				}
 				if bw.Flush() != nil {
 					return
@@ -221,6 +233,10 @@ func serveOldAttach(clock simclock.Clock, reg *Registry, l net.Listener) {
 }
 
 var errUnknownOldType = io.ErrUnexpectedEOF
+
+func oldWriteError(w io.Writer, err error) {
+	wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
+}
 
 // TestCodecOldServerStaysRaw: a codec-requesting writer and reader against
 // a pre-codec server build complete the stream raw and lossless.

@@ -7,6 +7,18 @@ import (
 	"griddles/internal/wire"
 )
 
+// encodePutBatch is the PUT-BATCH encoder old writers carried; current
+// writers coalesce plain PUTs in the connection buffer, so it lives on only
+// to feed the server-side decoder in tests.
+func encodePutBatch(e *wire.Encoder, key string, blocks []wblock) {
+	e.String(key)
+	e.U32(uint32(len(blocks)))
+	for _, blk := range blocks {
+		e.I64(blk.idx)
+		e.Bytes32(blk.data)
+	}
+}
+
 // FuzzDecodePutBatch: arbitrary payloads never panic the PUT-BATCH decoder,
 // and anything it accepts survives an encode → decode round trip.
 func FuzzDecodePutBatch(f *testing.F) {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -32,9 +31,10 @@ const (
 	msgDrop           = 11
 	msgDropResp       = 12
 	// Pipelined extensions: a PUT-BATCH carries several blocks in one frame
-	// and is acknowledged once; a windowed GET asks for a run of blocks and
-	// receives one response frame per block, flushed as each becomes
-	// available, so a reader keeps N requests outstanding without N frames.
+	// and is acknowledged once (old peers only: current writers send plain
+	// PUTs and coalesce them in the connection buffer); a windowed GET asks
+	// for a run of blocks and receives one response frame per block, so a
+	// reader keeps N requests outstanding without N frames.
 	msgPutBatch     = 13
 	msgPutBatchResp = 14
 	msgGetWin       = 15
@@ -56,17 +56,19 @@ type Registry struct {
 	mu        sync.RWMutex
 	obs       *obs.Observer
 	buffers   map[string]*Buffer
-	defShards int // applied when creating options leave Shards zero
+	pools     map[int]*sync.Pool // block payloads by block size, shared by every buffer
+	defShards int                // applied when creating options leave Shards zero
 
 	windowDepth atomic.Pointer[obs.Histogram]
+	flushBlocks atomic.Pointer[obs.Histogram]
 }
 
 // NewRegistry returns an empty Registry. cacheFS (may be nil) hosts cache
 // files for buffers that enable them — on a testbed machine this is the
 // machine's disk-cost-accounted file system.
 func NewRegistry(clock simclock.Clock, cacheFS vfs.FS) *Registry {
-	r := &Registry{clock: clock, cacheFS: cacheFS, buffers: make(map[string]*Buffer)}
-	r.windowDepth.Store((*obs.Observer)(nil).Histogram("buf.window.depth"))
+	r := &Registry{clock: clock, cacheFS: cacheFS, buffers: make(map[string]*Buffer), pools: make(map[int]*sync.Pool)}
+	r.setInstruments(nil)
 	return r
 }
 
@@ -76,10 +78,15 @@ func (r *Registry) SetObserver(o *obs.Observer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.obs = o
-	r.windowDepth.Store(o.Histogram("buf.window.depth"))
+	r.setInstruments(o)
 	for _, b := range r.buffers {
 		b.SetObserver(o)
 	}
+}
+
+func (r *Registry) setInstruments(o *obs.Observer) {
+	r.windowDepth.Store(o.Histogram("buf.window.depth"))
+	r.flushBlocks.Store(o.Histogram(obs.Key("buf.flush.blocks", "side", "server")))
 }
 
 // SetDefaultShards sets the block-table shard count applied to buffers
@@ -113,6 +120,14 @@ func (r *Registry) GetOrCreate(key string, opts Options) *Buffer {
 		opts.Shards = r.defShards
 	}
 	b = NewBuffer(r.clock, key, opts)
+	// One pool per block size for the whole service: a finished stream's
+	// payloads (Drop recycles them) serve the next stream instead of being
+	// stranded in a pool nobody will use again.
+	bs := b.BlockSize()
+	if r.pools[bs] == nil {
+		r.pools[bs] = b.pool
+	}
+	b.pool = r.pools[bs]
 	if r.obs != nil {
 		b.SetObserver(r.obs)
 	}
@@ -204,22 +219,60 @@ func (s *Server) Serve(l net.Listener) {
 	}
 }
 
+// connState is what a connection remembers between frames.
+type connState struct {
+	fw *frameWriter
+	cs codecState
+	// key and buf are what this connection's Attach resolved. Requests for
+	// key use buf rather than looking the key up again, so a request still
+	// in flight when the buffer is dropped (a reader's parting Detach) can
+	// never land on a successor buffer created under the same key.
+	key string
+	buf *Buffer
+}
+
+// lookup returns the buffer a request for key addresses: the attached one,
+// or — on connections that never attached, such as a connection-per-call
+// writer's — whatever the registry holds now.
+func (st *connState) lookup(reg *Registry, key string) (*Buffer, error) {
+	if st.buf != nil && key == st.key {
+		return st.buf, nil
+	}
+	if b, ok := reg.Lookup(key); ok {
+		return b, nil
+	}
+	return nil, fmt.Errorf("gridbuffer: no buffer %q", key)
+}
+
 func (s *Server) handle(conn net.Conn) {
 	// admitted is the stream slot taken by this connection's first Attach,
 	// released when the connection goes away.
 	var admitted func()
+	br := readBufPool.Get().(*bufio.Reader)
+	bw := writeBufPool.Get().(*bufio.Writer)
+	br.Reset(conn)
+	bw.Reset(conn)
 	defer func() {
 		conn.Close()
 		if admitted != nil {
 			admitted()
 		}
+		br.Reset(nil)
+		bw.Reset(nil)
+		readBufPool.Put(br)
+		writeBufPool.Put(bw)
 	}()
 	tenant := admit.TenantOf(conn)
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	cs := &codecState{}
+	st := &connState{fw: &frameWriter{bw: bw, hist: s.reg.flushBlocks.Load()}}
 	var frameBuf []byte
 	for {
+		// Answer every request already in the read buffer before sending any
+		// answer: the flush happens only when the next read would block.
+		if !wire.FrameBuffered(br) {
+			if err := st.fw.flush(); err != nil {
+				return
+			}
+		}
 		typ, payload, err := wire.ReadFrameInto(br, &frameBuf)
 		if err != nil {
 			return
@@ -227,20 +280,14 @@ func (s *Server) handle(conn net.Conn) {
 		if typ == msgAttach && admitted == nil {
 			rel, aerr := s.adm.Acquire(tenant, admit.Bulk)
 			if aerr != nil {
-				if err := writeShed(bw, aerr); err != nil {
-					return
-				}
-				if err := bw.Flush(); err != nil {
+				if err := writeShed(st.fw, aerr); err != nil {
 					return
 				}
 				continue
 			}
 			admitted = rel
 		}
-		if err := s.dispatch(bw, typ, payload, cs); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if err := s.dispatch(st, typ, payload); err != nil {
 			return
 		}
 	}
@@ -248,12 +295,13 @@ func (s *Server) handle(conn net.Conn) {
 
 // writeShed answers one request with a shed frame (or a plain error frame
 // when err is not a shed), leaving the connection usable.
-func writeShed(w io.Writer, err error) error {
+func writeShed(fw *frameWriter, err error) error {
 	var shed *admit.ShedError
 	if errors.As(err, &shed) {
-		return admit.WriteShed(w, shed)
+		fw.frames++
+		return admit.WriteShed(fw.bw, shed)
 	}
-	return writeError(w, err)
+	return writeError(fw, err)
 }
 
 func decodeOptions(d *wire.Decoder) Options {
@@ -286,15 +334,6 @@ type putBatchReq struct {
 // protecting the server from a hostile count field (the frame size itself
 // is already bounded by wire.MaxFrame).
 const maxBatchBlocks = 4096
-
-func encodePutBatch(e *wire.Encoder, key string, blocks []wblock) {
-	e.String(key)
-	e.U32(uint32(len(blocks)))
-	for _, blk := range blocks {
-		e.I64(blk.idx)
-		e.Bytes32(blk.data)
-	}
-}
 
 func decodePutBatch(d *wire.Decoder) (putBatchReq, error) {
 	var r putBatchReq
@@ -352,8 +391,8 @@ func decodeGetWin(d *wire.Decoder) (getWinReq, error) {
 	return r, nil
 }
 
-func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codecState) error {
-	var w io.Writer = bw
+func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
+	w, cs := st.fw, &st.cs
 	d := wire.NewDecoder(payload)
 	switch typ {
 	case msgAttach:
@@ -374,6 +413,7 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 			return writeError(w, err)
 		}
 		b := s.reg.GetOrCreate(key, opts)
+		st.key, st.buf = key, b
 		readerID := -1
 		if role == roleReader {
 			readerID = b.Reattach(prev)
@@ -389,7 +429,7 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 			cs.codec = codec
 			e.String(chosen)
 		}
-		return wire.WriteFrame(w, msgAttachResp, e.Bytes())
+		return w.frame(msgAttachResp, e.Bytes())
 
 	case msgPut:
 		key := d.String()
@@ -402,36 +442,36 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		if derr != nil {
 			return writeError(w, derr)
 		}
-		b, ok := s.reg.Lookup(key)
-		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", key))
-		}
-		if err := b.Put(idx, data); err != nil {
+		b, err := st.lookup(s.reg, key)
+		if err != nil {
 			return writeError(w, err)
 		}
-		return wire.WriteFrame(w, msgPutResp, nil)
+		if err := b.put(idx, data, st.flushHeld); err != nil {
+			return writeError(w, err)
+		}
+		return w.frame(msgPutResp)
 
 	case msgPutBatch:
 		req, err := decodePutBatch(d)
 		if err != nil {
 			return writeError(w, err)
 		}
-		b, ok := s.reg.Lookup(req.key)
-		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", req.key))
+		b, err := st.lookup(s.reg, req.key)
+		if err != nil {
+			return writeError(w, err)
 		}
 		for _, blk := range req.blocks {
 			data, derr := cs.dec(blk.data)
 			if derr != nil {
 				return writeError(w, derr)
 			}
-			if err := b.Put(blk.idx, data); err != nil {
+			if err := b.put(blk.idx, data, st.flushHeld); err != nil {
 				return writeError(w, err)
 			}
 		}
 		e := wire.NewEncoder()
 		e.U32(uint32(len(req.blocks)))
-		return wire.WriteFrame(w, msgPutBatchResp, e.Bytes())
+		return w.frame(msgPutBatchResp, e.Bytes())
 
 	case msgGet:
 		key := d.String()
@@ -444,12 +484,15 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		if err := d.Err(); err != nil {
 			return writeError(w, err)
 		}
-		b, ok := s.reg.Lookup(key)
-		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", key))
+		b, err := st.lookup(s.reg, key)
+		if err != nil {
+			return writeError(w, err)
 		}
 		if ackBelow > 0 {
 			b.AckBelow(readerID, ackBelow)
+		}
+		if err := st.flushUnlessReady(b, idx); err != nil {
+			return err
 		}
 		data, eof, err := b.GetKeep(readerID, idx)
 		if err != nil {
@@ -458,7 +501,7 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		out := cs.enc(data)
 		e := wire.NewEncoder()
 		e.Bool(eof).U32(uint32(len(out)))
-		err = wire.WriteFrameV(w, msgGetResp, e.Bytes(), out)
+		err = w.frame(msgGetResp, e.Bytes(), out)
 		b.Recycle(data)
 		return err
 
@@ -467,23 +510,28 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		if err != nil {
 			return writeError(w, err)
 		}
-		b, ok := s.reg.Lookup(req.key)
-		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", req.key))
+		b, err := st.lookup(s.reg, req.key)
+		if err != nil {
+			return writeError(w, err)
 		}
 		if req.ackBelow > 0 {
 			b.AckBelow(req.readerID, req.ackBelow)
 		}
 		s.reg.windowDepth.Load().Observe(int64(req.count))
-		// One response frame per block, flushed as the block becomes
-		// available: the blocking read of block k overlaps the delivery of
-		// blocks < k, which is what kills the one-block-per-RTT ceiling.
-		// The block payload is written vectored, straight from the buffer
-		// (or the connection's compression arena) — no per-block assembly
-		// copy, no per-block allocation.
+		// One response frame per block. Responses queue while the blocks are
+		// there to be had and are flushed before a read that has to wait for
+		// the writer: a reader that is behind gets many blocks per socket
+		// write, a reader that has caught up gets each block as it lands, and
+		// the blocking read of block k still overlaps the delivery of blocks
+		// < k. The block payload is written vectored, straight from the
+		// buffer (or the connection's compression arena) — no per-block
+		// assembly copy, no per-block allocation.
 		e := wire.NewEncoder()
 		for i := 0; i < req.count; i++ {
 			idx := req.first + int64(i)
+			if err := st.flushUnlessReady(b, idx); err != nil {
+				return err
+			}
 			data, eof, err := b.GetKeep(req.readerID, idx)
 			if err != nil {
 				return writeError(w, err)
@@ -491,12 +539,9 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 			out := cs.enc(data)
 			e.Reset()
 			e.I64(idx).Bool(eof).U32(uint32(len(out)))
-			err = wire.WriteFrameV(bw, msgGetWinResp, e.Bytes(), out)
+			err = w.frame(msgGetWinResp, e.Bytes(), out)
 			b.Recycle(data)
 			if err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
 				return err
 			}
 		}
@@ -508,14 +553,14 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		if err := d.Err(); err != nil {
 			return writeError(w, err)
 		}
-		b, ok := s.reg.Lookup(key)
-		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", key))
+		b, err := st.lookup(s.reg, key)
+		if err != nil {
+			return writeError(w, err)
 		}
 		if err := b.CloseWrite(total); err != nil {
 			return writeError(w, err)
 		}
-		return wire.WriteFrame(w, msgCloseWriteResp, nil)
+		return w.frame(msgCloseWriteResp)
 
 	case msgDetach:
 		key := d.String()
@@ -523,10 +568,10 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		if err := d.Err(); err != nil {
 			return writeError(w, err)
 		}
-		if b, ok := s.reg.Lookup(key); ok {
+		if b, err := st.lookup(s.reg, key); err == nil {
 			b.Detach(readerID)
 		}
-		return wire.WriteFrame(w, msgDetachResp, nil)
+		return w.frame(msgDetachResp)
 
 	case msgDrop:
 		key := d.String()
@@ -534,13 +579,28 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 			return writeError(w, err)
 		}
 		s.reg.Drop(key)
-		return wire.WriteFrame(w, msgDropResp, nil)
+		return w.frame(msgDropResp)
 
 	default:
 		return writeError(w, fmt.Errorf("gridbuffer: unknown message type %d", typ))
 	}
 }
 
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
+// flushHeld sends the responses the connection is holding; a put about to
+// stall on capacity calls it so the writer is not left waiting for
+// acknowledgements queued behind the stall. A failed flush resurfaces at the
+// connection's next write.
+func (st *connState) flushHeld() { _ = st.fw.flush() }
+
+// flushUnlessReady sends the held responses if a read of block idx would
+// have to wait for the writer.
+func (st *connState) flushUnlessReady(b *Buffer, idx int64) error {
+	if b.Ready(idx) {
+		return nil
+	}
+	return st.fw.flush()
+}
+
+func writeError(fw *frameWriter, err error) error {
+	return fw.frame(msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -67,4 +68,20 @@ func ReadFrameInto(r io.Reader, buf *[]byte) (msgType uint8, payload []byte, err
 		return 0, nil, fmt.Errorf("wire: short frame body: %w", err)
 	}
 	return hdr[4], payload, nil
+}
+
+// FrameBuffered reports whether br already holds one whole frame, so the next
+// ReadFrame returns without touching the connection. Servers that queue their
+// responses in a buffered writer ask before every read and flush only when
+// the answer is no: every request that arrived in one segment is answered in
+// one segment.
+func FrameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 5 {
+		return false
+	}
+	hdr, err := br.Peek(5)
+	if err != nil {
+		return false
+	}
+	return br.Buffered()-5 >= int(binary.BigEndian.Uint32(hdr[:4]))
 }

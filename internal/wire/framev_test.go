@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -104,5 +105,38 @@ func TestFrameLoopAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm frame loop allocates %.1f times per frame, want 0", avg)
+	}
+}
+
+// TestFrameBuffered: only a whole frame already in the read buffer counts;
+// a bare or partial header, or a body still on the wire, does not, and the
+// peek consumes nothing.
+func TestFrameBuffered(t *testing.T) {
+	var two bytes.Buffer
+	WriteFrame(&two, 3, []byte("first"))
+	WriteFrame(&two, 4, nil)
+	whole := two.Bytes()
+	for cut, want := range map[int]bool{
+		0: false, 3: false, 5: false, 9: false, // nothing, part header, header, part body
+		10: true, 12: true, len(whole): true, // one frame, +part header, both frames
+	} {
+		br := bufio.NewReader(bytes.NewReader(whole[:cut]))
+		br.Peek(1) // pull what there is into the buffer, as a previous ReadFrame would have
+		if got := FrameBuffered(br); got != want {
+			t.Errorf("%d of %d bytes buffered: FrameBuffered = %v, want %v", cut, len(whole), got, want)
+		}
+	}
+	br := bufio.NewReader(bytes.NewReader(whole))
+	br.Peek(1)
+	for _, wantType := range []uint8{3, 4} {
+		if !FrameBuffered(br) {
+			t.Fatalf("frame %d not reported buffered", wantType)
+		}
+		if typ, _, err := ReadFrame(br); err != nil || typ != wantType {
+			t.Fatalf("ReadFrame after FrameBuffered: type %d err %v, want type %d", typ, err, wantType)
+		}
+	}
+	if FrameBuffered(br) {
+		t.Error("drained reader still reports a buffered frame")
 	}
 }
