@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -855,6 +856,54 @@ func BenchmarkLayerGridBufferLoopback4K(b *testing.B) {
 	b.ReportMetric(float64(writes.n.Load())/float64(b.N)/(total>>20), "connwrites/MB")
 }
 
+// BenchmarkLayerGridFTPLoopbackWrite4K is the second Layer/* entry: the
+// remote block-write path alone — a bare Client.Open handle against an
+// in-process server, no FM, no GNS — over real loopback TCP on the wall
+// clock, overwriting 16 MiB per op in the paper's 4 KiB writes. Besides MB/s
+// it reports connwrites/MB, every socket write at both endpoints per MiB of
+// payload: the cost the handle's dirty run exists to bound.
+func BenchmarkLayerGridFTPLoopbackWrite4K(b *testing.B) {
+	const total = 16 << 20
+	clock := simclock.Real{}
+	var writes writeCounter
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	// Pre-sized, so every op is an in-place overwrite and MemFS growth is
+	// not what gets timed.
+	fs := vfs.NewMemFS()
+	if err := vfs.WriteFile(fs, "layer.dat", make([]byte, total)); err != nil {
+		b.Fatal(err)
+	}
+	go gridftp.NewServer(fs, clock).Serve(countedListener{l, &writes})
+	client := gridftp.NewClient(countedTCPDialer{&writes}, l.Addr().String(), clock)
+	defer client.Close()
+	record := make([]byte, 4096)
+	b.SetBytes(total)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := client.Open("layer.dat", os.O_WRONLY)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for off := 0; off < total; off += len(record) {
+			if _, err := f.Write(record); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if size, _, err := client.Stat("layer.dat"); err != nil || size != total {
+		b.Fatalf("server file is %d bytes (err=%v), want %d", size, err, total)
+	}
+	b.ReportMetric(float64(writes.n.Load())/float64(b.N)/(total>>20), "connwrites/MB")
+}
+
 // BenchmarkFMReReadCache prices the FM block cache on a remote re-read: a
 // mode-3 consumer reads a 2 MiB file twice over the monash<->vpac-shaped
 // link, cache off versus on. With the cache the second pass is memory-only.
@@ -1106,14 +1155,17 @@ func BenchmarkPrefetchScan(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteBehindStream prices write-behind coalescing: a mode-3
-// producer streams 256 KiB to a remote file in 2 KiB writes over the same
-// WAN-shaped link, synchronous (one round trip per write) versus queued
-// behind a 1 MiB write-behind bound (writes coalesce into large extents and
-// flush asynchronously; Close is the durability barrier).
+// BenchmarkWriteBehindStream prices the remote write path on a slow link: a
+// mode-3 producer streams 256 KiB to a remote file in 2 KiB writes over the
+// WAN-shaped link. The writes coalesce into 64 KiB runs, one round trip
+// each, and Close is the durability barrier. The metric keeps the key of the
+// asynchronous write-behind pipeline this path replaced, which read 1510
+// virt-ms here at a 1 MiB bound (a round trip per write read 8114); the
+// ceiling is the 10% virt gate on that.
 func BenchmarkWriteBehindStream(b *testing.B) {
 	const size = 256 << 10
-	run := func(wbBytes int64) time.Duration {
+	const ceiling = 1661 * time.Millisecond
+	run := func() time.Duration {
 		v := simclock.NewVirtualDefault()
 		n := simnet.New(v)
 		n.SetLinkBoth("app", "srv", simnet.LinkSpec{Latency: 30 * time.Millisecond, Bandwidth: 1 << 20})
@@ -1131,7 +1183,7 @@ func BenchmarkWriteBehindStream(b *testing.B) {
 			store.Set("app", "out", gns.Mapping{Mode: gns.ModeRemote, RemoteHost: "srv:6000", RemotePath: "out"})
 			fm, err := core.New(core.Config{
 				Machine: "app", Clock: v, FS: vfs.NewMemFS(), Dialer: n.Host("app"),
-				GNS: store, WriteBehindBytes: wbBytes,
+				GNS: store,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -1159,16 +1211,14 @@ func BenchmarkWriteBehindStream(b *testing.B) {
 		return el
 	}
 	b.ReportAllocs()
-	b.SetBytes(2 * size)
-	var sync, wb time.Duration
+	b.SetBytes(size)
+	var el time.Duration
 	for i := 0; i < b.N; i++ {
-		sync = run(0)
-		wb = run(1 << 20)
+		el = run()
 	}
-	b.ReportMetric(sync.Seconds()*1e3, "virt-ms/sync-writes")
-	b.ReportMetric(wb.Seconds()*1e3, "virt-ms/write-behind")
-	if wb >= sync {
-		b.Errorf("write-behind stream (%v) not faster than synchronous writes (%v)", wb, sync)
+	b.ReportMetric(el.Seconds()*1e3, "virt-ms/write-behind")
+	if el > ceiling {
+		b.Errorf("coalesced remote stream took %v, ceiling %v", el, ceiling)
 	}
 }
 

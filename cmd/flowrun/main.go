@@ -84,7 +84,6 @@ func main() {
 	cacheMB := flag.Int("cache-mb", 0, "FM block cache budget in MiB for remote reads (0 = disabled)")
 	copyStreamsPerReplica := flag.Int("copy-streams-per-replica", 2, "parallel streams per replica for striped multi-source stage-in")
 	prefetchWindow := flag.Int("prefetch-window", core.DefaultPrefetchWindow, "ranged fetches kept in flight ahead of sequential remote reads (needs -cache-mb; 0 = disabled)")
-	writeBehindMB := flag.Int("write-behind-mb", 0, "dirty-byte bound in MiB for write-behind coalescing of remote writes (0 = disabled)")
 	gnsCache := flag.Bool("gns-cache", false, "memoise GNS resolves client-side with Watch-based invalidation")
 	maxParallel := flag.Int("max-parallel", 1, "stages allowed concurrently per machine under -mode dag")
 	eagerCopy := flag.Bool("eager-copy", false, "start staging copies at producer close under -mode dag")
@@ -226,7 +225,6 @@ func main() {
 
 			CopyStreamsPerReplica: *copyStreamsPerReplica,
 			PrefetchWindow:        *prefetchWindow,
-			WriteBehindBytes:      int64(*writeBehindMB) << 20,
 
 			CompressThresholdKbps: *compressThreshold,
 			WireCodec:             *wireCodec,

@@ -12,11 +12,12 @@
 // and applies the scale-out gate (the sharded arm must not collapse and must
 // beat the single shard's aggregate resolve rate at the top level).
 //
-// Both sets of curves merge into a BENCH_*.json record.
+// With -o, both sets of curves merge into a BENCH_*.json record (`make
+// stress` passes the current PR's $(BENCH_OUT)).
 //
-//	stress                  # full ~10k-workflow sweep, merge into BENCH_pr10.json
+//	stress                  # full ~10k-workflow sweep, gate only (no file)
 //	stress -smoke           # scaled-down CI shape, gate only (no file)
-//	stress -o curves.json   # merge into a different record
+//	stress -o curves.json   # full sweep, curves merged into that record
 package main
 
 import (
@@ -30,7 +31,7 @@ import (
 
 func main() {
 	smoke := flag.Bool("smoke", false, "run the scaled-down CI shape and skip the JSON record")
-	out := flag.String("o", "BENCH_pr10.json", "benchmark record to merge the curves into (empty = skip)")
+	out := flag.String("o", "", "benchmark record to merge the curves into (empty = skip)")
 	seed := flag.Int64("seed", 0, "override the arrival-process seed (0 = config default)")
 	flag.Parse()
 

@@ -110,7 +110,7 @@ func (e *Env) FM(machine string, p retry.Policy) (*core.Multiplexer, error) {
 }
 
 // FMWith is FM with a last-minute Config mutation, for chaos cases that need
-// a data-path knob (write-behind, prefetch, stripe streams) turned on.
+// a data-path knob (prefetch, stripe streams) turned on.
 func (e *Env) FMWith(machine string, p retry.Policy, mut func(*core.Config)) (*core.Multiplexer, error) {
 	m := e.Grid.Machine(machine)
 	cfg := core.Config{

@@ -6,14 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"griddles/internal/core"
 	"griddles/internal/fault"
 	"griddles/internal/gns"
 	"griddles/internal/vfs"
 )
 
-// The PR 4 data-path chaos cases: the striped stage-in and the write-behind
-// pipeline each lose their link mid-flight and must deliver byte-identical
+// The data-path chaos cases: the striped stage-in and the coalescing remote
+// write path each lose their link mid-flight and must deliver byte-identical
 // data anyway.
 
 // stripeSize is comfortably above the striping threshold (512 KiB), so the
@@ -67,9 +66,10 @@ func TestChaosReplicaDiesMidStripe(t *testing.T) {
 }
 
 // TestChaosBlackholeDuringWriteBehindFlush silences the writer's link while
-// the write-behind flusher is draining. The retry policy must ride out the
-// blackhole, Close must not report success until every queued byte is on the
-// server, and the remote file must be byte-identical to the written stream.
+// a mechanism-3 writer is sending its dirty runs. The retry policy must ride
+// out the blackhole (the run is kept until acknowledged, so it is replayed),
+// Close must not report success until every byte is on the server, and the
+// remote file must be byte-identical to the written stream.
 func TestChaosBlackholeDuringWriteBehindFlush(t *testing.T) {
 	e := NewEnv()
 	want := Payload(3, dataSize)
@@ -85,11 +85,7 @@ func TestChaosBlackholeDuringWriteBehindFlush(t *testing.T) {
 			{At: 100 * time.Millisecond, Kind: fault.Blackhole, From: AppHost, To: DataHost, Duration: time.Second},
 		}}).Start()
 		werr = func() error {
-			// A small dirty bound paces the writer against flush progress, so
-			// the blackhole lands while flushes are genuinely in flight.
-			fm, err := e.FMWith(AppHost, Policy(), func(c *core.Config) {
-				c.WriteBehindBytes = 64 << 10
-			})
+			fm, err := e.FM(AppHost, Policy())
 			if err != nil {
 				return err
 			}
@@ -121,8 +117,9 @@ func TestChaosBlackholeDuringWriteBehindFlush(t *testing.T) {
 		t.Fatalf("remote bytes differ after blackholed flush (%d vs %d bytes)", len(got), len(want))
 	}
 	snap := e.Obs.Snapshot().Counters
-	if snap["ftp.writebehind.flush.total"] == 0 {
-		t.Fatal("write-behind never flushed — the scenario tested nothing")
+	// One acknowledged flush per 64 KiB run, however often each was resent.
+	if flushes, runs := snap["ftp.write.flush.total"], int64((dataSize+(64<<10)-1)/(64<<10)); flushes != runs {
+		t.Fatalf("%d run flushes for %d bytes, want %d — the writes did not take the coalescing path", flushes, dataSize, runs)
 	}
 	var trace bytes.Buffer
 	if err := e.Obs.WriteJSONL(&trace); err != nil {

@@ -73,8 +73,10 @@ type Capabilities struct {
 	// prefix (object stores; not the streaming buffer).
 	Listable bool
 	// DurabilityPoint names when written bytes are durable and visible to
-	// other openers: "write" (each write lands, mechanisms 1-3) or "close"
-	// (commit happens at Close: stage-out copies, buffer EOF, object PUT).
+	// other openers: "write" (bytes land as the handle is written —
+	// mechanism 1 per call, mechanism 3 in blocks of up to 64 KiB — and
+	// Close is only the latest they can) or "close" (nothing is visible
+	// before the commit at Close: stage-out copies, buffer EOF, object PUT).
 	DurabilityPoint string
 }
 

@@ -469,47 +469,41 @@ func TestConformanceInterleavedSeekWrite(t *testing.T) {
 			},
 		},
 	}
-	// The write-behind rows pin that coalesced asynchronous flushing — with
-	// its newest-wins overlap merging — is invisible to a reader opening the
-	// file after Close, the durability point. Mechanisms 1 and 2 write local
-	// files where the knob is inert; mechanism 3 is the remote path it exists
-	// for.
-	for _, wbKB := range []int64{0, 256} {
-		for _, tc := range cases {
-			tc := tc
-			wbKB := wbKB
-			t.Run(fmt.Sprintf("%s/wb=%dKB", tc.name, wbKB), func(t *testing.T) {
-				e := newEnv()
-				tc.configure(e)
-				e.v.Run(func() {
-					e.startServices(t)
-					wfm := e.fm(t, tc.writer, func(c *Config) {
-						c.WriteBehindBytes = wbKB << 10
-					})
-					w, err := wfm.Create("rw.dat")
-					if err != nil {
-						t.Fatalf("create: %v", err)
-					}
-					writeScript(t, w)
-					if err := w.Close(); err != nil {
-						t.Fatalf("close: %v", err)
-					}
-					rfm := e.fm(t, tc.reader, nil)
-					r, err := rfm.Open("rw.dat")
-					if err != nil {
-						t.Fatalf("reopen: %v", err)
-					}
-					got, err := io.ReadAll(r)
-					r.Close()
-					if err != nil {
-						t.Fatalf("readback: %v", err)
-					}
-					if !bytes.Equal(got, golden) {
-						t.Errorf("readback differs from the simulated script (%d vs %d bytes)", len(got), len(golden))
-					}
-				})
+	// Mechanism 3 gathers the script's small writes into a dirty run and
+	// sends it when a backwards or overlapping write arrives; none of that
+	// may be visible to a reader opening the file after Close, the
+	// durability point.
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv()
+			tc.configure(e)
+			e.v.Run(func() {
+				e.startServices(t)
+				wfm := e.fm(t, tc.writer, nil)
+				w, err := wfm.Create("rw.dat")
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				writeScript(t, w)
+				if err := w.Close(); err != nil {
+					t.Fatalf("close: %v", err)
+				}
+				rfm := e.fm(t, tc.reader, nil)
+				r, err := rfm.Open("rw.dat")
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				got, err := io.ReadAll(r)
+				r.Close()
+				if err != nil {
+					t.Fatalf("readback: %v", err)
+				}
+				if !bytes.Equal(got, golden) {
+					t.Errorf("readback differs from the simulated script (%d vs %d bytes)", len(got), len(golden))
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -591,19 +585,20 @@ func TestConformanceDocumentedDivergences(t *testing.T) {
 	})
 }
 
-// TestConformanceWriteBehindDeferredError pins the one behavioural divergence
-// write-behind introduces: a WriteAt that the synchronous path would have
-// failed can succeed immediately, with the transport error surfacing at the
-// next barrier — here Close, the durability point. No byte is ever silently
-// lost; only the op that reports the error moves.
-func TestConformanceWriteBehindDeferredError(t *testing.T) {
+// TestConformanceRemoteWriteErrorSurfacesByClose pins the one behavioural
+// divergence of mechanism 3's coalescing write path: a small write is
+// accepted into the handle's dirty run before it crosses the wire, so a
+// transport error surfaces at the call that sends the run — here Close, the
+// durability point — not at the Write. No byte is ever silently lost; only
+// the op that reports the error moves.
+func TestConformanceRemoteWriteErrorSurfacesByClose(t *testing.T) {
 	e := newEnv()
 	e.store.Set("jagan", "wb.dat", gns.Mapping{
 		Mode: gns.ModeRemote, RemoteHost: "brecca" + ftpPort, RemotePath: "/r/wb",
 	})
 	e.v.Run(func() {
 		e.startServices(t)
-		fm := e.fm(t, "jagan", func(c *Config) { c.WriteBehindBytes = 1 << 20 })
+		fm := e.fm(t, "jagan", nil)
 		w, err := fm.Create("wb.dat")
 		if err != nil {
 			t.Fatalf("create: %v", err)
@@ -614,7 +609,7 @@ func TestConformanceWriteBehindDeferredError(t *testing.T) {
 		e.grid.Network().Partition("jagan", "brecca")
 		e.grid.Network().InjectReset("jagan", "brecca")
 		if err := w.Close(); err == nil {
-			t.Error("Close succeeded although the queued bytes never reached the server")
+			t.Error("Close succeeded although the buffered bytes never reached the server")
 		}
 	})
 }

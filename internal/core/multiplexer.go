@@ -127,13 +127,6 @@ type Config struct {
 	// fill-on-miss behaviour). Seek-heavy handles detect themselves and
 	// fall back to per-call fetching.
 	PrefetchWindow int
-	// WriteBehindBytes enables write-behind coalescing for remote writes
-	// (mode 3): Write/WriteAt ranges are buffered, merged when adjacent or
-	// overlapping, and flushed asynchronously with at most this many dirty
-	// bytes outstanding. Reads through the same handle and Close drain the
-	// buffer first, so POSIX-visible semantics are unchanged. 0 disables
-	// (every write is a synchronous round trip).
-	WriteBehindBytes int64
 
 	// CompressThresholdKbps arms per-link wire compression: when this FM
 	// creates a transport to a remote service it asks the NWS for a
@@ -296,7 +289,6 @@ func (m *Multiplexer) client(addr string) *gridftp.Client {
 		c = gridftp.NewClient(m.cfg.Dialer, addr, m.cfg.Clock)
 		c.SetObserver(m.obs)
 		c.SetRetry(m.cfg.Retry)
-		c.SetWriteBehind(m.cfg.WriteBehindBytes)
 		m.configureCodec(c, addr)
 		m.clients[addr] = c
 	}

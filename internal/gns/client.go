@@ -51,9 +51,11 @@ type Client struct {
 	obs *obs.Observer // nil-safe; receives gns.cache.* / gns.lease.* counters
 
 	// Sharded routing state (see shardclient.go); seeds empty means the
-	// historical single-server client.
+	// historical single-server client. shardMu is held across the shard-map
+	// fetch in ensureRing (a dial and a frame read), hence clock-aware like
+	// mu.
 	seeds   []string
-	shardMu sync.Mutex
+	shardMu *simclock.Mutex
 	smap    ShardMap
 	ring    *Ring
 	members map[string]*Client
@@ -70,7 +72,7 @@ type Client struct {
 
 // NewClient returns a Client for the GNS at addr.
 func NewClient(dialer Dialer, addr string, clock simclock.Clock) *Client {
-	return &Client{dialer: dialer, addr: addr, clock: clock, mu: simclock.NewMutex(clock)}
+	return &Client{dialer: dialer, addr: addr, clock: clock, mu: simclock.NewMutex(clock), shardMu: simclock.NewMutex(clock)}
 }
 
 // SetRetry installs the resilience policy. GNS calls are stateless, so every

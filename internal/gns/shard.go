@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"griddles/internal/obs"
+	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
 
@@ -84,8 +85,11 @@ type shardRun struct {
 	fenced bool // last fence state the loop observed (edge-triggered metrics)
 
 	// repMu serializes the leader's replication fan-out so appends reach
-	// each replica in version order.
-	repMu sync.Mutex
+	// each replica in version order. It is held across replication RPCs, so
+	// it must be a clock-aware mutex: a goroutine parked in sync.Mutex.Lock
+	// still counts as runnable to the virtual scheduler, and virtual time
+	// (the holder's network wait) would never advance.
+	repMu *simclock.Mutex
 }
 
 // EnableShard turns the server into one member of a sharded deployment.
@@ -128,6 +132,7 @@ func (s *Server) EnableShard(cfg ShardConfig) error {
 		leader:   info.Addrs[0],
 		lastBeat: now,
 		ackAt:    make(map[string]time.Time, len(info.Addrs)-1),
+		repMu:    simclock.NewMutex(s.clock),
 	}
 	for _, a := range info.Addrs {
 		if a != cfg.Self {

@@ -50,15 +50,8 @@ type Client struct {
 	copyinBytes   *obs.Counter
 	copyoutBytes  *obs.Counter
 	copyStreams   *obs.Histogram
-	wbFlushes     *obs.Counter
-	wbCoalesce    *obs.Counter
-	wbQueued      *obs.Counter
-	wbDirty       *obs.Gauge
-
-	// writeBehind, when > 0, arms write-behind coalescing on every writable
-	// handle this client opens: up to that many dirty bytes are buffered and
-	// flushed asynchronously (see writebehind.go).
-	writeBehind int64
+	writeFlush    *obs.Counter
+	writeCoalesce *obs.Counter
 
 	// codecName is the stream codec requested for bulk Fetch/Put transfers
 	// ("" or "raw" = no negotiation frame at all, byte-identical wire).
@@ -102,16 +95,9 @@ func (c *Client) SetObserver(o *obs.Observer) {
 	c.copyinBytes = o.Counter("ftp.copyin.bytes")
 	c.copyoutBytes = o.Counter("ftp.copyout.bytes")
 	c.copyStreams = o.Histogram("ftp.copy.streams")
-	c.wbFlushes = o.Counter("ftp.writebehind.flush.total")
-	c.wbCoalesce = o.Counter("ftp.writebehind.coalesce.total")
-	c.wbQueued = o.Counter("ftp.writebehind.queued.bytes")
-	c.wbDirty = o.Gauge("ftp.writebehind.dirty.bytes")
+	c.writeFlush = o.Counter("ftp.write.flush.total")
+	c.writeCoalesce = o.Counter("ftp.write.coalesce.total")
 }
-
-// SetWriteBehind arms write-behind coalescing for writable handles opened
-// after the call: n is the dirty-byte bound (0 restores the historical
-// synchronous round trip per write).
-func (c *Client) SetWriteBehind(n int64) { c.writeBehind = n }
 
 // SetRetry installs the resilience policy. The zero policy (the default)
 // preserves the historical fail-fast behaviour.
@@ -262,14 +248,15 @@ func (c *Client) Close() error {
 }
 
 // roundTripLocked performs one request/response on the shared connection,
-// which must be established. Transport errors drop the connection (a later
+// which must be established; the payload is the concatenation of its parts,
+// written without joining them. Transport errors drop the connection (a later
 // call redials); server-reported errors come back marked retry.Permanent,
 // because the transport worked and a retry would only repeat the answer.
-func (c *Client) roundTripLocked(reqType uint8, payload []byte) (uint8, []byte, error) {
+func (c *Client) roundTripLocked(reqType uint8, payload ...[]byte) (uint8, []byte, error) {
 	if dl := c.retry.Deadline(); !dl.IsZero() {
 		c.conn.SetDeadline(dl)
 	}
-	if err := wire.WriteFrame(c.bw, reqType, payload); err != nil {
+	if err := wire.WriteFrameV(c.bw, reqType, payload...); err != nil {
 		c.dropConnLocked()
 		return 0, nil, err
 	}
@@ -313,7 +300,7 @@ func (c *Client) roundTrip(reqType uint8, payload []byte) (uint8, []byte, error)
 // handleTrip is roundTrip for handle-scoped requests: it fails with
 // errStaleHandle when the shared connection is no longer the one the handle
 // was opened on.
-func (c *Client) handleTrip(gen uint64, reqType uint8, payload []byte) (uint8, []byte, error) {
+func (c *Client) handleTrip(gen uint64, reqType uint8, payload ...[]byte) (uint8, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensureConnLocked(); err != nil {
@@ -322,7 +309,7 @@ func (c *Client) handleTrip(gen uint64, reqType uint8, payload []byte) (uint8, [
 	if c.gen != gen {
 		return 0, nil, errStaleHandle
 	}
-	return c.roundTripLocked(reqType, payload)
+	return c.roundTripLocked(reqType, payload...)
 }
 
 // Stat reports whether path exists on the server and its size.
@@ -354,12 +341,6 @@ func (c *Client) Open(path string, flag int) (*RemoteFile, error) {
 	err := c.retry.Do("gridftp.open", func(int) error { return f.ensureHandle() })
 	if err != nil {
 		return nil, err
-	}
-	if c.writeBehind > 0 && flag&(os.O_WRONLY|os.O_RDWR) != 0 {
-		f.wb = newWriteBehind(c.clock, c.writeBehind, func(off int64, data []byte) error {
-			_, werr := f.writeAtRemote(data, off)
-			return werr
-		}, c.wbFlushes, c.wbCoalesce, c.wbQueued, c.wbDirty)
 	}
 	return f, nil
 }
@@ -576,7 +557,10 @@ func (c *Client) putOnce(path string, r io.Reader) (total int64, readAny bool, e
 	return total, readAny, nil
 }
 
-// RemoteFile is an open handle on the server, with sequential read-ahead.
+// RemoteFile is an open handle on the server, with sequential read-ahead and
+// its mirror image on the write side: small sequential writes gather in one
+// contiguous dirty run that crosses the wire as a single block (see WriteAt).
+// Like an os.File position, a handle is for one goroutine at a time.
 type RemoteFile struct {
 	c      *Client
 	handle uint64 // 0 = not yet opened (server handles start at 1)
@@ -596,7 +580,12 @@ type RemoteFile struct {
 	eof    bool   // server reported EOF at the end of buf
 	closed bool
 
-	wb *writeBehind // write-behind pipeline for writes, nil = synchronous
+	// run holds written bytes the server has not been sent yet: one
+	// contiguous range starting at file offset runOff, at most streamChunk
+	// long. It is emptied only once the server acknowledged it, so a retry
+	// after a reconnect replays it whole.
+	run    []byte
+	runOff int64
 }
 
 // Name reports the remote path.
@@ -644,17 +633,15 @@ func (f *RemoteFile) ensureHandle() error {
 	return nil
 }
 
-// ReadAt implements io.ReaderAt with one round trip per call. With
-// write-behind armed it drains the dirty buffer first (the read barrier), so
-// the handle always reads its own writes.
+// ReadAt implements io.ReaderAt with one round trip per call. It sends the
+// dirty run first (the read barrier), so the handle always reads its own
+// writes.
 func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, errors.New("gridftp: file closed")
 	}
-	if f.wb != nil {
-		if err := f.wb.barrier(); err != nil {
-			return 0, err
-		}
+	if err := f.flushRun(); err != nil {
+		return 0, err
 	}
 	var n int
 	var eof bool
@@ -714,8 +701,12 @@ func (f *RemoteFile) Read(p []byte) (int, error) {
 	if want <= 0 {
 		want = streamChunk
 	}
-	buf := make([]byte, want)
-	n, err := f.ReadAt(buf, f.pos)
+	// The old window is dead once the position left it: refill in place.
+	buf := f.buf[:0]
+	if cap(buf) < want {
+		buf = make([]byte, want)
+	}
+	n, err := f.ReadAt(buf[:want], f.pos)
 	f.buf = buf[:n]
 	f.bufOff = f.pos
 	f.eof = errors.Is(err, io.EOF)
@@ -730,47 +721,75 @@ func (f *RemoteFile) Read(p []byte) (int, error) {
 	return c, nil
 }
 
-// WriteAt implements io.WriterAt. Without write-behind it is one round trip
-// per call; with it, the range is queued for asynchronous coalesced flushing
-// and the call returns once the dirty-byte bound admits it. Either way the
-// handle's size and read-ahead state update immediately, so Seek(END) and
-// reads through this handle see the write.
+// WriteAt implements io.WriterAt. Writes coalesce the way reads read ahead:
+// a write shorter than streamChunk that starts exactly where the dirty run
+// ends, and fits, only appends to it. The run leaves as one msgWrite — from
+// this goroutine, through the retry path — when it is full, when a write
+// arrives that cannot extend it, at a read through this handle, or at Close;
+// a write of streamChunk or more goes out directly. Sends are in call order,
+// so the newest write wins on the server as it does locally. A failed send
+// is reported by the call that made it, and the run it could not deliver
+// stays for the next of those occasions to send again. The handle's size and
+// read-ahead state update immediately, so Seek(END) and reads through this
+// handle see the write.
 func (f *RemoteFile) WriteAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, errors.New("gridftp: file closed")
 	}
-	var n int
-	if f.wb != nil {
-		if err := f.wb.enqueue(p, off); err != nil {
-			return 0, err
-		}
-		n = len(p)
-	} else {
-		var err error
-		n, err = f.writeAtRemote(p, off)
-		if err != nil {
+	if len(f.run) > 0 && (off != f.runOff+int64(len(f.run)) || len(f.run)+len(p) > streamChunk) {
+		if err := f.flushRun(); err != nil {
 			return 0, err
 		}
 	}
-	if end := off + int64(n); end > f.size {
+	switch {
+	case len(p) >= streamChunk: // the run is empty by now
+		if err := f.writeAtRemote(p, off); err != nil {
+			return 0, err
+		}
+	case len(f.run) > 0:
+		f.c.writeCoalesce.Inc()
+		f.run = append(f.run, p...)
+	default:
+		if f.run == nil {
+			f.run = make([]byte, 0, streamChunk)
+		}
+		f.runOff = off
+		f.run = append(f.run, p...)
+	}
+	if end := off + int64(len(p)); end > f.size {
 		f.size = end
 	}
 	f.invalidate()
-	return n, nil
+	if len(f.run) == streamChunk {
+		if err := f.flushRun(); err != nil {
+			return 0, err
+		}
+	}
+	return len(p), nil
 }
 
-// writeAtRemote performs the write round trip without touching the handle's
-// size or read-ahead state — the write-behind flusher calls it from its own
-// goroutine, where only the wire transfer is wanted.
-func (f *RemoteFile) writeAtRemote(p []byte, off int64) (int, error) {
-	var n int
-	err := f.c.retry.Do("gridftp.write", func(int) error {
+// flushRun sends the dirty run, if any, and empties it once acknowledged.
+func (f *RemoteFile) flushRun() error {
+	if len(f.run) == 0 {
+		return nil
+	}
+	if err := f.writeAtRemote(f.run, f.runOff); err != nil {
+		return err
+	}
+	f.run = f.run[:0]
+	f.c.writeFlush.Inc()
+	return nil
+}
+
+// writeAtRemote performs one write round trip, header and data as separate
+// frame parts so the data is not copied into an Encoder first.
+func (f *RemoteFile) writeAtRemote(p []byte, off int64) error {
+	return f.c.retry.Do("gridftp.write", func(int) error {
 		if err := f.ensureHandle(); err != nil {
 			return err
 		}
-		e := wire.NewEncoder().U64(f.handle).I64(off)
-		e.Bytes32(p)
-		typ, resp, err := f.c.handleTrip(f.gen, msgWrite, e.Bytes())
+		hdr := wire.NewEncoder().U64(f.handle).I64(off).U32(uint32(len(p)))
+		typ, resp, err := f.c.handleTrip(f.gen, msgWrite, hdr.Bytes(), p)
 		if err != nil {
 			return err
 		}
@@ -778,13 +797,15 @@ func (f *RemoteFile) writeAtRemote(p []byte, off int64) (int, error) {
 			return retry.Permanent(fmt.Errorf("gridftp: unexpected reply %d", typ))
 		}
 		d := wire.NewDecoder(resp)
-		n = int(d.U32())
-		return retry.Permanent(d.Err())
+		n := int(d.U32())
+		if err := d.Err(); err != nil {
+			return retry.Permanent(err)
+		}
+		if n != len(p) {
+			return retry.Permanent(fmt.Errorf("gridftp: short remote write: %d of %d bytes", n, len(p)))
+		}
+		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
 }
 
 // Write implements io.Writer at the sequential position.
@@ -816,44 +837,41 @@ func (f *RemoteFile) Seek(offset int64, whence int) (int64, error) {
 	return npos, nil
 }
 
-// invalidate discards the read-ahead buffer (after writes).
+// invalidate discards the read-ahead window (after writes), keeping its
+// memory for the next fill.
 func (f *RemoteFile) invalidate() {
-	f.buf = nil
+	f.buf = f.buf[:0]
 	f.bufOff = 0
 	f.eof = false
 }
 
-// Close releases the server-side handle. A handle whose connection already
-// died needs no release — the server drops its per-connection handle table —
-// so Close reports success in that case.
+// Close sends the dirty run and releases the server-side handle; it is the
+// durability point, and a run it cannot deliver is its error. A handle whose
+// connection already died needs no release — the server drops its
+// per-connection handle table — so Close reports success in that case.
 func (f *RemoteFile) Close() error {
 	if f.closed {
 		return nil
 	}
-	var wbErr error
-	if f.wb != nil {
-		// Drain the write-behind pipeline before releasing the handle, so
-		// Close-visible durability matches the synchronous path.
-		wbErr = f.wb.close()
-	}
+	flushErr := f.flushRun()
 	f.closed = true
 	c := f.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil || c.gen != f.gen || f.handle == 0 {
-		return wbErr
+		return flushErr
 	}
 	typ, _, err := c.roundTripLocked(msgClose, wire.NewEncoder().U64(f.handle).Bytes())
 	if err != nil {
 		if c.retry.Enabled() && !retry.IsPermanent(err) {
-			return wbErr // transport died, and the handle with it
+			return flushErr // transport died, and the handle with it
 		}
 		return err
 	}
 	if typ != msgCloseResp {
 		return fmt.Errorf("gridftp: unexpected reply %d", typ)
 	}
-	return wbErr
+	return flushErr
 }
 
 // CopyIn pulls remotePath from the server into localPath on fsys using the

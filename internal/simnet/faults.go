@@ -138,12 +138,15 @@ func (n *Network) Partition(a, b string) {
 // the blackhole, as after real loss without retransmit) — recovery is a
 // reconnect, which works again.
 func (n *Network) Heal(a, b string) {
+	// Links first, then the dial gate: a Dial racing the heal either still
+	// fails fast or lands on links that already carry traffic — never on a
+	// connection established into the blackhole, which would stay degraded.
+	n.linkFor(a, b).setBlackhole(false)
+	n.linkFor(b, a).setBlackhole(false)
 	n.mu.Lock()
 	delete(n.partitioned, linkKey{a, b})
 	delete(n.partitioned, linkKey{b, a})
 	n.mu.Unlock()
-	n.linkFor(a, b).setBlackhole(false)
-	n.linkFor(b, a).setBlackhole(false)
 }
 
 // Partitioned reports whether the directed pair is currently cut.
