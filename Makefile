@@ -2,9 +2,9 @@ GO ?= go
 
 # Coverage floors: the pre-PR3 baselines for the packages the buffer
 # overhaul touches, the PR5 scheduler floor for internal/workflow, the
-# PR6 floor for the new internal/objstore backend, and the PR7 floors for
-# internal/gns and the new admission/stress packages.
-# `make cover` fails when any drops below its floor.
+# PR6 floor for the new internal/objstore backend, the PR7 floors for
+# internal/gns and the new admission/stress packages, and the PR15 floor for
+# the shared RPC shell. `make cover` fails when any drops below its floor.
 COVER_FLOOR_CORE       ?= 80.3
 COVER_FLOOR_GRIDBUFFER ?= 84.7
 COVER_FLOOR_WORKFLOW   ?= 92.0
@@ -12,22 +12,23 @@ COVER_FLOOR_OBJSTORE   ?= 84.5
 COVER_FLOOR_GNS        ?= 87.0
 COVER_FLOOR_ADMIT      ?= 92.0
 COVER_FLOOR_STRESS     ?= 85.0
+COVER_FLOOR_RPC        ?= 90.0
 
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr14.json
+BENCH_OUT ?= BENCH_pr15.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
 # short randomized probe on top.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet test race chaos build cover fuzz bench bench-gate stress stress-smoke
+.PHONY: check fmt vet one-substrate test race chaos build cover fuzz bench bench-gate stress stress-smoke
 
-## check: gofmt + vet + race coverage gate + chaos matrix + fuzz smoke +
-## bench regression gate + overload stress smoke
-check: fmt vet cover chaos fuzz bench-gate stress-smoke
+## check: gofmt + vet + one-substrate guard + race coverage gate + chaos
+## matrix + fuzz smoke + bench regression gate + overload stress smoke
+check: fmt vet one-substrate cover chaos fuzz bench-gate stress-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -38,8 +39,20 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+## one-substrate: the connection shell lives in internal/rpc and nowhere
+## else. Fails when a non-test .go file outside internal/rpc (and the two
+## network implementations, and gridlab) accepts connections, decodes a shed
+## reply or builds an accept backoff itself, or declares its own Dialer.
+one-substrate:
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'\.Accept\(\)|admit\.DecodeShed|admit\.NewAcceptBackoff|type Dialer interface' . \
+		| grep -vE '^\./(internal/(rpc|simnet|realnet)|gridlab)/'); \
+	if [ -n "$$out" ]; then \
+		echo "connection shell outside internal/rpc:"; echo "$$out"; exit 1; \
+	fi
+
 race:
-	$(GO) test -race -shuffle=on ./internal/obs/... ./internal/core/... ./internal/gridftp/...
+	$(GO) test -race -shuffle=on ./internal/obs/... ./internal/core/... ./internal/gridftp/... ./internal/rpc/...
 
 ## cover: race-enabled tests with per-package coverage, gated on the
 ## pre-PR floors for internal/core, internal/gridbuffer and
@@ -48,7 +61,7 @@ cover:
 	$(GO) test -race -shuffle=on -coverprofile=cover.out \
 		./internal/obs/... ./internal/core/... ./internal/gridbuffer/... \
 		./internal/workflow/... ./internal/objstore/... ./internal/gns/... \
-		./internal/admit/... ./internal/stress/... \
+		./internal/admit/... ./internal/stress/... ./internal/rpc/... \
 		| $(GO) run ./cmd/covergate \
 		-floor griddles/internal/core=$(COVER_FLOOR_CORE) \
 		-floor griddles/internal/gridbuffer=$(COVER_FLOOR_GRIDBUFFER) \
@@ -56,7 +69,8 @@ cover:
 		-floor griddles/internal/objstore=$(COVER_FLOOR_OBJSTORE) \
 		-floor griddles/internal/gns=$(COVER_FLOOR_GNS) \
 		-floor griddles/internal/admit=$(COVER_FLOOR_ADMIT) \
-		-floor griddles/internal/stress=$(COVER_FLOOR_STRESS)
+		-floor griddles/internal/stress=$(COVER_FLOOR_STRESS) \
+		-floor griddles/internal/rpc=$(COVER_FLOOR_RPC)
 
 ## chaos: the fault-injection matrix — {IO mechanism} x {fault scenario},
 ## the no-survivor budget tests, and 50 seeded random fault schedules.

@@ -11,6 +11,7 @@
 package griddles
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -37,6 +38,7 @@ import (
 	"griddles/internal/obs"
 	"griddles/internal/replica"
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 	"griddles/internal/testbed"
@@ -902,6 +904,44 @@ func BenchmarkLayerGridFTPLoopbackWrite4K(b *testing.B) {
 		b.Fatalf("server file is %d bytes (err=%v), want %d", size, err, total)
 	}
 	b.ReportMetric(float64(writes.n.Load())/float64(b.N)/(total>>20), "connwrites/MB")
+}
+
+// BenchmarkLayerRPCLoopbackRoundTrip is the third Layer/* entry: the shared
+// RPC shell alone — rpc.Serve and rpc.ServeConn around an echo handler,
+// rpc.Conn in front of it, no service — over real loopback TCP on the wall
+// clock, one 64-byte request and 64-byte reply per op. Its ns/op is the floor
+// under every pooled-connection call (a GNS resolve, a block read), its
+// allocs/op what the shell itself costs both ends, and connwrites/op the
+// socket writes of both: one per request, one per reply.
+func BenchmarkLayerRPCLoopbackRoundTrip(b *testing.B) {
+	const msgEcho, msgEchoResp = 1, 2
+	clock := simclock.Real{}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	h := rpc.Handler{Dispatch: func(w io.Writer, _ *bufio.Reader, _ uint8, payload []byte) error {
+		return wire.WriteFrame(w, msgEchoResp, payload)
+	}}
+	var writes writeCounter
+	go rpc.Serve(countedListener{l, &writes}, clock, "bench-conn", nil, func(conn net.Conn) { rpc.ServeConn(conn, nil, h) })
+	c := rpc.NewConn("bench", countedTCPDialer{&writes}, l.Addr().String(), clock)
+	defer c.Close()
+	req := make([]byte, 64)
+	call := func() {
+		if typ, resp, err := c.Call(msgEcho, req); err != nil || typ != msgEchoResp || len(resp) != len(req) {
+			b.Fatalf("echo = %d, %d bytes, %v", typ, len(resp), err)
+		}
+	}
+	call() // dial outside the timed region
+	writes.n.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
+	}
+	b.ReportMetric(float64(writes.n.Load())/float64(b.N), "connwrites/op")
 }
 
 // BenchmarkFMReReadCache prices the FM block cache on a remote re-read: a

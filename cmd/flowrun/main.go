@@ -14,8 +14,9 @@
 // in-process on loopback TCP ports. -trace streams the run's JSONL event log
 // (see OBSERVABILITY.md) to FILE. -retries / -retry-timeout configure the
 // resilience policy threaded through every transport (DESIGN.md §7);
-// -retries 1 restores the historical fail-fast behaviour. -gns-cache turns
-// on client-side GNS resolve memoisation with Watch-based invalidation.
+// -retries 1 is one attempt with no deadline. -gns-cache turns on client-side
+// GNS resolve memoisation under server-granted leases (TTL-bounded; see
+// internal/gns/cache.go).
 //
 // -mode objstore (alias: -mode 7) couples the pair through the object-store
 // service: the producer's close commits one atomic PUT, the consumer polls
@@ -84,7 +85,7 @@ func main() {
 	cacheMB := flag.Int("cache-mb", 0, "FM block cache budget in MiB for remote reads (0 = disabled)")
 	copyStreamsPerReplica := flag.Int("copy-streams-per-replica", 2, "parallel streams per replica for striped multi-source stage-in")
 	prefetchWindow := flag.Int("prefetch-window", core.DefaultPrefetchWindow, "ranged fetches kept in flight ahead of sequential remote reads (needs -cache-mb; 0 = disabled)")
-	gnsCache := flag.Bool("gns-cache", false, "memoise GNS resolves client-side with Watch-based invalidation")
+	gnsCache := flag.Bool("gns-cache", false, "memoise GNS resolves client-side under server-granted leases (TTL-bounded)")
 	maxParallel := flag.Int("max-parallel", 1, "stages allowed concurrently per machine under -mode dag")
 	eagerCopy := flag.Bool("eager-copy", false, "start staging copies at producer close under -mode dag")
 	serial := flag.Bool("serial", false, "force the strict-sequential executor under -mode dag")

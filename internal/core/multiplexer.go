@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -48,15 +47,14 @@ import (
 	"griddles/internal/obs"
 	"griddles/internal/replica"
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/soap"
 	"griddles/internal/vfs"
 )
 
 // Dialer opens connections to service addresses.
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
+type Dialer = rpc.Dialer
 
 // File is what the application sees: plain POSIX-shaped file semantics,
 // whatever transport is behind it.
@@ -178,8 +176,8 @@ type Config struct {
 	// opens (file-service clients and Grid Buffer endpoints). When enabled it
 	// also arms replica failover: a replicated read whose transport dies —
 	// after the client's own retries are exhausted — re-binds to the
-	// next-best surviving replica at the current offset. The zero policy
-	// keeps the historical fail-fast behaviour.
+	// next-best surviving replica at the current offset. The zero policy is
+	// one attempt with no deadline (see rpc.Conn).
 	Retry retry.Policy
 
 	// Heuristic tunes ModeAuto's copy-vs-remote decision (§3.1).

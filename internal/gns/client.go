@@ -3,29 +3,18 @@ package gns
 import (
 	"bufio"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
-	"griddles/internal/admit"
 	"griddles/internal/obs"
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
 
-// Dialer opens connections to service addresses. simnet.Host implements it
-// for simulated runs; cmd/ binaries use a TCP adapter.
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
-
-// serverError marks an error the server answered with (msgError): the
-// request reached a live server and the answer is final, so neither the
-// retry policy nor a sharded member walk should re-ask elsewhere.
-type serverError struct{ msg string }
-
-func (e *serverError) Error() string { return e.msg }
+// Dialer opens connections to service addresses.
+type Dialer = rpc.Dialer
 
 // Client is the GNS client used by the File Multiplexer. It keeps one
 // persistent connection for request/response calls; Watch calls, which can
@@ -36,24 +25,18 @@ type Client struct {
 	dialer Dialer
 	addr   string
 	clock  simclock.Clock
-	retry  retry.Policy
 
-	mu   *simclock.Mutex // serializes use of the shared connection
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-
-	// callTimeout bounds one round trip even when the retry policy is
-	// disabled. Sharded member sub-clients set it so a blackholed member
-	// fails the walk over to the next replica instead of hanging.
-	callTimeout time.Duration
+	// rc is the shared connection; the retry policy lives on it (rc.Retry).
+	// Sharded member sub-clients set its CallTimeout, so a blackholed member
+	// fails the walk over to the next replica instead of hanging even though
+	// their retry policy is zero.
+	rc *rpc.Conn
 
 	obs *obs.Observer // nil-safe; receives gns.cache.* / gns.lease.* counters
 
-	// Sharded routing state (see shardclient.go); seeds empty means the
-	// historical single-server client. shardMu is held across the shard-map
-	// fetch in ensureRing (a dial and a frame read), hence clock-aware like
-	// mu.
+	// Sharded routing state (see shardclient.go); seeds empty means a
+	// single-server client. shardMu is held across the shard-map fetch in
+	// ensureRing (a dial and a frame read), hence clock-aware.
 	seeds   []string
 	shardMu *simclock.Mutex
 	smap    ShardMap
@@ -72,115 +55,65 @@ type Client struct {
 
 // NewClient returns a Client for the GNS at addr.
 func NewClient(dialer Dialer, addr string, clock simclock.Clock) *Client {
-	return &Client{dialer: dialer, addr: addr, clock: clock, mu: simclock.NewMutex(clock), shardMu: simclock.NewMutex(clock)}
+	return &Client{dialer: dialer, addr: addr, clock: clock, rc: rpc.NewConn("gns", dialer, addr, clock), shardMu: simclock.NewMutex(clock)}
 }
 
 // SetRetry installs the resilience policy. GNS calls are stateless, so every
 // operation simply redials and re-asks on transport faults; server-reported
-// errors are final. The zero policy (the default) preserves the historical
-// fail-fast behaviour.
-func (c *Client) SetRetry(p retry.Policy) { c.retry = p }
+// errors are final.
+func (c *Client) SetRetry(p retry.Policy) { c.rc.Retry = p }
 
 // SetObserver routes the client's cache metrics (gns.cache.{hit,miss}.total)
 // to o. Nil keeps them unrecorded.
 func (c *Client) SetObserver(o *obs.Observer) { c.obs = o }
 
-func (c *Client) ensureConnLocked() error {
-	if c.conn != nil {
-		return nil
-	}
-	conn, err := c.dialer.Dial(c.addr)
-	if err != nil {
-		return fmt.Errorf("gns: dial %s: %w", c.addr, err)
-	}
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
-	return nil
-}
-
-func (c *Client) dropConnLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-		c.br, c.bw = nil, nil
-	}
-}
-
-// roundTrip sends one request on the shared connection and reads one reply,
-// redialing and retrying on transport faults per the retry policy.
-func (c *Client) roundTrip(reqType uint8, payload []byte) (uint8, []byte, error) {
+// roundTrip sends one request on the shared connection and returns the
+// payload of the reply, which must be of type want; it redials and retries on
+// transport faults per the retry policy.
+func (c *Client) roundTrip(reqType, want uint8, payload []byte) ([]byte, error) {
 	var typ uint8
 	var resp []byte
-	err := c.retry.Do("gns.call", func(int) error {
-		t, r, err := c.tripOnce(reqType, payload)
+	err := c.rc.Retry.Do("gns.call", func(int) error {
+		t, r, err := c.rc.Call(reqType, payload)
+		if err == nil {
+			err = routingReply(t, r)
+		}
 		typ, resp = t, r
 		return err
 	})
-	return typ, resp, err
+	if err != nil {
+		return nil, err
+	}
+	if typ != want {
+		return nil, fmt.Errorf("gns: unexpected reply type %d", typ)
+	}
+	return resp, nil
 }
 
-func (c *Client) tripOnce(reqType uint8, payload []byte) (uint8, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureConnLocked(); err != nil {
-		return 0, nil, err
-	}
-	if dl := c.retry.Deadline(); !dl.IsZero() {
-		c.conn.SetDeadline(dl)
-	} else if c.callTimeout > 0 {
-		c.conn.SetDeadline(c.clock.Now().Add(c.callTimeout))
-	}
-	if err := wire.WriteFrame(c.bw, reqType, payload); err != nil {
-		c.dropConnLocked()
-		return 0, nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.dropConnLocked()
-		return 0, nil, err
-	}
-	typ, resp, err := wire.ReadFrame(c.br)
-	if err != nil {
-		c.dropConnLocked()
-		return 0, nil, err
-	}
-	if c.retry.Enabled() || c.callTimeout > 0 {
-		c.conn.SetDeadline(time.Time{})
-	}
-	if typ == admit.MsgShed {
-		// Overload shed: the connection stays good; the retry policy waits
-		// out the server's hint and re-asks.
-		shed, err := admit.DecodeShed(resp)
+// routingReply turns the two replies that are about where a key lives, not
+// about the request, into their errors. Neither is Permanent.
+func routingReply(typ uint8, resp []byte) error {
+	switch typ {
+	case msgRedirect:
+		// Not the leaseholder: surface who is (sharded writes re-route; see
+		// shardclient.go). During an election the right move is to back off
+		// and re-ask.
+		leader, term, err := decodeRedirect(resp)
 		if err != nil {
-			c.dropConnLocked()
-			return 0, nil, err
+			return err
 		}
-		return 0, nil, shed
-	}
-	if typ == msgError {
-		return 0, nil, retry.Permanent(&serverError{msg: "gns: " + wire.NewDecoder(resp).String()})
-	}
-	if typ == msgRedirect {
-		// Not the leaseholder: surface who is (sharded writes re-route;
-		// see shardclient.go). Not Permanent — during an election the
-		// right move is to back off and re-ask.
-		leader, term, derr := decodeRedirect(resp)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &redirectError{leader: leader, term: term}
-	}
-	if typ == msgWrongShard {
+		return &redirectError{leader: leader, term: term}
+	case msgWrongShard:
 		// The server's ring places the key elsewhere: this client's map is
-		// stale. Not Permanent — a sharded client drops its map, refetches
-		// from the seeds and re-routes (see shardclient.go).
-		epoch, owner, derr := decodeWrongShard(resp)
-		if derr != nil {
-			return 0, nil, derr
+		// stale. A sharded client drops its map, refetches from the seeds and
+		// re-routes (see shardclient.go).
+		epoch, owner, err := decodeWrongShard(resp)
+		if err != nil {
+			return err
 		}
-		return 0, nil, &wrongShardError{epoch: epoch, owner: owner}
+		return &wrongShardError{epoch: epoch, owner: owner}
 	}
-	return typ, resp, nil
+	return nil
 }
 
 // Resolve implements Resolver over the network; with EnableCache it serves
@@ -242,12 +175,9 @@ func (c *Client) resolveLease(machine, path string) (Mapping, Lease, error) {
 func (c *Client) resolveLeaseRemote(machine, path string, reqTTL time.Duration) (Mapping, Lease, error) {
 	e := wire.NewEncoder()
 	e.String(machine).String(path).U32(uint32(reqTTL / time.Millisecond))
-	typ, resp, err := c.roundTrip(msgResolveLease, e.Bytes())
+	resp, err := c.roundTrip(msgResolveLease, msgResolveLeaseRsp, e.Bytes())
 	if err != nil {
 		return Mapping{}, Lease{}, err
-	}
-	if typ != msgResolveLeaseRsp {
-		return Mapping{}, Lease{}, fmt.Errorf("gns: unexpected reply type %d", typ)
 	}
 	return decodeLeaseResp(resp)
 }
@@ -264,12 +194,9 @@ func (c *Client) Lookup(machine, path string) (Mapping, bool, error) {
 func (c *Client) lookupRemote(machine, path string) (Mapping, bool, error) {
 	e := wire.NewEncoder()
 	e.String(machine).String(path)
-	typ, resp, err := c.roundTrip(msgLookup, e.Bytes())
+	resp, err := c.roundTrip(msgLookup, msgLookupResp, e.Bytes())
 	if err != nil {
 		return Mapping{}, false, err
-	}
-	if typ != msgLookupResp {
-		return Mapping{}, false, fmt.Errorf("gns: unexpected reply type %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	found := d.Bool()
@@ -279,12 +206,9 @@ func (c *Client) lookupRemote(machine, path string) (Mapping, bool, error) {
 
 // shardMapRemote fetches the server's cluster description (msgShardMap).
 func (c *Client) shardMapRemote() (ShardMap, error) {
-	typ, resp, err := c.roundTrip(msgShardMap, nil)
+	resp, err := c.roundTrip(msgShardMap, msgShardMapResp, nil)
 	if err != nil {
 		return ShardMap{}, err
-	}
-	if typ != msgShardMapResp {
-		return ShardMap{}, fmt.Errorf("gns: unexpected reply type %d", typ)
 	}
 	return DecodeShardMap(resp)
 }
@@ -293,12 +217,9 @@ func (c *Client) shardMapRemote() (ShardMap, error) {
 func (c *Client) resolveRemote(machine, path string) (Mapping, error) {
 	e := wire.NewEncoder()
 	e.String(machine).String(path)
-	typ, resp, err := c.roundTrip(msgResolve, e.Bytes())
+	resp, err := c.roundTrip(msgResolve, msgResolveResp, e.Bytes())
 	if err != nil {
 		return Mapping{}, err
-	}
-	if typ != msgResolveResp {
-		return Mapping{}, fmt.Errorf("gns: unexpected reply type %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	m := decodeMapping(d)
@@ -329,12 +250,9 @@ func (c *Client) setRemote(machine, path string, m Mapping) (uint64, error) {
 	e := wire.NewEncoder()
 	e.String(machine).String(path)
 	m.encode(e)
-	typ, resp, err := c.roundTrip(msgSet, e.Bytes())
+	resp, err := c.roundTrip(msgSet, msgSetResp, e.Bytes())
 	if err != nil {
 		return 0, err
-	}
-	if typ != msgSetResp {
-		return 0, fmt.Errorf("gns: unexpected reply type %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	v := d.U64()
@@ -368,12 +286,9 @@ func (c *Client) setIfAbsentRemote(machine, path string, m Mapping) (Mapping, bo
 	e := wire.NewEncoder()
 	e.String(machine).String(path)
 	m.encode(e)
-	typ, resp, err := c.roundTrip(msgSetIfAbsent, e.Bytes())
+	resp, err := c.roundTrip(msgSetIfAbsent, msgSetIfAbsentResp, e.Bytes())
 	if err != nil {
 		return Mapping{}, false, err
-	}
-	if typ != msgSetIfAbsentResp {
-		return Mapping{}, false, fmt.Errorf("gns: unexpected reply type %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	won := d.Bool()
@@ -401,12 +316,9 @@ func (c *Client) Delete(machine, path string) error {
 func (c *Client) deleteRemote(machine, path string) error {
 	e := wire.NewEncoder()
 	e.String(machine).String(path)
-	typ, _, err := c.roundTrip(msgDelete, e.Bytes())
+	_, err := c.roundTrip(msgDelete, msgDeleteResp, e.Bytes())
 	if err != nil {
 		return err
-	}
-	if typ != msgDeleteResp {
-		return fmt.Errorf("gns: unexpected reply type %d", typ)
 	}
 	return nil
 }
@@ -429,12 +341,9 @@ func (c *Client) List() ([]Entry, error) {
 }
 
 func (c *Client) listRemote() ([]Entry, error) {
-	typ, resp, err := c.roundTrip(msgList, nil)
+	resp, err := c.roundTrip(msgList, msgListResp, nil)
 	if err != nil {
 		return nil, err
-	}
-	if typ != msgListResp {
-		return nil, fmt.Errorf("gns: unexpected reply type %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	n := d.U32()
@@ -459,7 +368,7 @@ func (c *Client) listRemote() ([]Entry, error) {
 func (c *Client) Watch(machine, path string, since uint64, timeoutMS int64) (Mapping, bool, error) {
 	var m Mapping
 	var changed bool
-	err := c.retry.Do("gns.watch", func(int) error {
+	err := c.rc.Retry.Do("gns.watch", func(int) error {
 		var err error
 		if c.sharded() {
 			m, changed, err = c.shardWatchOnce(machine, path, since, timeoutMS)
@@ -480,7 +389,7 @@ func (c *Client) watchOnce(addr, machine, path string, since uint64, timeoutMS i
 		return Mapping{}, false, fmt.Errorf("gns: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
-	if t := c.retry.Timeout(); t > 0 {
+	if t := c.rc.Retry.Timeout(); t > 0 {
 		// The server may legitimately hold the watch for timeoutMS before
 		// answering "unchanged"; the fault deadline starts after that.
 		conn.SetDeadline(c.clock.Now().Add(t + time.Duration(timeoutMS)*time.Millisecond))
@@ -494,22 +403,11 @@ func (c *Client) watchOnce(addr, machine, path string, since uint64, timeoutMS i
 	if err != nil {
 		return Mapping{}, false, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return Mapping{}, false, err
-		}
-		return Mapping{}, false, shed
+	if err := rpc.Reply("gns", typ, resp); err != nil {
+		return Mapping{}, false, err
 	}
-	if typ == msgError {
-		return Mapping{}, false, retry.Permanent(&serverError{msg: "gns: " + wire.NewDecoder(resp).String()})
-	}
-	if typ == msgWrongShard {
-		epoch, owner, derr := decodeWrongShard(resp)
-		if derr != nil {
-			return Mapping{}, false, derr
-		}
-		return Mapping{}, false, &wrongShardError{epoch: epoch, owner: owner}
+	if err := routingReply(typ, resp); err != nil {
+		return Mapping{}, false, err
 	}
 	if typ != msgWatchResp {
 		return Mapping{}, false, retry.Permanent(fmt.Errorf("gns: unexpected reply type %d", typ))
@@ -537,10 +435,7 @@ func (c *Client) Close() error {
 	for _, m := range members {
 		m.Close()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dropConnLocked()
-	return nil
+	return c.rc.Close()
 }
 
 var _ Resolver = (*Client)(nil)

@@ -37,9 +37,6 @@ func TestRedirectWireRoundTrip(t *testing.T) {
 	if re.Error() == "" {
 		t.Error("empty redirect error string")
 	}
-	if (&serverError{msg: "x"}).Error() != "x" {
-		t.Error("serverError string")
-	}
 }
 
 func TestReplWireRoundTrips(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"griddles/internal/admit"
 	"griddles/internal/obs"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
@@ -27,7 +28,6 @@ const (
 	msgWatchResp       = 10
 	msgSetIfAbsent     = 11
 	msgSetIfAbsentResp = 12
-	msgError           = 255
 )
 
 // Server exposes a Store over the framed binary protocol.
@@ -73,72 +73,17 @@ func (s *Server) SetRequestCost(fn func()) { s.reqCost = fn }
 // the latency-sensitive hot path admission exists to protect.
 func (s *Server) SetAdmission(c *admit.Controller) { s.adm = c }
 
-// Serve accepts connections on l until it is closed. Each connection is
-// handled on its own registered goroutine. Temporary accept failures are
-// ridden out with backoff instead of killing the server.
+// Serve accepts connections on l until it is closed; each runs the shared
+// request loop (see rpc.Serve, rpc.ServeConn) with every GNS operation in the
+// Control class.
 func (s *Server) Serve(l net.Listener) {
-	backoff := admit.NewAcceptBackoff(s.clock)
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if admit.Temporary(err) {
-				backoff.Sleep()
-				continue
-			}
-			return
+	h := rpc.Handler{Dispatch: func(w io.Writer, _ *bufio.Reader, typ uint8, payload []byte) error {
+		if s.reqCost != nil {
+			s.reqCost()
 		}
-		backoff.Reset()
-		crel, ok := s.adm.AdmitConn()
-		if !ok {
-			conn.Close()
-			continue
-		}
-		s.clock.Go("gns-conn", func() {
-			defer crel()
-			s.handle(conn)
-		})
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	tenant := admit.TenantOf(conn)
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		rel, aerr := s.adm.Acquire(tenant, admit.Control)
-		if aerr != nil {
-			if err := writeShed(bw, aerr); err != nil {
-				return
-			}
-		} else {
-			if s.reqCost != nil {
-				s.reqCost()
-			}
-			derr := s.dispatch(bw, typ, payload)
-			rel()
-			if derr != nil {
-				return
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// writeShed answers one request with a shed frame (or a plain error frame
-// when err is not a shed), leaving the connection usable.
-func writeShed(w io.Writer, err error) error {
-	var shed *admit.ShedError
-	if errors.As(err, &shed) {
-		return admit.WriteShed(w, shed)
-	}
-	return writeError(w, err)
+		return s.dispatch(w, typ, payload)
+	}}
+	rpc.Serve(l, s.clock, "gns-conn", s.adm, func(conn net.Conn) { rpc.ServeConn(conn, s.adm, h) })
 }
 
 func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
@@ -147,14 +92,14 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 	case msgResolve:
 		machine, path := d.String(), d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		if owner, ok := s.checkOwned(machine, path); !ok {
 			return s.writeWrongShard(w, owner)
 		}
 		m, err := s.store.Resolve(machine, path)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		e := wire.NewEncoder()
 		m.encode(e)
@@ -164,7 +109,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		machine, path := d.String(), d.String()
 		m := decodeMapping(d)
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		if owner, ok := s.checkOwned(machine, path); !ok {
 			return s.writeWrongShard(w, owner)
@@ -191,7 +136,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		machine, path := d.String(), d.String()
 		m := decodeMapping(d)
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		if owner, ok := s.checkOwned(machine, path); !ok {
 			return s.writeWrongShard(w, owner)
@@ -216,7 +161,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 	case msgDelete:
 		machine, path := d.String(), d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		if owner, ok := s.checkOwned(machine, path); !ok {
 			return s.writeWrongShard(w, owner)
@@ -238,7 +183,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 	case msgLookup:
 		machine, path := d.String(), d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		if owner, ok := s.checkOwned(machine, path); !ok {
 			return s.writeWrongShard(w, owner)
@@ -253,7 +198,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		machine, path := d.String(), d.String()
 		reqTTL := d.U32()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		if owner, ok := s.checkOwned(machine, path); !ok {
 			return s.writeWrongShard(w, owner)
@@ -267,27 +212,27 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 
 	case msgShardMap:
 		if s.shard == nil {
-			return writeError(w, errors.New("gns: server is not sharded"))
+			return rpc.WriteError(w, errors.New("gns: server is not sharded"))
 		}
 		return wire.WriteFrame(w, msgShardMapResp, EncodeShardMap(s.shard.cfg.Map))
 
 	case msgReplAppend:
 		if s.shard == nil {
-			return writeError(w, errors.New("gns: server is not sharded"))
+			return rpc.WriteError(w, errors.New("gns: server is not sharded"))
 		}
 		rec, err := decodeReplAppend(payload)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		return wire.WriteFrame(w, msgReplAppendResp, encodeReplAck(s.shard.onAppend(rec)))
 
 	case msgReplSnapshot:
 		if s.shard == nil {
-			return writeError(w, errors.New("gns: server is not sharded"))
+			return rpc.WriteError(w, errors.New("gns: server is not sharded"))
 		}
 		snap, err := decodeReplSnapshot(payload)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		return wire.WriteFrame(w, msgReplSnapResp, encodeReplAck(s.shard.onSnapshot(snap)))
 
@@ -307,14 +252,14 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		since := d.U64()
 		timeoutMS := d.I64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		if owner, ok := s.checkOwned(machine, path); !ok {
 			return s.writeWrongShard(w, owner)
 		}
 		m, changed, err := s.store.Watch(machine, path, since, timeoutMS)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		e := wire.NewEncoder()
 		e.Bool(changed)
@@ -322,10 +267,6 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		return wire.WriteFrame(w, msgWatchResp, e.Bytes())
 
 	default:
-		return writeError(w, errors.New("gns: unknown message type"))
+		return rpc.WriteError(w, errors.New("gns: unknown message type"))
 	}
-}
-
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 )
 
@@ -86,11 +87,11 @@ func (c *Client) memberLocked(addr string) *Client {
 	m, ok := c.members[addr]
 	if !ok {
 		m = NewClient(c.dialer, addr, c.clock)
-		t := c.retry.Timeout()
+		t := c.rc.Retry.Timeout()
 		if t <= 0 {
 			t = retry.DefaultAttemptTimeout
 		}
-		m.callTimeout = t
+		m.rc.CallTimeout = t
 		m.obs = c.obs
 		c.members[addr] = m
 	}
@@ -157,7 +158,7 @@ func (c *Client) setLeader(sid uint32, addr string) {
 // transport faults walk on. The whole walk is one attempt of the parent
 // retry policy.
 func (c *Client) readWalk(machine, path string, do func(mc *Client) error) error {
-	return c.retry.Do("gns.call", func(int) error {
+	return c.rc.Retry.Do("gns.call", func(int) error {
 		_, members, err := c.route(machine, path)
 		if err != nil {
 			return err
@@ -173,7 +174,7 @@ func (c *Client) readWalk(machine, path string, do func(mc *Client) error) error
 				c.noteMisroute(ws)
 				return err
 			}
-			var srvErr *serverError
+			var srvErr *rpc.ServerError
 			if errors.As(err, &srvErr) {
 				return retry.Permanent(err)
 			}
@@ -189,7 +190,7 @@ func (c *Client) readWalk(machine, path string, do func(mc *Client) error) error
 // policy backs off and re-runs it — by the next attempt a replica has
 // usually promoted itself.
 func (c *Client) shardWrite(machine, path string, do func(mc *Client) error) error {
-	return c.retry.Do("gns.call", func(int) error {
+	return c.rc.Retry.Do("gns.call", func(int) error {
 		sid, members, err := c.route(machine, path)
 		if err != nil {
 			return err
@@ -218,7 +219,7 @@ func (c *Client) shardWrite(machine, path string, do func(mc *Client) error) err
 					continue
 				}
 			} else {
-				var srvErr *serverError
+				var srvErr *rpc.ServerError
 				if errors.As(err, &srvErr) {
 					return retry.Permanent(err)
 				}
@@ -304,7 +305,7 @@ func (c *Client) shardWatchOnce(machine, path string, since uint64, timeoutMS in
 			c.noteMisroute(ws)
 			return Mapping{}, false, lastErr
 		}
-		var srvErr *serverError
+		var srvErr *rpc.ServerError
 		if errors.As(lastErr, &srvErr) {
 			return Mapping{}, false, retry.Permanent(lastErr)
 		}
@@ -327,7 +328,7 @@ func (c *Client) shardList() ([]Entry, error) {
 	var out []Entry
 	for _, s := range shards {
 		var entries []Entry
-		err := c.retry.Do("gns.call", func(int) error {
+		err := c.rc.Retry.Do("gns.call", func(int) error {
 			var lastErr error
 			for _, addr := range orderedMembers(s.Addrs, leads[s.ID]) {
 				var err error
@@ -335,7 +336,7 @@ func (c *Client) shardList() ([]Entry, error) {
 				if err == nil {
 					return nil
 				}
-				var srvErr *serverError
+				var srvErr *rpc.ServerError
 				if errors.As(err, &srvErr) {
 					return retry.Permanent(err)
 				}

@@ -9,17 +9,15 @@ import (
 	"sync"
 	"time"
 
-	"griddles/internal/admit"
 	"griddles/internal/obs"
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
 
 // Dialer opens connections to service addresses.
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
+type Dialer = rpc.Dialer
 
 // The default in-flight budgets are bytes, not blocks: what a pipe needs in
 // flight depends on the path (bandwidth x delay), not on how the application
@@ -180,17 +178,10 @@ func handshake(conn net.Conn, key string, role uint8, opts Options, prev int, co
 	if err != nil {
 		return nil, err
 	}
-	if typ == admit.MsgShed {
-		// Stream-setup shed: the service is at its stream limit. The
-		// attach-level retry policy waits out the hint and redials.
-		shed, derr := admit.DecodeShed(resp)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, shed
-	}
-	if typ == msgError {
-		return nil, retry.Permanent(errors.New("gridbuffer: " + wire.NewDecoder(resp).String()))
+	// A shed here is a stream-setup shed: the service is at its stream limit,
+	// and the attach-level retry policy waits out the hint and redials.
+	if err := rpc.Reply("gridbuffer", typ, resp); err != nil {
+		return nil, err
 	}
 	d := wire.NewDecoder(resp)
 	l.readerID = int(d.I64())
@@ -316,17 +307,7 @@ func (w *Writer) oneCall(reqType uint8, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if typ == admit.MsgShed {
-		shed, derr := admit.DecodeShed(resp)
-		if derr != nil {
-			return derr
-		}
-		return shed
-	}
-	if typ == msgError {
-		return retry.Permanent(errors.New("gridbuffer: " + wire.NewDecoder(resp).String()))
-	}
-	return nil
+	return rpc.Reply("gridbuffer", typ, resp)
 }
 
 // ackLoop consumes Put acknowledgements, releasing window permits. One loop
@@ -898,7 +879,7 @@ func (r *Reader) recvOne() (idx int64, data []byte, eof bool, err error) {
 		}
 		return idx, data, eof, nil
 	case msgError:
-		return idx, nil, false, retry.Permanent(errors.New("gridbuffer: " + wire.NewDecoder(payload).String()))
+		return idx, nil, false, rpc.Reply("gridbuffer", typ, payload)
 	default:
 		return idx, nil, false, retry.Permanent(fmt.Errorf("gridbuffer: unexpected reader frame %d", typ))
 	}

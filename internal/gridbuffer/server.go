@@ -10,6 +10,7 @@ import (
 
 	"griddles/internal/admit"
 	"griddles/internal/obs"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/vfs"
 	"griddles/internal/wire"
@@ -39,7 +40,7 @@ const (
 	msgPutBatchResp = 14
 	msgGetWin       = 15
 	msgGetWinResp   = 16
-	msgError        = 255
+	msgError        = rpc.MsgError
 )
 
 // Roles in an Attach request.
@@ -193,30 +194,11 @@ func (s *Server) SetAdmission(c *admit.Controller) { s.adm = c }
 // supports; raw is always available regardless.
 func (s *Server) SetCodecs(names []string) { s.codecs = names }
 
-// Serve accepts connections until l is closed. Temporary accept failures
-// are ridden out with backoff instead of killing the server.
+// Serve accepts connections until l is closed (see rpc.Serve). The request
+// loop is this package's own: admission is per stream, taken at the first
+// Attach, and answers leave when the next read would block (see handle).
 func (s *Server) Serve(l net.Listener) {
-	backoff := admit.NewAcceptBackoff(s.clock)
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if admit.Temporary(err) {
-				backoff.Sleep()
-				continue
-			}
-			return
-		}
-		backoff.Reset()
-		crel, ok := s.adm.AdmitConn()
-		if !ok {
-			conn.Close()
-			continue
-		}
-		s.clock.Go("gridbuffer-conn", func() {
-			defer crel()
-			s.handle(conn)
-		})
-	}
+	rpc.Serve(l, s.clock, "gridbuffer-conn", s.adm, s.handle)
 }
 
 // connState is what a connection remembers between frames.
@@ -280,7 +262,15 @@ func (s *Server) handle(conn net.Conn) {
 		if typ == msgAttach && admitted == nil {
 			rel, aerr := s.adm.Acquire(tenant, admit.Bulk)
 			if aerr != nil {
-				if err := writeShed(st.fw, aerr); err != nil {
+				// Answer with the shed (or a plain error frame when aerr is not
+				// one), leaving the connection usable.
+				var shed *admit.ShedError
+				if errors.As(aerr, &shed) {
+					err = st.fw.frame(admit.MsgShed, admit.EncodeShed(shed))
+				} else {
+					err = writeError(st.fw, aerr)
+				}
+				if err != nil {
 					return
 				}
 				continue
@@ -291,17 +281,6 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// writeShed answers one request with a shed frame (or a plain error frame
-// when err is not a shed), leaving the connection usable.
-func writeShed(fw *frameWriter, err error) error {
-	var shed *admit.ShedError
-	if errors.As(err, &shed) {
-		fw.frames++
-		return admit.WriteShed(fw.bw, shed)
-	}
-	return writeError(fw, err)
 }
 
 func decodeOptions(d *wire.Decoder) Options {

@@ -6,14 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"sync"
-	"time"
 
 	"griddles/internal/admit"
 	"griddles/internal/obs"
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/vfs"
 	"griddles/internal/wire"
@@ -21,9 +20,7 @@ import (
 )
 
 // Dialer opens connections to service addresses.
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
+type Dialer = rpc.Dialer
 
 // errStaleHandle signals that a remote handle belongs to a connection the
 // client has since dropped; the server-side handle died with it. The retry
@@ -42,7 +39,6 @@ type Client struct {
 	dialer Dialer
 	addr   string
 	clock  simclock.Clock
-	retry  retry.Policy
 	// Cached instruments (discard instruments until SetObserver), so the
 	// per-Read hit/miss accounting is one atomic add, not a registry lookup.
 	readaheadHit  *obs.Counter
@@ -65,19 +61,15 @@ type Client struct {
 	codecRawBytes  *obs.Counter
 	codecWireBytes *obs.Counter
 
-	mu   *simclock.Mutex
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	// gen counts successful dials of the shared connection. A RemoteFile
-	// remembers the gen its handle was opened under; a mismatch means the
-	// handle is stale.
-	gen uint64
+	// rc is the shared connection. A RemoteFile remembers the dial
+	// generation its handle was opened under; a mismatch means the handle is
+	// stale.
+	rc *rpc.Conn
 }
 
 // NewClient returns a Client for the file service at addr.
 func NewClient(dialer Dialer, addr string, clock simclock.Clock) *Client {
-	c := &Client{dialer: dialer, addr: addr, clock: clock, mu: simclock.NewMutex(clock)}
+	c := &Client{dialer: dialer, addr: addr, clock: clock, rc: rpc.NewConn("gridftp", dialer, addr, clock)}
 	c.SetObserver(nil)
 	return c
 }
@@ -99,9 +91,8 @@ func (c *Client) SetObserver(o *obs.Observer) {
 	c.writeCoalesce = o.Counter("ftp.write.coalesce.total")
 }
 
-// SetRetry installs the resilience policy. The zero policy (the default)
-// preserves the historical fail-fast behaviour.
-func (c *Client) SetRetry(p retry.Policy) { c.retry = p }
+// SetRetry installs the resilience policy.
+func (c *Client) SetRetry(p retry.Policy) { c.rc.Retry = p }
 
 // SetCodec requests a stream codec for bulk Fetch/Put transfers. "" or
 // "raw" (the default) sends no negotiation frame at all, so the wire bytes
@@ -179,11 +170,7 @@ func (c *Client) negotiateStream(w io.Writer, br *bufio.Reader, path string) (*s
 		c.noteNegotiate(wire.CodecRaw, "old-peer")
 		return nil, nil
 	case admit.MsgShed:
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return nil, err
-		}
-		return nil, shed
+		return nil, rpc.Reply("gridftp", typ, resp)
 	case msgNegotiateResp:
 		d := wire.NewDecoder(resp)
 		chosen := d.String()
@@ -217,117 +204,34 @@ func (c *Client) noteNegotiate(codec, how string) {
 // Addr reports the server address.
 func (c *Client) Addr() string { return c.addr }
 
-func (c *Client) ensureConnLocked() error {
-	if c.conn != nil {
-		return nil
-	}
-	conn, err := c.dialer.Dial(c.addr)
-	if err != nil {
-		return fmt.Errorf("gridftp: dial %s: %w", c.addr, err)
-	}
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
-	c.gen++
-	return nil
-}
-
-func (c *Client) dropConnLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.br, c.bw = nil, nil, nil
-	}
-}
-
 // Close releases the shared connection (open remote handles die with it).
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dropConnLocked()
-	return nil
-}
+func (c *Client) Close() error { return c.rc.Close() }
 
-// roundTripLocked performs one request/response on the shared connection,
-// which must be established; the payload is the concatenation of its parts,
-// written without joining them. Transport errors drop the connection (a later
-// call redials); server-reported errors come back marked retry.Permanent,
-// because the transport worked and a retry would only repeat the answer.
-func (c *Client) roundTripLocked(reqType uint8, payload ...[]byte) (uint8, []byte, error) {
-	if dl := c.retry.Deadline(); !dl.IsZero() {
-		c.conn.SetDeadline(dl)
-	}
-	if err := wire.WriteFrameV(c.bw, reqType, payload...); err != nil {
-		c.dropConnLocked()
-		return 0, nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.dropConnLocked()
-		return 0, nil, err
-	}
-	typ, resp, err := wire.ReadFrame(c.br)
-	if err != nil {
-		c.dropConnLocked()
-		return 0, nil, err
-	}
-	if c.retry.Enabled() {
-		c.conn.SetDeadline(time.Time{})
-	}
-	if typ == admit.MsgShed {
-		// Overload shed: the connection stays good; the retry policy waits
-		// out the server's hint and re-asks.
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			c.dropConnLocked()
-			return 0, nil, err
-		}
-		return 0, nil, shed
-	}
-	if typ == msgError {
-		return 0, nil, retry.Permanent(errors.New("gridftp: " + wire.NewDecoder(resp).String()))
-	}
-	return typ, resp, nil
-}
-
-func (c *Client) roundTrip(reqType uint8, payload []byte) (uint8, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureConnLocked(); err != nil {
-		return 0, nil, err
-	}
-	return c.roundTripLocked(reqType, payload)
-}
-
-// handleTrip is roundTrip for handle-scoped requests: it fails with
+// handleTrip is a round trip for handle-scoped requests: it fails with
 // errStaleHandle when the shared connection is no longer the one the handle
-// was opened on.
+// was opened on. The payload parts are written without joining them.
 func (c *Client) handleTrip(gen uint64, reqType uint8, payload ...[]byte) (uint8, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureConnLocked(); err != nil {
+	c.rc.Lock()
+	defer c.rc.Unlock()
+	if err := c.rc.DialLocked(); err != nil {
 		return 0, nil, err
 	}
-	if c.gen != gen {
+	if c.rc.GenLocked() != gen {
 		return 0, nil, errStaleHandle
 	}
-	return c.roundTripLocked(reqType, payload...)
+	return c.rc.CallLocked(reqType, payload...)
 }
 
 // Stat reports whether path exists on the server and its size.
 func (c *Client) Stat(path string) (size int64, exists bool, err error) {
-	err = c.retry.Do("gridftp.stat", func(int) error {
-		typ, resp, err := c.roundTrip(msgStat, wire.NewEncoder().String(path).Bytes())
-		if err != nil {
-			return err
-		}
-		if typ != msgStatResp {
-			return retry.Permanent(fmt.Errorf("gridftp: unexpected reply %d", typ))
-		}
-		d := wire.NewDecoder(resp)
-		exists = d.Bool()
-		size = d.I64()
-		return retry.Permanent(d.Err())
-	})
+	resp, err := c.rc.Do("gridftp.stat", msgStat, msgStatResp, wire.NewEncoder().String(path).Bytes())
 	if err != nil {
+		return 0, false, err
+	}
+	d := wire.NewDecoder(resp)
+	exists = d.Bool()
+	size = d.I64()
+	if err := d.Err(); err != nil {
 		return 0, false, err
 	}
 	return size, exists, nil
@@ -338,7 +242,7 @@ func (c *Client) Stat(path string) (size int64, exists bool, err error) {
 // access mode.
 func (c *Client) Open(path string, flag int) (*RemoteFile, error) {
 	f := &RemoteFile{c: c, name: path, flag: flag, ReadAhead: streamChunk}
-	err := c.retry.Do("gridftp.open", func(int) error { return f.ensureHandle() })
+	err := c.rc.Retry.Do("gridftp.open", func(int) error { return f.ensureHandle() })
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +255,7 @@ func (c *Client) Open(path string, flag int) (*RemoteFile, error) {
 // the last byte written to w (w only ever sees each byte once).
 func (c *Client) Fetch(path string, off, length int64, w io.Writer) (int64, error) {
 	var total int64
-	err := c.retry.Do("gridftp.fetch", func(int) error {
+	err := c.rc.Retry.Do("gridftp.fetch", func(int) error {
 		remaining := length
 		if remaining >= 0 {
 			remaining -= total
@@ -373,7 +277,7 @@ func (c *Client) fetchOnce(path string, off, length int64, w io.Writer) (int64, 
 		return 0, fmt.Errorf("gridftp: dial %s: %w", c.addr, err)
 	}
 	defer conn.Close()
-	idle := c.retry.Timeout()
+	idle := c.rc.Retry.Timeout()
 	if idle > 0 {
 		conn.SetDeadline(c.clock.Now().Add(idle))
 	}
@@ -390,15 +294,8 @@ func (c *Client) fetchOnce(path string, off, length int64, w io.Writer) (int64, 
 	if err != nil {
 		return 0, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return 0, err
-		}
-		return 0, shed
-	}
-	if typ == msgError {
-		return 0, retry.Permanent(errors.New("gridftp: " + wire.NewDecoder(resp).String()))
+	if err := rpc.Reply("gridftp", typ, resp); err != nil {
+		return 0, err
 	}
 	if typ != msgFetchHdr {
 		return 0, retry.Permanent(fmt.Errorf("gridftp: unexpected reply %d", typ))
@@ -439,7 +336,7 @@ func (c *Client) fetchOnce(path string, off, length int64, w io.Writer) (int64, 
 			}
 			return total, nil
 		case msgError:
-			return total, retry.Permanent(errors.New("gridftp: " + wire.NewDecoder(payload).String()))
+			return total, rpc.Reply("gridftp", typ, payload)
 		default:
 			return total, retry.Permanent(fmt.Errorf("gridftp: unexpected frame %d during fetch", typ))
 		}
@@ -456,7 +353,7 @@ func (c *Client) Put(path string, r io.Reader) (int64, error) {
 	seeker, canSeek := r.(io.Seeker)
 	var consumed bool
 	var total int64
-	err := c.retry.Do("gridftp.put", func(int) error {
+	err := c.rc.Retry.Do("gridftp.put", func(int) error {
 		if consumed && canSeek {
 			if _, err := seeker.Seek(0, io.SeekStart); err != nil {
 				return retry.Permanent(err)
@@ -484,7 +381,7 @@ func (c *Client) putOnce(path string, r io.Reader) (total int64, readAny bool, e
 		return 0, false, fmt.Errorf("gridftp: dial %s: %w", c.addr, err)
 	}
 	defer conn.Close()
-	idle := c.retry.Timeout()
+	idle := c.rc.Retry.Timeout()
 	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
 	sc, err := c.negotiateStream(bw, br, path)
@@ -536,15 +433,8 @@ func (c *Client) putOnce(path string, r io.Reader) (total int64, readAny bool, e
 	if err != nil {
 		return 0, readAny, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return 0, readAny, err
-		}
-		return 0, readAny, shed
-	}
-	if typ == msgError {
-		return 0, readAny, retry.Permanent(errors.New("gridftp: " + wire.NewDecoder(resp).String()))
+	if err := rpc.Reply("gridftp", typ, resp); err != nil {
+		return 0, readAny, err
 	}
 	if typ != msgPutResp {
 		return 0, readAny, retry.Permanent(fmt.Errorf("gridftp: unexpected reply %d", typ))
@@ -597,13 +487,13 @@ func (f *RemoteFile) Size() int64 { return f.size }
 // ensureHandle (re)opens the remote handle on the client's current shared
 // connection when the handle is unset or stale.
 func (f *RemoteFile) ensureHandle() error {
-	c := f.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureConnLocked(); err != nil {
+	rc := f.c.rc
+	rc.Lock()
+	defer rc.Unlock()
+	if err := rc.DialLocked(); err != nil {
 		return err
 	}
-	if f.handle != 0 && f.gen == c.gen {
+	if f.handle != 0 && f.gen == rc.GenLocked() {
 		return nil
 	}
 	flag := f.flag
@@ -613,7 +503,7 @@ func (f *RemoteFile) ensureHandle() error {
 		flag &^= os.O_TRUNC | os.O_EXCL
 	}
 	e := wire.NewEncoder().String(f.name).U32(uint32(flag))
-	typ, resp, err := c.roundTripLocked(msgOpen, e.Bytes())
+	typ, resp, err := rc.CallLocked(msgOpen, e.Bytes())
 	if err != nil {
 		return err
 	}
@@ -626,7 +516,7 @@ func (f *RemoteFile) ensureHandle() error {
 	if err := d.Err(); err != nil {
 		return retry.Permanent(err)
 	}
-	f.handle, f.gen = h, c.gen
+	f.handle, f.gen = h, rc.GenLocked()
 	if size > f.size {
 		f.size = size
 	}
@@ -645,7 +535,7 @@ func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 	}
 	var n int
 	var eof bool
-	err := f.c.retry.Do("gridftp.read", func(int) error {
+	err := f.c.rc.Retry.Do("gridftp.read", func(int) error {
 		if err := f.ensureHandle(); err != nil {
 			return err
 		}
@@ -784,7 +674,7 @@ func (f *RemoteFile) flushRun() error {
 // writeAtRemote performs one write round trip, header and data as separate
 // frame parts so the data is not copied into an Encoder first.
 func (f *RemoteFile) writeAtRemote(p []byte, off int64) error {
-	return f.c.retry.Do("gridftp.write", func(int) error {
+	return f.c.rc.Retry.Do("gridftp.write", func(int) error {
 		if err := f.ensureHandle(); err != nil {
 			return err
 		}
@@ -855,15 +745,15 @@ func (f *RemoteFile) Close() error {
 	}
 	flushErr := f.flushRun()
 	f.closed = true
-	c := f.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil || c.gen != f.gen || f.handle == 0 {
+	rc := f.c.rc
+	rc.Lock()
+	defer rc.Unlock()
+	if f.handle == 0 || rc.GenLocked() != f.gen {
 		return flushErr
 	}
-	typ, _, err := c.roundTripLocked(msgClose, wire.NewEncoder().U64(f.handle).Bytes())
+	typ, _, err := rc.CallLocked(msgClose, wire.NewEncoder().U64(f.handle).Bytes())
 	if err != nil {
-		if c.retry.Enabled() && !retry.IsPermanent(err) {
+		if f.c.rc.Retry.Enabled() && !retry.IsPermanent(err) {
 			return flushErr // transport died, and the handle with it
 		}
 		return err

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"griddles/internal/obs"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 	"griddles/internal/vfs"
@@ -249,7 +250,7 @@ func serveOldProtocol(clock simclock.Clock, fs *vfs.MemFS, l net.Listener) {
 					path := d.String()
 					data, err := vfs.ReadFile(fs, path)
 					if err != nil {
-						writeError(bw, err)
+						rpc.WriteError(bw, err)
 						bw.Flush()
 						continue
 					}
@@ -275,7 +276,7 @@ func serveOldProtocol(clock simclock.Clock, fs *vfs.MemFS, l net.Listener) {
 					vfs.WriteFile(fs, path, buf.Bytes())
 					wire.WriteFrame(bw, msgPutResp, wire.NewEncoder().I64(int64(buf.Len())).Bytes())
 				default:
-					writeError(bw, errUnknownType)
+					rpc.WriteError(bw, errUnknownType)
 				}
 				if bw.Flush() != nil {
 					return

@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"griddles/internal/admit"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/vfs"
 	"griddles/internal/wire"
@@ -49,7 +50,7 @@ const (
 	// exactly the raw fallback the client needs.
 	msgNegotiate     = 19
 	msgNegotiateResp = 20
-	msgError         = 255
+	msgError         = rpc.MsgError
 )
 
 // streamChunk is the frame size used by Fetch/Put bulk streaming.
@@ -98,30 +99,10 @@ func classOf(typ uint8) admit.Class {
 	return admit.Bulk
 }
 
-// Serve accepts connections until l is closed. Temporary accept failures
-// are ridden out with backoff instead of killing the server.
+// Serve accepts connections until l is closed; each gets a session and runs
+// the shared request loop (see rpc.Serve, rpc.ServeConn).
 func (s *Server) Serve(l net.Listener) {
-	backoff := admit.NewAcceptBackoff(s.clock)
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if admit.Temporary(err) {
-				backoff.Sleep()
-				continue
-			}
-			return
-		}
-		backoff.Reset()
-		crel, ok := s.adm.AdmitConn()
-		if !ok {
-			conn.Close()
-			continue
-		}
-		s.clock.Go("gridftp-conn", func() {
-			defer crel()
-			s.handle(conn)
-		})
-	}
+	rpc.Serve(l, s.clock, "gridftp-conn", s.adm, s.handle)
 }
 
 // session is the per-connection handle table plus the negotiated stream
@@ -137,52 +118,22 @@ type session struct {
 func (s *Server) handle(conn net.Conn) {
 	sess := &session{srv: s, next: 1, handles: make(map[uint64]vfs.File)}
 	defer func() {
-		conn.Close()
 		sess.mu.Lock()
 		for _, f := range sess.handles {
 			f.Close()
 		}
 		sess.mu.Unlock()
 	}()
-	tenant := admit.TenantOf(conn)
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		rel, aerr := s.adm.Acquire(tenant, classOf(typ))
-		if aerr != nil {
+	rpc.ServeConn(conn, s.adm, rpc.Handler{
+		Class:    classOf,
+		Dispatch: sess.dispatch,
+		Drain: func(r *bufio.Reader, typ uint8) {
 			if typ == msgPut {
-				// The client streams the upload regardless; drain it so the
-				// connection stays usable after the shed.
-				drainPutStream(br)
+				// The client streams the upload regardless of the shed.
+				drainPutStream(r)
 			}
-			if err := writeShed(bw, aerr); err != nil {
-				return
-			}
-		} else {
-			derr := sess.dispatch(bw, br, typ, payload)
-			rel()
-			if derr != nil {
-				return
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// writeShed answers one request with a shed frame (or a plain error frame
-// when err is not a shed), leaving the connection usable.
-func writeShed(w io.Writer, err error) error {
-	var shed *admit.ShedError
-	if errors.As(err, &shed) {
-		return admit.WriteShed(w, shed)
-	}
-	return writeError(w, err)
+		},
+	})
 }
 
 // drainPutStream consumes a rejected upload stream up to its end frame.
@@ -212,16 +163,16 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		path := d.String()
 		flag := int(d.U32())
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		f, err := sess.srv.fs.OpenFile(path, flag, 0o644)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		fi, err := f.Stat()
 		if err != nil {
 			f.Close()
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		sess.mu.Lock()
 		h := sess.next
@@ -233,14 +184,14 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 	case msgRead:
 		h, off, n := d.U64(), d.I64(), d.U32()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		if n > wire.MaxFrame/2 {
-			return writeError(w, errors.New("gridftp: read too large"))
+			return rpc.WriteError(w, errors.New("gridftp: read too large"))
 		}
 		f, err := sess.file(h)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		buf := make([]byte, n)
 		got, rerr := f.ReadAt(buf, off)
@@ -248,7 +199,7 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		if rerr == io.EOF {
 			eof = true
 		} else if rerr != nil {
-			return writeError(w, rerr)
+			return rpc.WriteError(w, rerr)
 		}
 		e := wire.NewEncoder()
 		e.Bool(eof).Bytes32(buf[:got])
@@ -258,39 +209,39 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		h, off := d.U64(), d.I64()
 		data := d.Bytes32()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		f, err := sess.file(h)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		n, werr := f.WriteAt(data, off)
 		if werr != nil {
-			return writeError(w, werr)
+			return rpc.WriteError(w, werr)
 		}
 		return wire.WriteFrame(w, msgWriteResp, wire.NewEncoder().U32(uint32(n)).Bytes())
 
 	case msgClose:
 		h := d.U64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		sess.mu.Lock()
 		f, ok := sess.handles[h]
 		delete(sess.handles, h)
 		sess.mu.Unlock()
 		if !ok {
-			return writeError(w, fmt.Errorf("gridftp: unknown handle %d", h))
+			return rpc.WriteError(w, fmt.Errorf("gridftp: unknown handle %d", h))
 		}
 		if err := f.Close(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		return wire.WriteFrame(w, msgCloseResp, nil)
 
 	case msgStat:
 		path := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		fi, err := sess.srv.fs.Stat(path)
 		e := wire.NewEncoder()
@@ -305,26 +256,26 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		path := d.String()
 		off, length := d.I64(), d.I64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		return sess.fetch(w, path, off, length)
 
 	case msgPut:
 		path := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		return sess.put(w, r, path)
 
 	case msgNegotiate:
 		req, schema, order, err := decodeNegotiate(payload)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		chosen := wire.NegotiateCodec(req, sess.srv.codecs)
 		codec, err := wire.ForName(chosen)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		columnar := false
 		if codec != nil {
@@ -340,7 +291,7 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		return wire.WriteFrame(w, msgNegotiateResp, e.Bytes())
 
 	default:
-		return writeError(w, fmt.Errorf("gridftp: unknown message type %d", typ))
+		return rpc.WriteError(w, fmt.Errorf("gridftp: unknown message type %d", typ))
 	}
 }
 
@@ -348,12 +299,12 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 func (sess *session) fetch(w io.Writer, path string, off, length int64) error {
 	f, err := sess.srv.fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return writeError(w, err)
+		return rpc.WriteError(w, err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return writeError(w, err)
+		return rpc.WriteError(w, err)
 	}
 	if off < 0 {
 		off = 0
@@ -381,7 +332,7 @@ func (sess *session) fetch(w io.Writer, path string, off, length int64) error {
 			if sess.sc.active() {
 				frame, err = sess.sc.encode(frame)
 				if err != nil {
-					return writeError(w, err)
+					return rpc.WriteError(w, err)
 				}
 			}
 			if err := wire.WriteFrame(w, msgFetchData, frame); err != nil {
@@ -390,7 +341,7 @@ func (sess *session) fetch(w io.Writer, path string, off, length int64) error {
 			off += int64(got)
 		}
 		if rerr != nil && rerr != io.EOF {
-			return writeError(w, rerr)
+			return rpc.WriteError(w, rerr)
 		}
 		if got == 0 {
 			break
@@ -405,7 +356,7 @@ func (sess *session) put(w io.Writer, r *bufio.Reader, path string) error {
 	if err != nil {
 		// Drain the incoming stream so the connection stays usable.
 		drainPutStream(r)
-		return writeError(w, err)
+		return rpc.WriteError(w, err)
 	}
 	var total int64
 	var frameBuf []byte
@@ -421,27 +372,23 @@ func (sess *session) put(w io.Writer, r *bufio.Reader, path string) error {
 				payload, rerr = sess.sc.decode(payload)
 				if rerr != nil {
 					f.Close()
-					return writeError(w, rerr)
+					return rpc.WriteError(w, rerr)
 				}
 			}
 			n, werr := f.Write(payload)
 			total += int64(n)
 			if werr != nil {
 				f.Close()
-				return writeError(w, werr)
+				return rpc.WriteError(w, werr)
 			}
 		case msgPutEnd:
 			if err := f.Close(); err != nil {
-				return writeError(w, err)
+				return rpc.WriteError(w, err)
 			}
 			return wire.WriteFrame(w, msgPutResp, wire.NewEncoder().I64(total).Bytes())
 		default:
 			f.Close()
-			return writeError(w, fmt.Errorf("gridftp: unexpected frame %d during put", typ))
+			return rpc.WriteError(w, fmt.Errorf("gridftp: unexpected frame %d during put", typ))
 		}
 	}
-}
-
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }

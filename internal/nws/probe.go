@@ -3,9 +3,11 @@ package nws
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
@@ -30,49 +32,24 @@ type Sensor struct {
 // NewSensor returns a Sensor.
 func NewSensor(clock simclock.Clock) *Sensor { return &Sensor{clock: clock} }
 
-// Serve accepts probe connections until l is closed.
+// Serve accepts probe connections until l is closed; each runs the shared
+// request loop (see rpc.Serve, rpc.ServeConn). A frame that is neither a ping
+// nor a burst ends the connection.
 func (s *Sensor) Serve(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		s.clock.Go("nws-sensor-conn", func() { s.handle(conn) })
-	}
-}
-
-func (s *Sensor) handle(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
+	h := rpc.Handler{Dispatch: func(w io.Writer, _ *bufio.Reader, typ uint8, payload []byte) error {
 		switch typ {
 		case msgPing:
-			if err := wire.WriteFrame(bw, msgPong, payload); err != nil {
-				return
-			}
+			return wire.WriteFrame(w, msgPong, payload)
 		case msgBurst:
-			ack := wire.NewEncoder().U32(uint32(len(payload))).Bytes()
-			if err := wire.WriteFrame(bw, msgBurstAck, ack); err != nil {
-				return
-			}
-		default:
-			return
+			return wire.WriteFrame(w, msgBurstAck, wire.NewEncoder().U32(uint32(len(payload))).Bytes())
 		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
+		return fmt.Errorf("nws: unknown sensor message type %d", typ)
+	}}
+	rpc.Serve(l, s.clock, "nws-sensor-conn", nil, func(conn net.Conn) { rpc.ServeConn(conn, nil, h) })
 }
 
 // Dialer opens connections to sensor addresses.
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
+type Dialer = rpc.Dialer
 
 // Prober issues active measurements from one host to sensors on others.
 type Prober struct {

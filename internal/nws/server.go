@@ -2,13 +2,13 @@ package nws
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"time"
 
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
@@ -21,7 +21,6 @@ const (
 	msgForecastResp = 4
 	msgEstimate     = 5
 	msgEstimateResp = 6
-	msgError        = 255
 )
 
 // Server exposes a Service over the framed binary protocol, playing the
@@ -37,33 +36,13 @@ func NewServer(svc *Service, clock simclock.Clock) *Server {
 	return &Server{svc: svc, clock: clock}
 }
 
-// Serve accepts connections until l is closed.
+// Serve accepts connections until l is closed; each runs the shared request
+// loop (see rpc.Serve, rpc.ServeConn). The NWS has no admission control.
 func (s *Server) Serve(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		s.clock.Go("nws-conn", func() { s.handle(conn) })
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		if err := s.dispatch(bw, typ, payload); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
+	h := rpc.Handler{Dispatch: func(w io.Writer, _ *bufio.Reader, typ uint8, payload []byte) error {
+		return s.dispatch(w, typ, payload)
+	}}
+	rpc.Serve(l, s.clock, "nws-conn", nil, func(conn net.Conn) { rpc.ServeConn(conn, nil, h) })
 }
 
 func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
@@ -73,7 +52,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		src, dst, metric := d.String(), d.String(), d.String()
 		v := math.Float64frombits(d.U64())
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		s.svc.Record(src, dst, metric, s.clock.Now(), v)
 		return wire.WriteFrame(w, msgRecordResp, nil)
@@ -81,7 +60,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 	case msgForecast:
 		src, dst, metric := d.String(), d.String(), d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		v, ok := s.svc.Forecast(src, dst, metric)
 		e := wire.NewEncoder()
@@ -92,7 +71,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		src, dst := d.String(), d.String()
 		n := d.I64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		dur, ok := s.svc.EstimateTransfer(src, dst, n)
 		e := wire.NewEncoder()
@@ -100,69 +79,26 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		return wire.WriteFrame(w, msgEstimateResp, e.Bytes())
 
 	default:
-		return writeError(w, fmt.Errorf("nws: unknown message type %d", typ))
+		return rpc.WriteError(w, fmt.Errorf("nws: unknown message type %d", typ))
 	}
 }
 
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
-}
-
-// Client queries (and reports into) a remote NWS server.
+// Client queries (and reports into) a remote NWS server. It keeps one
+// persistent connection and makes one attempt per call (no retry policy).
 type Client struct {
-	dialer Dialer
-	addr   string
-	clock  simclock.Clock
-
-	mu   *simclock.Mutex
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	rc *rpc.Conn
 }
 
 // NewClient returns a Client for the NWS at addr.
 func NewClient(dialer Dialer, addr string, clock simclock.Clock) *Client {
-	return &Client{dialer: dialer, addr: addr, clock: clock, mu: simclock.NewMutex(clock)}
-}
-
-func (c *Client) roundTrip(reqType uint8, payload []byte) (uint8, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		conn, err := c.dialer.Dial(c.addr)
-		if err != nil {
-			return 0, nil, fmt.Errorf("nws: dial %s: %w", c.addr, err)
-		}
-		c.conn, c.br, c.bw = conn, bufio.NewReader(conn), bufio.NewWriter(conn)
-	}
-	drop := func() {
-		c.conn.Close()
-		c.conn, c.br, c.bw = nil, nil, nil
-	}
-	if err := wire.WriteFrame(c.bw, reqType, payload); err != nil {
-		drop()
-		return 0, nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		drop()
-		return 0, nil, err
-	}
-	typ, resp, err := wire.ReadFrame(c.br)
-	if err != nil {
-		drop()
-		return 0, nil, err
-	}
-	if typ == msgError {
-		return 0, nil, errors.New("nws: " + wire.NewDecoder(resp).String())
-	}
-	return typ, resp, nil
+	return &Client{rc: rpc.NewConn("nws", dialer, addr, clock)}
 }
 
 // Record reports one observation to the server (sensors use this).
 func (c *Client) Record(src, dst, metric string, v float64) error {
 	e := wire.NewEncoder()
 	e.String(src).String(dst).String(metric).U64(math.Float64bits(v))
-	_, _, err := c.roundTrip(msgRecord, e.Bytes())
+	_, err := c.rc.Do("nws.call", msgRecord, msgRecordResp, e.Bytes())
 	return err
 }
 
@@ -170,12 +106,9 @@ func (c *Client) Record(src, dst, metric string, v float64) error {
 func (c *Client) Forecast(src, dst, metric string) (float64, bool, error) {
 	e := wire.NewEncoder()
 	e.String(src).String(dst).String(metric)
-	typ, resp, err := c.roundTrip(msgForecast, e.Bytes())
+	resp, err := c.rc.Do("nws.call", msgForecast, msgForecastResp, e.Bytes())
 	if err != nil {
 		return 0, false, err
-	}
-	if typ != msgForecastResp {
-		return 0, false, fmt.Errorf("nws: unexpected reply %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	ok := d.Bool()
@@ -187,12 +120,9 @@ func (c *Client) Forecast(src, dst, metric string) (float64, bool, error) {
 func (c *Client) EstimateTransfer(src, dst string, n int64) (time.Duration, bool, error) {
 	e := wire.NewEncoder()
 	e.String(src).String(dst).I64(n)
-	typ, resp, err := c.roundTrip(msgEstimate, e.Bytes())
+	resp, err := c.rc.Do("nws.call", msgEstimate, msgEstimateResp, e.Bytes())
 	if err != nil {
 		return 0, false, err
-	}
-	if typ != msgEstimateResp {
-		return 0, false, fmt.Errorf("nws: unexpected reply %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	ok := d.Bool()
@@ -201,12 +131,4 @@ func (c *Client) EstimateTransfer(src, dst string, n int64) (time.Duration, bool
 }
 
 // Close releases the shared connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.br, c.bw = nil, nil, nil
-	}
-	return nil
-}
+func (c *Client) Close() error { return c.rc.Close() }

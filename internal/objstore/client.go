@@ -2,7 +2,6 @@ package objstore
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,14 +9,13 @@ import (
 	"griddles/internal/admit"
 	"griddles/internal/obs"
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
 
 // Dialer opens connections to service addresses.
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
+type Dialer = rpc.Dialer
 
 // Client talks to one object-store server. In cloud-storage style every
 // operation runs on its own connection — there is no per-client session
@@ -66,8 +64,7 @@ func (c *Client) SetObserver(o *obs.Observer) {
 	c.listTotal = o.Counter("objstore.list.total")
 }
 
-// SetRetry installs the resilience policy. The zero policy (the default)
-// preserves fail-fast behaviour.
+// SetRetry installs the resilience policy.
 func (c *Client) SetRetry(p retry.Policy) { c.retry = p }
 
 // SetCodec requests a stream codec for bulk Get/Put transfers. "" or "raw"
@@ -91,11 +88,7 @@ func readNegotiateReply(br *bufio.Reader) (*connCodec, error) {
 	case msgError:
 		return nil, nil // old peer: rejected the type, connection usable
 	case admit.MsgShed:
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return nil, err
-		}
-		return nil, shed
+		return nil, rpc.Reply("objstore", typ, resp)
 	case msgNegotiateResp:
 		d := wire.NewDecoder(resp)
 		chosen := d.String()
@@ -149,17 +142,8 @@ func (c *Client) roundTrip(reqType uint8, payload []byte, wantType uint8) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	if typ == admit.MsgShed {
-		// Overload shed: the retry policy waits out the server's hint and
-		// re-asks.
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return nil, err
-		}
-		return nil, shed
-	}
-	if typ == msgError {
-		return nil, retry.Permanent(errors.New("objstore: " + wire.NewDecoder(resp).String()))
+	if err := rpc.Reply("objstore", typ, resp); err != nil {
+		return nil, err
 	}
 	if typ != wantType {
 		return nil, retry.Permanent(fmt.Errorf("objstore: unexpected reply %d", typ))
@@ -273,15 +257,8 @@ func (c *Client) getOnce(key string, off, length int64, w io.Writer) (total, siz
 	if err != nil {
 		return 0, 0, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return 0, 0, err
-		}
-		return 0, 0, shed
-	}
-	if typ == msgError {
-		return 0, 0, retry.Permanent(errors.New("objstore: " + wire.NewDecoder(resp).String()))
+	if err := rpc.Reply("objstore", typ, resp); err != nil {
+		return 0, 0, err
 	}
 	if typ != msgGetHdr {
 		return 0, 0, retry.Permanent(fmt.Errorf("objstore: unexpected reply %d", typ))
@@ -319,7 +296,7 @@ func (c *Client) getOnce(key string, off, length int64, w io.Writer) (total, siz
 			}
 			return total, size, nil
 		case msgError:
-			return total, size, retry.Permanent(errors.New("objstore: " + wire.NewDecoder(payload).String()))
+			return total, size, rpc.Reply("objstore", typ, payload)
 		default:
 			return total, size, retry.Permanent(fmt.Errorf("objstore: unexpected frame %d during get", typ))
 		}
@@ -421,15 +398,8 @@ func (c *Client) putOnce(key string, r io.Reader) (total int64, readAny bool, er
 	if err != nil {
 		return 0, readAny, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return 0, readAny, err
-		}
-		return 0, readAny, shed
-	}
-	if typ == msgError {
-		return 0, readAny, retry.Permanent(errors.New("objstore: " + wire.NewDecoder(resp).String()))
+	if err := rpc.Reply("objstore", typ, resp); err != nil {
+		return 0, readAny, err
 	}
 	if typ != msgPutResp {
 		return 0, readAny, retry.Permanent(fmt.Errorf("objstore: unexpected reply %d", typ))

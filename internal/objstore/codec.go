@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"griddles/internal/rpc"
 	"griddles/internal/wire"
 )
 
@@ -34,7 +35,7 @@ const (
 	// client configured raw sends nothing at all — byte-identical wire.
 	msgNegotiate     = 13
 	msgNegotiateResp = 14
-	msgError         = 255
+	msgError         = rpc.MsgError
 )
 
 // connCodec is one connection's negotiated block codec plus reusable

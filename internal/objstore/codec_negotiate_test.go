@@ -7,6 +7,7 @@ import (
 	"net"
 	"testing"
 
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
@@ -70,12 +71,12 @@ func serveOldObjstore(clock simclock.Clock, store *Store, l net.Listener) {
 				case msgGet:
 					req, derr := decodeGetReq(payload)
 					if derr != nil {
-						writeError(bw, derr)
+						rpc.WriteError(bw, derr)
 						break
 					}
 					data, ok := store.Get(req.Key)
 					if !ok {
-						writeError(bw, errors.New("no such object"))
+						rpc.WriteError(bw, errors.New("no such object"))
 						break
 					}
 					wire.WriteFrame(bw, msgGetHdr, getHdr{Total: int64(len(data)), Size: int64(len(data))}.encode())
@@ -87,7 +88,7 @@ func serveOldObjstore(clock simclock.Clock, store *Store, l net.Listener) {
 				case msgPutBegin:
 					req, derr := decodePutBegin(payload)
 					if derr != nil {
-						writeError(bw, derr)
+						rpc.WriteError(bw, derr)
 						break
 					}
 					var body []byte
@@ -104,7 +105,7 @@ func serveOldObjstore(clock simclock.Clock, store *Store, l net.Listener) {
 					store.Put(req.Key, body)
 					wire.WriteFrame(bw, msgPutResp, putResp{Size: int64(len(body))}.encode())
 				default:
-					writeError(bw, errors.New("objstore: unknown message type"))
+					rpc.WriteError(bw, errors.New("objstore: unknown message type"))
 				}
 				if bw.Flush() != nil {
 					return

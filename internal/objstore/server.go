@@ -2,12 +2,12 @@ package objstore
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 
 	"griddles/internal/admit"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
@@ -48,74 +48,24 @@ func classOf(typ uint8) admit.Class {
 	return admit.Bulk
 }
 
-// Serve accepts connections until l is closed. Temporary accept failures
-// are ridden out with backoff instead of killing the server.
+// Serve accepts connections until l is closed; each runs the shared request
+// loop (see rpc.Serve, rpc.ServeConn) with its own negotiated codec state.
 func (s *Server) Serve(l net.Listener) {
-	backoff := admit.NewAcceptBackoff(s.clock)
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if admit.Temporary(err) {
-				backoff.Sleep()
-				continue
-			}
-			return
-		}
-		backoff.Reset()
-		crel, ok := s.adm.AdmitConn()
-		if !ok {
-			conn.Close()
-			continue
-		}
-		s.clock.Go("objstore-conn", func() {
-			defer crel()
-			s.handle(conn)
+	rpc.Serve(l, s.clock, "objstore-conn", s.adm, func(conn net.Conn) {
+		cc := &connCodec{}
+		rpc.ServeConn(conn, s.adm, rpc.Handler{
+			Class: classOf,
+			Dispatch: func(w io.Writer, r *bufio.Reader, typ uint8, payload []byte) error {
+				return s.dispatch(w, r, typ, payload, cc)
+			},
+			Drain: func(r *bufio.Reader, typ uint8) {
+				if typ == msgPutBegin {
+					// The client streams the upload regardless of the shed.
+					drainPut(r)
+				}
+			},
 		})
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	tenant := admit.TenantOf(conn)
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	cc := &connCodec{}
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		rel, aerr := s.adm.Acquire(tenant, classOf(typ))
-		if aerr != nil {
-			if typ == msgPutBegin {
-				// The client streams the upload regardless; drain it so the
-				// connection stays usable after the shed.
-				drainPut(br)
-			}
-			if err := writeShed(bw, aerr); err != nil {
-				return
-			}
-		} else {
-			derr := s.dispatch(bw, br, typ, payload, cc)
-			rel()
-			if derr != nil {
-				return
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// writeShed answers one request with a shed frame (or a plain error frame
-// when err is not a shed), leaving the connection usable.
-func writeShed(w io.Writer, err error) error {
-	var shed *admit.ShedError
-	if errors.As(err, &shed) {
-		return admit.WriteShed(w, shed)
-	}
-	return writeError(w, err)
+	})
 }
 
 func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byte, cc *connCodec) error {
@@ -124,12 +74,12 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 		d := wire.NewDecoder(payload)
 		req := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		chosen := wire.NegotiateCodec(req, s.codecs)
 		codec, err := wire.ForName(chosen)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		cc.codec = codec
 		return wire.WriteFrame(w, msgNegotiateResp, wire.NewEncoder().String(chosen).Bytes())
@@ -137,7 +87,7 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 	case msgStat:
 		req, err := decodeStatReq(payload)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		size, exists := s.store.Stat(req.Key)
 		return wire.WriteFrame(w, msgStatResp, statResp{Exists: exists, Size: size}.encode())
@@ -145,14 +95,14 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 	case msgGet:
 		req, err := decodeGetReq(payload)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		return s.get(w, req, cc)
 
 	case msgList:
 		req, err := decodeListReq(payload)
 		if err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		return wire.WriteFrame(w, msgListResp, listResp{Objects: s.store.List(req.Prefix)}.encode())
 
@@ -160,12 +110,12 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 		req, err := decodePutBegin(payload)
 		if err != nil {
 			drainPut(r)
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		return s.put(w, r, req.Key, cc)
 
 	default:
-		return writeError(w, fmt.Errorf("objstore: unknown message type %d", typ))
+		return rpc.WriteError(w, fmt.Errorf("objstore: unknown message type %d", typ))
 	}
 }
 
@@ -173,7 +123,7 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 func (s *Server) get(w io.Writer, req getReq, cc *connCodec) error {
 	data, ok := s.store.Get(req.Key)
 	if !ok {
-		return writeError(w, fmt.Errorf("objstore: %s: no such object", req.Key))
+		return rpc.WriteError(w, fmt.Errorf("objstore: %s: no such object", req.Key))
 	}
 	size := int64(len(data))
 	off := req.Off
@@ -217,14 +167,14 @@ func (s *Server) put(w io.Writer, r *bufio.Reader, key string, cc *connCodec) er
 		case msgPutData:
 			chunk, derr := cc.dec(payload)
 			if derr != nil {
-				return writeError(w, derr)
+				return rpc.WriteError(w, derr)
 			}
 			body = append(body, chunk...)
 		case msgPutEnd:
 			s.store.Put(key, body)
 			return wire.WriteFrame(w, msgPutResp, putResp{Size: int64(len(body))}.encode())
 		default:
-			return writeError(w, fmt.Errorf("objstore: unexpected frame %d during put", typ))
+			return rpc.WriteError(w, fmt.Errorf("objstore: unexpected frame %d during put", typ))
 		}
 	}
 }
@@ -237,8 +187,4 @@ func drainPut(r *bufio.Reader) {
 			return
 		}
 	}
-}
-
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }

@@ -2,11 +2,11 @@ package replica
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
@@ -21,7 +21,6 @@ const (
 	msgUnregisterResp = 6
 	msgLogicals       = 7
 	msgLogicalsResp   = 8
-	msgError          = 255
 )
 
 // Server exposes a Catalog over the framed binary protocol (the role the
@@ -36,33 +35,13 @@ func NewServer(cat *Catalog, clock simclock.Clock) *Server {
 	return &Server{cat: cat, clock: clock}
 }
 
-// Serve accepts connections until l is closed.
+// Serve accepts connections until l is closed; each runs the shared request
+// loop (see rpc.Serve, rpc.ServeConn). The catalogue has no admission control.
 func (s *Server) Serve(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		s.clock.Go("replica-conn", func() { s.handle(conn) })
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		if err := s.dispatch(bw, typ, payload); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
+	h := rpc.Handler{Dispatch: func(w io.Writer, _ *bufio.Reader, typ uint8, payload []byte) error {
+		return s.dispatch(w, typ, payload)
+	}}
+	rpc.Serve(l, s.clock, "replica-conn", nil, func(conn net.Conn) { rpc.ServeConn(conn, nil, h) })
 }
 
 func encodeLocation(e *wire.Encoder, l Location) {
@@ -79,7 +58,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 	case msgLookup:
 		logical := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		locs := s.cat.Lookup(logical)
 		e := wire.NewEncoder()
@@ -93,7 +72,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		logical := d.String()
 		loc := decodeLocation(d)
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		s.cat.Register(logical, loc)
 		return wire.WriteFrame(w, msgRegisterResp, nil)
@@ -102,7 +81,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		logical := d.String()
 		loc := decodeLocation(d)
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return rpc.WriteError(w, err)
 		}
 		s.cat.Unregister(logical, loc)
 		return wire.WriteFrame(w, msgUnregisterResp, nil)
@@ -113,79 +92,29 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		return wire.WriteFrame(w, msgLogicalsResp, e.Bytes())
 
 	default:
-		return writeError(w, fmt.Errorf("replica: unknown message type %d", typ))
+		return rpc.WriteError(w, fmt.Errorf("replica: unknown message type %d", typ))
 	}
 }
 
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
-}
-
 // Dialer opens connections to service addresses.
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
+type Dialer = rpc.Dialer
 
-// Client is the network client for a catalogue Server.
+// Client is the network client for a catalogue Server. It keeps one
+// persistent connection and makes one attempt per call (no retry policy).
 type Client struct {
-	dialer Dialer
-	addr   string
-	clock  simclock.Clock
-
-	mu   *simclock.Mutex
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	rc *rpc.Conn
 }
 
 // NewClient returns a Client for the catalogue at addr.
 func NewClient(dialer Dialer, addr string, clock simclock.Clock) *Client {
-	return &Client{dialer: dialer, addr: addr, clock: clock, mu: simclock.NewMutex(clock)}
-}
-
-func (c *Client) roundTrip(reqType uint8, payload []byte) (uint8, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		conn, err := c.dialer.Dial(c.addr)
-		if err != nil {
-			return 0, nil, fmt.Errorf("replica: dial %s: %w", c.addr, err)
-		}
-		c.conn = conn
-		c.br = bufio.NewReader(conn)
-		c.bw = bufio.NewWriter(conn)
-	}
-	drop := func() {
-		c.conn.Close()
-		c.conn, c.br, c.bw = nil, nil, nil
-	}
-	if err := wire.WriteFrame(c.bw, reqType, payload); err != nil {
-		drop()
-		return 0, nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		drop()
-		return 0, nil, err
-	}
-	typ, resp, err := wire.ReadFrame(c.br)
-	if err != nil {
-		drop()
-		return 0, nil, err
-	}
-	if typ == msgError {
-		return 0, nil, errors.New("replica: " + wire.NewDecoder(resp).String())
-	}
-	return typ, resp, nil
+	return &Client{rc: rpc.NewConn("replica", dialer, addr, clock)}
 }
 
 // Lookup reports the replicas of logical.
 func (c *Client) Lookup(logical string) ([]Location, error) {
-	typ, resp, err := c.roundTrip(msgLookup, wire.NewEncoder().String(logical).Bytes())
+	resp, err := c.rc.Do("replica.call", msgLookup, msgLookupResp, wire.NewEncoder().String(logical).Bytes())
 	if err != nil {
 		return nil, err
-	}
-	if typ != msgLookupResp {
-		return nil, fmt.Errorf("replica: unexpected reply %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	n := d.U32()
@@ -200,7 +129,7 @@ func (c *Client) Lookup(logical string) ([]Location, error) {
 func (c *Client) Register(logical string, loc Location) error {
 	e := wire.NewEncoder().String(logical)
 	encodeLocation(e, loc)
-	_, _, err := c.roundTrip(msgRegister, e.Bytes())
+	_, err := c.rc.Do("replica.call", msgRegister, msgRegisterResp, e.Bytes())
 	return err
 }
 
@@ -208,18 +137,15 @@ func (c *Client) Register(logical string, loc Location) error {
 func (c *Client) Unregister(logical string, loc Location) error {
 	e := wire.NewEncoder().String(logical)
 	encodeLocation(e, loc)
-	_, _, err := c.roundTrip(msgUnregister, e.Bytes())
+	_, err := c.rc.Do("replica.call", msgUnregister, msgUnregisterResp, e.Bytes())
 	return err
 }
 
 // Logicals lists all registered logical names.
 func (c *Client) Logicals() ([]string, error) {
-	typ, resp, err := c.roundTrip(msgLogicals, nil)
+	resp, err := c.rc.Do("replica.call", msgLogicals, msgLogicalsResp, nil)
 	if err != nil {
 		return nil, err
-	}
-	if typ != msgLogicalsResp {
-		return nil, fmt.Errorf("replica: unexpected reply %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	names := d.StringSlice()
@@ -227,15 +153,7 @@ func (c *Client) Logicals() ([]string, error) {
 }
 
 // Close releases the shared connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.br, c.bw = nil, nil, nil
-	}
-	return nil
-}
+func (c *Client) Close() error { return c.rc.Close() }
 
 // Lookuper is the read interface the File Multiplexer needs; Catalog and
 // Client both satisfy it.

@@ -1,0 +1,577 @@
+package rpc_test
+
+// Wire-compatibility pin. Each protocol runs one scripted exchange over
+// simnet — the ordinary calls, one request the server sheds and one it
+// answers with an error — while both ends of every connection record each
+// Write they make. The recording (one line per socket write, so a moved
+// flush shows as a moved line break) is compared byte for byte against
+// testdata/transcripts/<protocol>.txt, captured before internal/rpc existed.
+// Run with -update-transcripts to rewrite the files; a diff in them is a
+// wire change and needs saying so.
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"griddles/internal/admit"
+	"griddles/internal/gns"
+	"griddles/internal/gridbuffer"
+	"griddles/internal/gridftp"
+	"griddles/internal/nws"
+	"griddles/internal/objstore"
+	"griddles/internal/replica"
+	"griddles/internal/simclock"
+	"griddles/internal/simnet"
+	"griddles/internal/vfs"
+	"griddles/internal/wire"
+)
+
+var updateTranscripts = flag.Bool("update-transcripts", false, "rewrite testdata/transcripts from this run")
+
+// tape records, per connection in dial order, what each end wrote.
+type tape struct {
+	mu     sync.Mutex
+	step   string
+	dialed int
+	accept int
+	conns  map[int]*connTape
+}
+
+type connTape struct {
+	c2s, s2c []string // "step hex", one entry per Write call
+}
+
+func (tp *tape) at(i int) *connTape {
+	if tp.conns == nil {
+		tp.conns = make(map[int]*connTape)
+	}
+	if tp.conns[i] == nil {
+		tp.conns[i] = &connTape{}
+	}
+	return tp.conns[i]
+}
+
+func (tp *tape) setStep(s string) {
+	tp.mu.Lock()
+	tp.step = s
+	tp.mu.Unlock()
+}
+
+func (tp *tape) String() string {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	var b strings.Builder
+	for i := 0; i < tp.dialed; i++ {
+		ct := tp.at(i)
+		fmt.Fprintf(&b, "conn %d\n", i)
+		for _, l := range ct.c2s {
+			fmt.Fprintf(&b, "  C %s\n", l)
+		}
+		for _, l := range ct.s2c {
+			fmt.Fprintf(&b, "  S %s\n", l)
+		}
+	}
+	return b.String()
+}
+
+// tapedConn records every Write into one direction of one connection.
+type tapedConn struct {
+	net.Conn
+	tp     *tape
+	idx    int
+	server bool
+}
+
+func (c *tapedConn) Write(p []byte) (int, error) {
+	c.tp.mu.Lock()
+	ct := c.tp.at(c.idx)
+	line := c.tp.step + " " + hex.EncodeToString(p)
+	if c.server {
+		ct.s2c = append(ct.s2c, line)
+	} else {
+		ct.c2s = append(ct.c2s, line)
+	}
+	c.tp.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// tapedDialer numbers connections in dial order. Scripts dial one at a time
+// against one listener, so the listener's accept order is the same order.
+type tapedDialer struct {
+	inner interface {
+		Dial(addr string) (net.Conn, error)
+	}
+	tp *tape
+}
+
+func (d tapedDialer) Dial(addr string) (net.Conn, error) {
+	conn, err := d.inner.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	d.tp.mu.Lock()
+	idx := d.tp.dialed
+	d.tp.dialed++
+	d.tp.mu.Unlock()
+	return &tapedConn{Conn: conn, tp: d.tp, idx: idx}, nil
+}
+
+type tapedListener struct {
+	net.Listener
+	tp *tape
+}
+
+func (l tapedListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.tp.mu.Lock()
+	idx := l.tp.accept
+	l.tp.accept++
+	l.tp.mu.Unlock()
+	return &tapedConn{Conn: conn, tp: l.tp, idx: idx, server: true}, nil
+}
+
+// script is one protocol's environment: a virtual clock, an app and a srv
+// host 1 ms apart, and a tape both ends write to.
+type script struct {
+	t      *testing.T
+	v      *simclock.Virtual
+	net    *simnet.Network
+	tp     *tape
+	dialer tapedDialer
+}
+
+func (s *script) listen(addr string) net.Listener {
+	l, err := s.net.Host("srv").Listen(addr)
+	if err != nil {
+		s.t.Fatalf("listen %s: %v", addr, err)
+	}
+	return tapedListener{Listener: l, tp: s.tp}
+}
+
+func (s *script) step(name string) { s.tp.setStep(name) }
+
+// wantShed asserts the call surfaced the server's shed with its hint.
+func (s *script) wantShed(what string, err error) {
+	s.t.Helper()
+	var shed *admit.ShedError
+	if !errors.As(err, &shed) {
+		s.t.Fatalf("%s: err = %v, want *admit.ShedError", what, err)
+	}
+	if shed.RetryAfter() <= 0 {
+		s.t.Fatalf("%s: shed without a retry-after hint: %+v", what, shed)
+	}
+}
+
+// wantServerError asserts the call surfaced exactly the server's message.
+func (s *script) wantServerError(what string, err error, msg string) {
+	s.t.Helper()
+	if err == nil || err.Error() != msg {
+		s.t.Fatalf("%s: err = %v, want %q", what, err, msg)
+	}
+}
+
+// serveCanned answers every request frame on l with the next canned reply,
+// one flush per reply: the replies a real server cannot be made to give
+// (replica and nws neither shed nor fail a well-formed request; a Grid Buffer
+// attach cannot be refused from the client API).
+func (s *script) serveCanned(l net.Listener, replies ...cannedReply) {
+	s.v.Go("canned-serve", func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			s.v.Go("canned-conn", func() {
+				defer conn.Close()
+				br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+				for {
+					if _, _, err := wire.ReadFrame(br); err != nil || len(replies) == 0 {
+						return
+					}
+					r := replies[0]
+					replies = replies[1:]
+					if wire.WriteFrame(bw, r.typ, r.payload) != nil || bw.Flush() != nil {
+						return
+					}
+				}
+			})
+		}
+	})
+}
+
+type cannedReply struct {
+	typ     uint8
+	payload []byte
+}
+
+func cannedShed() cannedReply {
+	return cannedReply{admit.MsgShed, admit.EncodeShed(&admit.ShedError{Reason: "queue-full", After: 100 * time.Millisecond})}
+}
+
+func cannedError(msg string) cannedReply {
+	return cannedReply{255, wire.NewEncoder().String(msg).Bytes()}
+}
+
+// oneSlot returns a controller with a single slot and no queue, so holding
+// that slot makes the very next request shed.
+func (s *script) oneSlot(service string) *admit.Controller {
+	return admit.New(admit.Options{Service: service, MaxConcurrent: 1, ControlShare: -1, Clock: s.v})
+}
+
+func (s *script) hold(ctl *admit.Controller) (release func()) {
+	rel, err := ctl.Acquire("other", admit.Control)
+	if err != nil {
+		s.t.Fatalf("pre-acquire: %v", err)
+	}
+	return rel
+}
+
+func pattern(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i % 251)
+	}
+	return b
+}
+
+func TestWireTranscripts(t *testing.T) {
+	protocols := []struct {
+		name string
+		run  func(s *script)
+	}{
+		{"gns", scriptGNS},
+		{"gridftp", scriptGridFTP},
+		{"objstore", scriptObjstore},
+		{"replica", scriptReplica},
+		{"nws", scriptNWS},
+		{"gridbuffer", scriptGridBuffer},
+	}
+	for _, p := range protocols {
+		t.Run(p.name, func(t *testing.T) {
+			v := simclock.NewVirtualDefault()
+			n := simnet.New(v)
+			n.SetLinkBoth("app", "srv", simnet.LinkSpec{Latency: time.Millisecond})
+			tp := &tape{}
+			s := &script{t: t, v: v, net: n, tp: tp, dialer: tapedDialer{inner: n.Host("app"), tp: tp}}
+			v.Run(func() { p.run(s) })
+			got := tp.String()
+			file := filepath.Join("testdata", "transcripts", p.name+".txt")
+			if *updateTranscripts {
+				if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s wire transcript changed:\n%s", p.name, firstDiff(string(want), got))
+			}
+		})
+	}
+}
+
+// firstDiff reports the first line where two transcripts part.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d\n  want: %.200s\n  got:  %.200s", i+1, wl, gl)
+		}
+	}
+	return "no difference"
+}
+
+func scriptGNS(s *script) {
+	store := gns.NewStore(s.v)
+	store.Set("jagan", "A", gns.Mapping{Mode: gns.ModeRemote, RemoteHost: "h:1", RemotePath: "/a"})
+	srv := gns.NewServer(store, s.v)
+	ctl := s.oneSlot("gns")
+	srv.SetAdmission(ctl)
+	l := s.listen("srv:5000")
+	s.v.Go("gns-serve", func() { srv.Serve(l) })
+
+	c := gns.NewClient(s.dialer, "srv:5000", s.v)
+	defer c.Close()
+	s.step("resolve")
+	m, err := c.Resolve("jagan", "A")
+	if err != nil || m.RemotePath != "/a" {
+		s.t.Fatalf("resolve = %+v, %v", m, err)
+	}
+	s.step("set")
+	if _, err := c.Set("jagan", "B", gns.Mapping{Mode: gns.ModeCopy, RemoteHost: "h:2", RemotePath: "/b"}); err != nil {
+		s.t.Fatalf("set: %v", err)
+	}
+	s.step("shed")
+	rel := s.hold(ctl)
+	_, err = c.Resolve("jagan", "A")
+	rel()
+	s.wantShed("resolve under load", err)
+	s.step("after-shed")
+	if _, err := c.Resolve("jagan", "B"); err != nil {
+		s.t.Fatalf("resolve on the connection a shed left: %v", err)
+	}
+	// A sharded client asks an unsharded server for its map: the one
+	// request this server answers with an error frame.
+	s.step("error")
+	sc := gns.NewShardedClient(s.dialer, []string{"srv:5000"}, s.v)
+	defer sc.Close()
+	_, err = sc.Resolve("jagan", "A")
+	s.wantServerError("shard map from an unsharded server", err, "gns: no seed served a shard map: gns: gns: server is not sharded")
+}
+
+func scriptGridFTP(s *script) {
+	fs := vfs.NewMemFS()
+	vfs.WriteFile(fs, "in.bin", pattern(10000))
+	srv := gridftp.NewServer(fs, s.v)
+	ctl := s.oneSlot("ftp")
+	srv.SetAdmission(ctl)
+	l := s.listen("srv:6000")
+	s.v.Go("gridftp-serve", func() { srv.Serve(l) })
+
+	c := gridftp.NewClient(s.dialer, "srv:6000", s.v)
+	defer c.Close()
+	s.step("open")
+	f, err := c.Open("in.bin", os.O_RDWR)
+	if err != nil {
+		s.t.Fatalf("open: %v", err)
+	}
+	s.step("read")
+	buf := make([]byte, 100)
+	if n, err := f.ReadAt(buf, 5000); err != nil || n != 100 || !bytes.Equal(buf, pattern(10000)[5000:5100]) {
+		s.t.Fatalf("read = %d, %v", n, err)
+	}
+	s.step("write")
+	if n, err := f.WriteAt(pattern(5000), 0); err != nil || n != 5000 {
+		s.t.Fatalf("write = %d, %v", n, err)
+	}
+	if err := f.Close(); err != nil { // sends the dirty run, then msgClose
+		s.t.Fatalf("close: %v", err)
+	}
+	s.step("fetch")
+	var got bytes.Buffer
+	if n, err := c.Fetch("in.bin", 0, -1, &got); err != nil || n != 10000 {
+		s.t.Fatalf("fetch = %d, %v", n, err)
+	}
+	s.step("put")
+	if n, err := c.Put("out.bin", bytes.NewReader(pattern(9000))); err != nil || n != 9000 {
+		s.t.Fatalf("put = %d, %v", n, err)
+	}
+	s.step("shed")
+	rel := s.hold(ctl)
+	_, _, err = c.Stat("in.bin")
+	s.wantShed("stat under load", err)
+	s.step("shed-fetch")
+	_, err = c.Fetch("in.bin", 0, -1, io.Discard)
+	s.wantShed("fetch under load", err)
+	s.step("shed-put")
+	_, err = c.Put("out2.bin", bytes.NewReader(pattern(9000)))
+	rel()
+	s.wantShed("put under load", err)
+	s.step("after-shed")
+	if size, ok, err := c.Stat("in.bin"); err != nil || !ok || size != 10000 {
+		s.t.Fatalf("stat on the connection a shed left = %d, %v, %v", size, ok, err)
+	}
+	s.step("error")
+	_, err = c.Open("missing.bin", os.O_RDONLY)
+	if err == nil || !strings.HasPrefix(err.Error(), "gridftp: ") {
+		s.t.Fatalf("open missing: err = %v, want a gridftp server error", err)
+	}
+	s.step("error-fetch")
+	_, err = c.Fetch("missing.bin", 0, -1, io.Discard)
+	if err == nil || !strings.HasPrefix(err.Error(), "gridftp: ") {
+		s.t.Fatalf("fetch missing: err = %v, want a gridftp server error", err)
+	}
+}
+
+func scriptObjstore(s *script) {
+	store := objstore.NewStore()
+	store.Put("in", pattern(10000))
+	srv := objstore.NewServer(store, s.v)
+	ctl := s.oneSlot("obj")
+	srv.SetAdmission(ctl)
+	l := s.listen("srv:7000")
+	s.v.Go("objstore-serve", func() { srv.Serve(l) })
+
+	c := objstore.NewClient(s.dialer, "srv:7000", s.v)
+	defer c.Close()
+	s.step("stat")
+	if size, ok, err := c.Stat("in"); err != nil || !ok || size != 10000 {
+		s.t.Fatalf("stat = %d, %v, %v", size, ok, err)
+	}
+	s.step("get")
+	var got bytes.Buffer
+	if n, size, err := c.Get("in", 100, 9000, &got); err != nil || n != 9000 || size != 10000 {
+		s.t.Fatalf("get = %d, %d, %v", n, size, err)
+	}
+	s.step("put")
+	if n, err := c.Put("out", bytes.NewReader(pattern(9000))); err != nil || n != 9000 {
+		s.t.Fatalf("put = %d, %v", n, err)
+	}
+	s.step("shed")
+	rel := s.hold(ctl)
+	_, _, err := c.Stat("in")
+	s.wantShed("stat under load", err)
+	s.step("shed-get")
+	_, _, err = c.Get("in", 0, -1, io.Discard)
+	s.wantShed("get under load", err)
+	s.step("shed-put")
+	_, err = c.Put("out2", bytes.NewReader(pattern(9000)))
+	rel()
+	s.wantShed("put under load", err)
+	s.step("error")
+	_, _, err = c.Get("missing", 0, -1, io.Discard)
+	if err == nil || !strings.HasPrefix(err.Error(), "objstore: ") {
+		s.t.Fatalf("get missing: err = %v, want an objstore server error", err)
+	}
+}
+
+func scriptReplica(s *script) {
+	cat := replica.NewCatalog()
+	cat.Register("lfn://a", replica.Location{Host: "h1", Addr: "h1:6000", Path: "/a"})
+	srv := replica.NewServer(cat, s.v)
+	l := s.listen("srv:8000")
+	s.v.Go("replica-serve", func() { srv.Serve(l) })
+
+	c := replica.NewClient(s.dialer, "srv:8000", s.v)
+	defer c.Close()
+	s.step("lookup")
+	locs, err := c.Lookup("lfn://a")
+	if err != nil || len(locs) != 1 || locs[0].Path != "/a" {
+		s.t.Fatalf("lookup = %+v, %v", locs, err)
+	}
+	s.step("register")
+	if err := c.Register("lfn://b", replica.Location{Host: "h2", Addr: "h2:6000", Path: "/b"}); err != nil {
+		s.t.Fatalf("register: %v", err)
+	}
+
+	// The catalogue server neither sheds nor fails a well-formed request,
+	// so the other two reply classes come from a canned peer.
+	s.serveCanned(s.listen("srv:8001"), cannedShed(), cannedError("catalogue offline"))
+	cc := replica.NewClient(s.dialer, "srv:8001", s.v)
+	defer cc.Close()
+	s.step("shed")
+	if _, err := cc.Lookup("lfn://a"); err == nil {
+		s.t.Fatal("lookup answered by a shed: no error")
+	}
+	s.step("error")
+	_, err = cc.Lookup("lfn://a")
+	s.wantServerError("lookup answered by an error", err, "replica: catalogue offline")
+}
+
+func scriptNWS(s *script) {
+	srv := nws.NewServer(nws.NewService(), s.v)
+	l := s.listen("srv:8100")
+	s.v.Go("nws-serve", func() { srv.Serve(l) })
+
+	c := nws.NewClient(s.dialer, "srv:8100", s.v)
+	defer c.Close()
+	s.step("record")
+	if err := c.Record("a", "b", nws.MetricBandwidth, 1.5e6); err != nil {
+		s.t.Fatalf("record: %v", err)
+	}
+	s.step("forecast")
+	if v, ok, err := c.Forecast("a", "b", nws.MetricBandwidth); err != nil || !ok || v != 1.5e6 {
+		s.t.Fatalf("forecast = %v, %v, %v", v, ok, err)
+	}
+
+	s.serveCanned(s.listen("srv:8101"), cannedShed(), cannedError("memory offline"))
+	cc := nws.NewClient(s.dialer, "srv:8101", s.v)
+	defer cc.Close()
+	s.step("shed")
+	if _, _, err := cc.Forecast("a", "b", nws.MetricBandwidth); err == nil {
+		s.t.Fatal("forecast answered by a shed: no error")
+	}
+	s.step("error")
+	_, _, err := cc.Forecast("a", "b", nws.MetricBandwidth)
+	s.wantServerError("forecast answered by an error", err, "nws: memory offline")
+
+	// The sensor speaks its own two-message protocol on the same framing.
+	sensor := nws.NewSensor(s.v)
+	sl := s.listen("srv:8102")
+	s.v.Go("nws-sensor-serve", func() { sensor.Serve(sl) })
+	s.step("probe")
+	p := nws.NewProber(s.v, s.dialer)
+	p.Burst = 6000
+	if _, _, err := p.Probe("srv:8102"); err != nil {
+		s.t.Fatalf("probe: %v", err)
+	}
+}
+
+func scriptGridBuffer(s *script) {
+	reg := gridbuffer.NewRegistry(s.v, nil)
+	srv := gridbuffer.NewServer(reg, s.v)
+	ctl := s.oneSlot("buf")
+	srv.SetAdmission(ctl)
+	l := s.listen("srv:9000")
+	s.v.Go("gridbuffer-serve", func() { srv.Serve(l) })
+	opts := gridbuffer.Options{BlockSize: 4096, Capacity: 16}
+
+	// Admission is per stream: the writer's attach takes the one slot and
+	// holds it, so the reader's attach is the shed.
+	s.step("attach")
+	w, err := gridbuffer.NewWriter(s.dialer, "srv:9000", s.v, "pipe", opts, gridbuffer.WriterOptions{})
+	if err != nil {
+		s.t.Fatalf("attach writer: %v", err)
+	}
+	s.step("shed")
+	_, err = gridbuffer.NewReader(s.dialer, "srv:9000", s.v, "pipe", opts, gridbuffer.ReaderOptions{})
+	s.wantShed("attach under load", err)
+	s.step("close")
+	if err := w.Close(); err != nil {
+		s.t.Fatalf("close writer: %v", err)
+	}
+
+	// The other reply classes come from a canned peer: an attach answered by
+	// an error, then two connection-per-call writers (each block travels on
+	// its own connection and classifies its own reply) whose first block is
+	// shed and refused.
+	attachResp := cannedReply{2, wire.NewEncoder().I64(-1).U32(4096).Bytes()}
+	s.serveCanned(s.listen("srv:9001"),
+		cannedError("registry offline"),
+		attachResp, cannedShed(),
+		attachResp, cannedError("block refused"))
+	s.step("error")
+	_, err = gridbuffer.NewWriter(s.dialer, "srv:9001", s.v, "pipe", opts, gridbuffer.WriterOptions{})
+	s.wantServerError("attach answered by an error", err, "gridbuffer: registry offline")
+	perCall := func() *gridbuffer.Writer {
+		pw, err := gridbuffer.NewWriter(s.dialer, "srv:9001", s.v, "percall", opts, gridbuffer.WriterOptions{ConnPerCall: true})
+		if err != nil {
+			s.t.Fatalf("attach conn-per-call writer: %v", err)
+		}
+		return pw
+	}
+	s.step("percall-shed")
+	_, err = perCall().Write(pattern(4096))
+	s.wantShed("conn-per-call put under load", err)
+	s.step("percall-error")
+	_, err = perCall().Write(pattern(4096))
+	s.wantServerError("conn-per-call put refused", err, "gridbuffer: block refused")
+}

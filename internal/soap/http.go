@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 )
 
@@ -42,13 +43,7 @@ func NewHTTPServer(clock simclock.Clock, handler Handler) *HTTPServer {
 // one-request-per-connection (HTTP/1.0 style with explicit close), matching
 // the 2004 connection-per-call SOAP stacks this package models.
 func (s *HTTPServer) Serve(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		s.clock.Go("soap-http-conn", func() { s.handle(conn) })
-	}
+	rpc.Serve(l, s.clock, "soap-http-conn", nil, s.handle)
 }
 
 func (s *HTTPServer) handle(conn net.Conn) {
@@ -150,9 +145,7 @@ func writeResponse(w io.Writer, status int, body []byte) error {
 }
 
 // Dialer opens connections to service addresses.
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
+type Dialer = rpc.Dialer
 
 // Post performs one HTTP POST on a fresh connection (the connection-per-
 // call discipline) and returns the response body. Callers that need the
