@@ -17,18 +17,19 @@ COVER_FLOOR_RPC        ?= 90.0
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr15.json
+BENCH_OUT ?= BENCH_pr16.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
 # short randomized probe on top.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet one-substrate test race chaos build cover fuzz bench bench-gate stress stress-smoke
+.PHONY: check fmt vet one-substrate one-handle test race chaos build cover fuzz bench bench-gate stress stress-smoke
 
-## check: gofmt + vet + one-substrate guard + race coverage gate + chaos
-## matrix + fuzz smoke + bench regression gate + overload stress smoke
-check: fmt vet one-substrate cover chaos fuzz bench-gate stress-smoke
+## check: gofmt + vet + one-substrate and one-handle guards + race coverage
+## gate + chaos matrix + fuzz smoke + bench regression gate + overload stress
+## smoke
+check: fmt vet one-substrate one-handle cover chaos fuzz bench-gate stress-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -49,6 +50,23 @@ one-substrate:
 		| grep -vE '^\./(internal/(rpc|simnet|realnet)|gridlab)/'); \
 	if [ -n "$$out" ]; then \
 		echo "connection shell outside internal/rpc:"; echo "$$out"; exit 1; \
+	fi
+
+## one-handle: internal/core has one File handle (handle.go) and every
+## mechanism describes itself to it. Fails when a non-test file of the package
+## other than handle.go counts handle bytes or assembles the cache/prefetch
+## stack itself, or when a third type grows a Name() method, i.e. a third
+## File implementation beside the handle and translatingFile.
+one-handle:
+	@out=$$(grep -nE 'stats\.(read|wrote)\(|newCachedReader\(|newPrefetcher\(' \
+		$$(ls internal/core/*.go | grep -vE '_test\.go$$|/handle\.go$$') \
+		| grep -vE ':func new(CachedReader|Prefetcher)\('); \
+	if [ -n "$$out" ]; then \
+		echo "handle plumbing outside internal/core/handle.go:"; echo "$$out"; exit 1; \
+	fi; \
+	n=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | grep -c ') Name() string'); \
+	if [ "$$n" -gt 2 ]; then \
+		echo "internal/core declares $$n File implementations, want 2 (handle, translatingFile)"; exit 1; \
 	fi
 
 race:

@@ -944,6 +944,83 @@ func BenchmarkLayerRPCLoopbackRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(writes.n.Load())/float64(b.N), "connwrites/op")
 }
 
+// BenchmarkLayerFMOpenReadClose is the fourth Layer/* entry: the File
+// Multiplexer's per-OPEN path alone — one OpenFile, one 4 KiB read (write,
+// for the buffer: a read would need a second handle), one Close, through
+// core.New against an in-process GNS store and in-process servers — over
+// real loopback TCP on the wall clock, per mechanism. Its allocs/op is what
+// binding, the handle and its close cost on top of the transport; it uses
+// only exported API, so the same file runs against any commit.
+func BenchmarkLayerFMOpenReadClose(b *testing.B) {
+	clock := simclock.Real{}
+	serve := func(run func(net.Listener)) string {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { l.Close() })
+		go run(l)
+		return l.Addr().String()
+	}
+	record := make([]byte, 4096)
+	remoteFS := vfs.NewMemFS()
+	if err := vfs.WriteFile(remoteFS, "layer.dat", record); err != nil {
+		b.Fatal(err)
+	}
+	ftpAddr := serve(gridftp.NewServer(remoteFS, clock).Serve)
+	reg := gridbuffer.NewRegistry(clock, nil)
+	bufAddr := serve(gridbuffer.NewServer(reg, clock).Serve)
+	objects := objstore.NewStore()
+	objects.Put("layer.dat", record)
+	objAddr := serve(objstore.NewServer(objects, clock).Serve)
+
+	localFS := vfs.NewMemFS()
+	if err := vfs.WriteFile(localFS, "local.dat", record); err != nil {
+		b.Fatal(err)
+	}
+	store := gns.NewStore(clock)
+	store.Set("app", "local", gns.Mapping{Mode: gns.ModeLocal, LocalPath: "local.dat"})
+	store.Set("app", "copy", gns.Mapping{Mode: gns.ModeCopy, RemoteHost: ftpAddr, RemotePath: "layer.dat", LocalPath: "staged.dat"})
+	store.Set("app", "remote", gns.Mapping{Mode: gns.ModeRemote, RemoteHost: ftpAddr, RemotePath: "layer.dat"})
+	store.Set("app", "buffer", gns.Mapping{Mode: gns.ModeBuffer, BufferHost: bufAddr, BufferKey: "layer"})
+	store.Set("app", "objstore", gns.Mapping{Mode: gns.ModeObject, RemoteHost: objAddr, RemotePath: "layer.dat"})
+	fm, err := core.New(core.Config{Machine: "app", Clock: clock, FS: localFS, Dialer: countedTCPDialer{new(writeCounter)}, GNS: store})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fm.Close()
+
+	for _, scheme := range []string{"local", "copy", "remote", "buffer", "objstore"} {
+		flag, io4k := os.O_RDONLY, func(f core.File) (int, error) { return io.ReadFull(f, record) }
+		if scheme == "buffer" {
+			flag, io4k = os.O_WRONLY, func(f core.File) (int, error) { return f.Write(record) }
+		}
+		op := func(b *testing.B) {
+			f, err := fm.OpenFile(scheme, flag, 0o644)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n, err := io4k(f); err != nil || n != len(record) {
+				b.Fatalf("%s: moved %d bytes, %v", scheme, n, err)
+			}
+			if err := f.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if scheme == "buffer" {
+				reg.Drop("layer")
+			}
+		}
+		b.Run(scheme, func(b *testing.B) {
+			op(b) // dial the pooled connections outside the timed region
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(b)
+			}
+		})
+	}
+}
+
 // BenchmarkFMReReadCache prices the FM block cache on a remote re-read: a
 // mode-3 consumer reads a 2 MiB file twice over the monash<->vpac-shaped
 // link, cache off versus on. With the cache the second pass is memory-only.

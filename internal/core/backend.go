@@ -29,9 +29,9 @@ type Backend interface {
 	// the FM and callers use it for documentation and error shaping, not for
 	// silent behaviour changes.
 	Capabilities() Capabilities
-	// Open binds one OPEN call. The returned File carries the mechanism's
-	// POSIX-shaped handle; env exposes the FM's cross-cutting layers (block
-	// cache, prefetch, retry policy, observer, client pools).
+	// Open binds one OPEN call and returns env.File over the mechanism's raw
+	// handle; env exposes the FM's cross-cutting layers (block cache,
+	// prefetch, retry policy, observer, client pools).
 	Open(ctx context.Context, env *Env, req OpenRequest) (File, error)
 	// Stat reports metadata for path under mapping without opening it.
 	// A missing file is (0, false, nil); err is for transport failures.
@@ -162,8 +162,9 @@ func SchemeForMode(mode gns.Mode) string { return mode.String() }
 
 // Env is the FM-side environment a Backend works against. It deliberately
 // exposes only what the backend contract needs — identity, clock, transport
-// plumbing, the cross-cutting read layers, and byte accounting — so a
-// backend can be written without reaching into the FM's internals.
+// plumbing, and the one file handle (File, in handle.go) that carries the
+// cross-cutting layers — so a backend can be written without reaching into
+// the FM's internals.
 type Env struct {
 	fm *Multiplexer
 }
@@ -188,23 +189,14 @@ func (e *Env) Observer() *obs.Observer { return e.fm.obs }
 func (e *Env) Retry() retry.Policy { return e.fm.cfg.Retry }
 
 // WireCodec reports the FM's stream-codec decision for a link to addr:
-// a codec name to negotiate, or "" to stay raw (the historical wire).
+// a codec name to negotiate, or "" to stay raw.
 // Backends thread it into transports that support negotiated encodings.
 func (e *Env) WireCodec(addr string) string { return e.fm.codecFor(addr) }
 
 // BlockCache reports the FM's shared block cache, or nil when caching is
-// disabled. Prefer ReaderFile, which composes it automatically.
+// disabled. File composes it; a backend asks only to skip building a
+// Handle.CacheKey and Fetch nobody would use.
 func (e *Env) BlockCache() *BlockCache { return e.fm.cfg.BlockCache }
-
-// PrefetchWindow reports the configured prefetch depth (0 = disabled).
-func (e *Env) PrefetchWindow() int { return e.fm.cfg.PrefetchWindow }
-
-// CountRead adds n bytes to the FM's fm.read.bytes accounting. ReaderFile
-// handles this for reads it serves; use it for bespoke read paths.
-func (e *Env) CountRead(n int) { e.fm.stats.read(n) }
-
-// CountWritten adds n bytes to the FM's fm.write.bytes accounting.
-func (e *Env) CountWritten(n int) { e.fm.stats.wrote(n) }
 
 // PollUntil polls fn at the FM's WaitClose cadence — charging the
 // configured poll cost and sleeping PollInterval between attempts — until
@@ -212,6 +204,7 @@ func (e *Env) CountWritten(n int) { e.fm.stats.wrote(n) }
 // coordination against whatever "the writer has committed" looks like on
 // their store.
 func (e *Env) PollUntil(fn func() (done bool, err error)) error {
+	m := e.fm
 	for {
 		done, err := fn()
 		if err != nil {
@@ -220,16 +213,20 @@ func (e *Env) PollUntil(fn func() (done bool, err error)) error {
 		if done {
 			return nil
 		}
-		e.fm.poll()
+		m.stats.polled()
+		if m.cfg.PollCost != nil {
+			m.cfg.PollCost()
+		}
+		m.cfg.Clock.Sleep(m.cfg.PollInterval)
 	}
 }
 
-// Pooled returns the per-FM pooled value under key, creating it with mk on
-// first use. The FM closes every pooled value when it is closed; backends
-// use this to share one transport client per service address across opens,
-// exactly as the built-in mechanisms pool their file-service clients.
-func (e *Env) Pooled(key string, mk func() io.Closer) io.Closer {
-	m := e.fm
+// Pooled returns the FM's pooled client of a scheme for one service address,
+// creating it with mk on first use; backends share one transport client per
+// address across opens this way. The FM closes every pooled value when it is
+// closed.
+func (e *Env) Pooled(scheme, addr string, mk func() io.Closer) io.Closer {
+	m, key := e.fm, poolKey{scheme, addr}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c, ok := m.pooled[key]
@@ -238,78 +235,4 @@ func (e *Env) Pooled(key string, mk func() io.Closer) io.Closer {
 		m.pooled[key] = c
 	}
 	return c
-}
-
-// FetchFunc serves one ranged read: up to length bytes at off. It is the
-// transport hook the prefetch pipeline issues its lookahead fetches
-// through.
-type FetchFunc func(off, length int64) ([]byte, error)
-
-// ReaderFile assembles the FM's cross-cutting read layers over a backend's
-// raw sequential handle: block-cached reads when the FM has a cache,
-// the async prefetch pipeline when fetch is non-nil and a prefetch window
-// is configured, and fm.read.bytes accounting always. cacheKey must
-// identify the bytes behind inner — embed the mapping's Version so a GNS
-// remap never serves stale blocks. closeFn, if non-nil, releases the
-// backend handle after the layers shut down.
-func (e *Env) ReaderFile(name string, inner io.ReadSeeker, cacheKey string, fetch FetchFunc, closeFn func() error) File {
-	f := &backendReaderFile{name: name, fm: e.fm, inner: inner, closeFn: closeFn}
-	if cache := e.fm.cfg.BlockCache; cache != nil {
-		f.cr = newCachedReader(inner, cache, func() string { return cacheKey })
-		if w := e.fm.cfg.PrefetchWindow; w > 0 && fetch != nil {
-			f.cr.pf = newPrefetcher(e.fm.cfg.Clock, e.fm.obs, cache, f.cr.key, fetch, w)
-		}
-	}
-	return f
-}
-
-// backendReaderFile is the generic read-side handle ReaderFile builds for
-// registry backends: inner transport below, cache/prefetch in the middle,
-// byte accounting on top.
-type backendReaderFile struct {
-	name    string
-	fm      *Multiplexer
-	inner   io.ReadSeeker
-	cr      *cachedReader
-	closeFn func() error
-	closed  bool
-}
-
-func (f *backendReaderFile) Name() string { return f.name }
-
-func (f *backendReaderFile) Read(p []byte) (int, error) {
-	var n int
-	var err error
-	if f.cr != nil {
-		n, err = f.cr.Read(p)
-	} else {
-		n, err = f.inner.Read(p)
-	}
-	f.fm.stats.read(n)
-	return n, err
-}
-
-func (f *backendReaderFile) Write([]byte) (int, error) {
-	return 0, fmt.Errorf("core: %s: opened read-only", f.name)
-}
-
-func (f *backendReaderFile) Seek(offset int64, whence int) (int64, error) {
-	if f.cr != nil {
-		return f.cr.Seek(offset, whence)
-	}
-	return f.inner.Seek(offset, whence)
-}
-
-func (f *backendReaderFile) Close() error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	if f.cr != nil && f.cr.pf != nil {
-		f.cr.pf.close()
-	}
-	if f.closeFn != nil {
-		return f.closeFn()
-	}
-	return nil
 }

@@ -33,7 +33,7 @@ func (objstoreBackend) Capabilities() Capabilities {
 // objstoreClient returns the pooled per-FM client for addr, with the FM's
 // retry policy and observer threaded in.
 func objstoreClient(env *Env, addr string) *objstore.Client {
-	c := env.Pooled("objstore:"+addr, func() io.Closer {
+	c := env.Pooled("objstore", addr, func() io.Closer {
 		c := objstore.NewClient(env.Dialer(), addr, env.Clock())
 		c.SetObserver(env.Observer())
 		c.SetRetry(env.Retry())
@@ -58,9 +58,14 @@ func (objstoreBackend) Open(_ context.Context, env *Env, req OpenRequest) (File,
 	}
 	c := objstoreClient(env, req.Mapping.RemoteHost)
 	key := remotePath(req.Mapping, req.Path)
+	var h Handle
+	if env.BlockCache() != nil {
+		h.CacheKey = cacheKeyObject(req.Mapping, key)
+	}
 	if req.Writing {
-		return &objstoreWriterFile{name: req.Path, env: env, client: c, key: key,
-			cacheKey: cacheKeyObject(req.Mapping, key)}, nil
+		w := &objstoreWriter{client: c, key: key}
+		h.Writer, h.Closer = w, w
+		return env.File(req.Path, h), nil
 	}
 	// WaitClose needs no completion marker here: an object is visible only
 	// once its PUT committed, so existence is the writer's close signal.
@@ -80,14 +85,11 @@ func (objstoreBackend) Open(_ context.Context, env *Env, req OpenRequest) (File,
 		return nil, fmt.Errorf("core: %s: no such object %s on %s", req.Path, key, req.Mapping.RemoteHost)
 	}
 	raw := &objstoreRaw{client: c, key: key, size: size}
-	fetch := func(off, length int64) ([]byte, error) {
-		var buf bytes.Buffer
-		if _, _, err := c.Get(key, off, length, &buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+	h.Reader, h.Seeker = raw, raw
+	if h.CacheKey != "" {
+		h.Fetch = raw.fetch
 	}
-	return env.ReaderFile(req.Path, raw, cacheKeyObject(req.Mapping, key), fetch, nil), nil
+	return env.File(req.Path, h), nil
 }
 
 func (objstoreBackend) Stat(_ context.Context, env *Env, path string, mapping gns.Mapping) (int64, bool, error) {
@@ -127,20 +129,29 @@ func (f *objstoreRaw) Read(p []byte) (int, error) {
 	if f.pos+want > f.size {
 		want = f.size - f.pos
 	}
-	var buf bytes.Buffer
-	buf.Grow(int(want))
-	n, _, err := f.client.Get(f.key, f.pos, want, &buf)
+	buf, err := f.fetch(f.pos, want)
 	if err != nil {
 		return 0, err
 	}
-	if n == 0 {
+	if len(buf) == 0 {
 		return 0, io.EOF
 	}
-	f.buf = buf.Bytes()[:n]
+	f.buf = buf
 	f.bufOff = f.pos
 	c := copy(p, f.buf)
 	f.pos += int64(c)
 	return c, nil
+}
+
+// fetch is one ranged GET: the read-ahead's, and the prefetch pipeline's
+// (the client is connection-per-operation, so workers may call it at once).
+func (f *objstoreRaw) fetch(off, length int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(length))
+	if _, _, err := f.client.Get(f.key, off, length, &buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 func (f *objstoreRaw) Seek(offset int64, whence int) (int64, error) {
@@ -163,51 +174,22 @@ func (f *objstoreRaw) Seek(offset int64, whence int) (int64, error) {
 	return npos, nil
 }
 
-// objstoreWriterFile accumulates the object body and commits it as one
-// atomic PUT on Close — the backend's durability point. Writes are
-// sequential only: an object store has no partial overwrite, so Seek on a
-// write handle is a pinned divergence, not an omission.
-type objstoreWriterFile struct {
-	name     string
-	env      *Env
-	client   *objstore.Client
-	key      string
-	cacheKey string
-	body     []byte
-	closed   bool
+// objstoreWriter accumulates the object body and commits it as one atomic
+// PUT on Close — the backend's durability point. It offers no Seek: an
+// object store has no partial overwrite, so a seek on a write handle is a
+// pinned divergence, not an omission.
+type objstoreWriter struct {
+	client *objstore.Client
+	key    string
+	body   []byte
 }
 
-func (f *objstoreWriterFile) Name() string { return f.name }
-
-func (f *objstoreWriterFile) Read([]byte) (int, error) {
-	return 0, fmt.Errorf("core: %s: object opened write-only", f.name)
-}
-
-func (f *objstoreWriterFile) Write(p []byte) (int, error) {
-	if f.closed {
-		return 0, fmt.Errorf("core: %s: write after close", f.name)
-	}
-	f.body = append(f.body, p...)
-	f.env.CountWritten(len(p))
+func (w *objstoreWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
 	return len(p), nil
 }
 
-func (f *objstoreWriterFile) Seek(int64, int) (int64, error) {
-	return 0, fmt.Errorf("core: %s: objects have no partial overwrite; writes are sequential", f.name)
-}
-
-func (f *objstoreWriterFile) Close() error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	if _, err := f.client.Put(f.key, bytes.NewReader(f.body)); err != nil {
-		return err
-	}
-	// The PUT replaced the object: drop any blocks cached from a previous
-	// body so concurrent reader handles refill.
-	if cache := f.env.BlockCache(); cache != nil {
-		cache.Invalidate(f.cacheKey)
-	}
-	return nil
+func (w *objstoreWriter) Close() error {
+	_, err := w.client.Put(w.key, bytes.NewReader(w.body))
+	return err
 }

@@ -29,7 +29,8 @@ func (b *toyBackend) Capabilities() Capabilities {
 
 func (b *toyBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
 	b.opens++
-	return env.ReaderFile(req.Path, bytes.NewReader(b.content), "toy:"+req.Path, nil, nil), nil
+	r := bytes.NewReader(b.content)
+	return env.File(req.Path, Handle{Reader: r, Seeker: r, CacheKey: "toy:" + req.Path}), nil
 }
 
 func (b *toyBackend) Stat(context.Context, *Env, string, gns.Mapping) (int64, bool, error) {

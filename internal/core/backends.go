@@ -1,16 +1,23 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"os"
 
 	"griddles/internal/gns"
+	"griddles/internal/gridbuffer"
+	"griddles/internal/gridftp"
+	"griddles/internal/obs"
+	"griddles/internal/soap"
+	"griddles/internal/vfs"
 )
 
-// This file wraps the paper's six original IO mechanisms (plus the auto
-// heuristic) as registry Backends. Each wrapper delegates to the historical
-// open path unchanged, so the registry refactor is behaviourally invisible:
-// the conformance and chaos matrices are byte-identical before and after.
-// Mechanism 7 (objstoreBackend, backend_objstore.go) is registered here too.
+// The paper's six IO mechanisms and the auto heuristic as registry Backends:
+// each Open binds its transport and describes it to Env.File, the way
+// mechanism 7 (backend_objstore.go) does.
 
 // registerBuiltins installs the in-tree backends into r.
 func registerBuiltins(r *Registry) {
@@ -24,10 +31,44 @@ func registerBuiltins(r *Registry) {
 	r.MustRegister(objstoreBackend{})
 }
 
-// statLocal is the historical metadata path for mechanisms that read from
-// the local file system (missing files report exists=false, not an error).
+// fileHandle describes a file-like transport handle opened with flag: one
+// object serves every call, and the direction the flag excludes stays nil.
+func fileHandle(f interface {
+	io.ReadWriteSeeker
+	io.Closer
+}, flag int) Handle {
+	h := Handle{Seeker: f, Closer: f}
+	if flag&os.O_WRONLY == 0 {
+		h.Reader = f
+	}
+	if flag&(os.O_WRONLY|os.O_RDWR) != 0 {
+		h.Writer = f
+	}
+	return h
+}
+
+// fetchRange is the prefetch pipeline's ranged read against a file service.
+func fetchRange(c *gridftp.Client, path string, off, length int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := c.Fetch(path, off, length, &buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// pollDoneMarker waits for path's completion marker on the file service
+// (WaitClose coordination); each poll costs a real round trip.
+func pollDoneMarker(env *Env, c *gridftp.Client, path string) error {
+	return env.PollUntil(func() (bool, error) {
+		_, exists, err := c.Stat(path + DoneSuffix)
+		return exists, err
+	})
+}
+
+// statLocal is the metadata path of mechanisms that read from the local file
+// system (missing files report exists=false, not an error).
 func statLocal(env *Env, path string, mapping gns.Mapping) (int64, bool, error) {
-	fi, err := env.fm.cfg.FS.Stat(localPath(mapping, path))
+	fi, err := env.FS().Stat(localPath(mapping, path))
 	if err != nil {
 		return 0, false, nil
 	}
@@ -47,7 +88,21 @@ func (localBackend) Capabilities() Capabilities {
 	return Capabilities{Write: true, PartialOverwrite: true, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
 }
 func (localBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
-	return env.fm.openLocal(req.Path, req.Mapping, req.Flag, req.Perm, req.Writing)
+	fs, lp := env.FS(), localPath(req.Mapping, req.Path)
+	if req.Mapping.WaitClose && !req.Writing {
+		if err := env.PollUntil(func() (bool, error) { return vfs.Exists(fs, lp+DoneSuffix), nil }); err != nil {
+			return nil, err
+		}
+	}
+	f, err := fs.OpenFile(lp, req.Flag, req.Perm)
+	if err != nil {
+		return nil, err
+	}
+	h := fileHandle(f, req.Flag)
+	if req.Mapping.WaitClose && req.Writing {
+		h.Commit = func() error { return vfs.WriteFile(fs, lp+DoneSuffix, nil) }
+	}
+	return env.File(req.Path, h), nil
 }
 func (localBackend) Stat(_ context.Context, env *Env, path string, mapping gns.Mapping) (int64, bool, error) {
 	return statLocal(env, path, mapping)
@@ -61,7 +116,71 @@ func (copyBackend) Capabilities() Capabilities {
 	return Capabilities{Write: true, PartialOverwrite: true, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "close"}
 }
 func (copyBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
-	return env.fm.openCopy(req.Path, req.Mapping, req.Flag, req.Perm, req.Writing)
+	m, path, mapping := env.fm, req.Path, req.Mapping
+	lp := localPath(mapping, path)
+	rp := remotePath(mapping, path)
+	c := m.client(mapping.RemoteHost)
+	m.registerRemoteSchema(c, path, rp, mapping)
+	if !req.Writing {
+		if mapping.WaitClose {
+			if err := pollDoneMarker(env, c, rp); err != nil {
+				return nil, err
+			}
+		}
+		adopted := false
+		if m.cfg.Prestage != nil {
+			if n, ok := m.cfg.Prestage.Claim(m.cfg.Machine, path, mapping); ok {
+				m.stats.prestaged(n)
+				m.stats.stagedIn(n)
+				adopted = true
+			} else if fr, isFresh := m.cfg.GNS.(gns.FreshResolver); isFresh {
+				// The claim was refused — one cause is that this FM's resolve
+				// came from a lease cache and the GNS was remapped behind it
+				// (the eager copy was started under a newer mapping). Bypass
+				// the cache once and, if the store really has moved on for
+				// this mode, stage from the fresh coordinates instead of
+				// paying a copy from the stale ones.
+				if fresh, err := fr.ResolveFresh(m.cfg.Machine, path); err == nil &&
+					fresh.Version > mapping.Version && fresh.Mode == mapping.Mode {
+					m.obs.Emit("fm.remap", m.cfg.Machine,
+						obs.KV("path", path), obs.KV("from", mapping.RemoteHost),
+						obs.KV("to", fresh.RemoteHost), obs.KV("offset", int64(0)))
+					mapping = fresh
+					lp = localPath(mapping, path)
+					rp = remotePath(mapping, path)
+					c = m.client(mapping.RemoteHost)
+				}
+			}
+		}
+		if !adopted {
+			n, err := c.CopyIn(rp, m.cfg.FS, lp, m.cfg.CopyStreams)
+			if err != nil {
+				return nil, fmt.Errorf("core: staging in %s from %s: %w", rp, mapping.RemoteHost, err)
+			}
+			m.stats.stagedIn(n)
+		}
+	}
+	f, err := m.cfg.FS.OpenFile(lp, req.Flag, req.Perm)
+	if err != nil {
+		return nil, err
+	}
+	h := fileHandle(f, req.Flag)
+	if req.Writing {
+		h.Commit = func() error {
+			n, err := c.CopyOut(m.cfg.FS, lp, rp)
+			if err != nil {
+				return fmt.Errorf("core: staging out %s to %s: %w", lp, mapping.RemoteHost, err)
+			}
+			m.stats.stagedOut(n)
+			if mapping.WaitClose {
+				if _, err := c.Put(rp+DoneSuffix, emptyReader{}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	return env.File(path, h), nil
 }
 func (copyBackend) Stat(_ context.Context, env *Env, path string, mapping gns.Mapping) (int64, bool, error) {
 	return statRemote(env, path, mapping)
@@ -75,7 +194,31 @@ func (remoteBackend) Capabilities() Capabilities {
 	return Capabilities{Write: true, PartialOverwrite: true, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
 }
 func (remoteBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
-	return env.fm.openRemote(req.Path, req.Mapping, req.Flag, req.Writing)
+	mapping := req.Mapping
+	c := env.fm.client(mapping.RemoteHost)
+	rp := remotePath(mapping, req.Path)
+	env.fm.registerRemoteSchema(c, req.Path, rp, mapping)
+	if mapping.WaitClose && !req.Writing {
+		if err := pollDoneMarker(env, c, rp); err != nil {
+			return nil, err
+		}
+	}
+	rf, err := c.Open(rp, req.Flag)
+	if err != nil {
+		return nil, fmt.Errorf("core: remote open %s on %s: %w", rp, mapping.RemoteHost, err)
+	}
+	h := fileHandle(rf, req.Flag)
+	if mapping.WaitClose && req.Writing {
+		h.Commit = func() error {
+			_, err := c.Put(rp+DoneSuffix, emptyReader{})
+			return err
+		}
+	}
+	if env.BlockCache() != nil {
+		h.CacheKey = cacheKeyRemote(mapping, rp)
+		h.Fetch = func(off, length int64) ([]byte, error) { return fetchRange(c, rp, off, length) }
+	}
+	return env.File(req.Path, h), nil
 }
 func (remoteBackend) Stat(_ context.Context, env *Env, path string, mapping gns.Mapping) (int64, bool, error) {
 	return statRemote(env, path, mapping)
@@ -89,15 +232,52 @@ func (replicaRemoteBackend) Scheme() string { return SchemeForMode(gns.ModeRepli
 func (replicaRemoteBackend) Capabilities() Capabilities {
 	return Capabilities{Write: false, PartialOverwrite: false, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
 }
+
+// Open binds the best-ranked replica. With the retry policy enabled an
+// unreachable best replica is not fatal at open time either: the ranked
+// runners-up are tried in order.
 func (replicaRemoteBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
-	return env.fm.openReplicaRemote(req.Path, req.Mapping, req.Writing)
+	m, path, mapping := env.fm, req.Path, req.Mapping
+	if req.Writing {
+		return nil, fmt.Errorf("core: %s: replicated files are read-only", path)
+	}
+	loc, err := m.chooseReplica(mapping, path)
+	if err != nil {
+		return nil, err
+	}
+	f := &replicaFile{
+		fm: m, name: path, mapping: mapping,
+		failed:    make(map[string]bool),
+		lastCheck: m.cfg.Clock.Now(),
+	}
+	f.setLocation(loc)
+	if f.cur, err = m.client(loc.Addr).Open(loc.Path, os.O_RDONLY); err != nil {
+		if !m.cfg.Retry.Enabled() {
+			return nil, err
+		}
+		f.failed[loc.Host] = true
+		if ferr := f.failover(err); ferr != nil {
+			return nil, ferr
+		}
+	}
+	h := Handle{Reader: f, Seeker: f, Closer: f}
+	if env.BlockCache() != nil {
+		h.CacheKey = cacheKeyReplica(mapping, path)
+		h.Fetch = f.fetch
+	}
+	file := env.File(path, h)
+	if pf := file.(*handle).pf; pf != nil {
+		f.rearm = pf.rearm
+	}
+	return file, nil
 }
 func (replicaRemoteBackend) Stat(_ context.Context, env *Env, path string, mapping gns.Mapping) (int64, bool, error) {
 	return statLocal(env, path, mapping)
 }
 
 // replicaCopyBackend is mechanism 5: choose replica, copy local, read
-// locally.
+// locally. With the retry policy enabled, a replica whose copy-in fails is
+// skipped and the ranked runners-up are tried in order.
 type replicaCopyBackend struct{}
 
 func (replicaCopyBackend) Scheme() string { return SchemeForMode(gns.ModeReplicaCopy) }
@@ -105,13 +285,35 @@ func (replicaCopyBackend) Capabilities() Capabilities {
 	return Capabilities{Write: false, PartialOverwrite: false, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
 }
 func (replicaCopyBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
-	return env.fm.openReplicaCopy(req.Path, req.Mapping, req.Flag, req.Perm, req.Writing)
+	m, path, mapping := env.fm, req.Path, req.Mapping
+	if req.Writing {
+		return nil, fmt.Errorf("core: %s: replicated files are read-only", path)
+	}
+	lp := localPath(mapping, path)
+	n, err := m.stageInReplica(mapping, path, lp)
+	if err != nil {
+		return nil, err
+	}
+	m.stats.stagedIn(n)
+	f, err := m.cfg.FS.OpenFile(lp, req.Flag, req.Perm)
+	if err != nil {
+		return nil, err
+	}
+	h := fileHandle(f, req.Flag)
+	if env.BlockCache() != nil {
+		// The staged copy is bytewise the replica, so it shares the replica
+		// cache identity: a re-read after a fresh stage-in of the same
+		// generation hits blocks cached by an earlier open.
+		h.CacheKey = cacheKeyReplica(mapping, path)
+	}
+	return env.File(path, h), nil
 }
 func (replicaCopyBackend) Stat(_ context.Context, env *Env, path string, mapping gns.Mapping) (int64, bool, error) {
 	return statLocal(env, path, mapping)
 }
 
-// bufferBackend is mechanism 6: direct Grid Buffer streaming.
+// bufferBackend is mechanism 6: direct Grid Buffer streaming between writer
+// and reader, over the binary transport or the paper's SOAP envelopes.
 type bufferBackend struct{}
 
 func (bufferBackend) Scheme() string { return SchemeForMode(gns.ModeBuffer) }
@@ -119,26 +321,77 @@ func (bufferBackend) Capabilities() Capabilities {
 	return Capabilities{Write: true, PartialOverwrite: false, RandomRead: false, Ranged: false, Listable: false, DurabilityPoint: "close"}
 }
 func (bufferBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
-	return env.fm.openBuffer(req.Path, req.Mapping, req.Writing, req.Flag)
+	cfg, mapping := &env.fm.cfg, req.Mapping
+	if req.Flag&os.O_RDWR != 0 {
+		return nil, fmt.Errorf("core: %s: grid buffers are unidirectional (open read-only or write-only)", req.Path)
+	}
+	key := mapping.BufferKey
+	if key == "" {
+		key = req.Path
+	}
+	opts := gridbuffer.Options{
+		BlockSize: mapping.EffectiveBlockSize(),
+		Cache:     mapping.CacheEnabled,
+		CachePath: mapping.CachePath,
+		Readers:   mapping.Readers,
+		Shards:    cfg.BufferShards,
+	}
+	var (
+		w   io.WriteCloser
+		r   io.ReadSeekCloser
+		err error
+	)
+	soapWire := cfg.BufferTransport == "soap"
+	switch {
+	case soapWire && req.Writing:
+		w, err = soap.NewBufferWriter(cfg.Clock, cfg.Dialer, mapping.BufferHost, key, opts)
+	case soapWire:
+		r, err = soap.NewBufferReader(cfg.Clock, cfg.Dialer, mapping.BufferHost, key, opts)
+	case req.Writing:
+		w, err = gridbuffer.NewWriter(cfg.Dialer, mapping.BufferHost, cfg.Clock, key, opts,
+			gridbuffer.WriterOptions{Window: cfg.WriterWindow, ConnPerCall: cfg.BufferConnPerCall, Retry: cfg.Retry, Codec: env.WireCodec(mapping.BufferHost)})
+	default:
+		r, err = gridbuffer.NewReader(cfg.Dialer, mapping.BufferHost, cfg.Clock, key, opts,
+			gridbuffer.ReaderOptions{Depth: cfg.ReaderDepth, Retry: cfg.Retry, Codec: env.WireCodec(mapping.BufferHost)})
+	}
+	if err != nil {
+		return nil, err
+	}
+	if req.Writing {
+		return env.File(req.Path, Handle{Writer: w, Closer: w}), nil
+	}
+	return env.File(req.Path, Handle{Reader: r, Seeker: r, Closer: r}), nil
 }
 func (bufferBackend) Stat(_ context.Context, env *Env, path string, mapping gns.Mapping) (int64, bool, error) {
 	return statLocal(env, path, mapping)
 }
 
 // autoBackend is the §3.1 heuristic: decide copy-vs-remote at open time,
-// then bind as the chosen mechanism.
+// then bind as the chosen mechanism. Writers stage out through the copy
+// path; remote block writes over WAN would be pathological.
 type autoBackend struct{}
 
 func (autoBackend) Scheme() string { return SchemeForMode(gns.ModeAuto) }
 func (autoBackend) Capabilities() Capabilities {
 	return Capabilities{Write: true, PartialOverwrite: true, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
 }
-func (autoBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
-	return env.fm.openAuto(req.Path, req.Mapping, req.Flag, req.Perm, req.Writing)
+func (autoBackend) Open(ctx context.Context, env *Env, req OpenRequest) (File, error) {
+	d := Decision{Mode: gns.ModeCopy, Reason: "write binding always stages", Path: req.Path}
+	if !req.Writing {
+		var err error
+		if d, err = env.fm.decideAuto(req.Path, req.Mapping); err != nil {
+			return nil, err
+		}
+	}
+	env.fm.stats.decided(d)
+	req.Mapping.Mode = d.Mode
+	if d.Mode == gns.ModeRemote {
+		return remoteBackend{}.Open(ctx, env, req)
+	}
+	return copyBackend{}.Open(ctx, env, req)
 }
 
-// Stat keeps the historical behaviour: ModeAuto mappings stat locally (the
-// heuristic only engages on opens).
+// Stat stats locally: the heuristic only engages on opens.
 func (autoBackend) Stat(_ context.Context, env *Env, path string, mapping gns.Mapping) (int64, bool, error) {
 	return statLocal(env, path, mapping)
 }

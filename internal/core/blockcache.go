@@ -176,7 +176,7 @@ func (c *BlockCache) Invalidate(file string) {
 type cachedReader struct {
 	inner io.ReadSeeker
 	cache *BlockCache
-	key   func() string // file identity, embedding the mapping generation
+	key   string // file identity, embedding the mapping generation
 
 	pos      int64 // application cursor
 	innerPos int64 // the inner handle's cursor (-1 unknown)
@@ -186,7 +186,7 @@ type cachedReader struct {
 	lastIdx int64       // last block consumed, for prefetch hit accounting
 }
 
-func newCachedReader(inner io.ReadSeeker, cache *BlockCache, key func() string) *cachedReader {
+func newCachedReader(inner io.ReadSeeker, cache *BlockCache, key string) *cachedReader {
 	return &cachedReader{inner: inner, cache: cache, key: key, innerPos: 0, size: -1, lastIdx: -1}
 }
 
@@ -199,7 +199,7 @@ func (c *cachedReader) Read(p []byte) (int, error) {
 	}
 	bs := int64(c.cache.BlockSize())
 	idx := c.pos / bs
-	key := c.key()
+	key := c.key
 	if c.pf != nil {
 		c.pf.noteRead(c.pos)
 	}
@@ -281,26 +281,4 @@ func (c *cachedReader) Seek(offset int64, whence int) (int64, error) {
 	}
 	c.pos = npos
 	return npos, nil
-}
-
-// Write forwards to the inner handle at the application cursor and
-// invalidates the file's cached blocks, keeping interleaved seek+write
-// semantics identical to an uncached handle.
-func (c *cachedReader) Write(p []byte) (int, error) {
-	w, ok := c.inner.(io.Writer)
-	if !ok {
-		return 0, errors.New("core: cached handle is read-only")
-	}
-	if c.innerPos != c.pos {
-		if _, err := c.inner.Seek(c.pos, io.SeekStart); err != nil {
-			c.innerPos = -1
-			return 0, err
-		}
-	}
-	n, err := w.Write(p)
-	c.pos += int64(n)
-	c.innerPos = c.pos
-	c.size = -1
-	c.cache.Invalidate(c.key())
-	return n, err
 }

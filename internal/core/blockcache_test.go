@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"testing"
 
@@ -119,7 +118,7 @@ func TestCachedReaderReReadAvoidsInner(t *testing.T) {
 	inner := &seekCounter{r: bytes.NewReader(data)}
 	cache := NewBlockCache(1 << 20)
 	cache.blockSize = 1024
-	cr := newCachedReader(inner, cache, func() string { return "k" })
+	cr := newCachedReader(inner, cache, "k")
 
 	got, err := io.ReadAll(cr)
 	if err != nil || !bytes.Equal(got, data) {
@@ -146,7 +145,7 @@ func TestCachedReaderSeekSemantics(t *testing.T) {
 	data := []byte("0123456789")
 	cache := NewBlockCache(1 << 20)
 	cache.blockSize = 4
-	cr := newCachedReader(&seekCounter{r: bytes.NewReader(data)}, cache, func() string { return "k" })
+	cr := newCachedReader(&seekCounter{r: bytes.NewReader(data)}, cache, "k")
 
 	// SeekEnd before size is known delegates to the inner handle.
 	end, err := cr.Seek(-2, io.SeekEnd)
@@ -176,73 +175,6 @@ func TestCachedReaderSeekSemantics(t *testing.T) {
 	}
 	if _, err := cr.Seek(-1, io.SeekStart); err == nil {
 		t.Fatal("negative seek succeeded")
-	}
-}
-
-// rwBuffer is an in-memory ReadWriteSeeker.
-type rwBuffer struct {
-	data []byte
-	pos  int64
-}
-
-func (b *rwBuffer) Read(p []byte) (int, error) {
-	if b.pos >= int64(len(b.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b.data[b.pos:])
-	b.pos += int64(n)
-	return n, nil
-}
-
-func (b *rwBuffer) Write(p []byte) (int, error) {
-	end := b.pos + int64(len(p))
-	if end > int64(len(b.data)) {
-		nd := make([]byte, end)
-		copy(nd, b.data)
-		b.data = nd
-	}
-	copy(b.data[b.pos:], p)
-	b.pos = end
-	return len(p), nil
-}
-
-func (b *rwBuffer) Seek(off int64, whence int) (int64, error) {
-	switch whence {
-	case io.SeekStart:
-		b.pos = off
-	case io.SeekCurrent:
-		b.pos += off
-	case io.SeekEnd:
-		b.pos = int64(len(b.data)) + off
-	}
-	if b.pos < 0 {
-		return 0, errors.New("negative")
-	}
-	return b.pos, nil
-}
-
-func TestCachedReaderWriteInvalidates(t *testing.T) {
-	inner := &rwBuffer{data: []byte("hello world")}
-	cache := NewBlockCache(1 << 20)
-	cache.blockSize = 4
-	cr := newCachedReader(inner, cache, func() string { return "k" })
-
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(cr, buf); err != nil || string(buf) != "hello" {
-		t.Fatalf("read = %q, %v", buf, err)
-	}
-	if _, err := cr.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cr.Write([]byte("HELLO")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cr.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(cr)
-	if err != nil || string(got) != "HELLO world" {
-		t.Fatalf("after write: %q, %v", got, err)
 	}
 }
 

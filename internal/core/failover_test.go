@@ -26,6 +26,9 @@ func fmPolicy() retry.Policy {
 	}
 }
 
+// boundReplica reaches the raw mechanism-4 handle under an open File.
+func boundReplica(f File) *replicaFile { return f.(*handle).Closer.(*replicaFile) }
+
 // replicatedDataset registers `dataset` on bouscat and brecca with identical
 // content and an NWS preference for bouscat, mapped for machine on path.
 func replicatedDataset(e *env, machine, path string, size int) []byte {
@@ -53,7 +56,7 @@ func TestReplicaFailoverMidRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		rf := r.(*replicaFile)
+		rf := boundReplica(r)
 		if rf.Location().Host != "bouscat" {
 			t.Fatalf("initial binding = %s", rf.Location().Host)
 		}
@@ -147,7 +150,7 @@ func TestReplicaOpenFailsOverToRunnerUp(t *testing.T) {
 			t.Fatalf("open with best replica dead: %v", err)
 		}
 		defer r.Close()
-		if h := r.(*replicaFile).Location().Host; h != "brecca" {
+		if h := boundReplica(r).Location().Host; h != "brecca" {
 			t.Errorf("open bound to %s, want brecca", h)
 		}
 	})

@@ -8,146 +8,13 @@ import (
 	"time"
 
 	"griddles/internal/gns"
-	"griddles/internal/gridbuffer"
 	"griddles/internal/gridftp"
 	"griddles/internal/obs"
 	"griddles/internal/replica"
-	"griddles/internal/soap"
-	"griddles/internal/vfs"
 )
 
-// localFile is a mechanism-1/2/5 handle: a real local file, possibly with a
-// stage-out and/or a completion marker on close.
-type localFile struct {
-	vfs.File
-	name       string
-	fm         *Multiplexer
-	stageOut   func() error
-	marker     bool
-	markerPath string
-	closed     bool
-	cr         *cachedReader // block-cached reads (mode 5), nil = direct
-}
-
-func (f *localFile) Name() string { return f.name }
-
-func (f *localFile) Read(p []byte) (int, error) {
-	var n int
-	var err error
-	if f.cr != nil {
-		n, err = f.cr.Read(p)
-	} else {
-		n, err = f.File.Read(p)
-	}
-	f.fm.stats.read(n)
-	return n, err
-}
-
-func (f *localFile) Write(p []byte) (int, error) {
-	var n int
-	var err error
-	if f.cr != nil {
-		n, err = f.cr.Write(p)
-	} else {
-		n, err = f.File.Write(p)
-	}
-	f.fm.stats.wrote(n)
-	return n, err
-}
-
-func (f *localFile) Seek(offset int64, whence int) (int64, error) {
-	if f.cr != nil {
-		return f.cr.Seek(offset, whence)
-	}
-	return f.File.Seek(offset, whence)
-}
-
-func (f *localFile) Close() error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	if err := f.File.Close(); err != nil {
-		return err
-	}
-	if f.stageOut != nil {
-		if err := f.stageOut(); err != nil {
-			return err
-		}
-	}
-	if f.marker {
-		if err := vfs.WriteFile(f.fm.cfg.FS, f.markerPath, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// remoteFile is a mechanism-3 handle.
-type remoteFile struct {
-	*gridftp.RemoteFile
-	name       string
-	fm         *Multiplexer
-	marker     bool
-	markerPath string
-	client     *gridftp.Client
-	closed     bool
-	cr         *cachedReader // block-cached reads, nil = direct
-}
-
-func (f *remoteFile) Name() string { return f.name }
-
-func (f *remoteFile) Read(p []byte) (int, error) {
-	var n int
-	var err error
-	if f.cr != nil {
-		n, err = f.cr.Read(p)
-	} else {
-		n, err = f.RemoteFile.Read(p)
-	}
-	f.fm.stats.read(n)
-	return n, err
-}
-
-func (f *remoteFile) Write(p []byte) (int, error) {
-	var n int
-	var err error
-	if f.cr != nil {
-		n, err = f.cr.Write(p)
-	} else {
-		n, err = f.RemoteFile.Write(p)
-	}
-	f.fm.stats.wrote(n)
-	return n, err
-}
-
-func (f *remoteFile) Seek(offset int64, whence int) (int64, error) {
-	if f.cr != nil {
-		return f.cr.Seek(offset, whence)
-	}
-	return f.RemoteFile.Seek(offset, whence)
-}
-
-func (f *remoteFile) Close() error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	if f.cr != nil && f.cr.pf != nil {
-		f.cr.pf.close()
-	}
-	if err := f.RemoteFile.Close(); err != nil {
-		return err
-	}
-	if f.marker {
-		if _, err := f.client.Put(f.markerPath, emptyReader{}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replicaFile is a mechanism-4 handle with dynamic re-binding: every
+// replicaFile is mechanism 4's raw read handle (the one handle of
+// handle.go sits on top): a remote file with dynamic re-binding. Every
 // RemapInterval of reading it re-ranks the replicas and, if a different one
 // now wins, reopens there at the same offset. The application never
 // notices — exactly the paper's "change the mapping dynamically during the
@@ -167,11 +34,8 @@ type replicaFile struct {
 	failed    map[string]bool // hosts excluded after an error, by failover
 	pos       int64
 	lastCheck time.Time
-	closed    bool
-	cr        *cachedReader // block-cached reads, nil = direct
+	rearm     func() // restarts the handle's prefetch pipeline after a failover
 }
-
-func (f *replicaFile) Name() string { return f.name }
 
 // Location reports the currently bound replica (for tests and examples).
 func (f *replicaFile) Location() replica.Location { return f.location() }
@@ -252,10 +116,10 @@ func (f *replicaFile) failover(cause error) error {
 		}
 		f.cur = nf
 		f.setLocation(loc)
-		if f.cr != nil && f.cr.pf != nil {
+		if f.rearm != nil {
 			// The pipeline disabled itself when its fetches started failing;
 			// it now follows the new binding.
-			f.cr.pf.rearm()
+			f.rearm()
 		}
 		f.fm.stats.failedOver()
 		f.fm.obs.Emit("fm.failover", f.fm.cfg.Machine,
@@ -266,24 +130,9 @@ func (f *replicaFile) failover(cause error) error {
 	return fmt.Errorf("core: %s: all replicas failed: %w", f.name, cause)
 }
 
+// Read checks for a better replica, then reads from the bound one, failing
+// over when it dies. Cache-miss fills arrive here like uncached reads do.
 func (f *replicaFile) Read(p []byte) (int, error) {
-	if f.closed {
-		return 0, fmt.Errorf("core: %s: read after close", f.name)
-	}
-	var n int
-	var err error
-	if f.cr != nil {
-		n, err = f.cr.Read(p)
-	} else {
-		n, err = f.rawRead(p)
-	}
-	f.fm.stats.read(n)
-	return n, err
-}
-
-// rawRead is the uncached read path: remap check, then read from the bound
-// replica with failover.
-func (f *replicaFile) rawRead(p []byte) (int, error) {
 	f.maybeRemap()
 	for {
 		n, err := f.cur.Read(p)
@@ -303,21 +152,7 @@ func (f *replicaFile) rawRead(p []byte) (int, error) {
 	}
 }
 
-func (f *replicaFile) Write([]byte) (int, error) {
-	return 0, fmt.Errorf("core: %s: replicated files are read-only", f.name)
-}
-
 func (f *replicaFile) Seek(offset int64, whence int) (int64, error) {
-	if f.closed {
-		return 0, fmt.Errorf("core: %s: seek after close", f.name)
-	}
-	if f.cr != nil {
-		return f.cr.Seek(offset, whence)
-	}
-	return f.rawSeek(offset, whence)
-}
-
-func (f *replicaFile) rawSeek(offset int64, whence int) (int64, error) {
 	npos, err := f.cur.Seek(offset, whence)
 	if err == nil {
 		f.pos = npos
@@ -325,121 +160,12 @@ func (f *replicaFile) rawSeek(offset int64, whence int) (int64, error) {
 	return npos, err
 }
 
-// rawReplica adapts the uncached failover read path as the inner handle of
-// a cachedReader: cache-miss fills run through remap/failover exactly as
-// uncached reads do.
-type rawReplica struct{ f *replicaFile }
+func (f *replicaFile) Close() error { return f.cur.Close() }
 
-func (r rawReplica) Read(p []byte) (int, error)                { return r.f.rawRead(p) }
-func (r rawReplica) Seek(off int64, whence int) (int64, error) { return r.f.rawSeek(off, whence) }
-
-func (f *replicaFile) Close() error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	if f.cr != nil && f.cr.pf != nil {
-		f.cr.pf.close()
-	}
-	return f.cur.Close()
+// fetch is the prefetch pipeline's ranged read: it goes to whichever replica
+// the file is currently bound to, so after a failover the rearmed pipeline
+// follows it.
+func (f *replicaFile) fetch(off, length int64) ([]byte, error) {
+	cur := f.location()
+	return fetchRange(f.fm.client(cur.Addr), cur.Path, off, length)
 }
-
-// bufferWriterFile adapts a Grid Buffer writer to the File interface.
-type bufferWriterFile struct {
-	w    *gridbuffer.Writer
-	name string
-	fm   *Multiplexer
-}
-
-func (f *bufferWriterFile) Name() string { return f.name }
-
-func (f *bufferWriterFile) Read([]byte) (int, error) {
-	return 0, fmt.Errorf("core: %s: buffer opened write-only", f.name)
-}
-
-func (f *bufferWriterFile) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	f.fm.stats.wrote(n)
-	return n, err
-}
-
-func (f *bufferWriterFile) Seek(int64, int) (int64, error) {
-	return 0, fmt.Errorf("core: %s: buffer writers are sequential", f.name)
-}
-
-func (f *bufferWriterFile) Close() error { return f.w.Close() }
-
-// bufferReaderFile adapts a Grid Buffer reader to the File interface.
-type bufferReaderFile struct {
-	r    *gridbuffer.Reader
-	name string
-	fm   *Multiplexer
-}
-
-func (f *bufferReaderFile) Name() string { return f.name }
-
-func (f *bufferReaderFile) Read(p []byte) (int, error) {
-	n, err := f.r.Read(p)
-	f.fm.stats.read(n)
-	return n, err
-}
-
-func (f *bufferReaderFile) Write([]byte) (int, error) {
-	return 0, fmt.Errorf("core: %s: buffer opened read-only", f.name)
-}
-
-func (f *bufferReaderFile) Seek(offset int64, whence int) (int64, error) {
-	return f.r.Seek(offset, whence)
-}
-
-func (f *bufferReaderFile) Close() error { return f.r.Close() }
-
-// soapWriterFile adapts the SOAP Grid Buffer writer to the File interface.
-type soapWriterFile struct {
-	w    *soap.BufferWriter
-	name string
-	fm   *Multiplexer
-}
-
-func (f *soapWriterFile) Name() string { return f.name }
-
-func (f *soapWriterFile) Read([]byte) (int, error) {
-	return 0, fmt.Errorf("core: %s: buffer opened write-only", f.name)
-}
-
-func (f *soapWriterFile) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	f.fm.stats.wrote(n)
-	return n, err
-}
-
-func (f *soapWriterFile) Seek(int64, int) (int64, error) {
-	return 0, fmt.Errorf("core: %s: buffer writers are sequential", f.name)
-}
-
-func (f *soapWriterFile) Close() error { return f.w.Close() }
-
-// soapReaderFile adapts the SOAP Grid Buffer reader to the File interface.
-type soapReaderFile struct {
-	r    *soap.BufferReader
-	name string
-	fm   *Multiplexer
-}
-
-func (f *soapReaderFile) Name() string { return f.name }
-
-func (f *soapReaderFile) Read(p []byte) (int, error) {
-	n, err := f.r.Read(p)
-	f.fm.stats.read(n)
-	return n, err
-}
-
-func (f *soapReaderFile) Write([]byte) (int, error) {
-	return 0, fmt.Errorf("core: %s: buffer opened read-only", f.name)
-}
-
-func (f *soapReaderFile) Seek(offset int64, whence int) (int64, error) {
-	return f.r.Seek(offset, whence)
-}
-
-func (f *soapReaderFile) Close() error { return f.r.Close() }

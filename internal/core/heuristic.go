@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"griddles/internal/gns"
@@ -137,28 +136,4 @@ func hostOf(addr string) string {
 		}
 	}
 	return addr
-}
-
-// openAuto binds ModeAuto by deciding and then dispatching as the chosen
-// mechanism.
-func (m *Multiplexer) openAuto(path string, mapping gns.Mapping, flag int, perm os.FileMode, writing bool) (File, error) {
-	if writing {
-		// Writers stage out through the copy path; remote block writes over
-		// WAN would be pathological.
-		mapping.Mode = gns.ModeCopy
-		m.stats.decided(Decision{Mode: gns.ModeCopy, Reason: "write binding always stages", Path: path})
-		return m.openCopy(path, mapping, flag, perm, writing)
-	}
-	d, err := m.decideAuto(path, mapping)
-	if err != nil {
-		return nil, err
-	}
-	m.stats.decided(d)
-	mapping.Mode = d.Mode
-	switch d.Mode {
-	case gns.ModeRemote:
-		return m.openRemote(path, mapping, flag, writing)
-	default:
-		return m.openCopy(path, mapping, flag, perm, writing)
-	}
 }

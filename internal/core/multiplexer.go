@@ -31,7 +31,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,7 +40,6 @@ import (
 	"time"
 
 	"griddles/internal/gns"
-	"griddles/internal/gridbuffer"
 	"griddles/internal/gridftp"
 	"griddles/internal/nws"
 	"griddles/internal/obs"
@@ -49,7 +47,6 @@ import (
 	"griddles/internal/retry"
 	"griddles/internal/rpc"
 	"griddles/internal/simclock"
-	"griddles/internal/soap"
 	"griddles/internal/vfs"
 )
 
@@ -214,10 +211,13 @@ type Multiplexer struct {
 	registry *Registry
 	env      Env
 
-	mu      sync.Mutex
-	clients map[string]*gridftp.Client // file-service clients by address
-	pooled  map[string]io.Closer       // backend-owned pooled values (Env.Pooled)
+	mu     sync.Mutex
+	pooled map[poolKey]io.Closer // per-service transport clients (Env.Pooled)
 }
+
+// poolKey names one pooled client: a struct, so the per-OPEN lookup builds no
+// string.
+type poolKey struct{ scheme, addr string }
 
 // New returns a Multiplexer for cfg. Machine, Clock, FS, Dialer and GNS are
 // required.
@@ -258,8 +258,7 @@ func New(cfg Config) (*Multiplexer, error) {
 		cfg:      cfg,
 		obs:      cfg.Obs,
 		registry: cfg.Backends,
-		clients:  make(map[string]*gridftp.Client),
-		pooled:   make(map[string]io.Closer),
+		pooled:   make(map[poolKey]io.Closer),
 	}
 	m.env = Env{fm: m}
 	m.stats.init(m.obs, cfg.Machine)
@@ -278,34 +277,25 @@ func (m *Multiplexer) Stats() *Stats { return &m.stats }
 // Obs reports the observer this FM writes metrics and events to.
 func (m *Multiplexer) Obs() *obs.Observer { return m.obs }
 
-// client returns a pooled file-service client for addr.
+// client returns the pooled file-service client for addr.
 func (m *Multiplexer) client(addr string) *gridftp.Client {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.clients[addr]
-	if !ok {
-		c = gridftp.NewClient(m.cfg.Dialer, addr, m.cfg.Clock)
+	return m.env.Pooled("gridftp", addr, func() io.Closer {
+		c := gridftp.NewClient(m.cfg.Dialer, addr, m.cfg.Clock)
 		c.SetObserver(m.obs)
 		c.SetRetry(m.cfg.Retry)
 		m.configureCodec(c, addr)
-		m.clients[addr] = c
-	}
-	return c
+		return c
+	}).(*gridftp.Client)
 }
 
-// Close releases pooled service connections, including values backends
-// pooled through Env.Pooled.
+// Close releases the pooled service connections.
 func (m *Multiplexer) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, c := range m.clients {
-		c.Close()
-	}
-	m.clients = make(map[string]*gridftp.Client)
 	for _, c := range m.pooled {
 		c.Close()
 	}
-	m.pooled = make(map[string]io.Closer)
+	m.pooled = make(map[poolKey]io.Closer)
 	return nil
 }
 
@@ -365,14 +355,7 @@ func (m *Multiplexer) OpenFile(path string, flag int, perm os.FileMode) (File, e
 	if err != nil {
 		return nil, err
 	}
-	f, err = m.maybeTranslate(f, path, mapping, writing)
-	if err != nil {
-		return nil, err
-	}
-	if writing && m.cfg.CloseNotify != nil {
-		f = &notifyFile{File: f, path: path, notify: m.cfg.CloseNotify}
-	}
-	return f, nil
+	return m.maybeTranslate(f, path, mapping, writing)
 }
 
 // Stat reports metadata for path under its current mapping, through the
@@ -420,156 +403,6 @@ func remotePath(mapping gns.Mapping, openPath string) string {
 		return mapping.RemotePath
 	}
 	return openPath
-}
-
-// waitLocalClose polls the local completion marker (WaitClose coordination).
-func (m *Multiplexer) waitLocalClose(path string) {
-	for !vfs.Exists(m.cfg.FS, path+DoneSuffix) {
-		m.poll()
-	}
-}
-
-// waitRemoteClose polls the remote completion marker through the file
-// service; each poll costs a real round trip.
-func (m *Multiplexer) waitRemoteClose(c *gridftp.Client, path string) error {
-	for {
-		_, exists, err := c.Stat(path + DoneSuffix)
-		if err != nil {
-			return err
-		}
-		if exists {
-			return nil
-		}
-		m.poll()
-	}
-}
-
-func (m *Multiplexer) poll() {
-	m.stats.polled()
-	if m.cfg.PollCost != nil {
-		m.cfg.PollCost()
-	}
-	m.cfg.Clock.Sleep(m.cfg.PollInterval)
-}
-
-// openLocal binds mechanism 1.
-func (m *Multiplexer) openLocal(path string, mapping gns.Mapping, flag int, perm os.FileMode, writing bool) (File, error) {
-	lp := localPath(mapping, path)
-	if mapping.WaitClose && !writing {
-		m.waitLocalClose(lp)
-	}
-	f, err := m.cfg.FS.OpenFile(lp, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &localFile{File: f, name: path, fm: m, marker: mapping.WaitClose && writing, markerPath: lp + DoneSuffix}, nil
-}
-
-// openCopy binds mechanism 2: stage in before the open; stage out written
-// files on close.
-func (m *Multiplexer) openCopy(path string, mapping gns.Mapping, flag int, perm os.FileMode, writing bool) (File, error) {
-	lp := localPath(mapping, path)
-	rp := remotePath(mapping, path)
-	c := m.client(mapping.RemoteHost)
-	m.registerRemoteSchema(c, path, rp, mapping)
-	if !writing {
-		if mapping.WaitClose {
-			if err := m.waitRemoteClose(c, rp); err != nil {
-				return nil, err
-			}
-		}
-		adopted := false
-		if m.cfg.Prestage != nil {
-			if n, ok := m.cfg.Prestage.Claim(m.cfg.Machine, path, mapping); ok {
-				m.stats.prestaged(n)
-				m.stats.stagedIn(n)
-				adopted = true
-			} else if fr, isFresh := m.cfg.GNS.(gns.FreshResolver); isFresh {
-				// The claim was refused — one cause is that this FM's resolve
-				// came from a lease cache and the GNS was remapped behind it
-				// (the eager copy was started under a newer mapping). Bypass
-				// the cache once and, if the store really has moved on for
-				// this mode, stage from the fresh coordinates instead of
-				// paying a copy from the stale ones.
-				if fresh, err := fr.ResolveFresh(m.cfg.Machine, path); err == nil &&
-					fresh.Version > mapping.Version && fresh.Mode == mapping.Mode {
-					m.obs.Emit("fm.remap", m.cfg.Machine,
-						obs.KV("path", path), obs.KV("from", mapping.RemoteHost),
-						obs.KV("to", fresh.RemoteHost), obs.KV("offset", int64(0)))
-					mapping = fresh
-					lp = localPath(mapping, path)
-					rp = remotePath(mapping, path)
-					c = m.client(mapping.RemoteHost)
-				}
-			}
-		}
-		if !adopted {
-			n, err := c.CopyIn(rp, m.cfg.FS, lp, m.cfg.CopyStreams)
-			if err != nil {
-				return nil, fmt.Errorf("core: staging in %s from %s: %w", rp, mapping.RemoteHost, err)
-			}
-			m.stats.stagedIn(n)
-		}
-	}
-	f, err := m.cfg.FS.OpenFile(lp, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	lf := &localFile{File: f, name: path, fm: m}
-	if writing {
-		lf.stageOut = func() error {
-			n, err := c.CopyOut(m.cfg.FS, lp, rp)
-			if err != nil {
-				return fmt.Errorf("core: staging out %s to %s: %w", lp, mapping.RemoteHost, err)
-			}
-			m.stats.stagedOut(n)
-			if mapping.WaitClose {
-				if _, err := c.Put(rp+DoneSuffix, emptyReader{}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	return lf, nil
-}
-
-// openRemote binds mechanism 3: block-granular proxy access.
-func (m *Multiplexer) openRemote(path string, mapping gns.Mapping, flag int, writing bool) (File, error) {
-	c := m.client(mapping.RemoteHost)
-	rp := remotePath(mapping, path)
-	m.registerRemoteSchema(c, path, rp, mapping)
-	if mapping.WaitClose && !writing {
-		if err := m.waitRemoteClose(c, rp); err != nil {
-			return nil, err
-		}
-	}
-	rf, err := c.Open(rp, flag)
-	if err != nil {
-		return nil, fmt.Errorf("core: remote open %s on %s: %w", rp, mapping.RemoteHost, err)
-	}
-	f := &remoteFile{RemoteFile: rf, name: path, fm: m, marker: mapping.WaitClose && writing, markerPath: rp + DoneSuffix, client: c}
-	if cache := m.cfg.BlockCache; cache != nil {
-		ck := cacheKeyRemote(mapping, rp)
-		if writing {
-			// A writer handle bypasses the cache but must not leave stale
-			// blocks behind for concurrent reader handles.
-			cache.Invalidate(ck)
-		} else {
-			f.cr = newCachedReader(rf, cache, func() string { return ck })
-			if w := m.cfg.PrefetchWindow; w > 0 {
-				fetch := func(off, length int64) ([]byte, error) {
-					var buf bytes.Buffer
-					if _, err := c.Fetch(rp, off, length, &buf); err != nil {
-						return nil, err
-					}
-					return buf.Bytes(), nil
-				}
-				f.cr.pf = newPrefetcher(m.cfg.Clock, m.obs, cache, f.cr.key, fetch, w)
-			}
-		}
-	}
-	return f, nil
 }
 
 // cacheKeyRemote is the block-cache identity of a mode-3 file: remote
@@ -620,84 +453,6 @@ func (m *Multiplexer) chooseReplica(mapping gns.Mapping, path string) (replica.L
 	}
 	m.stats.replicaChosen(loc.Host)
 	return loc, nil
-}
-
-// openReplicaRemote binds mechanism 4, with optional mid-read re-binding.
-// With the retry policy enabled, an unreachable best replica is not fatal at
-// open time either: the ranked runners-up are tried in order.
-func (m *Multiplexer) openReplicaRemote(path string, mapping gns.Mapping, writing bool) (File, error) {
-	if writing {
-		return nil, fmt.Errorf("core: %s: replicated files are read-only", path)
-	}
-	loc, err := m.chooseReplica(mapping, path)
-	if err != nil {
-		return nil, err
-	}
-	f := &replicaFile{
-		fm: m, name: path, mapping: mapping,
-		failed:    make(map[string]bool),
-		lastCheck: m.cfg.Clock.Now(),
-	}
-	rf, err := m.client(loc.Addr).Open(loc.Path, os.O_RDONLY)
-	if err != nil {
-		if !m.cfg.Retry.Enabled() {
-			return nil, err
-		}
-		f.failed[loc.Host] = true
-		f.setLocation(loc)
-		if ferr := f.failover(err); ferr != nil {
-			return nil, ferr
-		}
-		return f, nil
-	}
-	f.cur = rf
-	f.setLocation(loc)
-	if cache := m.cfg.BlockCache; cache != nil {
-		ck := cacheKeyReplica(mapping, path)
-		f.cr = newCachedReader(rawReplica{f}, cache, func() string { return ck })
-		if w := m.cfg.PrefetchWindow; w > 0 {
-			// Prefetch fetches go to whichever replica the file is currently
-			// bound to; after a failover the rearmed pipeline follows it.
-			fetch := func(off, length int64) ([]byte, error) {
-				cur := f.location()
-				var buf bytes.Buffer
-				if _, err := m.client(cur.Addr).Fetch(cur.Path, off, length, &buf); err != nil {
-					return nil, err
-				}
-				return buf.Bytes(), nil
-			}
-			f.cr.pf = newPrefetcher(m.cfg.Clock, m.obs, cache, f.cr.key, fetch, w)
-		}
-	}
-	return f, nil
-}
-
-// openReplicaCopy binds mechanism 5: find replica, copy it local, read
-// locally. With the retry policy enabled, a replica whose copy-in fails is
-// skipped and the ranked runners-up are tried in order.
-func (m *Multiplexer) openReplicaCopy(path string, mapping gns.Mapping, flag int, perm os.FileMode, writing bool) (File, error) {
-	if writing {
-		return nil, fmt.Errorf("core: %s: replicated files are read-only", path)
-	}
-	lp := localPath(mapping, path)
-	n, err := m.stageInReplica(mapping, path, lp)
-	if err != nil {
-		return nil, err
-	}
-	m.stats.stagedIn(n)
-	f, err := m.cfg.FS.OpenFile(lp, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	lf := &localFile{File: f, name: path, fm: m}
-	if cache := m.cfg.BlockCache; cache != nil {
-		// The staged copy is bytewise the replica, so it shares the replica
-		// cache identity: a re-read after a fresh stage-in of the same
-		// generation hits blocks cached by an earlier open.
-		ck := cacheKeyReplica(mapping, path)
-		lf.cr = newCachedReader(f, cache, func() string { return ck })
-	}
-	return lf, nil
 }
 
 // stageInReplica stages the replicated file behind path into lp: striped
@@ -758,53 +513,6 @@ func (m *Multiplexer) copyInFailover(mapping gns.Mapping, path, lp string, faile
 		return n, nil
 	}
 	return 0, fmt.Errorf("all replicas failed: %w", cause)
-}
-
-// openBuffer binds mechanism 6: direct writer/reader coupling.
-func (m *Multiplexer) openBuffer(path string, mapping gns.Mapping, writing bool, flag int) (File, error) {
-	if flag&os.O_RDWR != 0 {
-		return nil, fmt.Errorf("core: %s: grid buffers are unidirectional (open read-only or write-only)", path)
-	}
-	key := mapping.BufferKey
-	if key == "" {
-		key = path
-	}
-	opts := gridbuffer.Options{
-		BlockSize: mapping.EffectiveBlockSize(),
-		Cache:     mapping.CacheEnabled,
-		CachePath: mapping.CachePath,
-		Readers:   mapping.Readers,
-		Shards:    m.cfg.BufferShards,
-	}
-	if m.cfg.BufferTransport == "soap" {
-		if writing {
-			w, err := soap.NewBufferWriter(m.cfg.Clock, m.cfg.Dialer, mapping.BufferHost, key, opts)
-			if err != nil {
-				return nil, err
-			}
-			return &soapWriterFile{w: w, name: path, fm: m}, nil
-		}
-		r, err := soap.NewBufferReader(m.cfg.Clock, m.cfg.Dialer, mapping.BufferHost, key, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &soapReaderFile{r: r, name: path, fm: m}, nil
-	}
-	codec := m.codecFor(mapping.BufferHost)
-	if writing {
-		w, err := gridbuffer.NewWriter(m.cfg.Dialer, mapping.BufferHost, m.cfg.Clock, key, opts,
-			gridbuffer.WriterOptions{Window: m.cfg.WriterWindow, ConnPerCall: m.cfg.BufferConnPerCall, Retry: m.cfg.Retry, Codec: codec})
-		if err != nil {
-			return nil, err
-		}
-		return &bufferWriterFile{w: w, name: path, fm: m}, nil
-	}
-	r, err := gridbuffer.NewReader(m.cfg.Dialer, mapping.BufferHost, m.cfg.Clock, key, opts,
-		gridbuffer.ReaderOptions{Depth: m.cfg.ReaderDepth, Retry: m.cfg.Retry, Codec: codec})
-	if err != nil {
-		return nil, err
-	}
-	return &bufferReaderFile{r: r, name: path, fm: m}, nil
 }
 
 // emptyReader is an immediately-EOF reader for marker uploads.

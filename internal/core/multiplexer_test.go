@@ -444,7 +444,7 @@ func TestReplicaRemoteDynamicRemap(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		rf := r.(*replicaFile)
+		rf := boundReplica(r)
 		if rf.Location().Host != "bouscat" {
 			t.Fatalf("initial binding = %s", rf.Location().Host)
 		}

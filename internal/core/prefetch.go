@@ -28,7 +28,7 @@ const DefaultPrefetchWindow = 4
 type prefetcher struct {
 	clock  simclock.Clock
 	cache  *BlockCache
-	key    func() string
+	key    string
 	fetch  func(off, length int64) ([]byte, error)
 	window int
 	bs     int64
@@ -54,7 +54,7 @@ type prefetcher struct {
 	seeks    int   // jump transitions; seek-heavy handles disable prefetch
 }
 
-func newPrefetcher(clock simclock.Clock, o *obs.Observer, cache *BlockCache, key func() string,
+func newPrefetcher(clock simclock.Clock, o *obs.Observer, cache *BlockCache, key string,
 	fetch func(off, length int64) ([]byte, error), window int) *prefetcher {
 	p := &prefetcher{
 		clock: clock, cache: cache, key: key, fetch: fetch, window: window,
@@ -136,7 +136,7 @@ func (p *prefetcher) worker() {
 
 // fill fetches block idx into the cache over a dedicated ranged fetch.
 func (p *prefetcher) fill(idx int64) {
-	if p.cache.Contains(p.key(), idx) {
+	if p.cache.Contains(p.key, idx) {
 		return
 	}
 	p.issued.Inc()
@@ -151,7 +151,7 @@ func (p *prefetcher) fill(idx int64) {
 		return
 	}
 	if len(data) > 0 {
-		p.cache.Put(p.key(), idx, data)
+		p.cache.Put(p.key, idx, data)
 		p.bytes.Add(int64(len(data)))
 	}
 	if int64(len(data)) < p.bs {

@@ -17,26 +17,3 @@ type Prestager interface {
 	// failed eager copy left behind.
 	Claim(machine, path string, mapping gns.Mapping) (int64, bool)
 }
-
-// notifyFile wraps a written handle so Config.CloseNotify fires once the
-// close has fully settled — after stage-out and completion markers, since
-// the wrapper is applied outside every mechanism-specific handle. Eager
-// consumers may therefore copy the file the moment the notification
-// arrives.
-type notifyFile struct {
-	File
-	path   string
-	notify func(path string)
-	fired  bool
-}
-
-// Close closes the underlying handle and, on success, fires the
-// notification exactly once.
-func (f *notifyFile) Close() error {
-	err := f.File.Close()
-	if err == nil && !f.fired {
-		f.fired = true
-		f.notify(f.path)
-	}
-	return err
-}
