@@ -12,6 +12,7 @@ package rpc_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -32,10 +33,12 @@ import (
 	"griddles/internal/nws"
 	"griddles/internal/objstore"
 	"griddles/internal/replica"
+	"griddles/internal/retry"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 	"griddles/internal/vfs"
 	"griddles/internal/wire"
+	"griddles/internal/xdr"
 )
 
 var updateTranscripts = flag.Bool("update-transcripts", false, "rewrite testdata/transcripts from this run")
@@ -249,6 +252,21 @@ func pattern(n int) []byte {
 	return b
 }
 
+// resumePolicy lets a script's bulk stream survive one injected reset.
+func (s *script) resumePolicy() retry.Policy {
+	return retry.Policy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, AttemptTimeout: 500 * time.Millisecond, Clock: s.v}
+}
+
+// resetBody sizes the reset-mid-stream steps: a body of resetBody bytes whose
+// server-to-client stream is cut at resetAt. simnet discards what is in flight
+// at a reset (at most its 32 KiB window), so the client has taken between
+// resetAt-32 KiB and resetAt bytes off the wire: exactly one whole 64 KiB data
+// frame, and the resumed request asks for offset 65536 on every run.
+const (
+	resetBody = 100_000
+	resetAt   = 99_000
+)
+
 func TestWireTranscripts(t *testing.T) {
 	protocols := []struct {
 		name string
@@ -409,6 +427,49 @@ func scriptGridFTP(s *script) {
 	if err == nil || !strings.HasPrefix(err.Error(), "gridftp: ") {
 		s.t.Fatalf("fetch missing: err = %v, want a gridftp server error", err)
 	}
+
+	// The data channel under a negotiated codec: the capability frame ahead
+	// of a download request and ahead of an upload, without and with a
+	// columnar record schema.
+	zc := gridftp.NewClient(s.dialer, "srv:6000", s.v)
+	defer zc.Close()
+	zc.SetCodec(wire.CodecLZB)
+	schema := xdr.Schema{Fields: []xdr.Field{{Name: "t", Kind: xdr.KindInt64}, {Name: "station", Kind: xdr.KindUint32}}}
+	records := make([]byte, 0, 500*schema.Size())
+	for i := 0; i < 500; i++ {
+		records = binary.LittleEndian.AppendUint64(records, uint64(1_700_000_000+i*60))
+		records = binary.LittleEndian.AppendUint32(records, uint32(i%13))
+	}
+	if err := zc.RegisterSchema("rec.bin", schema, binary.LittleEndian); err != nil {
+		s.t.Fatalf("register schema: %v", err)
+	}
+	s.step("lzb-fetch")
+	got.Reset()
+	if n, err := zc.Fetch("in.bin", 0, -1, &got); err != nil || n != 10000 {
+		s.t.Fatalf("lzb fetch = %d, %v", n, err)
+	}
+	s.step("lzb-put-columnar")
+	if n, err := zc.Put("rec.bin", bytes.NewReader(records)); err != nil || n != int64(len(records)) {
+		s.t.Fatalf("lzb columnar put = %d, %v", n, err)
+	}
+	s.step("lzb-fetch-columnar")
+	got.Reset()
+	if n, err := zc.Fetch("rec.bin", 0, -1, &got); err != nil || n != int64(len(records)) || !bytes.Equal(got.Bytes(), records) {
+		s.t.Fatalf("lzb columnar fetch = %d, %v", n, err)
+	}
+
+	// A stream cut mid-transfer resumes on a fresh connection at the first
+	// byte the sink has not seen.
+	vfs.WriteFile(fs, "big.bin", pattern(resetBody))
+	rc := gridftp.NewClient(s.dialer, "srv:6000", s.v)
+	defer rc.Close()
+	rc.SetRetry(s.resumePolicy())
+	s.step("reset-resume")
+	s.net.FailAfter("srv", "app", resetAt)
+	got.Reset()
+	if n, err := rc.Fetch("big.bin", 0, -1, &got); err != nil || n != resetBody || !bytes.Equal(got.Bytes(), pattern(resetBody)) {
+		s.t.Fatalf("fetch across a reset = %d, %v", n, err)
+	}
 }
 
 func scriptObjstore(s *script) {
@@ -450,6 +511,34 @@ func scriptObjstore(s *script) {
 	_, _, err = c.Get("missing", 0, -1, io.Discard)
 	if err == nil || !strings.HasPrefix(err.Error(), "objstore: ") {
 		s.t.Fatalf("get missing: err = %v, want an objstore server error", err)
+	}
+
+	// The data channel under a negotiated codec: the capability frame
+	// pipelined ahead of a GET, and answered before a PUT begins.
+	zc := objstore.NewClient(s.dialer, "srv:7000", s.v)
+	defer zc.Close()
+	zc.SetCodec(wire.CodecLZB)
+	s.step("lzb-get")
+	got.Reset()
+	if n, _, err := zc.Get("in", 100, 9000, &got); err != nil || n != 9000 || !bytes.Equal(got.Bytes(), pattern(10000)[100:9100]) {
+		s.t.Fatalf("lzb get = %d, %v", n, err)
+	}
+	s.step("lzb-put")
+	if n, err := zc.Put("zout", bytes.NewReader(pattern(9000))); err != nil || n != 9000 {
+		s.t.Fatalf("lzb put = %d, %v", n, err)
+	}
+
+	// A stream cut mid-transfer resumes on a fresh connection at the first
+	// byte the sink has not seen.
+	store.Put("big", pattern(resetBody))
+	rc := objstore.NewClient(s.dialer, "srv:7000", s.v)
+	defer rc.Close()
+	rc.SetRetry(s.resumePolicy())
+	s.step("reset-resume")
+	s.net.FailAfter("srv", "app", resetAt)
+	got.Reset()
+	if n, _, err := rc.Get("big", 0, -1, &got); err != nil || n != resetBody || !bytes.Equal(got.Bytes(), pattern(resetBody)) {
+		s.t.Fatalf("get across a reset = %d, %v", n, err)
 	}
 }
 
@@ -574,4 +663,37 @@ func scriptGridBuffer(s *script) {
 	s.step("percall-error")
 	_, err = perCall().Write(pattern(4096))
 	s.wantServerError("conn-per-call put refused", err, "gridbuffer: block refused")
+
+	// A codec rides the attach exchange; only block payloads change. A second
+	// service without admission, so writer and reader attach side by side.
+	zsrv := gridbuffer.NewServer(gridbuffer.NewRegistry(s.v, nil), s.v)
+	zl := s.listen("srv:9002")
+	s.v.Go("gridbuffer-lzb-serve", func() { zsrv.Serve(zl) })
+	s.step("lzb-attach")
+	zw, err := gridbuffer.NewWriter(s.dialer, "srv:9002", s.v, "zpipe", opts, gridbuffer.WriterOptions{Codec: wire.CodecLZB})
+	if err != nil {
+		s.t.Fatalf("attach lzb writer: %v", err)
+	}
+	s.step("lzb-put")
+	if _, err := zw.Write(pattern(2 * 4096)); err != nil {
+		s.t.Fatalf("lzb write: %v", err)
+	}
+	if err := zw.Close(); err != nil {
+		s.t.Fatalf("close lzb writer: %v", err)
+	}
+	s.step("lzb-get")
+	zr, err := gridbuffer.NewReader(s.dialer, "srv:9002", s.v, "zpipe", opts, gridbuffer.ReaderOptions{Codec: wire.CodecLZB})
+	if err != nil {
+		s.t.Fatalf("attach lzb reader: %v", err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil || !bytes.Equal(body, pattern(2*4096)) {
+		s.t.Fatalf("lzb read = %d bytes, %v", len(body), err)
+	}
+	if err := zr.Close(); err != nil {
+		s.t.Fatalf("close lzb reader: %v", err)
+	}
+	// A reader's parting detach is not waited for; give the server the time
+	// to answer it, so the answer is on the tape every run.
+	s.v.Sleep(10 * time.Millisecond)
 }
