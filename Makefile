@@ -17,7 +17,7 @@ COVER_FLOOR_RPC        ?= 90.0
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr16.json
+BENCH_OUT ?= BENCH_pr17.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
@@ -43,13 +43,25 @@ vet:
 ## one-substrate: the connection shell lives in internal/rpc and nowhere
 ## else. Fails when a non-test .go file outside internal/rpc (and the two
 ## network implementations, and gridlab) accepts connections, decodes a shed
-## reply or builds an accept backoff itself, or declares its own Dialer.
+## reply or builds an accept backoff itself, or declares its own Dialer; when
+## a non-test file of internal/gridftp or internal/objstore arms a deadline,
+## runs a frame-receive loop or buffers a connection itself (the data channel
+## is rpc.Stream); or when a private stream-codec state reappears anywhere.
 one-substrate:
 	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
 		'\.Accept\(\)|admit\.DecodeShed|admit\.NewAcceptBackoff|type Dialer interface' . \
 		| grep -vE '^\./(internal/(rpc|simnet|realnet)|gridlab)/'); \
 	if [ -n "$$out" ]; then \
 		echo "connection shell outside internal/rpc:"; echo "$$out"; exit 1; \
+	fi; \
+	out=$$(grep -nE '\.SetDeadline\(|wire\.ReadFrameInto\(|bufio\.New(Reader|Writer)\(' \
+		$$(ls internal/gridftp/*.go internal/objstore/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$out" ]; then \
+		echo "data channel outside internal/rpc:"; echo "$$out"; exit 1; \
+	fi; \
+	out=$$(grep -rnE --include='*.go' 'type (streamCodec|connCodec|codecState) struct' .); \
+	if [ -n "$$out" ]; then \
+		echo "private stream-codec state (use rpc.StreamCodec):"; echo "$$out"; exit 1; \
 	fi
 
 ## one-handle: internal/core has one File handle (handle.go) and every
@@ -103,7 +115,6 @@ fuzz:
 		internal/wire:FuzzFrameRoundTrip \
 		internal/wire:FuzzReadFrame \
 		internal/wire:FuzzDecoderSticky \
-		internal/gridbuffer:FuzzDecodePutBatch \
 		internal/gridbuffer:FuzzDecodeGetWin \
 		internal/gridbuffer:FuzzDecodeOptions \
 		internal/wire:FuzzCodecRoundTrip \
@@ -114,6 +125,7 @@ fuzz:
 		internal/objstore:FuzzDecodeListResp \
 		internal/objstore:FuzzDecodeStreamHeaders \
 		internal/admit:FuzzDecodeShed \
+		internal/rpc:FuzzRecvStream \
 		internal/workflow:FuzzJournalDecode \
 		internal/workflow:FuzzJournalRoundTrip \
 		internal/gns:FuzzShardLeaseWire ; do \

@@ -1021,6 +1021,88 @@ func BenchmarkLayerFMOpenReadClose(b *testing.B) {
 	}
 }
 
+// dialCountingDialer counts the connections a client opens besides the
+// socket writes made on them.
+type dialCountingDialer struct {
+	countedTCPDialer
+	dials *atomic.Int64
+}
+
+func (d dialCountingDialer) Dial(addr string) (net.Conn, error) {
+	d.dials.Add(1)
+	return d.countedTCPDialer.Dial(addr)
+}
+
+// BenchmarkLayerBulkStreamLoopback is the fifth Layer/* entry: the bulk data
+// channel alone — one whole-file download and one upload per service through
+// the exported client against an in-process server, no FM, no GNS — over real
+// loopback TCP on the wall clock, 1 MiB per op. Besides MB/s it reports what
+// setting a stream up costs: allocs/op (both ends), dials/op, and connwrites/MB,
+// every socket write at both endpoints per MiB of payload. It uses only
+// exported API, so the same file runs against any commit.
+func BenchmarkLayerBulkStreamLoopback(b *testing.B) {
+	const total = 1 << 20
+	clock := simclock.Real{}
+	body := make([]byte, total)
+	for i := range body {
+		body[i] = byte(i % 251)
+	}
+	var writes writeCounter
+	var dials atomic.Int64
+	dialer := dialCountingDialer{countedTCPDialer{&writes}, &dials}
+	serve := func(run func(net.Listener)) string {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { l.Close() })
+		go run(countedListener{l, &writes})
+		return l.Addr().String()
+	}
+
+	fs := vfs.NewMemFS()
+	if err := vfs.WriteFile(fs, "layer.dat", body); err != nil {
+		b.Fatal(err)
+	}
+	ftp := gridftp.NewClient(dialer, serve(gridftp.NewServer(fs, clock).Serve), clock)
+	defer ftp.Close()
+	objects := objstore.NewStore()
+	objects.PutBytes("layer.dat", body)
+	obj := objstore.NewClient(dialer, serve(objstore.NewServer(objects, clock).Serve), clock)
+	defer obj.Close()
+
+	src := bytes.NewReader(nil)
+	arms := []struct {
+		name string
+		op   func() (int64, error)
+	}{
+		{"gridftp/get", func() (int64, error) { return ftp.Fetch("layer.dat", 0, -1, io.Discard) }},
+		{"gridftp/put", func() (int64, error) { src.Reset(body); return ftp.Put("up.dat", src) }},
+		{"objstore/get", func() (int64, error) { n, _, err := obj.Get("layer.dat", 0, -1, io.Discard); return n, err }},
+		{"objstore/put", func() (int64, error) { src.Reset(body); return obj.Put("up.dat", src) }},
+	}
+	for _, arm := range arms {
+		op := func(b *testing.B) {
+			if n, err := arm.op(); err != nil || n != total {
+				b.Fatalf("moved %d bytes, %v", n, err)
+			}
+		}
+		b.Run(arm.name, func(b *testing.B) {
+			op(b) // warm the pools and the upload target outside the timed region
+			writes.n.Store(0)
+			dials.Store(0)
+			b.SetBytes(total)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(b)
+			}
+			b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
+			b.ReportMetric(float64(writes.n.Load())/float64(b.N)/(total>>20), "connwrites/MB")
+		})
+	}
+}
+
 // BenchmarkFMReReadCache prices the FM block cache on a remote re-read: a
 // mode-3 consumer reads a 2 MiB file twice over the monash<->vpac-shaped
 // link, cache off versus on. With the cache the second pass is memory-only.

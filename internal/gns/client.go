@@ -1,7 +1,6 @@
 package gns
 
 import (
-	"bufio"
 	"fmt"
 	"sync"
 	"time"
@@ -384,26 +383,21 @@ func (c *Client) Watch(machine, path string, since uint64, timeoutMS int64) (Map
 }
 
 func (c *Client) watchOnce(addr, machine, path string, since uint64, timeoutMS int64) (Mapping, bool, error) {
-	conn, err := c.dialer.Dial(addr)
-	if err != nil {
-		return Mapping{}, false, fmt.Errorf("gns: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if t := c.rc.Retry.Timeout(); t > 0 {
+	idle := c.rc.Retry.Timeout()
+	if idle > 0 {
 		// The server may legitimately hold the watch for timeoutMS before
 		// answering "unchanged"; the fault deadline starts after that.
-		conn.SetDeadline(c.clock.Now().Add(t + time.Duration(timeoutMS)*time.Millisecond))
+		idle += time.Duration(timeoutMS) * time.Millisecond
 	}
-	e := wire.NewEncoder()
-	e.String(machine).String(path).U64(since).I64(timeoutMS)
-	if err := wire.WriteFrame(conn, msgWatch, e.Bytes()); err != nil {
-		return Mapping{}, false, err
-	}
-	typ, resp, err := wire.ReadFrame(bufio.NewReader(conn))
+	s, err := rpc.Open("gns", c.dialer, addr, c.clock, idle)
 	if err != nil {
 		return Mapping{}, false, err
 	}
-	if err := rpc.Reply("gns", typ, resp); err != nil {
+	defer s.Close()
+	e := wire.NewEncoder()
+	e.String(machine).String(path).U64(since).I64(timeoutMS)
+	typ, resp, err := s.Call(msgWatch, e.Bytes())
+	if err != nil {
 		return Mapping{}, false, err
 	}
 	if err := routingReply(typ, resp); err != nil {

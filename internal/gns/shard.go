@@ -1,13 +1,13 @@
 package gns
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
 	"griddles/internal/obs"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
@@ -429,21 +429,14 @@ func (r *shardRun) stepDownTo(term uint64, leader string) {
 // call performs one replication RPC on a fresh connection. The deadline
 // bounds the exchange so a blackholed peer cannot park the timer loop.
 func (r *shardRun) call(peer string, typ uint8, payload []byte) (replAck, error) {
-	conn, err := r.cfg.Dialer.Dial(peer)
+	s, err := rpc.Open("gns", r.cfg.Dialer, peer, r.srv.clock, 3*r.cfg.Heartbeat)
 	if err != nil {
 		return replAck{}, err
 	}
-	defer conn.Close()
-	conn.SetDeadline(r.srv.clock.Now().Add(3 * r.cfg.Heartbeat))
-	if err := wire.WriteFrame(conn, typ, payload); err != nil {
-		return replAck{}, err
-	}
-	rtyp, resp, err := wire.ReadFrame(bufio.NewReader(conn))
+	defer s.Close()
+	_, resp, err := s.Call(typ, payload, msgReplAppendResp, msgReplSnapResp)
 	if err != nil {
 		return replAck{}, err
-	}
-	if rtyp != msgReplAppendResp && rtyp != msgReplSnapResp {
-		return replAck{}, fmt.Errorf("gns: unexpected repl reply type %d", rtyp)
 	}
 	return decodeReplAck(resp)
 }

@@ -87,7 +87,7 @@ type Writer struct {
 	wmu   *simclock.Mutex
 	conn  net.Conn
 	fw    *frameWriter
-	cs    *codecState
+	cs    *rpc.StreamCodec
 	hdr   wire.Encoder // PUT header scratch
 	wrote int64        // index after the last block queued on this connection
 
@@ -136,12 +136,25 @@ type link struct {
 	fw        *frameWriter
 	readerID  int
 	blockSize int
-	codec     string // what the server settled on; "" against an old server
+	cs        *rpc.StreamCodec // what the server settled on; raw against an old server
 }
+
+// Block-codec negotiation rides the Attach exchange: a client that wants a
+// compressed stream appends the codec name after the attach fields every
+// peer sends (old servers ignore trailing bytes), and a new server appends its
+// choice to the attach response (old clients ignore it likewise; new
+// clients treat a response without the field as an old server and stay
+// raw). A client configured raw appends nothing, so the default wire bytes
+// are identical to the pre-codec protocol. Only block payloads are
+// transformed — framing, indices and acknowledgements stay raw — with the
+// same rpc.StreamCodec the bulk streams use, without a schema.
+//
+// Connection-per-call mode (the paper's 2004 SOAP discipline) never
+// negotiates: its data connections skip the Attach exchange entirely.
 
 // attach dials addr and performs one Attach handshake. prev is the reader ID
 // a reconnecting reader resumes (-1 for writers and first attaches); codec,
-// if non-raw, is proposed for the stream (see codec.go); dl, if non-zero,
+// if non-raw, is proposed for the stream; dl, if non-zero,
 // bounds the whole handshake.
 func attach(dialer Dialer, addr string, key string, role uint8, opts Options, prev int, codec string, dl time.Time, hist *obs.Histogram) (*link, error) {
 	conn, err := dialer.Dial(addr)
@@ -188,12 +201,18 @@ func handshake(conn net.Conn, key string, role uint8, opts Options, prev int, co
 	l.blockSize = int(d.U32())
 	// A codec-capable server echoes its choice; an old server's response
 	// ends at blockSize, which means the stream is raw.
+	chosen := ""
 	if d.Err() == nil && d.Remaining() > 0 {
-		l.codec = d.String()
+		chosen = d.String()
 	}
 	if err := d.Err(); err != nil {
 		return nil, retry.Permanent(err)
 	}
+	block, err := wire.ForName(chosen)
+	if err != nil {
+		return nil, retry.Permanent(fmt.Errorf("gridbuffer: server chose %w", err))
+	}
+	l.cs = &rpc.StreamCodec{Block: block}
 	if l.blockSize <= 0 {
 		return nil, retry.Permanent(fmt.Errorf("gridbuffer: server negotiated block size %d", l.blockSize))
 	}
@@ -201,16 +220,6 @@ func handshake(conn net.Conn, key string, role uint8, opts Options, prev int, co
 		conn.SetDeadline(time.Time{})
 	}
 	return l, nil
-}
-
-// newCodecState turns the server's negotiated codec name into a
-// connection's codec state (inactive for ""/"raw").
-func newCodecState(chosen string) (*codecState, error) {
-	codec, err := wire.ForName(chosen)
-	if err != nil {
-		return nil, retry.Permanent(fmt.Errorf("gridbuffer: server chose %w", err))
-	}
-	return &codecState{codec: codec}, nil
 }
 
 // flushHistogram is where a client endpoint records frames per socket
@@ -238,11 +247,6 @@ func NewWriter(dialer Dialer, addr string, clock simclock.Clock, key string, opt
 	if err != nil {
 		return nil, err
 	}
-	cs, err := newCodecState(l.codec)
-	if err != nil {
-		l.conn.Close()
-		return nil, err
-	}
 	win := int64(inFlightBlocks(wopts.Window, DefaultWriterWindowBytes, l.blockSize))
 	w := &Writer{
 		clock:       clock,
@@ -266,7 +270,7 @@ func NewWriter(dialer Dialer, addr string, clock simclock.Clock, key string, opt
 		l.conn.Close()
 		return w, nil
 	}
-	w.conn, w.fw, w.cs = l.conn, l.fw, cs
+	w.conn, w.fw, w.cs = l.conn, l.fw, l.cs
 	w.spawnAckLoop(l.br)
 	return w, nil
 }
@@ -288,26 +292,17 @@ func (w *Writer) spawnAckLoop(br *bufio.Reader) {
 // with the actual link rather than a constant.
 func (w *Writer) oneCall(reqType uint8, payload []byte) error {
 	t0 := w.clock.Now()
-	conn, err := w.dialer.Dial(w.addr)
+	s, err := rpc.Open("gridbuffer", w.dialer, w.addr, w.clock, w.retry.Timeout())
 	if err != nil {
-		return fmt.Errorf("gridbuffer: dial %s: %w", w.addr, err)
+		return err
 	}
 	setup := w.clock.Now().Sub(t0)
 	defer func() {
-		conn.Close()
+		s.Close()
 		w.clock.Sleep(setup)
 	}()
-	if dl := w.retry.Deadline(); !dl.IsZero() {
-		conn.SetDeadline(dl)
-	}
-	if err := wire.WriteFrame(conn, reqType, payload); err != nil {
-		return err
-	}
-	typ, resp, err := wire.ReadFrame(bufio.NewReader(conn))
-	if err != nil {
-		return err
-	}
-	return rpc.Reply("gridbuffer", typ, resp)
+	_, _, err = s.Call(reqType, payload)
+	return err
 }
 
 // ackLoop consumes Put acknowledgements, releasing window permits. One loop
@@ -559,7 +554,10 @@ func (w *Writer) queue(blk wblock) error {
 // frame is byte-identical to the historical one-block PUT.
 func (w *Writer) putLocked(blk wblock) error {
 	w.armWriteDeadline()
-	data := w.cs.enc(blk.data)
+	data, err := w.cs.Encode(blk.data)
+	if err != nil {
+		return err
+	}
 	w.hdr.Reset()
 	w.hdr.String(w.key).I64(blk.idx).U32(uint32(len(data)))
 	if err := w.fw.frame(msgPut, w.hdr.Bytes(), data); err != nil {
@@ -607,19 +605,14 @@ func (w *Writer) reconnect() error {
 	if err != nil {
 		return err
 	}
-	// The replacement connection renegotiates from scratch — a failover to
-	// an older server build downgrades the stream to raw mid-flight.
-	cs, err := newCodecState(l.codec)
-	if err != nil {
-		l.conn.Close()
-		return err
-	}
 	w.mu.Lock()
 	w.gen++
 	w.broken = false
 	replay := append([]wblock(nil), w.unacked...)
 	w.mu.Unlock()
-	w.conn, w.fw, w.cs = l.conn, l.fw, cs
+	// The replacement connection renegotiated from scratch — a failover to
+	// an older server build downgrades the stream to raw mid-flight.
+	w.conn, w.fw, w.cs = l.conn, l.fw, l.cs
 	for _, blk := range replay {
 		if err := w.putLocked(blk); err != nil {
 			return err
@@ -729,7 +722,7 @@ type Reader struct {
 	broken    bool
 
 	codecName string
-	cs        *codecState
+	cs        *rpc.StreamCodec
 	frameBuf  []byte
 
 	inflight []int64 // block indices with pending responses, in order
@@ -769,18 +762,13 @@ func NewReader(dialer Dialer, addr string, clock simclock.Clock, key string, opt
 	if err != nil {
 		return nil, err
 	}
-	cs, err := newCodecState(l.codec)
-	if err != nil {
-		l.conn.Close()
-		return nil, err
-	}
 	return &Reader{
 		clock: clock, conn: l.conn, br: l.br, fw: l.fw,
 		key: key, blockSize: l.blockSize, readerID: l.readerID,
 		depth: inFlightBlocks(ropts.Depth, DefaultReaderDepthBytes, l.blockSize),
 		retry: ropts.Retry, flushHist: hist,
 		dialer: dialer, addr: addr, opts: opts,
-		codecName: ropts.Codec, cs: cs,
+		codecName: ropts.Codec, cs: l.cs,
 		total: -1,
 	}, nil
 }
@@ -807,13 +795,7 @@ func (r *Reader) reconnect() error {
 	if err != nil {
 		return err
 	}
-	cs, err := newCodecState(l.codec)
-	if err != nil {
-		l.conn.Close()
-		return err
-	}
-	r.conn, r.br, r.fw = l.conn, l.br, l.fw
-	r.cs = cs
+	r.conn, r.br, r.fw, r.cs = l.conn, l.br, l.fw, l.cs
 	r.readerID = l.readerID
 	r.inflight = nil
 	r.broken = false
@@ -869,7 +851,7 @@ func (r *Reader) recvOne() (idx int64, data []byte, eof bool, err error) {
 		if err := d.Err(); err != nil {
 			return idx, nil, false, err
 		}
-		block, derr := r.cs.dec(raw)
+		block, derr := r.cs.Decode(raw)
 		if derr != nil {
 			return idx, nil, false, retry.Permanent(derr)
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 	"griddles/internal/vfs"
@@ -34,7 +35,7 @@ func TestWritePutFrameMatchesEncoder(t *testing.T) {
 		}
 	}
 	conn := &countingConn{}
-	w := &Writer{key: "k", conn: conn, fw: newFrameWriter(conn, flushHistogram(retry.Policy{}, "writer")), cs: &codecState{}}
+	w := &Writer{key: "k", conn: conn, fw: newFrameWriter(conn, flushHistogram(retry.Policy{}, "writer")), cs: &rpc.StreamCodec{}}
 	for _, blk := range blocks {
 		if err := w.putLocked(blk); err != nil {
 			t.Fatal(err)
@@ -276,7 +277,7 @@ func TestCodecOldServerStaysRaw(t *testing.T) {
 		if err != nil {
 			t.Fatalf("writer attach against old server: %v", err)
 		}
-		if w.cs.active() {
+		if w.cs.Block != nil {
 			t.Fatal("writer negotiated a codec against a pre-codec server")
 		}
 		if _, err := w.Write(want); err != nil {

@@ -31,16 +31,15 @@ const (
 	msgDetachResp     = 10
 	msgDrop           = 11
 	msgDropResp       = 12
-	// Pipelined extensions: a PUT-BATCH carries several blocks in one frame
-	// and is acknowledged once (old peers only: current writers send plain
-	// PUTs and coalesce them in the connection buffer); a windowed GET asks
-	// for a run of blocks and receives one response frame per block, so a
-	// reader keeps N requests outstanding without N frames.
-	msgPutBatch     = 13
-	msgPutBatchResp = 14
-	msgGetWin       = 15
-	msgGetWinResp   = 16
-	msgError        = rpc.MsgError
+	// 13 and 14 are reserved: they were PUT-BATCH and its acknowledgement,
+	// which no writer has sent since plain PUTs coalesce in the connection
+	// buffer. The server answers them like any unknown type.
+	//
+	// A windowed GET asks for a run of blocks and receives one response frame
+	// per block, so a reader keeps N requests outstanding without N frames.
+	msgGetWin     = 15
+	msgGetWinResp = 16
+	msgError      = rpc.MsgError
 )
 
 // Roles in an Attach request.
@@ -204,7 +203,7 @@ func (s *Server) Serve(l net.Listener) {
 // connState is what a connection remembers between frames.
 type connState struct {
 	fw *frameWriter
-	cs codecState
+	cs rpc.StreamCodec
 	// key and buf are what this connection's Attach resolved. Requests for
 	// key use buf rather than looking the key up again, so a request still
 	// in flight when the buffer is dropped (a reader's parting Detach) can
@@ -303,38 +302,9 @@ func encodeOptions(e *wire.Encoder, o Options) {
 	e.U32(uint32(o.Shards))
 }
 
-// putBatchReq is a decoded PUT-BATCH frame.
-type putBatchReq struct {
-	key    string
-	blocks []wblock
-}
-
-// maxBatchBlocks bounds the per-frame block count a decoder will accept,
-// protecting the server from a hostile count field (the frame size itself
-// is already bounded by wire.MaxFrame).
-const maxBatchBlocks = 4096
-
-func decodePutBatch(d *wire.Decoder) (putBatchReq, error) {
-	var r putBatchReq
-	r.key = d.String()
-	n := d.U32()
-	if err := d.Err(); err != nil {
-		return r, err
-	}
-	if n > maxBatchBlocks {
-		return r, fmt.Errorf("gridbuffer: put-batch of %d blocks exceeds limit %d", n, maxBatchBlocks)
-	}
-	r.blocks = make([]wblock, 0, n)
-	for i := uint32(0); i < n; i++ {
-		idx := d.I64()
-		data := d.Bytes32()
-		if err := d.Err(); err != nil {
-			return r, err
-		}
-		r.blocks = append(r.blocks, wblock{idx: idx, data: data})
-	}
-	return r, d.Err()
-}
+// maxWindowBlocks bounds the block count a windowed GET may ask for,
+// protecting the server from a hostile count field.
+const maxWindowBlocks = 4096
 
 // getWinReq is a decoded windowed-GET frame: blocks [first, first+count)
 // for readerID, acknowledging everything below ackBelow.
@@ -364,8 +334,8 @@ func decodeGetWin(d *wire.Decoder) (getWinReq, error) {
 	if err := d.Err(); err != nil {
 		return r, err
 	}
-	if r.count < 0 || r.count > maxBatchBlocks {
-		return r, fmt.Errorf("gridbuffer: get window of %d blocks exceeds limit %d", r.count, maxBatchBlocks)
+	if r.count < 0 || r.count > maxWindowBlocks {
+		return r, fmt.Errorf("gridbuffer: get window of %d blocks exceeds limit %d", r.count, maxWindowBlocks)
 	}
 	return r, nil
 }
@@ -405,7 +375,7 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 			if err != nil {
 				return writeError(w, err)
 			}
-			cs.codec = codec
+			cs.Block = codec
 			e.String(chosen)
 		}
 		return w.frame(msgAttachResp, e.Bytes())
@@ -417,7 +387,7 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 		if err := d.Err(); err != nil {
 			return writeError(w, err)
 		}
-		data, derr := cs.dec(data)
+		data, derr := cs.Decode(data)
 		if derr != nil {
 			return writeError(w, derr)
 		}
@@ -429,28 +399,6 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 			return writeError(w, err)
 		}
 		return w.frame(msgPutResp)
-
-	case msgPutBatch:
-		req, err := decodePutBatch(d)
-		if err != nil {
-			return writeError(w, err)
-		}
-		b, err := st.lookup(s.reg, req.key)
-		if err != nil {
-			return writeError(w, err)
-		}
-		for _, blk := range req.blocks {
-			data, derr := cs.dec(blk.data)
-			if derr != nil {
-				return writeError(w, derr)
-			}
-			if err := b.put(blk.idx, data, st.flushHeld); err != nil {
-				return writeError(w, err)
-			}
-		}
-		e := wire.NewEncoder()
-		e.U32(uint32(len(req.blocks)))
-		return w.frame(msgPutBatchResp, e.Bytes())
 
 	case msgGet:
 		key := d.String()
@@ -477,10 +425,12 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 		if err != nil {
 			return writeError(w, err)
 		}
-		out := cs.enc(data)
-		e := wire.NewEncoder()
-		e.Bool(eof).U32(uint32(len(out)))
-		err = w.frame(msgGetResp, e.Bytes(), out)
+		out, err := cs.Encode(data)
+		if err == nil {
+			e := wire.NewEncoder()
+			e.Bool(eof).U32(uint32(len(out)))
+			err = w.frame(msgGetResp, e.Bytes(), out)
+		}
 		b.Recycle(data)
 		return err
 
@@ -515,10 +465,12 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 			if err != nil {
 				return writeError(w, err)
 			}
-			out := cs.enc(data)
-			e.Reset()
-			e.I64(idx).Bool(eof).U32(uint32(len(out)))
-			err = w.frame(msgGetWinResp, e.Bytes(), out)
+			out, err := cs.Encode(data)
+			if err == nil {
+				e.Reset()
+				e.I64(idx).Bool(eof).U32(uint32(len(out)))
+				err = w.frame(msgGetWinResp, e.Bytes(), out)
+			}
 			b.Recycle(data)
 			if err != nil {
 				return err

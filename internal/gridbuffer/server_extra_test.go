@@ -122,7 +122,7 @@ func rawCall(t *testing.T, b *brig, typ uint8, payload []byte) (uint8, []byte) {
 }
 
 // TestServerRejectsMalformedFrames: unknown message types, truncated
-// payloads and over-limit batch counts all come back as msgError frames
+// payloads and over-limit window counts all come back as msgError frames
 // instead of killing the server.
 func TestServerRejectsMalformedFrames(t *testing.T) {
 	b := newBrig(simnet.LinkSpec{})
@@ -141,15 +141,15 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 		if typ, _ := rawCall(t, b, msgAttach, []byte{1}); typ != msgError {
 			t.Errorf("truncated attach: got %d, want msgError", typ)
 		}
-		// A batch whose count field exceeds the hard limit.
+		// The retired PUT-BATCH number is an unknown type like any other.
 		e = wire.NewEncoder()
-		e.String("k").U32(maxBatchBlocks + 1)
-		if typ, _ := rawCall(t, b, msgPutBatch, e.Bytes()); typ != msgError {
-			t.Errorf("oversized batch: got %d, want msgError", typ)
+		e.String("ghost").U32(1).I64(0).Bytes32([]byte("d"))
+		if typ, _ := rawCall(t, b, 13, e.Bytes()); typ != msgError {
+			t.Errorf("reserved type 13: got %d, want msgError", typ)
 		}
 		// A windowed GET with a hostile count.
 		e = wire.NewEncoder()
-		e.String("k").I64(0).I64(0).U32(maxBatchBlocks + 1).I64(0)
+		e.String("k").I64(0).I64(0).U32(maxWindowBlocks + 1).I64(0)
 		if typ, _ := rawCall(t, b, msgGetWin, e.Bytes()); typ != msgError {
 			t.Errorf("oversized window: got %d, want msgError", typ)
 		}
@@ -158,12 +158,6 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 		e.String("ghost").I64(0).I64(0).U32(1).I64(0)
 		if typ, _ := rawCall(t, b, msgGetWin, e.Bytes()); typ != msgError {
 			t.Errorf("get-win on unknown buffer: got %d, want msgError", typ)
-		}
-		// Batch put against a key nobody attached.
-		e = wire.NewEncoder()
-		e.String("ghost").U32(1).I64(0).Bytes32([]byte("d"))
-		if typ, _ := rawCall(t, b, msgPutBatch, e.Bytes()); typ != msgError {
-			t.Errorf("put-batch on unknown buffer: got %d, want msgError", typ)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package gridftp
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"sync"
 
-	"griddles/internal/admit"
 	"griddles/internal/obs"
 	"griddles/internal/retry"
 	"griddles/internal/rpc"
@@ -139,11 +137,13 @@ func (c *Client) schemaFor(path string) (*xdr.Schema, binary.ByteOrder) {
 	return nil, nil
 }
 
-// negotiateStream runs the capability exchange on a dedicated bulk
-// connection. It returns nil (raw) when no codec is configured, when the
-// server answers raw, or when an old server rejects the unknown message
-// type — the transparent-fallback path proven by the mixed-version tests.
-func (c *Client) negotiateStream(w io.Writer, br *bufio.Reader, path string) (*streamCodec, error) {
+// negotiate runs the capability exchange on a dedicated bulk connection; an
+// upload queues the frame (it leaves alone, in one write), a download sends it
+// as it sends its request. It returns nil (raw) when no codec is configured,
+// when the server answers raw, or when an old server rejects the unknown
+// message type and keeps the connection — the transparent-fallback path
+// proven by the mixed-version tests.
+func (c *Client) negotiate(s *rpc.Stream, path string, upload bool) (*rpc.StreamCodec, error) {
 	if c.codecName == "" || c.codecName == wire.CodecRaw {
 		return nil, nil
 	}
@@ -152,49 +152,43 @@ func (c *Client) negotiateStream(w io.Writer, br *bufio.Reader, path string) (*s
 	if err != nil {
 		return nil, err
 	}
-	if err := wire.WriteFrame(w, msgNegotiate, payload); err != nil {
-		return nil, err
+	if upload {
+		err = wire.WriteFrame(s.Queue(), msgNegotiate, payload)
+	} else {
+		err = s.Request(msgNegotiate, payload)
 	}
-	if f, ok := w.(interface{ Flush() error }); ok {
-		if err := f.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	typ, resp, err := wire.ReadFrame(br)
 	if err != nil {
 		return nil, err
 	}
-	switch typ {
-	case msgError:
-		// Old peer: it rejected the message type but kept the connection.
+	_, resp, err := s.Reply(msgNegotiateResp)
+	var old *rpc.ServerError
+	if errors.As(err, &old) {
 		c.noteNegotiate(wire.CodecRaw, "old-peer")
 		return nil, nil
-	case admit.MsgShed:
-		return nil, rpc.Reply("gridftp", typ, resp)
-	case msgNegotiateResp:
-		d := wire.NewDecoder(resp)
-		chosen := d.String()
-		columnar := d.Bool()
-		if err := d.Err(); err != nil {
-			return nil, retry.Permanent(err)
-		}
-		codec, err := wire.ForName(chosen)
-		if err != nil {
-			return nil, retry.Permanent(fmt.Errorf("gridftp: server chose %w", err))
-		}
-		if codec == nil {
-			c.noteNegotiate(wire.CodecRaw, "server-raw")
-			return nil, nil
-		}
-		sc := &streamCodec{codec: codec}
-		if columnar && schema != nil {
-			sc.schema, sc.order = schema, order
-		}
-		c.noteNegotiate(chosen, "negotiated")
-		return sc, nil
-	default:
-		return nil, retry.Permanent(fmt.Errorf("gridftp: unexpected negotiation reply %d", typ))
 	}
+	if err != nil {
+		return nil, err
+	}
+	d := wire.NewDecoder(resp)
+	chosen := d.String()
+	columnar := d.Bool()
+	if err := d.Err(); err != nil {
+		return nil, retry.Permanent(err)
+	}
+	codec, err := wire.ForName(chosen)
+	if err != nil {
+		return nil, retry.Permanent(fmt.Errorf("gridftp: server chose %w", err))
+	}
+	if codec == nil {
+		c.noteNegotiate(wire.CodecRaw, "server-raw")
+		return nil, nil
+	}
+	sc := &rpc.StreamCodec{Block: codec, Raw: c.codecRawBytes, Wire: c.codecWireBytes}
+	if columnar && schema != nil {
+		sc.Schema, sc.Order = schema, order
+	}
+	c.noteNegotiate(chosen, "negotiated")
+	return sc, nil
 }
 
 func (c *Client) noteNegotiate(codec, how string) {
@@ -249,98 +243,39 @@ func (c *Client) Open(path string, flag int) (*RemoteFile, error) {
 	return f, nil
 }
 
+// The two transfers of the data channel (see rpc.Stream): what the server
+// sends for a fetch and what the client sends for a put.
+var (
+	fetchFrames = rpc.Frames{Verb: "fetch", Hdr: msgFetchHdr, Data: msgFetchData, End: msgFetchEnd}
+	putFrames   = rpc.Frames{Verb: "put", Hdr: msgPut, Data: msgPutData, End: msgPutEnd}
+)
+
+// open dials a dedicated connection for one bulk transfer.
+func (c *Client) open() (*rpc.Stream, error) {
+	return rpc.Open("gridftp", c.dialer, c.addr, c.clock, c.rc.Retry.Timeout())
+}
+
 // Fetch streams [off, off+length) of path into w over a dedicated
 // connection; length < 0 means the rest of the file. It returns the byte
 // count transferred. With a retry policy set, a broken stream resumes from
 // the last byte written to w (w only ever sees each byte once).
 func (c *Client) Fetch(path string, off, length int64, w io.Writer) (int64, error) {
-	var total int64
-	err := c.rc.Retry.Do("gridftp.fetch", func(int) error {
-		remaining := length
-		if remaining >= 0 {
-			remaining -= total
-			if remaining <= 0 && total > 0 {
-				// Every byte arrived; only the end-of-stream frame was lost.
-				return nil
-			}
-		}
-		n, err := c.fetchOnce(path, off+total, remaining, w)
-		total += n
-		return err
-	})
-	return total, err
-}
-
-func (c *Client) fetchOnce(path string, off, length int64, w io.Writer) (int64, error) {
-	conn, err := c.dialer.Dial(c.addr)
-	if err != nil {
-		return 0, fmt.Errorf("gridftp: dial %s: %w", c.addr, err)
-	}
-	defer conn.Close()
-	idle := c.rc.Retry.Timeout()
-	if idle > 0 {
-		conn.SetDeadline(c.clock.Now().Add(idle))
-	}
-	br := bufio.NewReader(conn)
-	sc, err := c.negotiateStream(conn, br, path)
-	if err != nil {
-		return 0, err
-	}
-	e := wire.NewEncoder().String(path).I64(off).I64(length)
-	if err := wire.WriteFrame(conn, msgFetch, e.Bytes()); err != nil {
-		return 0, err
-	}
-	typ, resp, err := wire.ReadFrame(br)
-	if err != nil {
-		return 0, err
-	}
-	if err := rpc.Reply("gridftp", typ, resp); err != nil {
-		return 0, err
-	}
-	if typ != msgFetchHdr {
-		return 0, retry.Permanent(fmt.Errorf("gridftp: unexpected reply %d", typ))
-	}
-	want := wire.NewDecoder(resp).I64()
-	var total int64
-	var frameBuf []byte
-	for {
-		// The deadline is per frame, so it bounds silence, not the whole
-		// transfer: a multi-second bulk stream keeps extending it as long as
-		// data flows.
-		if idle > 0 {
-			conn.SetDeadline(c.clock.Now().Add(idle))
-		}
-		typ, payload, err := wire.ReadFrameInto(br, &frameBuf)
+	return rpc.Resume(c.rc.Retry, "gridftp.fetch", length, func(done, remaining int64) (int64, error) {
+		s, err := c.open()
 		if err != nil {
-			return total, err
+			return 0, err
 		}
-		switch typ {
-		case msgFetchData:
-			data := payload
-			if sc.active() {
-				data, err = sc.decode(payload)
-				if err != nil {
-					return total, retry.Permanent(err)
-				}
-				c.codecWireBytes.Add(int64(len(payload)))
-				c.codecRawBytes.Add(int64(len(data)))
-			}
-			n, werr := w.Write(data)
-			total += int64(n)
-			if werr != nil {
-				return total, retry.Permanent(werr)
-			}
-		case msgFetchEnd:
-			if total != want {
-				return total, retry.Permanent(fmt.Errorf("gridftp: fetch got %d bytes, header said %d", total, want))
-			}
-			return total, nil
-		case msgError:
-			return total, rpc.Reply("gridftp", typ, payload)
-		default:
-			return total, retry.Permanent(fmt.Errorf("gridftp: unexpected frame %d during fetch", typ))
+		defer s.Close()
+		sc, err := c.negotiate(s, path, false)
+		if err != nil {
+			return 0, err
 		}
-	}
+		_, resp, err := s.Call(msgFetch, wire.NewEncoder().String(path).I64(off+done).I64(remaining).Bytes(), msgFetchHdr)
+		if err != nil {
+			return 0, err
+		}
+		return s.Recv(fetchFrames, wire.NewDecoder(resp).I64(), w, sc)
+	})
 }
 
 // Put streams r to path on the server over a dedicated connection,
@@ -350,101 +285,27 @@ func (c *Client) fetchOnce(path string, off, length int64, w io.Writer) (int64, 
 // duplicated); a non-seekable source fails permanently once bytes have been
 // consumed.
 func (c *Client) Put(path string, r io.Reader) (int64, error) {
-	seeker, canSeek := r.(io.Seeker)
-	var consumed bool
-	var total int64
-	err := c.rc.Retry.Do("gridftp.put", func(int) error {
-		if consumed && canSeek {
-			if _, err := seeker.Seek(0, io.SeekStart); err != nil {
-				return retry.Permanent(err)
-			}
+	return rpc.Replay(c.rc.Retry, "gridftp.put", path, r, func(r io.Reader) (int64, error) {
+		s, err := c.open()
+		if err != nil {
+			return 0, err
 		}
-		n, readAny, err := c.putOnce(path, r)
-		if readAny {
-			consumed = true
+		defer s.Close()
+		sc, err := c.negotiate(s, path, true)
+		if err != nil {
+			return 0, err
 		}
-		total = n
-		if err != nil && consumed && !canSeek {
-			return retry.Permanent(fmt.Errorf("gridftp: put %s: source not seekable, cannot replay: %w", path, err))
+		if err := s.Send(putFrames, wire.NewEncoder().String(path).Bytes(), r, streamChunk, sc); err != nil {
+			return 0, err
 		}
-		return err
+		_, resp, err := s.Reply(msgPutResp)
+		if err != nil {
+			return 0, err
+		}
+		d := wire.NewDecoder(resp)
+		total := d.I64()
+		return total, retry.Permanent(d.Err())
 	})
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
-func (c *Client) putOnce(path string, r io.Reader) (total int64, readAny bool, err error) {
-	conn, err := c.dialer.Dial(c.addr)
-	if err != nil {
-		return 0, false, fmt.Errorf("gridftp: dial %s: %w", c.addr, err)
-	}
-	defer conn.Close()
-	idle := c.rc.Retry.Timeout()
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
-	sc, err := c.negotiateStream(bw, br, path)
-	if err != nil {
-		return 0, false, err
-	}
-	if err := wire.WriteFrame(bw, msgPut, wire.NewEncoder().String(path).Bytes()); err != nil {
-		return 0, false, err
-	}
-	buf := chunkBufPool.Get(streamChunk)
-	defer chunkBufPool.Put(buf)
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			readAny = true
-			if idle > 0 {
-				conn.SetDeadline(c.clock.Now().Add(idle))
-			}
-			frame := buf[:n]
-			if sc.active() {
-				frame, err = sc.encode(frame)
-				if err != nil {
-					return 0, readAny, retry.Permanent(err)
-				}
-				c.codecRawBytes.Add(int64(n))
-				c.codecWireBytes.Add(int64(len(frame)))
-			}
-			if err := wire.WriteFrame(bw, msgPutData, frame); err != nil {
-				return 0, readAny, err
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return 0, readAny, retry.Permanent(rerr)
-		}
-	}
-	if err := wire.WriteFrame(bw, msgPutEnd, nil); err != nil {
-		return 0, readAny, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, readAny, err
-	}
-	if idle > 0 {
-		conn.SetDeadline(c.clock.Now().Add(idle))
-	}
-	typ, resp, err := wire.ReadFrame(br)
-	if err != nil {
-		return 0, readAny, err
-	}
-	if err := rpc.Reply("gridftp", typ, resp); err != nil {
-		return 0, readAny, err
-	}
-	if typ != msgPutResp {
-		return 0, readAny, retry.Permanent(fmt.Errorf("gridftp: unexpected reply %d", typ))
-	}
-	d := wire.NewDecoder(resp)
-	total = d.I64()
-	if err := d.Err(); err != nil {
-		return 0, readAny, retry.Permanent(err)
-	}
-	return total, readAny, nil
 }
 
 // RemoteFile is an open handle on the server, with sequential read-ahead and

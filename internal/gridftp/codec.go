@@ -106,52 +106,3 @@ func decodeNegotiate(payload []byte) (codec string, schema *xdr.Schema, order bi
 	}
 	return codec, s, order, nil
 }
-
-// streamCodec holds one bulk stream's negotiated encoding state plus the
-// reusable transform buffers, so a steady transfer allocates nothing per
-// frame.
-type streamCodec struct {
-	codec  wire.Codec
-	schema *xdr.Schema
-	order  binary.ByteOrder
-	encBuf []byte
-	colBuf []byte
-	decBuf []byte
-}
-
-func (sc *streamCodec) active() bool { return sc != nil && sc.codec != nil }
-
-// encode transforms one outgoing data chunk: columnar reorder when a
-// schema was negotiated, then the block codec. The returned slice is valid
-// until the next encode.
-func (sc *streamCodec) encode(chunk []byte) ([]byte, error) {
-	src := chunk
-	if sc.schema != nil {
-		var err error
-		sc.colBuf, err = xdr.EncodeColumnar(sc.colBuf[:0], chunk, *sc.schema, sc.order)
-		if err != nil {
-			return nil, err
-		}
-		src = sc.colBuf
-	}
-	sc.encBuf = sc.codec.Encode(sc.encBuf[:0], src)
-	return sc.encBuf, nil
-}
-
-// decode reverses encode for one incoming data frame. The returned slice
-// is valid until the next decode.
-func (sc *streamCodec) decode(payload []byte) ([]byte, error) {
-	var err error
-	sc.decBuf, err = sc.codec.Decode(sc.decBuf[:0], payload)
-	if err != nil {
-		return nil, err
-	}
-	if sc.schema == nil {
-		return sc.decBuf, nil
-	}
-	sc.colBuf, err = xdr.DecodeColumnar(sc.colBuf[:0], sc.decBuf, *sc.schema, sc.order)
-	if err != nil {
-		return nil, err
-	}
-	return sc.colBuf, nil
-}

@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"griddles/internal/admit"
+	"griddles/internal/retry"
 	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/vfs"
@@ -112,7 +113,7 @@ type session struct {
 	mu      sync.Mutex
 	next    uint64
 	handles map[uint64]vfs.File
-	sc      *streamCodec
+	sc      *rpc.StreamCodec
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -130,20 +131,10 @@ func (s *Server) handle(conn net.Conn) {
 		Drain: func(r *bufio.Reader, typ uint8) {
 			if typ == msgPut {
 				// The client streams the upload regardless of the shed.
-				drainPutStream(r)
+				rpc.Drain(r, msgPutEnd)
 			}
 		},
 	})
-}
-
-// drainPutStream consumes a rejected upload stream up to its end frame.
-func drainPutStream(r *bufio.Reader) {
-	for {
-		typ, _, err := wire.ReadFrame(r)
-		if err != nil || typ == msgPutEnd {
-			return
-		}
-	}
 }
 
 func (sess *session) file(h uint64) (vfs.File, error) {
@@ -279,9 +270,9 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		}
 		columnar := false
 		if codec != nil {
-			sess.sc = &streamCodec{codec: codec}
+			sess.sc = &rpc.StreamCodec{Block: codec}
 			if schema != nil {
-				sess.sc.schema, sess.sc.order = schema, order
+				sess.sc.Schema, sess.sc.Order = schema, order
 				columnar = true
 			}
 		} else {
@@ -316,38 +307,9 @@ func (sess *session) fetch(w io.Writer, path string, off, length int64) error {
 	if off > end {
 		off = end
 	}
-	if err := wire.WriteFrame(w, msgFetchHdr, wire.NewEncoder().I64(end-off).Bytes()); err != nil {
-		return err
-	}
-	buf := chunkBufPool.Get(sess.srv.chunk)
-	defer chunkBufPool.Put(buf)
-	for off < end {
-		n := int64(len(buf))
-		if end-off < n {
-			n = end - off
-		}
-		got, rerr := f.ReadAt(buf[:n], off)
-		if got > 0 {
-			frame := buf[:got]
-			if sess.sc.active() {
-				frame, err = sess.sc.encode(frame)
-				if err != nil {
-					return rpc.WriteError(w, err)
-				}
-			}
-			if err := wire.WriteFrame(w, msgFetchData, frame); err != nil {
-				return err
-			}
-			off += int64(got)
-		}
-		if rerr != nil && rerr != io.EOF {
-			return rpc.WriteError(w, rerr)
-		}
-		if got == 0 {
-			break
-		}
-	}
-	return wire.WriteFrame(w, msgFetchEnd, nil)
+	st := rpc.Over("gridftp", w, nil)
+	err = st.Send(fetchFrames, wire.NewEncoder().I64(end-off).Bytes(), io.NewSectionReader(f, off, end-off), sess.srv.chunk, sess.sc)
+	return st.Finish(err)
 }
 
 // put receives streamed data frames and writes them to path.
@@ -355,40 +317,16 @@ func (sess *session) put(w io.Writer, r *bufio.Reader, path string) error {
 	f, err := sess.srv.fs.OpenFile(path, vfs.CreateTruncFlag, 0o644)
 	if err != nil {
 		// Drain the incoming stream so the connection stays usable.
-		drainPutStream(r)
+		rpc.Drain(r, msgPutEnd)
 		return rpc.WriteError(w, err)
 	}
-	var total int64
-	var frameBuf []byte
-	for {
-		typ, payload, rerr := wire.ReadFrameInto(r, &frameBuf)
-		if rerr != nil {
-			f.Close()
-			return rerr
-		}
-		switch typ {
-		case msgPutData:
-			if sess.sc.active() {
-				payload, rerr = sess.sc.decode(payload)
-				if rerr != nil {
-					f.Close()
-					return rpc.WriteError(w, rerr)
-				}
-			}
-			n, werr := f.Write(payload)
-			total += int64(n)
-			if werr != nil {
-				f.Close()
-				return rpc.WriteError(w, werr)
-			}
-		case msgPutEnd:
-			if err := f.Close(); err != nil {
-				return rpc.WriteError(w, err)
-			}
-			return wire.WriteFrame(w, msgPutResp, wire.NewEncoder().I64(total).Bytes())
-		default:
-			f.Close()
-			return rpc.WriteError(w, fmt.Errorf("gridftp: unexpected frame %d during put", typ))
-		}
+	st := rpc.Over("gridftp", w, r)
+	total, err := st.Recv(putFrames, -1, f, sess.sc)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = retry.Permanent(cerr)
 	}
+	if err != nil {
+		return st.Finish(err)
+	}
+	return wire.WriteFrame(w, msgPutResp, wire.NewEncoder().I64(total).Bytes())
 }

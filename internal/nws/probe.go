@@ -67,21 +67,16 @@ func NewProber(clock simclock.Clock, dialer Dialer) *Prober {
 // Probe measures the link to the sensor at addr and returns the estimated
 // one-way latency and bandwidth (bytes/sec).
 func (p *Prober) Probe(addr string) (latency time.Duration, bandwidth float64, err error) {
-	conn, err := p.dialer.Dial(addr)
+	s, err := rpc.Open("nws", p.dialer, addr, p.clock, 0)
 	if err != nil {
-		return 0, 0, fmt.Errorf("nws: dial %s: %w", addr, err)
+		return 0, 0, err
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	defer s.Close()
 
 	// Round trip of a tiny frame estimates 2x one-way latency.
 	t0 := p.clock.Now()
-	if err := wire.WriteFrame(conn, msgPing, []byte{1}); err != nil {
-		return 0, 0, err
-	}
-	typ, _, err := wire.ReadFrame(br)
-	if err != nil || typ != msgPong {
-		return 0, 0, fmt.Errorf("nws: ping failed: type=%d err=%v", typ, err)
+	if _, _, err := s.Call(msgPing, []byte{1}, msgPong); err != nil {
+		return 0, 0, fmt.Errorf("nws: ping failed: %w", err)
 	}
 	rtt := p.clock.Now().Sub(t0)
 	latency = rtt / 2
@@ -92,12 +87,8 @@ func (p *Prober) Probe(addr string) (latency time.Duration, bandwidth float64, e
 		burst = DefaultBurst
 	}
 	t1 := p.clock.Now()
-	if err := wire.WriteFrame(conn, msgBurst, make([]byte, burst)); err != nil {
-		return 0, 0, err
-	}
-	typ, _, err = wire.ReadFrame(br)
-	if err != nil || typ != msgBurstAck {
-		return 0, 0, fmt.Errorf("nws: burst failed: type=%d err=%v", typ, err)
+	if _, _, err := s.Call(msgBurst, make([]byte, burst), msgBurstAck); err != nil {
+		return 0, 0, fmt.Errorf("nws: burst failed: %w", err)
 	}
 	elapsed := p.clock.Now().Sub(t1) - rtt
 	if elapsed <= 0 {

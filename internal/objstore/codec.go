@@ -9,11 +9,11 @@ import (
 )
 
 // Protocol message types. A GET response is a header frame, zero or more
-// data frames, then an end frame — the same streaming shape as the gridftp
-// fetch path, so a broken stream is resumable from the bytes delivered. A
-// PUT is a begin frame, zero or more data frames, then an end frame; the
-// server commits the object only when the end frame arrives, which is what
-// makes the upload atomic.
+// data frames, then an end frame — one rpc.Stream transfer, as a gridftp
+// fetch is, so a broken stream is resumable from the bytes delivered. A PUT
+// is a begin frame, zero or more data frames, then an end frame; the server
+// commits the object only when the end frame arrives, which is what makes
+// the upload atomic.
 const (
 	msgStat     = 1
 	msgStatResp = 2
@@ -37,37 +37,6 @@ const (
 	msgNegotiateResp = 14
 	msgError         = rpc.MsgError
 )
-
-// connCodec is one connection's negotiated block codec plus reusable
-// transform buffers, so a steady transfer allocates nothing per frame.
-type connCodec struct {
-	codec  wire.Codec
-	encBuf []byte
-	decBuf []byte
-}
-
-func (cc *connCodec) active() bool { return cc != nil && cc.codec != nil }
-
-// enc compresses one data chunk; the result aliases an internal buffer
-// valid until the next enc. Raw state passes data through untouched.
-func (cc *connCodec) enc(data []byte) []byte {
-	if !cc.active() {
-		return data
-	}
-	cc.encBuf = cc.codec.Encode(cc.encBuf[:0], data)
-	return cc.encBuf
-}
-
-// dec reverses enc; the result aliases an internal buffer valid until the
-// next dec.
-func (cc *connCodec) dec(data []byte) ([]byte, error) {
-	if !cc.active() {
-		return data, nil
-	}
-	var err error
-	cc.decBuf, err = cc.codec.Decode(cc.decBuf[:0], data)
-	return cc.decBuf, err
-}
 
 // streamChunk is the frame size GET/PUT bulk streaming uses.
 const streamChunk = 64 * 1024

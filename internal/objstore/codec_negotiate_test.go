@@ -7,6 +7,7 @@ import (
 	"net"
 	"testing"
 
+	"griddles/internal/obs"
 	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
@@ -16,7 +17,10 @@ import (
 // byte-identically through compressed put and get streams.
 func TestCodecGetPutRoundTrip(t *testing.T) {
 	r := newRig()
+	o := obs.New(r.v)
+	r.client.SetObserver(o)
 	r.client.SetCodec(wire.CodecLZB)
+	rawBytes, wireBytes := o.Counter("wire.codec.raw.bytes"), o.Counter("wire.codec.wire.bytes")
 	want := bytes.Repeat([]byte("row,17,42.5,ok\n"), 20000)
 	r.v.Run(func() {
 		r.start(t)
@@ -26,6 +30,10 @@ func TestCodecGetPutRoundTrip(t *testing.T) {
 		}
 		if n != int64(len(want)) {
 			t.Fatalf("put committed %d bytes, want %d", n, len(want))
+		}
+		// The codec counters are the stream's, whichever service it serves.
+		if raw, onWire := rawBytes.Value(), wireBytes.Value(); raw != int64(len(want)) || onWire <= 0 || onWire >= raw/2 {
+			t.Fatalf("after the put: wire.codec.raw.bytes = %d, wire.codec.wire.bytes = %d; want %d and a fraction of it", raw, onWire, len(want))
 		}
 		stored, ok := r.store.Get("obj")
 		if !ok || !bytes.Equal(stored, want) {
@@ -38,6 +46,9 @@ func TestCodecGetPutRoundTrip(t *testing.T) {
 		}
 		if gn != int64(len(want)) || size != int64(len(want)) || !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("get returned %d/%d bytes, content match=%v", gn, size, bytes.Equal(got.Bytes(), want))
+		}
+		if raw := rawBytes.Value(); raw != 2*int64(len(want)) {
+			t.Fatalf("after the get: wire.codec.raw.bytes = %d, want %d", raw, 2*len(want))
 		}
 		// Ranged reads slice the raw object regardless of the wire codec.
 		var mid bytes.Buffer

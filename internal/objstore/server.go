@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -16,14 +17,13 @@ import (
 type Server struct {
 	store  *Store
 	clock  simclock.Clock
-	chunk  int
 	adm    *admit.Controller
 	codecs []string
 }
 
 // NewServer returns a Server exporting store.
 func NewServer(store *Store, clock simclock.Clock) *Server {
-	return &Server{store: store, clock: clock, chunk: streamChunk}
+	return &Server{store: store, clock: clock}
 }
 
 // Store reports the object table this server exports (for seeding tests).
@@ -52,23 +52,23 @@ func classOf(typ uint8) admit.Class {
 // loop (see rpc.Serve, rpc.ServeConn) with its own negotiated codec state.
 func (s *Server) Serve(l net.Listener) {
 	rpc.Serve(l, s.clock, "objstore-conn", s.adm, func(conn net.Conn) {
-		cc := &connCodec{}
+		sc := &rpc.StreamCodec{}
 		rpc.ServeConn(conn, s.adm, rpc.Handler{
 			Class: classOf,
 			Dispatch: func(w io.Writer, r *bufio.Reader, typ uint8, payload []byte) error {
-				return s.dispatch(w, r, typ, payload, cc)
+				return s.dispatch(w, r, typ, payload, sc)
 			},
 			Drain: func(r *bufio.Reader, typ uint8) {
 				if typ == msgPutBegin {
 					// The client streams the upload regardless of the shed.
-					drainPut(r)
+					rpc.Drain(r, msgPutEnd)
 				}
 			},
 		})
 	})
 }
 
-func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byte, cc *connCodec) error {
+func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byte, sc *rpc.StreamCodec) error {
 	switch typ {
 	case msgNegotiate:
 		d := wire.NewDecoder(payload)
@@ -81,7 +81,7 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 		if err != nil {
 			return rpc.WriteError(w, err)
 		}
-		cc.codec = codec
+		sc.Block = codec
 		return wire.WriteFrame(w, msgNegotiateResp, wire.NewEncoder().String(chosen).Bytes())
 
 	case msgStat:
@@ -97,7 +97,7 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 		if err != nil {
 			return rpc.WriteError(w, err)
 		}
-		return s.get(w, req, cc)
+		return s.get(w, req, sc)
 
 	case msgList:
 		req, err := decodeListReq(payload)
@@ -109,10 +109,10 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 	case msgPutBegin:
 		req, err := decodePutBegin(payload)
 		if err != nil {
-			drainPut(r)
+			rpc.Drain(r, msgPutEnd)
 			return rpc.WriteError(w, err)
 		}
-		return s.put(w, r, req.Key, cc)
+		return s.put(w, r, req.Key, sc)
 
 	default:
 		return rpc.WriteError(w, fmt.Errorf("objstore: unknown message type %d", typ))
@@ -120,7 +120,7 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 }
 
 // get streams the requested range as header, data frames, end.
-func (s *Server) get(w io.Writer, req getReq, cc *connCodec) error {
+func (s *Server) get(w io.Writer, req getReq, sc *rpc.StreamCodec) error {
 	data, ok := s.store.Get(req.Key)
 	if !ok {
 		return rpc.WriteError(w, fmt.Errorf("objstore: %s: no such object", req.Key))
@@ -134,20 +134,17 @@ func (s *Server) get(w io.Writer, req getReq, cc *connCodec) error {
 	if req.Length >= 0 && off+req.Length < end {
 		end = off + req.Length
 	}
-	if err := wire.WriteFrame(w, msgGetHdr, getHdr{Total: end - off, Size: size}.encode()); err != nil {
-		return err
-	}
-	for off < end {
-		n := int64(s.chunk)
-		if end-off < n {
-			n = end - off
-		}
-		if err := wire.WriteFrame(w, msgGetData, cc.enc(data[off:off+n])); err != nil {
-			return err
-		}
-		off += n
-	}
-	return wire.WriteFrame(w, msgGetEnd, nil)
+	st := rpc.Over("objstore", w, nil)
+	err := st.Send(getFrames, getHdr{Total: end - off, Size: size}.encode(), bytes.NewReader(data[off:end]), streamChunk, sc)
+	return st.Finish(err)
+}
+
+// objectBody accumulates an upload; the store takes the slice over as it is.
+type objectBody []byte
+
+func (b *objectBody) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
 }
 
 // put accumulates the upload stream and commits it atomically when the end
@@ -155,36 +152,12 @@ func (s *Server) get(w io.Writer, req getReq, cc *connCodec) error {
 // is the whole-object atomic PUT contract, and it is what makes a client
 // replay after a transport fault safe (the object appears exactly once,
 // complete).
-func (s *Server) put(w io.Writer, r *bufio.Reader, key string, cc *connCodec) error {
-	var body []byte
-	var frameBuf []byte
-	for {
-		typ, payload, err := wire.ReadFrameInto(r, &frameBuf)
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case msgPutData:
-			chunk, derr := cc.dec(payload)
-			if derr != nil {
-				return rpc.WriteError(w, derr)
-			}
-			body = append(body, chunk...)
-		case msgPutEnd:
-			s.store.Put(key, body)
-			return wire.WriteFrame(w, msgPutResp, putResp{Size: int64(len(body))}.encode())
-		default:
-			return rpc.WriteError(w, fmt.Errorf("objstore: unexpected frame %d during put", typ))
-		}
+func (s *Server) put(w io.Writer, r *bufio.Reader, key string, sc *rpc.StreamCodec) error {
+	var body objectBody
+	st := rpc.Over("objstore", w, r)
+	if _, err := st.Recv(putFrames, -1, &body, sc); err != nil {
+		return st.Finish(err)
 	}
-}
-
-// drainPut consumes a rejected upload stream so the connection stays usable.
-func drainPut(r *bufio.Reader) {
-	for {
-		typ, _, err := wire.ReadFrame(r)
-		if err != nil || typ == msgPutEnd {
-			return
-		}
-	}
+	s.store.Put(key, body)
+	return wire.WriteFrame(w, msgPutResp, putResp{Size: int64(len(body))}.encode())
 }

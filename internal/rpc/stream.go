@@ -1,0 +1,384 @@
+package rpc
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"sync"
+	"time"
+
+	"griddles/internal/obs"
+	"griddles/internal/retry"
+	"griddles/internal/simclock"
+	"griddles/internal/wire"
+	"griddles/internal/xdr"
+)
+
+// Stream is the data-channel sibling of Conn: one connection given over to a
+// single exchange — a one-shot call, or a bulk transfer of the shape
+// header, data frames, end frame — so it can stream for as long as it likes
+// without holding up the pooled connection's request/response traffic. A
+// client dials one with Open and closes it when the exchange is over; a
+// server wraps the connection ServeConn already runs with Over. Send and Recv
+// are the two halves of a transfer and run at either end: a client's upload
+// and a server's download are the same Send, a client's download and a
+// server's upload the same Recv.
+//
+// Message numbers, header payloads and negotiation formats stay with the
+// service, which passes them in as values.
+type Stream struct {
+	service string
+	r       *bufio.Reader
+	w       io.Writer // queued output; nil until a dialed stream first queues
+
+	// A dialed stream owns its connection, both buffers and the idle
+	// deadline; a served one borrows ServeConn's and has no deadline.
+	conn  net.Conn
+	clock simclock.Clock
+	idle  time.Duration
+	br    bufio.Reader
+	bw    bufio.Writer
+
+	frame []byte // reused by Recv for every data frame
+}
+
+// Open dials a dedicated connection to the service at addr; service prefixes
+// the errors it reports. idle bounds silence, not the exchange: the deadline
+// is armed here, before the first byte moves, and again for every frame a
+// transfer moves, so a peer that accepts and then says nothing fails the
+// exchange after idle however far it got. Zero means no deadline.
+func Open(service string, dialer Dialer, addr string, clock simclock.Clock, idle time.Duration) (*Stream, error) {
+	conn, err := dialer.Dial(addr)
+	if err != nil {
+		return nil, fmt.Errorf("%s: dial %s: %w", service, addr, err)
+	}
+	s := &Stream{service: service, conn: conn, clock: clock, idle: idle}
+	s.br.Reset(conn)
+	s.r = &s.br
+	s.arm()
+	return s, nil
+}
+
+// Over is the serving end of a stream on a connection ServeConn runs: w and r
+// are what Dispatch was handed. The reply leaves with ServeConn's flush.
+func Over(service string, w io.Writer, r *bufio.Reader) Stream {
+	return Stream{service: service, w: w, r: r}
+}
+
+func (s *Stream) arm() {
+	if s.idle > 0 {
+		s.conn.SetDeadline(s.clock.Now().Add(s.idle))
+	}
+}
+
+// Close closes a dialed stream's connection.
+func (s *Stream) Close() error { return s.conn.Close() }
+
+// Queue is where frames go to be sent together (wire.WriteFrame(s.Queue(),
+// ...)): on a dialed stream they leave when its buffer fills or at the next
+// Reply, on a served one with ServeConn's flush.
+func (s *Stream) Queue() io.Writer {
+	if s.w == nil {
+		s.bw.Reset(s.conn)
+		s.w = &s.bw
+	}
+	return s.w
+}
+
+// Request writes one frame straight to the connection, unbuffered: the
+// request that opens a download, or a frame pipelined in front of it.
+func (s *Stream) Request(typ uint8, payload []byte) error {
+	return wire.WriteFrameV(s.conn, typ, payload)
+}
+
+// Reply sends whatever is still queued, re-arming the deadline for the answer
+// to it, then reads one frame and classifies it (see the Reply function): a
+// shed or an error frame comes back as the error, and so does a reply whose
+// type is not among want, when any are given.
+func (s *Stream) Reply(want ...uint8) (uint8, []byte, error) {
+	if s.bw.Buffered() > 0 {
+		if err := s.bw.Flush(); err != nil {
+			return 0, nil, err
+		}
+		s.arm()
+	}
+	typ, payload, err := wire.ReadFrame(s.r)
+	if err != nil {
+		return 0, nil, err
+	}
+	if err := Reply(s.service, typ, payload); err != nil {
+		return 0, nil, err
+	}
+	if len(want) > 0 && bytes.IndexByte(want, typ) < 0 {
+		return 0, nil, retry.Permanent(fmt.Errorf("%s: unexpected reply %d", s.service, typ))
+	}
+	return typ, payload, nil
+}
+
+// Call is the one-shot exchange: one request out, one reply in (see Reply).
+func (s *Stream) Call(reqType uint8, payload []byte, want ...uint8) (uint8, []byte, error) {
+	if err := s.Request(reqType, payload); err != nil {
+		return 0, nil, err
+	}
+	return s.Reply(want...)
+}
+
+// Frames names one direction of a service's transfer: the frame that opens
+// it (the upload request, or the header answering a download request), its
+// data and end frames, and the word its errors use ("fetch", "put").
+type Frames struct {
+	Verb           string
+	Hdr, Data, End uint8
+}
+
+// Send queues one transfer: the opening frame with payload hdr, src read to
+// EOF in chunk-byte pieces — each through c and into one data frame — and the
+// end frame. A failure of src or of the codec is marked retry.Permanent;
+// anything else is the connection's.
+func (s *Stream) Send(fr Frames, hdr []byte, src io.Reader, chunk int, c *StreamCodec) error {
+	w := s.Queue()
+	if err := wire.WriteFrameV(w, fr.Hdr, hdr); err != nil {
+		return err
+	}
+	buf := getChunk(chunk)
+	defer putChunk(buf)
+	for {
+		n, rerr := src.Read(buf)
+		if n > 0 {
+			s.arm()
+			data, err := c.Encode(buf[:n])
+			if err != nil {
+				return retry.Permanent(err)
+			}
+			if err := wire.WriteFrameV(w, fr.Data, data); err != nil {
+				return err
+			}
+		}
+		if rerr == io.EOF {
+			return wire.WriteFrameV(w, fr.End)
+		}
+		if rerr != nil {
+			return retry.Permanent(rerr)
+		}
+	}
+}
+
+// Recv reads one transfer up to its end frame, writing each data frame's
+// payload through c into dst, and reports the bytes delivered — also when it
+// fails, which is where a download's resume picks up. want is the byte count
+// the header promised, or negative when the sender made no promise: a stream
+// that ends short of it or runs past it is corrupt, not interrupted. That, an
+// error frame from the sender, a frame that does not belong, and a failure of
+// the codec or of dst are marked retry.Permanent; anything else is the
+// connection's.
+func (s *Stream) Recv(fr Frames, want int64, dst io.Writer, c *StreamCodec) (int64, error) {
+	var total int64
+	for {
+		s.arm()
+		typ, payload, err := wire.ReadFrameInto(s.r, &s.frame)
+		if err != nil {
+			return total, err
+		}
+		switch typ {
+		case fr.Data:
+			data, err := c.Decode(payload)
+			if err != nil {
+				return total, retry.Permanent(err)
+			}
+			if want >= 0 && total+int64(len(data)) > want {
+				return total, retry.Permanent(fmt.Errorf("%s: %s stream runs past the %d bytes its header said", s.service, fr.Verb, want))
+			}
+			n, werr := dst.Write(data)
+			total += int64(n)
+			if werr != nil {
+				return total, retry.Permanent(werr)
+			}
+		case fr.End:
+			if want >= 0 && total != want {
+				return total, retry.Permanent(fmt.Errorf("%s: %s got %d bytes, header said %d", s.service, fr.Verb, total, want))
+			}
+			return total, nil
+		case MsgError:
+			return total, Reply(s.service, typ, payload)
+		default:
+			return total, retry.Permanent(fmt.Errorf("%s: unexpected frame %d during %s", s.service, typ, fr.Verb))
+		}
+	}
+}
+
+// Finish is how a server's Dispatch returns from a transfer that ended with
+// err: a failure Send or Recv marked permanent (the file, the codec, a frame
+// out of place) is answered with the error frame and the connection lives on;
+// a transport error, or nil, is returned as it is.
+func (s *Stream) Finish(err error) error {
+	if retry.IsPermanent(err) {
+		return WriteError(s.w, err)
+	}
+	return err
+}
+
+// Drain consumes an upload the server will not take — shed, or refused
+// before its first data frame — up to its end frame, so the refusal is the
+// one answer on a connection that stays in step.
+func Drain(r *bufio.Reader, end uint8) {
+	var buf []byte
+	for {
+		typ, _, err := wire.ReadFrameInto(r, &buf)
+		if err != nil || typ == end {
+			return
+		}
+	}
+}
+
+// Resume runs a download of length bytes (negative: to the end) under p.
+// once(done, remaining) makes one attempt at what is still missing after done
+// bytes and reports what it delivered; a failed attempt's bytes count, so the
+// next one starts behind them and the sink sees every byte once. op labels
+// the retry events.
+func Resume(p retry.Policy, op string, length int64, once func(done, remaining int64) (int64, error)) (int64, error) {
+	var done int64
+	err := p.Do(op, func(int) error {
+		remaining := length
+		if remaining >= 0 {
+			remaining -= done
+			if remaining <= 0 && done > 0 {
+				// Every byte arrived; only the end frame was lost.
+				return nil
+			}
+		}
+		n, err := once(done, remaining)
+		done += n
+		return err
+	})
+	return done, err
+}
+
+// Replay runs an upload of src as name under p. once makes one attempt,
+// reading what it sends from the reader it is handed, and reports the size
+// the server acknowledged. A source that was read from is rewound before the
+// next attempt, which is safe wherever the server takes an upload whole or
+// not at all; one that cannot seek fails for good. op is "service.verb": it
+// labels the retry events and words that error.
+func Replay(p retry.Policy, op, name string, src io.Reader, once func(src io.Reader) (int64, error)) (int64, error) {
+	seeker, canSeek := src.(io.Seeker)
+	tracked := &readTracker{Reader: src}
+	var size int64
+	err := p.Do(op, func(int) error {
+		if tracked.read && canSeek {
+			if _, err := seeker.Seek(0, io.SeekStart); err != nil {
+				return retry.Permanent(err)
+			}
+		}
+		var err error
+		size, err = once(tracked)
+		if err != nil && tracked.read && !canSeek {
+			service, verb, _ := strings.Cut(op, ".")
+			return retry.Permanent(fmt.Errorf("%s: %s %s: source not seekable, cannot replay: %w", service, verb, name, err))
+		}
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return size, nil
+}
+
+// readTracker notes whether anything was ever read through it.
+type readTracker struct {
+	io.Reader
+	read bool
+}
+
+func (t *readTracker) Read(p []byte) (int, error) {
+	n, err := t.Reader.Read(p)
+	t.read = t.read || n > 0
+	return n, err
+}
+
+// StreamCodec is the encoding one stream negotiated, the same state in every
+// service: the block codec (nil: raw, payloads pass untouched), an optional
+// record schema for the columnar transform in front of it, the counters of
+// raw and wire bytes, and the transform buffers, reused so a steady stream
+// allocates nothing per frame. A nil *StreamCodec is raw.
+type StreamCodec struct {
+	Block  wire.Codec
+	Schema *xdr.Schema
+	Order  binary.ByteOrder
+	// Raw and Wire count payload bytes before and after an active codec
+	// (wire.codec.raw.bytes, wire.codec.wire.bytes); nil counts nothing.
+	Raw, Wire *obs.Counter
+
+	encBuf, colBuf, decBuf []byte
+}
+
+// raw reports whether payloads pass untouched.
+func (c *StreamCodec) raw() bool { return c == nil || c.Block == nil }
+
+func (c *StreamCodec) count(raw, onWire int) {
+	if c.Raw != nil {
+		c.Raw.Add(int64(raw))
+		c.Wire.Add(int64(onWire))
+	}
+}
+
+// Encode transforms one outgoing payload: the columnar reorder when there is
+// a schema, then the block codec. The result is valid until the next Encode.
+func (c *StreamCodec) Encode(data []byte) ([]byte, error) {
+	if c.raw() {
+		return data, nil
+	}
+	src := data
+	if c.Schema != nil {
+		var err error
+		c.colBuf, err = xdr.EncodeColumnar(c.colBuf[:0], data, *c.Schema, c.Order)
+		if err != nil {
+			return nil, err
+		}
+		src = c.colBuf
+	}
+	c.encBuf = c.Block.Encode(c.encBuf[:0], src)
+	c.count(len(data), len(c.encBuf))
+	return c.encBuf, nil
+}
+
+// Decode reverses Encode for one incoming payload. The result is valid until
+// the next Decode.
+func (c *StreamCodec) Decode(payload []byte) ([]byte, error) {
+	if c.raw() {
+		return payload, nil
+	}
+	var err error
+	c.decBuf, err = c.Block.Decode(c.decBuf[:0], payload)
+	if err != nil {
+		return nil, err
+	}
+	out := c.decBuf
+	if c.Schema != nil {
+		c.colBuf, err = xdr.DecodeColumnar(c.colBuf[:0], c.decBuf, *c.Schema, c.Order)
+		if err != nil {
+			return nil, err
+		}
+		out = c.colBuf
+	}
+	c.count(len(out), len(payload))
+	return out, nil
+}
+
+// chunks recycles the buffers Send reads its source into, 64 KiB at either
+// end of every transfer, so a stream allocates none of its own.
+var chunks sync.Pool
+
+func getChunk(n int) []byte {
+	if b, _ := chunks.Get().([]byte); cap(b) >= n {
+		return b[:n]
+	}
+	return make([]byte, n)
+}
+
+func putChunk(b []byte) {
+	chunks.Put(b[:cap(b)]) //nolint:staticcheck // slice headers are small
+}
