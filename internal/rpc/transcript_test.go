@@ -50,6 +50,7 @@ type tape struct {
 	dialed int
 	accept int
 	conns  map[int]*connTape
+	served []net.Conn // every connection a taped listener accepted
 }
 
 type connTape struct {
@@ -89,7 +90,9 @@ func (tp *tape) String() string {
 	return b.String()
 }
 
-// tapedConn records every Write into one direction of one connection.
+// tapedConn records every Write into one direction of one connection. A
+// client's Write that moved nothing — the server had already gone — put
+// nothing on the wire and leaves no line.
 type tapedConn struct {
 	net.Conn
 	tp     *tape
@@ -99,15 +102,21 @@ type tapedConn struct {
 
 func (c *tapedConn) Write(p []byte) (int, error) {
 	c.tp.mu.Lock()
-	ct := c.tp.at(c.idx)
 	line := c.tp.step + " " + hex.EncodeToString(p)
+	c.tp.mu.Unlock()
+	n, err := c.Conn.Write(p)
+	if !c.server && n == 0 && err != nil {
+		return n, err
+	}
+	c.tp.mu.Lock()
+	ct := c.tp.at(c.idx)
 	if c.server {
 		ct.s2c = append(ct.s2c, line)
 	} else {
 		ct.c2s = append(ct.c2s, line)
 	}
 	c.tp.mu.Unlock()
-	return c.Conn.Write(p)
+	return n, err
 }
 
 // tapedDialer numbers connections in dial order. Scripts dial one at a time
@@ -144,8 +153,19 @@ func (l tapedListener) Accept() (net.Conn, error) {
 	l.tp.mu.Lock()
 	idx := l.tp.accept
 	l.tp.accept++
+	l.tp.served = append(l.tp.served, conn)
 	l.tp.mu.Unlock()
 	return &tapedConn{Conn: conn, tp: l.tp, idx: idx, server: true}, nil
+}
+
+// kill is a server dying: its listener and every connection it accepted close.
+func (tp *tape) kill(l net.Listener) {
+	l.Close()
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	for _, conn := range tp.served {
+		conn.Close()
+	}
 }
 
 // script is one protocol's environment: a virtual clock, an app and a srv
@@ -539,6 +559,48 @@ func scriptObjstore(s *script) {
 	got.Reset()
 	if n, _, err := rc.Get("big", 0, -1, &got); err != nil || n != resetBody || !bytes.Equal(got.Bytes(), pattern(resetBody)) {
 		s.t.Fatalf("get across a reset = %d, %v", n, err)
+	}
+
+	// One client's operations back to back, raw and under lzb: what a client
+	// that keeps its connections between operations must put on the wire
+	// unchanged, the negotiation in front of every transfer included.
+	for _, codec := range []string{wire.CodecRaw, wire.CodecLZB} {
+		bc := objstore.NewClient(s.dialer, "srv:7000", s.v)
+		defer bc.Close()
+		bc.SetCodec(codec)
+		s.step("seq-" + codec + "-stat")
+		if size, ok, err := bc.Stat("in"); err != nil || !ok || size != 10000 {
+			s.t.Fatalf("%s stat = %d, %v, %v", codec, size, ok, err)
+		}
+		s.step("seq-" + codec + "-get")
+		got.Reset()
+		if n, _, err := bc.Get("in", 100, 9000, &got); err != nil || n != 9000 || !bytes.Equal(got.Bytes(), pattern(10000)[100:9100]) {
+			s.t.Fatalf("%s get = %d, %v", codec, n, err)
+		}
+		s.step("seq-" + codec + "-put")
+		if n, err := bc.Put("seq-"+codec, bytes.NewReader(pattern(9000))); err != nil || n != 9000 {
+			s.t.Fatalf("%s put = %d, %v", codec, n, err)
+		}
+		s.step("seq-" + codec + "-stat-back")
+		if size, ok, err := bc.Stat("seq-" + codec); err != nil || !ok || size != 9000 {
+			s.t.Fatalf("%s stat of the upload = %d, %v, %v", codec, size, ok, err)
+		}
+	}
+
+	// The server dies and comes back between two operations of one client,
+	// which has no retry policy: the second must not notice.
+	kc := objstore.NewClient(s.dialer, "srv:7000", s.v)
+	defer kc.Close()
+	s.step("restart-stat-before")
+	if size, ok, err := kc.Stat("in"); err != nil || !ok || size != 10000 {
+		s.t.Fatalf("stat before the restart = %d, %v, %v", size, ok, err)
+	}
+	s.tp.kill(l)
+	l = s.listen("srv:7000")
+	s.v.Go("objstore-serve-again", func() { objstore.NewServer(store, s.v).Serve(l) })
+	s.step("restart-stat-after")
+	if size, ok, err := kc.Stat("in"); err != nil || !ok || size != 10000 {
+		s.t.Fatalf("stat after the restart = %d, %v, %v", size, ok, err)
 	}
 }
 
