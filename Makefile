@@ -17,14 +17,14 @@ COVER_FLOOR_RPC        ?= 90.0
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr17.json
+BENCH_OUT ?= BENCH_pr18.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
 # short randomized probe on top.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet one-substrate one-handle test race chaos build cover fuzz bench bench-gate stress stress-smoke
+.PHONY: check fmt vet one-substrate one-handle test race chaos build cover fuzz bench bench-gate stress stress-smoke pairs
 
 ## check: gofmt + vet + one-substrate and one-handle guards + race coverage
 ## gate + chaos matrix + fuzz smoke + bench regression gate + overload stress
@@ -46,7 +46,10 @@ vet:
 ## reply or builds an accept backoff itself, or declares its own Dialer; when
 ## a non-test file of internal/gridftp or internal/objstore arms a deadline,
 ## runs a frame-receive loop or buffers a connection itself (the data channel
-## is rpc.Stream); or when a private stream-codec state reappears anywhere.
+## is rpc.Stream); when a private stream-codec state reappears anywhere; when a
+## non-test file of internal/objstore dials a stream itself (every exchange
+## goes through the client's rpc.Channels); or when a non-test comment still
+## promises a connection "per-operation".
 one-substrate:
 	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
 		'\.Accept\(\)|admit\.DecodeShed|admit\.NewAcceptBackoff|type Dialer interface' . \
@@ -62,6 +65,14 @@ one-substrate:
 	out=$$(grep -rnE --include='*.go' 'type (streamCodec|connCodec|codecState) struct' .); \
 	if [ -n "$$out" ]; then \
 		echo "private stream-codec state (use rpc.StreamCodec):"; echo "$$out"; exit 1; \
+	fi; \
+	out=$$(grep -n 'rpc\.Open(' $$(ls internal/objstore/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$out" ]; then \
+		echo "objstore exchange outside the channel cache (use rpc.Channels.Do):"; echo "$$out"; exit 1; \
+	fi; \
+	out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'per-operation' .); \
+	if [ -n "$$out" ]; then \
+		echo "a comment still promises a dial per operation:"; echo "$$out"; exit 1; \
 	fi
 
 ## one-handle: internal/core has one File handle (handle.go) and every
@@ -157,6 +168,16 @@ stress:
 ## shorter arrival window, gate only (no JSON record).
 stress-smoke:
 	$(GO) run ./cmd/stress -smoke
+
+## pairs: N alternating parent/change runs of the BENCHMARK.json command per
+## workload, with medians, quartiles, pairs won and a verdict per end-to-end
+## metric (cmd/gridpairs). Minutes per workload; not part of `make check`.
+##   make pairs PARENT=HEAD~1 WORKLOAD=file_read,open_storm N=10
+PARENT   ?= HEAD
+WORKLOAD ?= file_read
+N        ?= 10
+pairs:
+	$(GO) run ./cmd/gridpairs -parent $(PARENT) -workload $(WORKLOAD) -pairs $(N)
 
 build:
 	$(GO) build ./...

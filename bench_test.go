@@ -1103,6 +1103,72 @@ func BenchmarkLayerBulkStreamLoopback(b *testing.B) {
 	}
 }
 
+// BenchmarkLayerObjstoreLoopbackGet64K is the sixth Layer/* entry: mechanism
+// 7's read path alone — one OPEN, a 16 MiB object read to EOF in 64 KiB
+// calls, one Close, through core.New against an in-process GNS store and an
+// in-process objstore.Server — over real loopback TCP on the wall clock. It is
+// gridlab's file_read share of mechanism 7 without the processes around it.
+// Besides MB/s and allocs/op (both ends) it reports dials/op and
+// connwrites/MB, every socket write at both endpoints per MiB of payload. It
+// uses only exported API, so the same file runs against any commit.
+func BenchmarkLayerObjstoreLoopbackGet64K(b *testing.B) {
+	const total = 16 << 20
+	clock := simclock.Real{}
+	body := make([]byte, total)
+	for i := range body {
+		body[i] = byte(i % 251)
+	}
+	var writes writeCounter
+	var dials atomic.Int64
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	objects := objstore.NewStore()
+	objects.Put("layer.dat", body)
+	go objstore.NewServer(objects, clock).Serve(countedListener{l, &writes})
+	store := gns.NewStore(clock)
+	store.Set("app", "object", gns.Mapping{Mode: gns.ModeObject, RemoteHost: l.Addr().String(), RemotePath: "layer.dat"})
+	fm, err := core.New(core.Config{Machine: "app", Clock: clock, FS: vfs.NewMemFS(), Dialer: dialCountingDialer{countedTCPDialer{&writes}, &dials}, GNS: store})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fm.Close()
+	call := make([]byte, 64<<10)
+	op := func() {
+		f, err := fm.Open("object")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var n int64
+		for {
+			c, err := f.Read(call)
+			n += int64(c)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil || n != total {
+			b.Fatalf("read %d bytes, close: %v", n, err)
+		}
+	}
+	op() // warm the pools outside the timed region
+	writes.n.Store(0)
+	dials.Store(0)
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
+	b.ReportMetric(float64(writes.n.Load())/float64(b.N)/(total>>20), "connwrites/MB")
+}
+
 // BenchmarkFMReReadCache prices the FM block cache on a remote re-read: a
 // mode-3 consumer reads a 2 MiB file twice over the monash<->vpac-shaped
 // link, cache off versus on. With the cache the second pass is memory-only.

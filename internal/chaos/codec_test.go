@@ -29,7 +29,7 @@ func TestChaosCompressedFrames(t *testing.T) {
 			}
 			for _, sc := range []scenario{scenarios[0], scenarios[2]} { // midstream-reset, partition-then-heal
 				t.Run(sc.name, func(t *testing.T) {
-					got, trace := runCellWith(t, mech, sc.actions(mech), compress)
+					got, trace, _ := runCellWith(t, mech, sc.actions(mech), compress)
 					if !bytes.Equal(got, baseline) {
 						t.Fatalf("compressed output under faults differs from raw no-fault run: got %d bytes, want %d",
 							len(got), len(baseline))
@@ -69,7 +69,7 @@ func TestChaosColumnarFrames(t *testing.T) {
 	}
 	for _, sc := range []scenario{scenarios[0], scenarios[2]} {
 		t.Run(sc.name, func(t *testing.T) {
-			got, trace := runCellWith(t, mech, sc.actions(mech), columnar)
+			got, trace, _ := runCellWith(t, mech, sc.actions(mech), columnar)
 			if !bytes.Equal(got, baseline) {
 				t.Fatalf("columnar output under faults differs from raw no-fault run: got %d bytes, want %d",
 					len(got), len(baseline))

@@ -74,12 +74,14 @@ var scenarios = []scenario{
 // runCell executes one (mechanism, schedule) cell in a fresh world and
 // returns the bytes the consumer read plus the run's JSONL event trace.
 func runCell(t *testing.T, mech Mechanism, actions []fault.Action) ([]byte, string) {
-	return runCellWith(t, mech, actions, nil)
+	got, trace, _ := runCellWith(t, mech, actions, nil)
+	return got, trace
 }
 
 // runCellWith is runCell with a consumer-side Config mutation (the codec
-// matrix turns on wire compression this way).
-func runCellWith(t *testing.T, mech Mechanism, actions []fault.Action, mut func(*core.Config)) ([]byte, string) {
+// matrix turns on wire compression this way); it also returns the run's
+// counters.
+func runCellWith(t *testing.T, mech Mechanism, actions []fault.Action, mut func(*core.Config)) ([]byte, string, map[string]int64) {
 	t.Helper()
 	e := NewEnv()
 	want := Payload(1, dataSize)
@@ -124,7 +126,7 @@ func runCellWith(t *testing.T, mech Mechanism, actions []fault.Action, mut func(
 	if err := e.Obs.WriteJSONL(&trace); err != nil {
 		t.Fatalf("writing trace: %v", err)
 	}
-	return got, trace.String()
+	return got, trace.String(), e.Obs.Snapshot().Counters
 }
 
 // TestChaosMatrix is the full {mechanism 1..7} x {fault scenario} grid: every
@@ -133,13 +135,24 @@ func runCellWith(t *testing.T, mech Mechanism, actions []fault.Action, mut func(
 func TestChaosMatrix(t *testing.T) {
 	for _, mech := range Mechanisms {
 		t.Run(fmt.Sprintf("mech%d-%s", mech.ID, mech.Name), func(t *testing.T) {
-			baseline, _ := runCell(t, mech, nil)
+			baseline, _, counters := runCellWith(t, mech, nil, nil)
 			if want := Payload(1, dataSize); !bytes.Equal(baseline, want) {
 				t.Fatalf("no-fault run broken: got %d bytes, want %d", len(baseline), len(want))
 			}
+			// Mechanism 7 keeps its connection between exchanges: undisturbed,
+			// the OPEN's Stat and every ranged GET share the one it dialed.
+			const objDials = "objstore.conn.dial.total"
+			if mech.ID == 7 && counters[objDials] != 1 {
+				t.Errorf("no-fault run: %s = %d, want 1", objDials, counters[objDials])
+			}
 			for _, sc := range scenarios {
 				t.Run(sc.name, func(t *testing.T) {
-					got, trace := runCell(t, mech, sc.actions(mech))
+					got, trace, counters := runCellWith(t, mech, sc.actions(mech), nil)
+					// A connection a fault touched is never kept: recovery
+					// dials, and a merely slow link costs no dial at all.
+					if dials := counters[objDials]; mech.ID == 7 && (dials > 1) != sc.expectRecovery {
+						t.Errorf("%s = %d with expectRecovery = %v", objDials, dials, sc.expectRecovery)
+					}
 					if !bytes.Equal(got, baseline) {
 						t.Fatalf("output under faults differs from no-fault run: got %d bytes, want %d",
 							len(got), len(baseline))

@@ -67,24 +67,27 @@ func (objstoreBackend) Open(_ context.Context, env *Env, req OpenRequest) (File,
 		h.Writer, h.Closer = w, w
 		return env.File(req.Path, h), nil
 	}
-	// WaitClose needs no completion marker here: an object is visible only
-	// once its PUT committed, so existence is the writer's close signal.
-	if req.Mapping.WaitClose {
-		if err := env.PollUntil(func() (bool, error) {
-			_, exists, err := c.Stat(key)
-			return exists, err
-		}); err != nil {
-			return nil, err
-		}
+	raw := &objstoreRaw{client: c, key: key}
+	var exists bool
+	stat := func() (_ bool, err error) {
+		raw.size, exists, err = c.Stat(key)
+		return exists, err
 	}
-	size, exists, err := c.Stat(key)
+	// WaitClose needs no completion marker here: an object is visible only
+	// once its PUT committed, so existence is the writer's close signal, and
+	// the Stat that sees it is the one that learns the size.
+	var err error
+	if req.Mapping.WaitClose {
+		err = env.PollUntil(stat)
+	} else {
+		_, err = stat()
+	}
 	if err != nil {
 		return nil, err
 	}
 	if !exists {
 		return nil, fmt.Errorf("core: %s: no such object %s on %s", req.Path, key, req.Mapping.RemoteHost)
 	}
-	raw := &objstoreRaw{client: c, key: key, size: size}
 	h.Reader, h.Seeker = raw, raw
 	if h.CacheKey != "" {
 		h.Fetch = raw.fetch
@@ -96,62 +99,78 @@ func (objstoreBackend) Stat(_ context.Context, env *Env, path string, mapping gn
 	return objstoreClient(env, mapping.RemoteHost).Stat(remotePath(mapping, path))
 }
 
-// objstoreRaw is the uncached sequential read handle over ranged GETs, with
-// a read-ahead buffer so plain sequential reads cost one round trip per
-// 64 KiB, not per call. The object size is known at open, so the full Seek
-// surface (including io.SeekEnd) works without a round trip.
+// objstoreRaw is the uncached read handle over ranged GETs, with one
+// read-ahead window so sequential reads cost a round trip per window, not per
+// call. The window is objstoreReadAhead after an open or a seek and doubles,
+// up to objstoreReadAheadMax, each time a read runs off its end, so random
+// access moves 64 KiB per miss and a scan quickly moves 256 KiB. The object
+// size is known at open, so the full Seek surface (including io.SeekEnd)
+// works without a round trip.
 type objstoreRaw struct {
 	client *objstore.Client
 	key    string
 	size   int64
 	pos    int64
 
-	buf    []byte // read-ahead buffer
-	bufOff int64  // object offset of buf[0]
+	buf    []byte // the window, refilled in place: object bytes from bufOff
+	bufOff int64
+	ahead  int64 // length of the last refill asked for
 }
 
-// readAhead is the ranged-GET granularity of sequential reads.
-const objstoreReadAhead = 64 * 1024
+// The read-ahead window's floor and cap. The cap is measured, not guessed:
+// past 256 KiB the copy out of the window starts to miss the CPU's cache
+// (DESIGN.md §20).
+const (
+	objstoreReadAhead    = 64 * 1024
+	objstoreReadAheadMax = 256 * 1024
+)
 
 func (f *objstoreRaw) Read(p []byte) (int, error) {
 	if f.pos >= f.size {
 		return 0, io.EOF
 	}
-	if f.pos >= f.bufOff && f.pos < f.bufOff+int64(len(f.buf)) {
-		n := copy(p, f.buf[f.pos-f.bufOff:])
-		f.pos += int64(n)
-		return n, nil
+	if end := f.bufOff + int64(len(f.buf)); f.pos < f.bufOff || f.pos >= end {
+		if f.pos == end && len(f.buf) > 0 {
+			f.ahead = min(2*f.ahead, objstoreReadAheadMax)
+		} else {
+			f.ahead = objstoreReadAhead
+		}
+		want := min(max(f.ahead, int64(len(p))), f.size-f.pos)
+		// The refill overwrites the array the old window lives in, so the
+		// old window is gone from here on, whether the refill succeeds or not.
+		f.buf, f.bufOff = f.buf[:0], f.pos
+		buf, err := f.get(f.pos, want, f.buf)
+		if err != nil {
+			return 0, err
+		}
+		if len(buf) == 0 {
+			return 0, io.EOF
+		}
+		f.buf = buf
 	}
-	want := int64(objstoreReadAhead)
-	if int64(len(p)) > want {
-		want = int64(len(p))
-	}
-	if f.pos+want > f.size {
-		want = f.size - f.pos
-	}
-	buf, err := f.fetch(f.pos, want)
-	if err != nil {
-		return 0, err
-	}
-	if len(buf) == 0 {
-		return 0, io.EOF
-	}
-	f.buf = buf
-	f.bufOff = f.pos
-	c := copy(p, f.buf)
-	f.pos += int64(c)
-	return c, nil
+	n := copy(p, f.buf[f.pos-f.bufOff:])
+	f.pos += int64(n)
+	return n, nil
 }
 
-// fetch is one ranged GET: the read-ahead's, and the prefetch pipeline's
-// (the client is connection-per-operation, so workers may call it at once).
-func (f *objstoreRaw) fetch(off, length int64) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(int(length))
-	if _, _, err := f.client.Get(f.key, off, length, &buf); err != nil {
+// get is one ranged GET into dst's array, or a new one when that is too
+// small. Every exchange of the client owns its connection, so the prefetch
+// workers may call it at once.
+func (f *objstoreRaw) get(off, length int64, dst []byte) ([]byte, error) {
+	if int64(cap(dst)) < length {
+		dst = make([]byte, 0, length)
+	}
+	buf := bytes.NewBuffer(dst)
+	if _, _, err := f.client.Get(f.key, off, length, buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// fetch is the prefetch pipeline's FetchFunc: each block is the cache's to
+// keep, so each gets an array of its own.
+func (f *objstoreRaw) fetch(off, length int64) ([]byte, error) {
+	return f.get(off, length, nil)
 }
 
 func (f *objstoreRaw) Seek(offset int64, whence int) (int64, error) {
@@ -179,17 +198,12 @@ func (f *objstoreRaw) Seek(offset int64, whence int) (int64, error) {
 // object store has no partial overwrite, so a seek on a write handle is a
 // pinned divergence, not an omission.
 type objstoreWriter struct {
-	client *objstore.Client
-	key    string
-	body   []byte
-}
-
-func (w *objstoreWriter) Write(p []byte) (int, error) {
-	w.body = append(w.body, p...)
-	return len(p), nil
+	client        *objstore.Client
+	key           string
+	objstore.Body // Write collects the body
 }
 
 func (w *objstoreWriter) Close() error {
-	_, err := w.client.Put(w.key, bytes.NewReader(w.body))
+	_, err := w.client.Put(w.key, bytes.NewReader(w.Bytes()))
 	return err
 }

@@ -285,7 +285,7 @@ func (c *Client) Fetch(path string, off, length int64, w io.Writer) (int64, erro
 // duplicated); a non-seekable source fails permanently once bytes have been
 // consumed.
 func (c *Client) Put(path string, r io.Reader) (int64, error) {
-	return rpc.Replay(c.rc.Retry, "gridftp.put", path, r, func(r io.Reader) (int64, error) {
+	return rpc.Replay(c.rc.Retry, "gridftp.put", path, r, func(r *rpc.Source) (int64, error) {
 		s, err := c.open()
 		if err != nil {
 			return 0, err

@@ -188,25 +188,28 @@ func TestConnLimitRefusesAndRecovers(t *testing.T) {
 		srv.SetAdmission(ctl)
 		r.v.Go("objstore-serve", func() { srv.Serve(l) })
 
-		// A held raw connection occupies the only connection slot (client
-		// operations are per-connection, so an idle open conn is the way a
-		// slow or stuck peer pins it).
-		held, err := r.net.Host("app").Dial("srv:7100")
-		if err != nil {
-			t.Fatalf("hold conn: %v", err)
+		// A client keeps the connection its last exchange ran on, so one
+		// Stat is enough to occupy the only connection slot for as long as
+		// the client stays open.
+		if _, _, err := r.client.Stat("k"); err != nil {
+			t.Fatalf("first client: %v", err)
 		}
-		r.v.Sleep(10 * time.Millisecond) // let the server accept it
+		r.v.Sleep(10 * time.Millisecond)
 
-		// A second connection is closed at accept; fail-fast sees an error.
+		// A second client's connection is closed at accept; fail-fast sees an
+		// error, while the first goes on working on the connection it holds.
 		c2 := NewClient(r.net.Host("app"), "srv:7100", r.v)
 		if _, _, err := c2.Stat("k"); err == nil {
 			t.Fatalf("second conn should be refused while the first is open")
 		}
+		if _, _, err := r.client.Stat("k"); err != nil {
+			t.Fatalf("first client on its kept connection: %v", err)
+		}
 
-		// Once the held connection drops, the slot frees and a retrying
+		// Closing the first client gives the slot back, and a retrying
 		// client connects.
-		if err := held.Close(); err != nil {
-			t.Fatalf("close held conn: %v", err)
+		if err := r.client.Close(); err != nil {
+			t.Fatalf("close first client: %v", err)
 		}
 		c3 := NewClient(r.net.Host("app"), "srv:7100", r.v)
 		c3.SetRetry(retry.Policy{

@@ -15,10 +15,13 @@ import (
 // Dialer opens connections to service addresses.
 type Dialer = rpc.Dialer
 
-// Client talks to one object-store server. In cloud-storage style every
-// operation runs on its own connection — there is no per-client session
-// state, so the Client is safe for concurrent use (the FM's prefetch
-// workers issue ranged Gets in parallel with the reader).
+// Client talks to one object-store server. Every exchange — a Stat, a List,
+// one attempt of a Get or a Put — owns a connection for as long as it runs
+// and hands it back to the client's cache (rpc.Channels) when it ends clean,
+// so back-to-back operations share one connection and concurrent ones each
+// have their own: there is no per-client session state and the Client is safe
+// for concurrent use (the FM's prefetch workers issue ranged Gets in parallel
+// with the reader). Close closes the connections kept.
 //
 // With a retry policy set (SetRetry), operations survive transport faults:
 // an interrupted GET stream resumes from the last byte delivered, and an
@@ -27,10 +30,8 @@ type Dialer = rpc.Dialer
 // frame arrives. Server-reported errors ("no such object") are never
 // retried.
 type Client struct {
-	dialer Dialer
-	addr   string
-	clock  simclock.Clock
-	retry  retry.Policy
+	chans rpc.Channels
+	retry retry.Policy
 
 	// codecName is the stream codec proposed for bulk Get/Put transfers
 	// ("" or "raw" = no negotiation frame at all, byte-identical wire).
@@ -48,7 +49,7 @@ type Client struct {
 
 // NewClient returns a Client for the object store at addr.
 func NewClient(dialer Dialer, addr string, clock simclock.Clock) *Client {
-	c := &Client{dialer: dialer, addr: addr, clock: clock}
+	c := &Client{chans: rpc.Channels{Service: "objstore", Dialer: dialer, Addr: addr, Clock: clock}}
 	c.SetObserver(nil)
 	return c
 }
@@ -64,6 +65,8 @@ func (c *Client) SetObserver(o *obs.Observer) {
 	c.listTotal = o.Counter("objstore.list.total")
 	c.codecRaw = o.Counter("wire.codec.raw.bytes")
 	c.codecWire = o.Counter("wire.codec.wire.bytes")
+	c.chans.Dials = o.Counter("objstore.conn.dial.total")
+	c.chans.Reuses = o.Counter("objstore.conn.reuse.total")
 }
 
 // SetRetry installs the resilience policy.
@@ -71,8 +74,8 @@ func (c *Client) SetRetry(p retry.Policy) { c.retry = p }
 
 // SetCodec requests a stream codec for bulk Get/Put transfers. "" or "raw"
 // (the default) sends no negotiation frame at all; any other codec is
-// proposed per connection and transparently dropped to raw when the peer
-// does not speak it.
+// proposed in front of every transfer and transparently dropped to raw when
+// the peer does not speak it. Call before issuing requests.
 func (c *Client) SetCodec(name string) { c.codecName = name }
 
 // Codec reports the codec SetCodec configured.
@@ -109,25 +112,18 @@ func (c *Client) negotiated(s *rpc.Stream) (*rpc.StreamCodec, error) {
 }
 
 // Addr reports the server address.
-func (c *Client) Addr() string { return c.addr }
+func (c *Client) Addr() string { return c.chans.Addr }
 
-// Close releases the client. Connections are per-operation, so there is
-// nothing to tear down; Close exists so clients pool cleanly.
-func (c *Client) Close() error { return nil }
+// Close closes the connections the client kept between operations. A client
+// used afterwards still works, dialing for every exchange.
+func (c *Client) Close() error { return c.chans.Close() }
 
-// open dials the connection one operation runs on.
-func (c *Client) open() (*rpc.Stream, error) {
-	return rpc.Open("objstore", c.dialer, c.addr, c.clock, c.retry.Timeout())
-}
-
-// roundTrip performs one request/response on a dedicated connection.
-func (c *Client) roundTrip(reqType uint8, payload []byte, wantType uint8) ([]byte, error) {
-	s, err := c.open()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	_, resp, err := s.Call(reqType, payload, wantType)
+// roundTrip performs one request/response.
+func (c *Client) roundTrip(reqType uint8, payload []byte, wantType uint8) (resp []byte, err error) {
+	err = c.chans.Do(c.retry.Timeout(), nil, func(s *rpc.Stream) error {
+		_, resp, err = s.Call(reqType, payload, wantType)
+		return err
+	})
 	return resp, err
 }
 
@@ -187,39 +183,39 @@ var (
 // written to w (w only ever sees each byte once).
 func (c *Client) Get(key string, off, length int64, w io.Writer) (n, size int64, err error) {
 	c.getTotal.Inc()
-	n, err = rpc.Resume(c.retry, "objstore.get", length, func(done, remaining int64) (int64, error) {
-		s, err := c.open()
-		if err != nil {
-			return 0, err
-		}
-		defer s.Close()
-		var sc *rpc.StreamCodec
-		if c.wantCodec() {
-			// The capability frame pipelines ahead of the GET: both requests go
-			// out together and the replies arrive in order, so negotiation costs
-			// no extra round trip even on this per-operation connection.
-			if err := s.Request(msgNegotiate, wire.NewEncoder().String(c.codecName).Bytes()); err != nil {
-				return 0, err
+	n, err = rpc.Resume(c.retry, "objstore.get", length, func(done, remaining int64) (n int64, err error) {
+		err = c.chans.Do(c.retry.Timeout(), nil, func(s *rpc.Stream) error {
+			var sc *rpc.StreamCodec
+			if c.wantCodec() {
+				// The capability frame pipelines ahead of the GET: both requests go
+				// out together and the replies arrive in order, so negotiating in
+				// front of every transfer costs no extra round trip.
+				if err := s.Request(msgNegotiate, wire.NewEncoder().String(c.codecName).Bytes()); err != nil {
+					return err
+				}
 			}
-		}
-		if err := s.Request(msgGet, getReq{Key: key, Off: off + done, Length: remaining}.encode()); err != nil {
-			return 0, err
-		}
-		if c.wantCodec() {
-			if sc, err = c.negotiated(s); err != nil {
-				return 0, err
+			if err := s.Request(msgGet, getReq{Key: key, Off: off + done, Length: remaining}.encode()); err != nil {
+				return err
 			}
-		}
-		_, resp, err := s.Reply(msgGetHdr)
-		if err != nil {
-			return 0, err
-		}
-		hdr, err := decodeGetHdr(resp)
-		if err != nil {
-			return 0, retry.Permanent(err)
-		}
-		size = hdr.Size
-		return s.Recv(getFrames, hdr.Total, w, sc)
+			if c.wantCodec() {
+				var err error
+				if sc, err = c.negotiated(s); err != nil {
+					return err
+				}
+			}
+			_, resp, err := s.Reply(msgGetHdr)
+			if err != nil {
+				return err
+			}
+			hdr, err := decodeGetHdr(resp)
+			if err != nil {
+				return retry.Permanent(err)
+			}
+			size = hdr.Size
+			n, err = s.Recv(getFrames, hdr.Total, w, sc)
+			return err
+		})
+		return n, err
 	})
 	c.getBytes.Add(n)
 	return n, size, err
@@ -229,36 +225,37 @@ func (c *Client) Get(key string, off, length int64, w io.Writer) (n, size int64,
 // previous object. It returns the committed size. With a retry policy set,
 // a broken upload replays from the start when r is an io.Seeker — the
 // server commits only complete streams, so a replay never doubles bytes; a
-// non-seekable source fails permanently once bytes have been consumed.
+// non-seekable source fails permanently once bytes have been consumed, and
+// for that reason always uploads on a freshly dialed connection.
 func (c *Client) Put(key string, r io.Reader) (int64, error) {
 	c.putTotal.Inc()
-	size, err := rpc.Replay(c.retry, "objstore.put", key, r, func(r io.Reader) (int64, error) {
-		s, err := c.open()
-		if err != nil {
-			return 0, err
-		}
-		defer s.Close()
-		var sc *rpc.StreamCodec
-		if c.wantCodec() {
-			// Uploads must know the answer before encoding any data (an old
-			// server would store compressed frames verbatim), so the capability
-			// exchange completes before the begin frame.
-			if err := wire.WriteFrame(s.Queue(), msgNegotiate, wire.NewEncoder().String(c.codecName).Bytes()); err != nil {
-				return 0, err
+	size, err := rpc.Replay(c.retry, "objstore.put", key, r, func(up *rpc.Source) (size int64, err error) {
+		err = c.chans.Do(c.retry.Timeout(), up, func(s *rpc.Stream) error {
+			var sc *rpc.StreamCodec
+			if c.wantCodec() {
+				// Uploads must know the answer before encoding any data (an old
+				// server would store compressed frames verbatim), so the capability
+				// exchange completes before the begin frame.
+				if err := wire.WriteFrame(s.Queue(), msgNegotiate, wire.NewEncoder().String(c.codecName).Bytes()); err != nil {
+					return err
+				}
+				var err error
+				if sc, err = c.negotiated(s); err != nil {
+					return err
+				}
 			}
-			if sc, err = c.negotiated(s); err != nil {
-				return 0, err
+			if err := s.Send(putFrames, putBegin{Key: key}.encode(), up, streamChunk, sc); err != nil {
+				return err
 			}
-		}
-		if err := s.Send(putFrames, putBegin{Key: key}.encode(), r, streamChunk, sc); err != nil {
-			return 0, err
-		}
-		_, resp, err := s.Reply(msgPutResp)
-		if err != nil {
-			return 0, err
-		}
-		pr, err := decodePutResp(resp)
-		return pr.Size, retry.Permanent(err)
+			_, resp, err := s.Reply(msgPutResp)
+			if err != nil {
+				return err
+			}
+			pr, err := decodePutResp(resp)
+			size = pr.Size
+			return retry.Permanent(err)
+		})
+		return size, err
 	})
 	c.putBytes.Add(size)
 	return size, err

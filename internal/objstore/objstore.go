@@ -16,6 +16,7 @@
 package objstore
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 )
@@ -24,6 +25,38 @@ import (
 type Meta struct {
 	Key  string
 	Size int64
+}
+
+// Body collects an object body that arrives in pieces — an upload's data
+// frames at the server, an application's writes at the FM. The first piece
+// gets a chunk of exactly its size and Bytes hands a single chunk over as it
+// is, so a body that arrives whole (any object up to one data frame) is
+// allocated and copied once; later chunks hold at least streamChunk bytes, so
+// a longer body is copied once on the way in and once more by Bytes, however
+// small the pieces.
+type Body struct{ chunks [][]byte }
+
+func (b *Body) Write(p []byte) (int, error) {
+	n := len(b.chunks)
+	if n == 0 || len(b.chunks[n-1])+len(p) > cap(b.chunks[n-1]) {
+		size := len(p)
+		if n > 0 {
+			size = max(size, streamChunk)
+		}
+		b.chunks = append(b.chunks, make([]byte, 0, size))
+		n++
+	}
+	b.chunks[n-1] = append(b.chunks[n-1], p...)
+	return len(p), nil
+}
+
+// Bytes reports what was written as one slice, the caller's to keep; the
+// Body must not be written to afterwards.
+func (b *Body) Bytes() []byte {
+	if len(b.chunks) == 1 {
+		return b.chunks[0]
+	}
+	return bytes.Join(b.chunks, nil)
 }
 
 // Store is the in-memory object table one server exports. An object's bytes

@@ -225,3 +225,29 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 		t.Error("oversized list count accepted")
 	}
 }
+
+// TestBodyCollectsPieces: a body written in one piece is handed over as the
+// one exact allocation it took, and one written in many small pieces comes
+// back joined, byte for byte, from chunks of at least a data frame each.
+func TestBodyCollectsPieces(t *testing.T) {
+	whole := payload(1, 16<<10)
+	var one Body
+	one.Write(whole)
+	if got := one.Bytes(); !bytes.Equal(got, whole) || cap(got) != len(whole) || &got[0] == &whole[0] {
+		t.Fatalf("one piece: %d bytes, cap %d, aliasing the caller's slice: %v", len(got), cap(got), &got[0] == &whole[0])
+	}
+	want := payload(2, 3*streamChunk+777)
+	var many Body
+	for off := 0; off < len(want); off += 1000 {
+		many.Write(want[off:min(off+1000, len(want))])
+	}
+	if got := many.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("many pieces: %d bytes joined, want %d", len(got), len(want))
+	}
+	if n := len(many.chunks); n > 5 {
+		t.Fatalf("%d chunks for %d bytes written 1000 at a time, want about one per data frame", n, len(want))
+	}
+	if got := (&Body{}).Bytes(); len(got) != 0 {
+		t.Fatalf("empty body = %d bytes", len(got))
+	}
+}

@@ -139,25 +139,18 @@ func (s *Server) get(w io.Writer, req getReq, sc *rpc.StreamCodec) error {
 	return st.Finish(err)
 }
 
-// objectBody accumulates an upload; the store takes the slice over as it is.
-type objectBody []byte
-
-func (b *objectBody) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
 // put accumulates the upload stream and commits it atomically when the end
 // frame arrives. A connection that dies mid-stream commits nothing — that
 // is the whole-object atomic PUT contract, and it is what makes a client
 // replay after a transport fault safe (the object appears exactly once,
 // complete).
 func (s *Server) put(w io.Writer, r *bufio.Reader, key string, sc *rpc.StreamCodec) error {
-	var body objectBody
+	var body Body
 	st := rpc.Over("objstore", w, r)
 	if _, err := st.Recv(putFrames, -1, &body, sc); err != nil {
 		return st.Finish(err)
 	}
-	s.store.Put(key, body)
-	return wire.WriteFrame(w, msgPutResp, putResp{Size: int64(len(body))}.encode())
+	data := body.Bytes()
+	s.store.Put(key, data)
+	return wire.WriteFrame(w, msgPutResp, putResp{Size: int64(len(data))}.encode())
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -22,11 +23,11 @@ import (
 // single exchange — a one-shot call, or a bulk transfer of the shape
 // header, data frames, end frame — so it can stream for as long as it likes
 // without holding up the pooled connection's request/response traffic. A
-// client dials one with Open and closes it when the exchange is over; a
-// server wraps the connection ServeConn already runs with Over. Send and Recv
-// are the two halves of a transfer and run at either end: a client's upload
-// and a server's download are the same Send, a client's download and a
-// server's upload the same Recv.
+// client dials one with Open and closes it when the exchange is over, or has
+// a Channels keep it for the next; a server wraps the connection ServeConn
+// already runs with Over. Send and Recv are the two halves of a transfer and
+// run at either end: a client's upload and a server's download are the same
+// Send, a client's download and a server's upload the same Recv.
 //
 // Message numbers, header payloads and negotiation formats stay with the
 // service, which passes them in as values.
@@ -43,7 +44,8 @@ type Stream struct {
 	br    bufio.Reader
 	bw    bufio.Writer
 
-	frame []byte // reused by Recv for every data frame
+	frame    []byte // reused by Recv for every data frame
+	answered bool   // a frame of the peer's was read since Channels handed the stream out
 }
 
 // Open dials a dedicated connection to the service at addr; service prefixes
@@ -78,6 +80,117 @@ func (s *Stream) arm() {
 // Close closes a dialed stream's connection.
 func (s *Stream) Close() error { return s.conn.Close() }
 
+// maxIdle bounds the connections a Channels keeps: a sequential reader's, and
+// one for each of the four fetches core's default prefetch window runs
+// beside it. A server that bounds its connections must allow every client
+// this many (DESIGN.md §20).
+const maxIdle = 5
+
+// Channels is the data-channel cache: the dialed Streams to one service
+// address, kept between exchanges so that an exchange pays for a dial only
+// when none is idle. An exchange still owns its connection for as long as it
+// runs, so any number may run at once. It holds no goroutine and no timer;
+// set the exported fields before the first Do.
+type Channels struct {
+	Service string
+	Dialer  Dialer
+	Addr    string
+	Clock   simclock.Clock
+	// Dials and Reuses count the exchanges begun on a fresh and on a kept
+	// connection; nil counts nothing.
+	Dials, Reuses *obs.Counter
+
+	mu     sync.Mutex
+	idle   []*Stream // most recently released last
+	closed bool
+}
+
+// Do runs exchange on a connection of its own — the idle one released last,
+// its deadline re-armed (see Open), else a fresh dial — and keeps the
+// connection afterwards if the exchange left it clean. up is the source of an
+// upload as Replay handed it over, nil for any other exchange: one that
+// cannot rewind never takes an idle connection. That is because a kept
+// connection may have died unnoticed (the server restarted): an exchange that
+// fails on one before any frame of the peer's arrived, other than by running
+// out its deadline, is run again on a fresh dial — at once and uncounted by
+// any retry policy, which is what dialing every time used to guarantee.
+func (c *Channels) Do(idle time.Duration, up *Source, exchange func(*Stream) error) error {
+	if s := c.take(up); s != nil {
+		s.idle, s.answered = idle, false
+		s.arm()
+		err := exchange(s)
+		c.release(s, err)
+		var timeout net.Error
+		if err == nil || s.answered || retry.IsPermanent(err) || errors.As(err, &timeout) && timeout.Timeout() {
+			return err
+		}
+		if err := up.rewind(); err != nil {
+			return retry.Permanent(err)
+		}
+	}
+	s, err := Open(c.Service, c.Dialer, c.Addr, c.Clock, idle)
+	if err != nil {
+		return err
+	}
+	count(c.Dials)
+	err = exchange(s)
+	c.release(s, err)
+	return err
+}
+
+func (c *Channels) take(up *Source) *Stream {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.idle) - 1
+	if n < 0 || up != nil && up.seeker == nil {
+		return nil
+	}
+	s := c.idle[n]
+	c.idle = c.idle[:n]
+	count(c.Reuses)
+	return s
+}
+
+// release keeps s only if its exchange ended with no error of any kind — a
+// shed or a refusal leaves the stream in a state only the server knows — and
+// with nothing read ahead or left unsent; its deadline is cleared, because
+// idle bounds silence inside an exchange, not between two.
+func (c *Channels) release(s *Stream, err error) {
+	if err == nil && s.br.Buffered() == 0 && s.bw.Buffered() == 0 {
+		if s.idle > 0 {
+			s.conn.SetDeadline(time.Time{})
+		}
+		c.mu.Lock()
+		if !c.closed && len(c.idle) < maxIdle {
+			c.idle = append(c.idle, s)
+			s = nil
+		}
+		c.mu.Unlock()
+	}
+	if s != nil {
+		s.Close()
+	}
+}
+
+// Close closes the idle connections; whatever an exchange still running
+// releases later is closed too.
+func (c *Channels) Close() error {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	for _, s := range idle {
+		s.Close()
+	}
+	return nil
+}
+
+func count(c *obs.Counter) {
+	if c != nil {
+		c.Inc()
+	}
+}
+
 // Queue is where frames go to be sent together (wire.WriteFrame(s.Queue(),
 // ...)): on a dialed stream they leave when its buffer fills or at the next
 // Reply, on a served one with ServeConn's flush.
@@ -110,6 +223,7 @@ func (s *Stream) Reply(want ...uint8) (uint8, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	s.answered = true
 	if err := Reply(s.service, typ, payload); err != nil {
 		return 0, nil, err
 	}
@@ -183,6 +297,7 @@ func (s *Stream) Recv(fr Frames, want int64, dst io.Writer, c *StreamCodec) (int
 		if err != nil {
 			return total, err
 		}
+		s.answered = true
 		switch typ {
 		case fr.Data:
 			data, err := c.Decode(payload)
@@ -258,24 +373,22 @@ func Resume(p retry.Policy, op string, length int64, once func(done, remaining i
 }
 
 // Replay runs an upload of src as name under p. once makes one attempt,
-// reading what it sends from the reader it is handed, and reports the size
+// reading what it sends from the Source it is handed, and reports the size
 // the server acknowledged. A source that was read from is rewound before the
 // next attempt, which is safe wherever the server takes an upload whole or
 // not at all; one that cannot seek fails for good. op is "service.verb": it
 // labels the retry events and words that error.
-func Replay(p retry.Policy, op, name string, src io.Reader, once func(src io.Reader) (int64, error)) (int64, error) {
-	seeker, canSeek := src.(io.Seeker)
-	tracked := &readTracker{Reader: src}
+func Replay(p retry.Policy, op, name string, src io.Reader, once func(up *Source) (int64, error)) (int64, error) {
+	up := &Source{Reader: src}
+	up.seeker, _ = src.(io.Seeker)
 	var size int64
 	err := p.Do(op, func(int) error {
-		if tracked.read && canSeek {
-			if _, err := seeker.Seek(0, io.SeekStart); err != nil {
-				return retry.Permanent(err)
-			}
+		if err := up.rewind(); err != nil {
+			return retry.Permanent(err)
 		}
 		var err error
-		size, err = once(tracked)
-		if err != nil && tracked.read && !canSeek {
+		size, err = once(up)
+		if err != nil && up.read && up.seeker == nil {
 			service, verb, _ := strings.Cut(op, ".")
 			return retry.Permanent(fmt.Errorf("%s: %s %s: source not seekable, cannot replay: %w", service, verb, name, err))
 		}
@@ -287,16 +400,28 @@ func Replay(p retry.Policy, op, name string, src io.Reader, once func(src io.Rea
 	return size, nil
 }
 
-// readTracker notes whether anything was ever read through it.
-type readTracker struct {
+// Source is an upload's source as Replay hands it to each attempt: it notes
+// whether anything was ever read through it and, when the reader under it
+// can seek, rewinds it.
+type Source struct {
 	io.Reader
-	read bool
+	seeker io.Seeker // nil: the source cannot rewind
+	read   bool
 }
 
-func (t *readTracker) Read(p []byte) (int, error) {
-	n, err := t.Reader.Read(p)
-	t.read = t.read || n > 0
+func (u *Source) Read(p []byte) (int, error) {
+	n, err := u.Reader.Read(p)
+	u.read = u.read || n > 0
 	return n, err
+}
+
+// rewind puts a source that was read from back at its start, if it can seek.
+func (u *Source) rewind() error {
+	if u == nil || !u.read || u.seeker == nil {
+		return nil
+	}
+	_, err := u.seeker.Seek(0, io.SeekStart)
+	return err
 }
 
 // StreamCodec is the encoding one stream negotiated, the same state in every

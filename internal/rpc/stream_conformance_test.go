@@ -21,9 +21,13 @@ import (
 	"time"
 
 	"griddles/internal/admit"
+	"griddles/internal/core"
+	"griddles/internal/gns"
 	"griddles/internal/gridftp"
 	"griddles/internal/objstore"
+	"griddles/internal/obs"
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 	"griddles/internal/vfs"
@@ -154,14 +158,18 @@ func (c *cell) real(adm *admit.Controller) {
 
 // scripted serves every connection with peer, a hand-written far end.
 func (c *cell) scripted(peer func(br *bufio.Reader, bw *bufio.Writer)) {
-	l := c.listen()
-	c.v.Go("scripted-serve", func() {
+	serveScripted(c.v, c.listen(), peer)
+}
+
+// serveScripted runs peer on every connection l accepts.
+func serveScripted(v *simclock.Virtual, l net.Listener, peer func(br *bufio.Reader, bw *bufio.Writer)) {
+	v.Go("scripted-serve", func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
-			c.v.Go("scripted-conn", func() {
+			v.Go("scripted-conn", func() {
 				defer conn.Close()
 				peer(bufio.NewReader(conn), bufio.NewWriter(conn))
 			})
@@ -522,3 +530,410 @@ func TestStreamSilentPeerMeetsDeadline(t *testing.T) {
 type tcpDialer struct{}
 
 func (tcpDialer) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+
+// Reuse conformance: the rows a client that keeps its connections between
+// exchanges (rpc.Channels) adds to the table. objstore is the one service that
+// does; each row drives its exported client over simnet on the virtual clock,
+// counts dials on the tape and counts the connections the server side still
+// holds open. Every "not reused" and "stale" row fails on a cache that simply
+// puts every connection back.
+
+// liveListener counts the accepted connections not yet closed by the
+// accepting side: what a server still holds.
+type liveListener struct {
+	net.Listener
+	mu   sync.Mutex
+	live int
+}
+
+type liveConn struct {
+	net.Conn
+	l    *liveListener
+	once sync.Once
+}
+
+func (l *liveListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	l.live++
+	l.mu.Unlock()
+	return &liveConn{Conn: conn, l: l}, nil
+}
+
+func (c *liveConn) Close() error {
+	c.once.Do(func() {
+		c.l.mu.Lock()
+		c.l.live--
+		c.l.mu.Unlock()
+	})
+	return c.Conn.Close()
+}
+
+// reuseRig is one objstore client, its dials taped and its metrics and retry
+// events observed, against a server the row starts.
+type reuseRig struct {
+	t     *testing.T
+	v     *simclock.Virtual
+	net   *simnet.Network
+	tp    *tape
+	obs   *obs.Observer
+	c     *objstore.Client
+	store *objstore.Store
+	l     net.Listener
+	live  *liveListener
+}
+
+func newReuseRig(t *testing.T) *reuseRig {
+	v := simclock.NewVirtualDefault()
+	n := simnet.New(v)
+	n.SetLinkBoth("app", "srv", simnet.LinkSpec{Latency: time.Millisecond})
+	r := &reuseRig{t: t, v: v, net: n, tp: &tape{}, obs: obs.New(v), store: objstore.NewStore()}
+	r.store.PutBytes("in", streamBody)
+	r.c = objstore.NewClient(r.dialer(), cellAddr, v)
+	r.c.SetObserver(r.obs)
+	// The zero policy in every respect but the observer: one attempt, no
+	// deadline, and any retry it did make would be in the trace.
+	r.c.SetRetry(retry.Policy{Obs: r.obs, Clock: v})
+	return r
+}
+
+func (r *reuseRig) dialer() tapedDialer { return tapedDialer{inner: r.net.Host("app"), tp: r.tp} }
+
+func (r *reuseRig) listen() net.Listener {
+	l, err := r.net.Host("srv").Listen(cellAddr)
+	if err != nil {
+		r.t.Fatalf("listen: %v", err)
+	}
+	r.live = &liveListener{Listener: l}
+	r.l = tapedListener{Listener: r.live, tp: r.tp}
+	return r.l
+}
+
+// serve starts the real server on a fresh listener.
+func (r *reuseRig) serve(adm *admit.Controller) {
+	l := r.listen()
+	srv := objstore.NewServer(r.store, r.v)
+	srv.SetAdmission(adm)
+	r.v.Go("objstore-serve", func() { srv.Serve(l) })
+}
+
+// restart is the server dying and coming back on the same address.
+func (r *reuseRig) restart() {
+	r.tp.kill(r.l)
+	r.serve(nil)
+}
+
+// scripted serves every connection with peer, a hand-written far end.
+func (r *reuseRig) scripted(peer func(br *bufio.Reader, bw *bufio.Writer)) {
+	serveScripted(r.v, r.listen(), peer)
+}
+
+func (r *reuseRig) stat() {
+	r.t.Helper()
+	if size, ok, err := r.c.Stat("in"); err != nil || !ok || size != int64(len(streamBody)) {
+		r.t.Fatalf("stat = %d, %v, %v", size, ok, err)
+	}
+}
+
+func (r *reuseRig) get() {
+	r.t.Helper()
+	var sink bytes.Buffer
+	if n, _, err := r.c.Get("in", 0, -1, &sink); err != nil || n != int64(len(streamBody)) || !bytes.Equal(sink.Bytes(), streamBody) {
+		r.t.Fatalf("get = %d bytes, %v", n, err)
+	}
+}
+
+func (r *reuseRig) put(src io.Reader) {
+	r.t.Helper()
+	if n, err := r.c.Put("out", src); err != nil || n != int64(len(streamBody)) {
+		r.t.Fatalf("put = %d bytes, %v", n, err)
+	}
+	if got, _ := r.store.Get("out"); !bytes.Equal(got, streamBody) {
+		r.t.Fatalf("the server holds %d bytes that differ from the %d sent", len(got), len(streamBody))
+	}
+}
+
+func (r *reuseRig) wantDials(n int) {
+	r.t.Helper()
+	if d := r.tp.dials(); d != n {
+		r.t.Fatalf("%d connections dialed, want %d", d, n)
+	}
+	c := r.obs.Snapshot().Counters
+	if got := c["objstore.conn.dial.total"]; got != int64(n) {
+		r.t.Fatalf("objstore.conn.dial.total = %d, want %d", got, n)
+	}
+}
+
+// wantLive lets the server notice what the client closed, then asserts how
+// many connections it still holds.
+func (r *reuseRig) wantLive(n int) {
+	r.t.Helper()
+	if live := r.liveOnceQuiet(); live != n {
+		r.t.Fatalf("the server holds %d open connections, want %d", live, n)
+	}
+}
+
+func (r *reuseRig) liveOnceQuiet() int {
+	r.v.Sleep(50 * time.Millisecond)
+	r.live.mu.Lock()
+	defer r.live.mu.Unlock()
+	return r.live.live
+}
+
+func (r *reuseRig) wantNoRetry() {
+	r.t.Helper()
+	for _, ev := range r.obs.Events() {
+		if strings.HasPrefix(ev.Type, "retry.") {
+			r.t.Fatalf("the retry policy saw the failure: %s %v", ev.Type, ev)
+		}
+	}
+}
+
+// objWire is objstore's data channel as a scripted peer speaks it.
+var objWire = bulkServices[1].wire
+
+const objStat, objStatResp = 1, 2
+
+func TestChannelReuse(t *testing.T) {
+	seekable := func() io.Reader { return bytes.NewReader(streamBody) }
+	rows := []struct {
+		name string
+		run  func(r *reuseRig)
+	}{
+		{"reused-after-clean-operations", func(r *reuseRig) {
+			r.serve(nil)
+			r.stat()
+			if objs, err := r.c.List(""); err != nil || len(objs) != 1 {
+				r.t.Fatalf("list = %v, %v", objs, err)
+			}
+			r.get()
+			r.put(seekable())
+			r.stat()
+			r.wantDials(1)
+			if got := r.obs.Snapshot().Counters["objstore.conn.reuse.total"]; got != 4 {
+				r.t.Fatalf("objstore.conn.reuse.total = %d, want 4", got)
+			}
+			r.wantLive(1)
+		}},
+
+		// The exchanges that end with an error of any kind: the connection
+		// they ran on is closed, not kept, and the next operation dials.
+		{"not-reused-after-error-frame", func(r *reuseRig) {
+			r.serve(nil)
+			r.stat()
+			if _, _, err := r.c.Get("missing", 0, -1, io.Discard); err == nil || !strings.Contains(err.Error(), "no such object") {
+				r.t.Fatalf("get missing: %v", err)
+			}
+			r.stat()
+			r.wantDials(2)
+			r.wantLive(1)
+		}},
+		{"not-reused-after-shed", func(r *reuseRig) {
+			adm := admit.New(admit.Options{Service: "objstore", MaxConcurrent: 1, ControlShare: -1, Clock: r.v})
+			r.serve(adm)
+			r.stat()
+			rel, err := adm.Acquire("other", admit.Control)
+			if err != nil {
+				r.t.Fatalf("pre-acquire: %v", err)
+			}
+			var shed *admit.ShedError
+			if _, _, err := r.c.Stat("in"); !errors.As(err, &shed) {
+				r.t.Fatalf("stat under load: %v, want a shed", err)
+			}
+			rel()
+			r.stat()
+			r.wantDials(2)
+			r.wantLive(1)
+		}},
+		{"not-reused-after-short-stream", func(r *reuseRig) {
+			r.scriptedGets(int64(len(streamBody)), 1000)
+			r.stat()
+			if _, _, err := r.c.Get("in", 0, -1, io.Discard); err == nil || !strings.Contains(err.Error(), "header said") {
+				r.t.Fatalf("short get: %v", err)
+			}
+			r.stat()
+			r.wantDials(2)
+		}},
+		// A stream that runs past its header is refused with frames still
+		// unread behind it: a reused connection would hand them to the Stat.
+		{"not-reused-after-long-stream", func(r *reuseRig) {
+			r.scriptedGets(1000, 3000)
+			r.stat()
+			if _, _, err := r.c.Get("in", 0, -1, io.Discard); err == nil || !strings.Contains(err.Error(), "runs past") {
+				r.t.Fatalf("long get: %v", err)
+			}
+			r.stat()
+			r.wantDials(2)
+		}},
+		// A failing sink stops the download mid-stream, the rest of it unread.
+		{"not-reused-after-sink-error", func(r *reuseRig) {
+			r.serve(nil)
+			r.stat()
+			if _, _, err := r.c.Get("in", 0, -1, failingWriter{}); !errors.Is(err, io.ErrClosedPipe) {
+				r.t.Fatalf("get into a failing sink: %v", err)
+			}
+			r.stat()
+			r.get()
+			r.wantDials(2)
+			r.wantLive(1)
+		}},
+
+		// The server restarts while the client's connection sits idle. The next
+		// exchange finds it dead before any answer arrived and runs again on a
+		// fresh dial, at once: one more dial, nothing for the retry policy —
+		// which is the zero policy, so a counted failure would be final.
+		{"stale-connection-rerun/stat", func(r *reuseRig) {
+			r.serve(nil)
+			r.stat()
+			r.restart()
+			r.stat()
+			r.wantDials(2)
+			r.wantNoRetry()
+		}},
+		{"stale-connection-rerun/get", func(r *reuseRig) {
+			r.serve(nil)
+			r.stat()
+			r.restart()
+			r.get()
+			r.wantDials(2)
+			r.wantNoRetry()
+		}},
+		{"stale-connection-rerun/seekable-put", func(r *reuseRig) {
+			r.serve(nil)
+			r.stat()
+			r.restart()
+			r.put(seekable())
+			r.wantDials(2)
+			r.wantNoRetry()
+		}},
+		// A source that cannot rewind could not be sent twice, so it is never
+		// risked on a connection that may be stale.
+		{"non-seekable-put-dials-fresh", func(r *reuseRig) {
+			r.serve(nil)
+			r.stat()
+			r.restart()
+			r.put(struct{ io.Reader }{seekable()})
+			r.wantDials(2)
+			r.wantNoRetry()
+			if got := r.obs.Snapshot().Counters["objstore.conn.reuse.total"]; got != 0 {
+				r.t.Fatalf("objstore.conn.reuse.total = %d: the upload took the idle connection", got)
+			}
+		}},
+
+		// Dials are bounded by concurrency, never by the number of operations,
+		// and what stays open afterwards by the cache's bound.
+		{"dials-bounded-by-concurrency", func(r *reuseRig) {
+			r.serve(nil)
+			for i := 0; i < 1000; i++ {
+				if n, _, err := r.c.Get("in", int64(i), 100, io.Discard); err != nil || n != 100 {
+					r.t.Fatalf("get %d = %d, %v", i, n, err)
+				}
+			}
+			r.wantDials(1)
+			wg := simclock.NewWaitGroup(r.v)
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				r.v.Go("getter", func() {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						if n, _, err := r.c.Get("in", int64(i), 100, io.Discard); err != nil || n != 100 {
+							r.t.Errorf("concurrent get = %d, %v", n, err)
+							return
+						}
+					}
+				})
+			}
+			wg.Wait()
+			if d := r.tp.dials(); d > 8+rpc.MaxIdle {
+				r.t.Fatalf("%d dials for 8 concurrent readers, want at most %d", d, 8+rpc.MaxIdle)
+			}
+			if live := r.liveOnceQuiet(); live > rpc.MaxIdle {
+				r.t.Fatalf("the server holds %d connections once quiet, want at most %d", live, rpc.MaxIdle)
+			}
+		}},
+
+		{"client-close-leaves-nothing-open", func(r *reuseRig) {
+			r.serve(nil)
+			r.stat()
+			r.get()
+			r.wantLive(1)
+			if err := r.c.Close(); err != nil {
+				r.t.Fatalf("close: %v", err)
+			}
+			r.wantLive(0)
+			// A closed client still works; it just keeps nothing.
+			r.stat()
+			r.wantLive(0)
+		}},
+		{"multiplexer-close-leaves-nothing-open", func(r *reuseRig) {
+			r.serve(nil)
+			names := gns.NewStore(r.v)
+			names.Set("app", "object", gns.Mapping{Mode: gns.ModeObject, RemoteHost: cellAddr, RemotePath: "in"})
+			fm, err := core.New(core.Config{Machine: "app", Clock: r.v, FS: vfs.NewMemFS(), Dialer: r.dialer(), GNS: names})
+			if err != nil {
+				r.t.Fatalf("core.New: %v", err)
+			}
+			f, err := fm.Open("object")
+			if err != nil {
+				r.t.Fatalf("open: %v", err)
+			}
+			if got, err := io.ReadAll(f); err != nil || !bytes.Equal(got, streamBody) {
+				r.t.Fatalf("read %d bytes, %v", len(got), err)
+			}
+			if err := f.Close(); err != nil {
+				r.t.Fatalf("close file: %v", err)
+			}
+			r.wantLive(1)
+			if err := fm.Close(); err != nil {
+				r.t.Fatalf("close multiplexer: %v", err)
+			}
+			r.wantLive(0)
+		}},
+
+		// idle bounds silence inside an exchange, not between two: a kept
+		// connection carries no deadline, and the next exchange arms its own.
+		{"idle-connection-outlives-the-attempt-timeout", func(r *reuseRig) {
+			r.serve(nil)
+			p := retry.Policy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, AttemptTimeout: 500 * time.Millisecond, Clock: r.v, Obs: r.obs}
+			r.c.SetRetry(p)
+			r.stat()
+			r.v.Sleep(10 * p.AttemptTimeout)
+			r.stat()
+			r.get()
+			r.wantDials(1)
+			r.wantNoRetry()
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			r := newReuseRig(t)
+			defer r.c.Close()
+			r.v.Run(func() { row.run(r) })
+		})
+	}
+}
+
+// scriptedGets is a far end that answers Stat truthfully and every GET with a
+// header promising promised bytes followed by sent bytes of data.
+func (r *reuseRig) scriptedGets(promised int64, sent int) {
+	w := objWire
+	r.scripted(func(br *bufio.Reader, bw *bufio.Writer) {
+		for {
+			typ, _, err := wire.ReadFrame(br)
+			if err != nil {
+				return
+			}
+			switch typ {
+			case objStat:
+				reply(bw, objStatResp, wire.NewEncoder().Bool(true).I64(int64(len(streamBody))).Bytes())
+			case w.get:
+				wire.WriteFrame(bw, w.getHdr, wire.NewEncoder().I64(promised).I64(int64(len(streamBody))).Bytes())
+				wire.WriteFrame(bw, w.getData, streamBody[:sent])
+				reply(bw, w.getEnd, nil)
+			}
+		}
+	})
+}
