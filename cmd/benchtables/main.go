@@ -21,9 +21,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"griddles/internal/climate"
 	"griddles/internal/experiments"
-	"griddles/internal/mech"
 )
 
 func main() {
@@ -53,23 +51,7 @@ func main() {
 		experiments.SetTraceSink(tf)
 	}
 
-	cp := climate.DefaultParams()
-	cp.Steps /= *scale
-	cp.Work.CCAM /= float64(*scale)
-	cp.Work.CC2LAM /= float64(*scale)
-	cp.Work.DARLAM /= float64(*scale)
-	mp := mech.DefaultParams()
-	if *scale > 1 {
-		mp.FieldRows /= *scale
-		mp.BoundaryN /= *scale
-		mp.GrowthSites /= *scale
-		mp.Work.Chammy /= float64(*scale)
-		mp.Work.Pafec /= float64(*scale)
-		mp.Work.MakeSF /= float64(*scale)
-		mp.Work.Fast /= float64(*scale)
-		mp.Work.Objective /= float64(*scale)
-		cp.ReRead = 4
-	}
+	cp, mp := experiments.ScaledParams(*scale)
 
 	want := func(n string) bool { return *table == "all" || *table == n }
 	start := time.Now()

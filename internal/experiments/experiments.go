@@ -94,6 +94,30 @@ func (e *Env) Run(spec *workflow.Spec, coupling workflow.Coupling, setup func() 
 	return rep, err
 }
 
+// ScaledParams returns both workloads divided by scale (steps, sizes and work
+// units): 1 is the paper-calibrated full scale, cmd/benchtables -scale N and
+// the tables golden use larger divisors for quick runs.
+func ScaledParams(scale int) (climate.Params, mech.Params) {
+	cp := climate.DefaultParams()
+	cp.Steps /= scale
+	cp.Work.CCAM /= float64(scale)
+	cp.Work.CC2LAM /= float64(scale)
+	cp.Work.DARLAM /= float64(scale)
+	mp := mech.DefaultParams()
+	if scale > 1 {
+		mp.FieldRows /= scale
+		mp.BoundaryN /= scale
+		mp.GrowthSites /= scale
+		mp.Work.Chammy /= float64(scale)
+		mp.Work.Pafec /= float64(scale)
+		mp.Work.MakeSF /= float64(scale)
+		mp.Work.Fast /= float64(scale)
+		mp.Work.Objective /= float64(scale)
+		cp.ReRead = 4
+	}
+	return cp, mp
+}
+
 // fmtD formats a duration like the paper's tables.
 func fmtD(d time.Duration) string { return workflow.FormatDuration(d) }
 
