@@ -17,19 +17,19 @@ COVER_FLOOR_RPC        ?= 90.0
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr18.json
+BENCH_OUT ?= BENCH_pr24.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
 # short randomized probe on top.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet one-substrate one-handle test race chaos build cover fuzz bench bench-gate stress stress-smoke pairs
+.PHONY: check fmt vet one-substrate one-handle one-config test race chaos build cover fuzz bench bench-gate stress stress-smoke pairs
 
-## check: gofmt + vet + one-substrate and one-handle guards + race coverage
-## gate + chaos matrix + fuzz smoke + bench regression gate + overload stress
-## smoke
-check: fmt vet one-substrate one-handle cover chaos fuzz bench-gate stress-smoke
+## check: gofmt + vet + one-substrate, one-handle and one-config guards + race
+## coverage gate + chaos matrix + fuzz smoke + bench regression gate + overload
+## stress smoke
+check: fmt vet one-substrate one-handle one-config cover chaos fuzz bench-gate stress-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -90,6 +90,24 @@ one-handle:
 	n=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | grep -c ') Name() string'); \
 	if [ "$$n" -gt 2 ]; then \
 		echo "internal/core declares $$n File implementations, want 2 (handle, translatingFile)"; exit 1; \
+	fi
+
+## one-config: every FM parameter is declared once, in core.Config, and the
+## paper's 2004 values are spelled once, in core.Paper2004 (DESIGN.md §21; the
+## companion reflection test is TestRunnerDeclaresNoFMField). Fails when a
+## non-test .go file outside internal/core names TransportPerCall, or when a
+## non-test .go file outside gridlab/ says "historical": the old behaviour is a
+## named parameter value now, so a comment names the value.
+one-config:
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'TransportPerCall' . \
+		| grep -v '^\./internal/core/'); \
+	if [ -n "$$out" ]; then \
+		echo "a 2004 value spelled outside core.Paper2004 (say FM: core.Paper2004()):"; echo "$$out"; exit 1; \
+	fi; \
+	out=$$(grep -rni --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'historical' . \
+		| grep -v '^\./gridlab/'); \
+	if [ -n "$$out" ]; then \
+		echo "a comment says what was, not what is:"; echo "$$out"; exit 1; \
 	fi
 
 race:

@@ -346,7 +346,9 @@ func BenchmarkAblationSOAPWorkflow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				env := experiments.NewEnv()
 				env.Runner.CacheFiles = climate.CacheFiles()
-				env.Runner.SOAP = cfg.soap
+				if cfg.soap {
+					env.Runner.FM.Buffer.Transport = core.TransportSOAP
+				}
 				rep, err := env.Run(climate.WorkflowSpec(p, climate.Split("brecca", "dione")),
 					workflow.CouplingBuffers, nil)
 				if err != nil {

@@ -170,7 +170,7 @@ func higherIsBetter(unit string) bool {
 // allocation counts, exact wire-byte counts, ratios of simulated readings)
 // and so gets the strict tolerance. Plain "bytes" is the simulated wire's
 // exact transfer volume — deterministic and lower-better; "journal-bytes"
-// keeps its historical wall-metric slack (journal size varies with retry
+// keeps the wall-metric slack (journal size varies with retry
 // timing). "resolves/s" rates are derived from the virtual clock
 // (higher-better via the "/s" rule) and "rpcs" is an exact request count,
 // so both gate strictly.

@@ -29,8 +29,8 @@
 // -mode dag runs a diamond workflow on the simulated Table 1 testbed
 // instead of the TCP pipe, demonstrating the DAG scheduler (DESIGN.md §10):
 // -max-parallel sets the per-machine admission cap, -eager-copy overlaps
-// staging copies with upstream compute, and -serial forces the historical
-// strict-sequential executor for comparison.
+// staging copies with upstream compute, and -serial runs one stage at a time
+// in topological order, the reference executor, for comparison.
 //
 // The durable-coordinator flags (DESIGN.md §14) compose with -mode dag:
 // -journal FILE appends the coordinator's transition log; -kill-after N
@@ -79,11 +79,9 @@ func main() {
 	mb := flag.Int("mb", 8, "stream size in MiB")
 	dir := flag.String("dir", "", "working directory (default: a temp dir)")
 	trace := flag.String("trace", "", "stream the JSONL event log to this file")
-	retries := flag.Int("retries", 4, "transport attempts per operation (1 = historical fail-fast)")
+	retries := flag.Int("retries", 4, "transport attempts per operation (1 = one attempt with no deadline, as core.Paper2004 runs)")
 	retryTimeout := flag.Duration("retry-timeout", 10*time.Second, "per-attempt timeout when -retries > 1")
-	shards := flag.Int("shards", 0, "Grid Buffer block-table shards (0 = default)")
 	cacheMB := flag.Int("cache-mb", 0, "FM block cache budget in MiB for remote reads (0 = disabled)")
-	copyStreamsPerReplica := flag.Int("copy-streams-per-replica", 2, "parallel streams per replica for striped multi-source stage-in")
 	prefetchWindow := flag.Int("prefetch-window", core.DefaultPrefetchWindow, "ranged fetches kept in flight ahead of sequential remote reads (needs -cache-mb; 0 = disabled)")
 	gnsCache := flag.Bool("gns-cache", false, "memoise GNS resolves client-side under server-granted leases (TTL-bounded)")
 	maxParallel := flag.Int("max-parallel", 1, "stages allowed concurrently per machine under -mode dag")
@@ -221,11 +219,8 @@ func main() {
 			Obs:     observer,
 			// Real-network runs poll faster than the 2004 simulation.
 			PollInterval:    20 * time.Millisecond,
-			BufferShards:    *shards,
 			BlockCacheBytes: int64(*cacheMB) << 20,
-
-			CopyStreamsPerReplica: *copyStreamsPerReplica,
-			PrefetchWindow:        *prefetchWindow,
+			PrefetchWindow:  *prefetchWindow,
 
 			CompressThresholdKbps: *compressThreshold,
 			WireCodec:             *wireCodec,

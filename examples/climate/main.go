@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"griddles/internal/climate"
+	"griddles/internal/core"
 	"griddles/internal/gns"
 	"griddles/internal/simclock"
 	"griddles/internal/testbed"
@@ -46,7 +47,7 @@ func main() {
 			grid := testbed.DefaultGrid(clock)
 			runner := &workflow.Runner{
 				Grid: grid, GNS: gns.NewStore(clock),
-				ConnPerCall: true, CacheFiles: climate.CacheFiles(),
+				FM: core.Paper2004(), CacheFiles: climate.CacheFiles(),
 			}
 			var rep *workflow.Report
 			clock.Run(func() {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"griddles/internal/core"
 	"griddles/internal/gns"
 	"griddles/internal/mech"
 	"griddles/internal/simclock"
@@ -45,7 +46,7 @@ func main() {
 		grid := testbed.DefaultGrid(clock)
 		runner := &workflow.Runner{
 			Grid: grid, GNS: gns.NewStore(clock),
-			ConnPerCall: true, BlockSize: 64 * 1024,
+			FM: core.Paper2004(), BlockSize: 64 * 1024,
 		}
 		if err := mech.Setup(func(m string) vfs.FS { return grid.Machine(m).RawFS() }, c.assign, params); err != nil {
 			log.Fatal(err)

@@ -21,8 +21,8 @@
 //
 // A nil *Controller admits everything for free, so servers thread admission
 // through their dispatch loops unconditionally and the default
-// configuration — no controller — is byte-identical to the historical,
-// unprotected behaviour.
+// configuration — no controller — is unprotected: nothing is shed and no
+// reply byte differs.
 package admit
 
 import (

@@ -6,6 +6,8 @@ import (
 	"io"
 	"testing"
 
+	"griddles/internal/core"
+	"griddles/internal/obs"
 	"griddles/internal/workflow"
 )
 
@@ -58,9 +60,16 @@ func eagerSpec(want []byte) *workflow.Spec {
 // arming the fault (if any) before the run starts.
 func runEagerWorkflow(t *testing.T, payload int, arm func(e *Env)) map[string]int64 {
 	t.Helper()
+	return runWorkflow(t, payload, &workflow.Runner{EagerCopy: true}, arm).Snapshot().Counters
+}
+
+// runWorkflow runs eagerSpec with runner on a fresh env's grid, GNS and
+// observer, and returns the observer.
+func runWorkflow(t *testing.T, payload int, runner *workflow.Runner, arm func(e *Env)) *obs.Observer {
+	t.Helper()
 	e := NewEnv()
 	want := Payload(23, payload)
-	runner := &workflow.Runner{Grid: e.Grid, GNS: e.Store, Obs: e.Obs, EagerCopy: true}
+	runner.Grid, runner.GNS, runner.Obs = e.Grid, e.Store, e.Obs
 	e.V.Run(func() {
 		if err := e.StartServices(AppHost, DataHost); err != nil {
 			t.Fatal(err)
@@ -72,7 +81,24 @@ func runEagerWorkflow(t *testing.T, payload int, arm func(e *Env)) map[string]in
 			t.Fatalf("run: %v", err)
 		}
 	})
-	return e.Obs.Snapshot().Counters
+	return e.Obs
+}
+
+// TestChaosStageFMRetriesFromTemplate: a workflow's stage FMs carry the whole
+// of the Runner.FM template, here a retry policy. The copy link resets halfway
+// through the consumer's open-time stage-in; the consumer's FM retries the
+// copy and the run completes byte-identical (the consumer body checks).
+func TestChaosStageFMRetriesFromTemplate(t *testing.T) {
+	const payload = 512 << 10
+	o := runWorkflow(t, payload, &workflow.Runner{FM: core.Config{Retry: Policy()}}, func(e *Env) {
+		e.Grid.Network().FailAfter(DataHost, AppHost, payload/2)
+	})
+	for _, ev := range o.Events() {
+		if ev.Type == "retry.attempt" && ev.Src == AppHost {
+			return
+		}
+	}
+	t.Errorf("no retry.attempt event from the consumer's FM on %s: the template's policy did not reach it", AppHost)
 }
 
 func TestChaosEagerCopyAdoptsWithoutFaults(t *testing.T) {

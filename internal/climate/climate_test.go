@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"griddles/internal/core"
 	"griddles/internal/gns"
 	"griddles/internal/simclock"
 	"griddles/internal/testbed"
@@ -170,14 +171,14 @@ func TestInterpolationBoundedProperty(t *testing.T) {
 // runAtmos executes the tiny atmospheric workflow under a coupling.
 func runAtmos(t *testing.T, coupling workflow.Coupling, assign Assignment) (string, *workflow.Report) {
 	t.Helper()
-	return runAtmosWith(t, coupling, assign, false)
+	return runAtmosWith(t, coupling, assign, "")
 }
 
-func runAtmosWith(t *testing.T, coupling workflow.Coupling, assign Assignment, soapMode bool) (string, *workflow.Report) {
+func runAtmosWith(t *testing.T, coupling workflow.Coupling, assign Assignment, transport core.Transport) (string, *workflow.Report) {
 	t.Helper()
 	v := simclock.NewVirtualDefault()
 	grid := testbed.DefaultGrid(v)
-	runner := &workflow.Runner{Grid: grid, GNS: gns.NewStore(v), CacheFiles: CacheFiles(), SOAP: soapMode}
+	runner := &workflow.Runner{Grid: grid, GNS: gns.NewStore(v), CacheFiles: CacheFiles(), FM: core.Config{Buffer: core.Buffer{Transport: transport}}}
 	var rep *workflow.Report
 	v.Run(func() {
 		if err := workflow.StartServices(v, grid); err != nil {
@@ -235,8 +236,8 @@ func TestAtmosOverSOAPTransport(t *testing.T) {
 	// The fully faithful mode: Grid Buffer traffic rides SOAP envelopes
 	// over HTTP, including DARLAM's cache-file re-read, and produces the
 	// identical diagnostics.
-	binDiag, _ := runAtmosWith(t, workflow.CouplingBuffers, Split("brecca", "vpac27"), false)
-	soapDiag, rep := runAtmosWith(t, workflow.CouplingBuffers, Split("brecca", "vpac27"), true)
+	binDiag, _ := runAtmosWith(t, workflow.CouplingBuffers, Split("brecca", "vpac27"), "")
+	soapDiag, rep := runAtmosWith(t, workflow.CouplingBuffers, Split("brecca", "vpac27"), core.TransportSOAP)
 	if soapDiag != binDiag {
 		t.Error("SOAP transport changed the diagnostics")
 	}

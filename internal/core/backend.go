@@ -196,7 +196,7 @@ func (e *Env) WireCodec(addr string) string { return e.fm.codecFor(addr) }
 // BlockCache reports the FM's shared block cache, or nil when caching is
 // disabled. File composes it; a backend asks only to skip building a
 // Handle.CacheKey and Fetch nobody would use.
-func (e *Env) BlockCache() *BlockCache { return e.fm.cfg.BlockCache }
+func (e *Env) BlockCache() *BlockCache { return e.fm.cache }
 
 // PollUntil polls fn at the FM's WaitClose cadence — charging the
 // configured poll cost and sleeping PollInterval between attempts — until
@@ -214,8 +214,8 @@ func (e *Env) PollUntil(fn func() (done bool, err error)) error {
 			return nil
 		}
 		m.stats.polled()
-		if m.cfg.PollCost != nil {
-			m.cfg.PollCost()
+		if m.cfg.Hooks.PollCost != nil {
+			m.cfg.Hooks.PollCost()
 		}
 		m.cfg.Clock.Sleep(m.cfg.PollInterval)
 	}

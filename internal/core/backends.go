@@ -128,8 +128,8 @@ func (copyBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, err
 			}
 		}
 		adopted := false
-		if m.cfg.Prestage != nil {
-			if n, ok := m.cfg.Prestage.Claim(m.cfg.Machine, path, mapping); ok {
+		if m.cfg.Hooks.Prestage != nil {
+			if n, ok := m.cfg.Hooks.Prestage.Claim(m.cfg.Machine, path, mapping); ok {
 				m.stats.prestaged(n)
 				m.stats.stagedIn(n)
 				adopted = true
@@ -334,14 +334,13 @@ func (bufferBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, e
 		Cache:     mapping.CacheEnabled,
 		CachePath: mapping.CachePath,
 		Readers:   mapping.Readers,
-		Shards:    cfg.BufferShards,
 	}
 	var (
 		w   io.WriteCloser
 		r   io.ReadSeekCloser
 		err error
 	)
-	soapWire := cfg.BufferTransport == "soap"
+	soapWire := cfg.Buffer.Transport == TransportSOAP
 	switch {
 	case soapWire && req.Writing:
 		w, err = soap.NewBufferWriter(cfg.Clock, cfg.Dialer, mapping.BufferHost, key, opts)
@@ -349,10 +348,10 @@ func (bufferBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, e
 		r, err = soap.NewBufferReader(cfg.Clock, cfg.Dialer, mapping.BufferHost, key, opts)
 	case req.Writing:
 		w, err = gridbuffer.NewWriter(cfg.Dialer, mapping.BufferHost, cfg.Clock, key, opts,
-			gridbuffer.WriterOptions{Window: cfg.WriterWindow, ConnPerCall: cfg.BufferConnPerCall, Retry: cfg.Retry, Codec: env.WireCodec(mapping.BufferHost)})
+			gridbuffer.WriterOptions{Window: cfg.Buffer.Window, ConnPerCall: cfg.Buffer.Transport == TransportPerCall, Retry: cfg.Retry, Codec: env.WireCodec(mapping.BufferHost)})
 	default:
 		r, err = gridbuffer.NewReader(cfg.Dialer, mapping.BufferHost, cfg.Clock, key, opts,
-			gridbuffer.ReaderOptions{Depth: cfg.ReaderDepth, Retry: cfg.Retry, Codec: env.WireCodec(mapping.BufferHost)})
+			gridbuffer.ReaderOptions{Depth: cfg.Buffer.Depth, Retry: cfg.Retry, Codec: env.WireCodec(mapping.BufferHost)})
 	}
 	if err != nil {
 		return nil, err

@@ -21,9 +21,9 @@ import (
 //     a LAN transfer never pays compression CPU for bytes it could have
 //     streamed in the same time.
 //
-// "" means raw: the client sends no negotiation frame at all, so the wire
-// is byte-identical to the historical protocol. Every non-default decision
-// is recorded as an fm.codec.select event, mirroring fm.backend.select.
+// "" means raw: the client sends no negotiation frame at all, which is what
+// Paper2004 runs. Every non-default decision is recorded as an
+// fm.codec.select event, mirroring fm.backend.select.
 func (m *Multiplexer) codecFor(addr string) string {
 	if c := m.cfg.WireCodec; c != "" {
 		m.emitCodecSelect(addr, c, "configured", -1)
@@ -34,7 +34,7 @@ func (m *Multiplexer) codecFor(addr string) string {
 	}
 	threshold := m.cfg.CompressThresholdKbps
 	if threshold <= 0 {
-		return "" // feature off: no events, no negotiation, historical wire
+		return "" // feature off: no events, no negotiation
 	}
 	host := hostOfAddr(addr)
 	if m.cfg.NWS == nil {
@@ -96,15 +96,11 @@ func (m *Multiplexer) configureCodec(c *gridftp.Client, addr string) {
 	if len(m.cfg.Records) == 0 {
 		return
 	}
-	ord, err := orderByName(m.localOrder())
-	if err != nil {
-		return
-	}
 	for path, spec := range m.cfg.Records {
 		// An invalid schema is ignored here — the stream still compresses,
 		// it just skips the columnar reorder; translation reports the
 		// schema error loudly at open.
-		_ = c.RegisterSchema(path, spec.Schema, ord)
+		_ = c.RegisterSchema(path, spec.Schema, m.order)
 	}
 }
 
@@ -121,7 +117,7 @@ func (m *Multiplexer) registerRemoteSchema(c *gridftp.Client, path, rp string, m
 	}
 	name := mapping.DataOrder
 	if name == "" {
-		name = m.localOrder()
+		name = m.cfg.ByteOrder
 	}
 	if ord, err := orderByName(name); err == nil {
 		_ = c.RegisterSchema(rp, spec.Schema, ord)

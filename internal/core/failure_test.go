@@ -186,7 +186,7 @@ func TestWaitClosePollingPaysConfiguredCost(t *testing.T) {
 	e.v.Run(func() {
 		fm := e.fm(t, "jagan", func(c *Config) {
 			c.PollInterval = time.Second
-			c.PollCost = func() { costCalls++ }
+			c.Hooks.PollCost = func() { costCalls++ }
 		})
 		done := simclock.NewWaitGroup(e.v)
 		done.Add(1)

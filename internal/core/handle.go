@@ -43,12 +43,12 @@ type Handle struct {
 // reads a read-only handle through the cache (with prefetch if d.Fetch is set
 // and a window is configured) and drops the key's blocks on behalf of a
 // writer, at open and again once its close has settled. Close runs, in order:
-// prefetch shutdown, d.Closer, d.Commit, that invalidation, Config.CloseNotify
+// prefetch shutdown, d.Closer, d.Commit, that invalidation, Hooks.CloseNotify
 // (writers only). It stops at the first error, and every later Close returns
 // what the first one did.
 func (e *Env) File(name string, d Handle) File {
 	h := &handle{Handle: d, name: name, fm: e.fm}
-	cache := e.fm.cfg.BlockCache
+	cache := e.fm.cache
 	if cache == nil || d.CacheKey == "" {
 		return h
 	}
@@ -140,10 +140,10 @@ func (h *handle) close() error {
 	if h.Writer == nil {
 		return nil
 	}
-	if cache := h.fm.cfg.BlockCache; cache != nil && h.CacheKey != "" {
+	if cache := h.fm.cache; cache != nil && h.CacheKey != "" {
 		cache.Invalidate(h.CacheKey)
 	}
-	if notify := h.fm.cfg.CloseNotify; notify != nil {
+	if notify := h.fm.cfg.Hooks.CloseNotify; notify != nil {
 		notify(h.name)
 	}
 	return nil

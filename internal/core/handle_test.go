@@ -30,7 +30,7 @@ func TestFailedCloseIsRemembered(t *testing.T) {
 	e.v.Run(func() {
 		e.startServices(t)
 		notified := 0
-		fm := e.fm(t, "jagan", func(c *Config) { c.CloseNotify = func(string) { notified++ } })
+		fm := e.fm(t, "jagan", func(c *Config) { c.Hooks.CloseNotify = func(string) { notified++ } })
 		w, err := fm.Create("out")
 		if err != nil {
 			t.Fatal(err)
@@ -340,7 +340,7 @@ func TestHandleCloseOrder(t *testing.T) {
 		e.v.Go("rec-ftp", func() { gridftp.NewServer(recFS{brecca.FS(), "brecca", log}, e.v).Serve(l) })
 		fm := e.fm(t, "jagan", func(c *Config) {
 			c.FS = recFS{c.FS, "jagan", log}
-			c.CloseNotify = func(path string) { log.add("notify " + path) }
+			c.Hooks.CloseNotify = func(path string) { log.add("notify " + path) }
 			c.BlockCacheBytes = 8 << 20
 			c.PrefetchWindow = 2
 		})

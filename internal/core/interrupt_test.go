@@ -16,7 +16,7 @@ func TestInterruptRefusesOpens(t *testing.T) {
 	e.v.Run(func() {
 		e.startServices(t)
 		fm := e.fm(t, "jagan", func(c *Config) {
-			c.Interrupt = func() error {
+			c.Hooks.Interrupt = func() error {
 				if lost {
 					return errLost
 				}

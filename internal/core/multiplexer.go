@@ -32,6 +32,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -48,6 +49,7 @@ import (
 	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/vfs"
+	"griddles/internal/wire"
 )
 
 // Dialer opens connections to service addresses.
@@ -64,9 +66,12 @@ type File interface {
 	Name() string
 }
 
-// Config wires a Multiplexer to its environment. On a simulated testbed
-// machine, FS/Dialer/Clock come from the machine; in real mode they are the
-// OS file system, TCP, and the wall clock.
+// Config is the one place an FM parameter is declared (DESIGN.md §21). The
+// zero value of every tuning field is the default; Paper2004 is the 2004
+// prototype's set. Four groups: wiring (required, and what workflow.Runner
+// fills per stage — on a simulated machine FS/Dialer/Clock come from the
+// machine, in real mode they are the OS file system, TCP and the wall clock),
+// optional services, tuning (what a Runner's FM template carries), and Hooks.
 type Config struct {
 	// Machine is this component's machine name, the first half of every GNS
 	// key.
@@ -79,77 +84,107 @@ type Config struct {
 	Dialer Dialer
 	// GNS resolves OPEN calls to mappings.
 	GNS gns.Resolver
+	// Obs receives this FM's metrics and event trace. Leave nil for a
+	// private per-FM observer (Stats still works); share one observer across
+	// components — as the workflow Runner does — to collect a whole run in
+	// one place.
+	Obs *obs.Observer
 
-	// Replicas resolves logical names for modes 4 and 5 (optional).
+	// Replicas resolves logical names for modes 4 and 5.
 	Replicas replica.Lookuper
-	// NWS ranks replica locations (optional; without it the first replica
-	// wins).
+	// NWS ranks replica locations (without it the first replica wins).
 	NWS *nws.Service
+	// Backends is the storage-backend registry OPENs dispatch through; nil
+	// selects DefaultRegistry() (the seven in-tree mechanisms). Pass a
+	// private NewRegistry to run an FM with a restricted or extended
+	// backend set.
+	Backends *Registry
 
 	// PollInterval paces WaitClose polling and defaults to 200ms.
 	PollInterval time.Duration
-	// PollCost, if set, is charged once per poll (the testbed points it at
-	// Machine.Compute to model the CPU cost of polling).
-	PollCost func()
-
-	// WriterWindow / ReaderDepth tune Grid Buffer pipelining, in blocks (0
-	// = the byte budgets of package gridbuffer). BufferShards sets the
-	// served buffer's block-table shard count (0 = gridbuffer.DefaultShards).
-	WriterWindow int
-	ReaderDepth  int
-	BufferShards int
-	// BufferConnPerCall selects the paper's SOAP-era connection-per-call
-	// buffer transport for writers (see gridbuffer.WriterOptions).
-	BufferConnPerCall bool
-	// BufferTransport selects the wire format for Grid Buffer traffic:
-	// "binary" (default, framed messages) or "soap" (the paper's actual
-	// SOAP 1.1/HTTP envelopes; implies connection-per-call). The mapping's
-	// BufferHost must point at the matching service port.
-	BufferTransport string
-	// CopyStreams is the parallel stream count for stage-in/out copies
-	// (default 1).
+	// Buffer tunes mechanism 6, the Grid Buffer client.
+	Buffer Buffer
+	// CopyStreams is the parallel stream count for stage-in copies (below 1
+	// means 1, see gridftp.Client.CopyIn).
 	CopyStreams int
-	// CopyStreamsPerReplica is the per-replica parallel stream count for
-	// multi-source striped stage-in (default 2). Striping engages when a
-	// mode-5 file of at least 512 KiB has two or more reachable remote
-	// replicas; smaller files and single replicas keep the historical
-	// single-source CopyIn path with its ranked failover walk.
-	CopyStreamsPerReplica int
+	// BlockCacheBytes > 0 gives the FM an in-memory LRU block cache of that
+	// byte budget for remote and replicated reads (modes 3–5); 0 reads
+	// through uncached. Cache keys embed the GNS mapping generation, so a
+	// remap never serves stale blocks.
+	BlockCacheBytes int64
 	// PrefetchWindow enables the async prefetch pipeline for sequential
 	// remote reads (modes 3 and 4): up to this many ranged fetches are kept
 	// in flight ahead of the reader, landing blocks into the block cache.
-	// Requires a block cache; 0 disables (the historical synchronous
-	// fill-on-miss behaviour). Seek-heavy handles detect themselves and
-	// fall back to per-call fetching.
+	// Requires a block cache; 0 fills synchronously on a miss. Seek-heavy
+	// handles detect themselves and fall back to per-call fetching.
 	PrefetchWindow int
-
 	// CompressThresholdKbps arms per-link wire compression: when this FM
 	// creates a transport to a remote service it asks the NWS for a
 	// bandwidth forecast and negotiates block compression ("lzb") on links
 	// below this many kilobits per second; faster links — and links with no
 	// forecast — stay raw, so LAN transfers never pay compression CPU. 0
-	// (the default) disables negotiation entirely and keeps the wire
-	// byte-identical to the historical protocol. When Records declares a
-	// schema for a transferred path, the compressed stream additionally
-	// applies the columnar XDR transform to those records.
+	// (the default) never negotiates: no frame of the exchange is sent.
+	// When Records declares a schema for a transferred path, the compressed
+	// stream additionally applies the columnar XDR transform to those
+	// records.
 	CompressThresholdKbps int
 	// WireCodec overrides the bandwidth heuristic deterministically: "raw"
 	// pins every link raw, any other supported codec name ("lzb") is
 	// negotiated on every link. Empty defers to CompressThresholdKbps.
 	WireCodec string
-
 	// RemapInterval is how often a read-only replicated file re-evaluates
 	// its replica choice mid-read; 0 disables dynamic re-binding.
 	RemapInterval time.Duration
+	// Retry is the resilience policy threaded into every transport this FM
+	// opens (file-service clients and Grid Buffer endpoints). When enabled it
+	// also arms replica failover: a replicated read whose transport dies —
+	// after the client's own retries are exhausted — re-binds to the
+	// next-best surviving replica at the current offset. The zero policy is
+	// one attempt with no deadline (see rpc.Conn).
+	Retry retry.Policy
+	// Heuristic tunes ModeAuto's copy-vs-remote decision (§3.1).
+	Heuristic HeuristicConfig
+	// Records registers record schemas by open path for §3.3 byte-order
+	// translation; ByteOrder is this machine's order ("le" default, "be").
+	// A read of a file whose GNS mapping declares a different DataOrder is
+	// translated record-by-record in flight.
+	Records   map[string]RecordSpec
+	ByteOrder string
 
-	// BlockCache shares an in-memory LRU block cache across remote and
-	// replicated reads (modes 3–5); BlockCacheBytes > 0 creates a private
-	// one with that byte budget when BlockCache is nil. Zero values disable
-	// caching (the historical behaviour). Cache keys embed the GNS mapping
-	// generation, so a remap never serves stale blocks.
-	BlockCache      *BlockCache
-	BlockCacheBytes int64
+	// Hooks are a scheduler's per-attempt callbacks.
+	Hooks Hooks
+}
 
+// Transport names how the Grid Buffer client talks to the buffer service.
+// The zero value streams framed binary messages over one kept connection.
+type Transport string
+
+const (
+	// TransportPerCall delivers every block on a fresh, politely closed
+	// connection, as 2004 connection-per-call Web-Services stacks did (see
+	// gridbuffer.WriterOptions.ConnPerCall).
+	TransportPerCall Transport = "percall"
+	// TransportSOAP speaks the paper's actual SOAP 1.1/HTTP envelopes
+	// (connection-per-call by nature). The mapping's BufferHost must name
+	// the SOAP endpoint; workflow.Runner.Configure sees to that.
+	TransportSOAP Transport = "soap"
+)
+
+// Buffer is the Grid Buffer client's part of Config.
+type Buffer struct {
+	Transport Transport
+	// Window is the writer's count of unacknowledged blocks in flight and
+	// Depth the reader's prefetch depth, in blocks; 0 derives each from the
+	// byte budgets of package gridbuffer.
+	Window int
+	Depth  int
+}
+
+// Hooks are the callbacks workflow.Runner hangs on one stage attempt's FM.
+type Hooks struct {
+	// PollCost, if set, is charged once per WaitClose poll (the testbed
+	// points it at Machine.Compute to model the CPU cost of polling).
+	PollCost func()
 	// Prestage, if set, is consulted before a mode-2 read open pays its
 	// stage-in copy: a claimed eager copy (already staged toward this
 	// machine by the workflow scheduler) is adopted in place of the
@@ -160,7 +195,6 @@ type Config struct {
 	// workflow scheduler uses it to start eager stage-in copies toward
 	// downstream consumers while the producer is still computing.
 	CloseNotify func(path string)
-
 	// Interrupt, if set, is polled at the top of every OPEN (and Stat); a
 	// non-nil error aborts the call with that error before any GNS or
 	// transport work. The workflow scheduler points it at a stage attempt's
@@ -168,36 +202,20 @@ type Config struct {
 	// commit race is cut off at its next IO, so it can never stage out over
 	// — or publish markers for — outputs the winner already committed.
 	Interrupt func() error
+}
 
-	// Retry is the resilience policy threaded into every transport this FM
-	// opens (file-service clients and Grid Buffer endpoints). When enabled it
-	// also arms replica failover: a replicated read whose transport dies —
-	// after the client's own retries are exhausted — re-binds to the
-	// next-best surviving replica at the current offset. The zero policy is
-	// one attempt with no deadline (see rpc.Conn).
-	Retry retry.Policy
-
-	// Heuristic tunes ModeAuto's copy-vs-remote decision (§3.1).
-	Heuristic HeuristicConfig
-
-	// Backends is the storage-backend registry OPENs dispatch through; nil
-	// selects DefaultRegistry() (the seven in-tree mechanisms). Pass a
-	// private NewRegistry to run an FM with a restricted or extended
-	// backend set.
-	Backends *Registry
-
-	// Records registers record schemas by open path for §3.3 byte-order
-	// translation; ByteOrder is this machine's order ("le" default, "be").
-	// A read of a file whose GNS mapping declares a different DataOrder is
-	// translated record-by-record in flight.
-	Records   map[string]RecordSpec
-	ByteOrder string
-
-	// Obs receives this FM's metrics and event trace. Leave nil for a
-	// private per-FM observer (Stats still works); share one observer across
-	// components — as the workflow Runner does — to collect a whole run in
-	// one place.
-	Obs *obs.Observer
+// Paper2004 returns the tuning of the 2004 prototype, every value spelled out
+// even where it equals the default: a change to what a zero field means adds
+// the old value here and Tables 2–5 do not move (TestTablesGolden). What the
+// prototype lacked — cache, prefetch, codecs, remap, retry — stays zero.
+func Paper2004() Config {
+	return Config{
+		PollInterval: 200 * time.Millisecond,
+		// One connection per block, two blocks in flight either way: the
+		// request/response depth of the paper's Web-Services transport.
+		Buffer:      Buffer{Transport: TransportPerCall, Window: 2, Depth: 2},
+		CopyStreams: 1,
+	}
 }
 
 // DoneSuffix marks completion files for WaitClose coordination.
@@ -209,6 +227,8 @@ type Multiplexer struct {
 	obs      *obs.Observer
 	stats    Stats
 	registry *Registry
+	cache    *BlockCache      // from Config.BlockCacheBytes; nil reads through uncached
+	order    binary.ByteOrder // Config.ByteOrder, resolved
 	env      Env
 
 	mu     sync.Mutex
@@ -220,19 +240,29 @@ type Multiplexer struct {
 type poolKey struct{ scheme, addr string }
 
 // New returns a Multiplexer for cfg. Machine, Clock, FS, Dialer and GNS are
-// required.
+// required, and every configuration string is checked here rather than at the
+// first OPEN that would use it.
 func New(cfg Config) (*Multiplexer, error) {
 	if cfg.Machine == "" || cfg.Clock == nil || cfg.FS == nil || cfg.Dialer == nil || cfg.GNS == nil {
 		return nil, errors.New("core: Config requires Machine, Clock, FS, Dialer and GNS")
 	}
+	switch cfg.Buffer.Transport {
+	case "", TransportPerCall, TransportSOAP:
+	default:
+		return nil, fmt.Errorf("core: Config.Buffer.Transport: unknown transport %q", cfg.Buffer.Transport)
+	}
+	if _, err := wire.ForName(cfg.WireCodec); err != nil {
+		return nil, fmt.Errorf("core: Config.WireCodec: %w", err)
+	}
+	if cfg.ByteOrder == "" {
+		cfg.ByteOrder = "le"
+	}
+	order, err := orderByName(cfg.ByteOrder)
+	if err != nil {
+		return nil, fmt.Errorf("core: Config.ByteOrder: %w", err)
+	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 200 * time.Millisecond
-	}
-	if cfg.CopyStreams <= 0 {
-		cfg.CopyStreams = 1
-	}
-	if cfg.CopyStreamsPerReplica <= 0 {
-		cfg.CopyStreamsPerReplica = 2
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New(cfg.Clock)
@@ -247,10 +277,6 @@ func New(cfg Config) (*Multiplexer, error) {
 		cfg.Retry.Obs = cfg.Obs
 		cfg.Retry.Src = cfg.Machine
 	}
-	if cfg.BlockCache == nil && cfg.BlockCacheBytes > 0 {
-		cfg.BlockCache = NewBlockCache(cfg.BlockCacheBytes)
-		cfg.BlockCache.SetObserver(cfg.Obs)
-	}
 	if cfg.Backends == nil {
 		cfg.Backends = DefaultRegistry()
 	}
@@ -258,7 +284,12 @@ func New(cfg Config) (*Multiplexer, error) {
 		cfg:      cfg,
 		obs:      cfg.Obs,
 		registry: cfg.Backends,
+		order:    order,
 		pooled:   make(map[poolKey]io.Closer),
+	}
+	if cfg.BlockCacheBytes > 0 {
+		m.cache = NewBlockCache(cfg.BlockCacheBytes)
+		m.cache.SetObserver(cfg.Obs)
 	}
 	m.env = Env{fm: m}
 	m.stats.init(m.obs, cfg.Machine)
@@ -269,7 +300,7 @@ func New(cfg Config) (*Multiplexer, error) {
 func (m *Multiplexer) Backends() *Registry { return m.registry }
 
 // BlockCache reports the FM's block cache, if one is configured.
-func (m *Multiplexer) BlockCache() *BlockCache { return m.cfg.BlockCache }
+func (m *Multiplexer) BlockCache() *BlockCache { return m.cache }
 
 // Stats reports cumulative counters for this FM instance.
 func (m *Multiplexer) Stats() *Stats { return &m.stats }
@@ -378,10 +409,10 @@ func (m *Multiplexer) Stat(path string) (size int64, exists bool, err error) {
 
 // interrupted polls the Interrupt hook and records a refused call.
 func (m *Multiplexer) interrupted(path string) error {
-	if m.cfg.Interrupt == nil {
+	if m.cfg.Hooks.Interrupt == nil {
 		return nil
 	}
-	err := m.cfg.Interrupt()
+	err := m.cfg.Hooks.Interrupt()
 	if err == nil {
 		return nil
 	}
@@ -457,8 +488,8 @@ func (m *Multiplexer) chooseReplica(mapping gns.Mapping, path string) (replica.L
 
 // stageInReplica stages the replicated file behind path into lp: striped
 // across every reachable replica when the file is large and several remote
-// copies exist, otherwise the historical best-replica CopyIn with the ranked
-// failover walk.
+// copies exist, otherwise the best-replica CopyIn with the ranked failover
+// walk.
 func (m *Multiplexer) stageInReplica(mapping gns.Mapping, path, lp string) (int64, error) {
 	locs, err := m.replicaLocations(mapping, path)
 	if err != nil {

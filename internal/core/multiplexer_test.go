@@ -5,6 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,9 +103,62 @@ func (e *env) fm(t *testing.T, machine string, extra func(*Config)) *Multiplexer
 	return fm
 }
 
+// TestConfigValidation: New refuses missing wiring and every configuration
+// string it does not know, naming the field, instead of leaving the mistake to
+// the first OPEN that would use it.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("empty config accepted")
+	e := newEnv()
+	for _, tc := range []struct {
+		name    string
+		set     func(*Config)
+		wantErr string
+	}{
+		{"empty", func(c *Config) { *c = Config{} }, "requires Machine"},
+		{"transport", func(c *Config) { c.Buffer.Transport = "SOAP" }, "Config.Buffer.Transport"},
+		{"codec", func(c *Config) { c.WireCodec = "zstd" }, "Config.WireCodec"},
+		{"byte order", func(c *Config) { c.ByteOrder = "middle" }, "Config.ByteOrder"},
+	} {
+		m := e.grid.Machine("jagan")
+		cfg := Config{Machine: "jagan", Clock: e.v, FS: m.FS(), Dialer: m, GNS: e.store}
+		tc.set(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: New = %v, want an error naming %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestPaper2004Explicit: the 2004 set spells every numeric tuning value, also
+// the ones that equal today's default, so a default can move in this package
+// without moving Tables 2–5. Only what the prototype did not have stays zero.
+func TestPaper2004Explicit(t *testing.T) {
+	absent := map[string]string{
+		"BlockCacheBytes":       "no FM block cache in 2004",
+		"PrefetchWindow":        "no prefetch",
+		"CompressThresholdKbps": "no wire codecs",
+		"RemapInterval":         "no mid-read remap",
+		"Retry":                 "one attempt, no deadline",
+		"Heuristic":             "ModeAuto's cost model; no table binds a file with it",
+	}
+	var walk func(prefix string, v reflect.Value)
+	walk = func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), v.Type().Field(i).Name
+			if _, ok := absent[name]; ok {
+				continue
+			}
+			switch f.Kind() {
+			case reflect.Struct:
+				walk(prefix+name+".", f)
+			case reflect.Int, reflect.Int64, reflect.Float64:
+				if f.IsZero() {
+					t.Errorf("Paper2004().%s%s is zero: spell the 2004 value, or list it as absent in 2004", prefix, name)
+				}
+			}
+		}
+	}
+	walk("", reflect.ValueOf(Paper2004()))
+	if tr := Paper2004().Buffer.Transport; tr != TransportPerCall {
+		t.Errorf("Paper2004().Buffer.Transport = %q, want %q", tr, TransportPerCall)
 	}
 }
 

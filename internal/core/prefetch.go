@@ -8,8 +8,8 @@ import (
 )
 
 // DefaultPrefetchWindow is the prefetch depth flowrun enables when
-// -prefetch-window is left at its default. Config.PrefetchWindow == 0 keeps
-// prefetch off, preserving historical behaviour for embedders.
+// -prefetch-window is left at its default. Config.PrefetchWindow == 0 (the
+// default, and Paper2004's value) keeps prefetch off.
 const DefaultPrefetchWindow = 4
 
 // prefetcher keeps a window of ranged fetches in flight ahead of a
@@ -21,10 +21,10 @@ const DefaultPrefetchWindow = 4
 //
 // The pipeline watches the reader's access pattern: a handle that mostly
 // jumps around (seek-heavy) would waste the prefetched bytes, so it disables
-// itself and the cachedReader falls back to the historical fill-on-miss
-// behaviour. A fetch error also disables the pipeline — the reader's own
-// synchronous path owns error handling (and, for replicated files, the
-// failover walk); after a successful failover the file rearms it.
+// itself and the cachedReader falls back to synchronous fill-on-miss. A
+// fetch error also disables the pipeline — the reader's own synchronous path
+// owns error handling (and, for replicated files, the failover walk); after
+// a successful failover the file rearms it.
 type prefetcher struct {
 	clock  simclock.Clock
 	cache  *BlockCache
@@ -86,7 +86,7 @@ func (p *prefetcher) noteRead(pos int64) {
 	p.lastBlk = blk
 	if !p.disabled && p.seeks >= 4 && p.seeks*2 > p.seq {
 		// Seek-heavy access: prefetched blocks would mostly be wasted
-		// traffic. Fall back to the historical fill-on-miss path.
+		// traffic. Fall back to synchronous fill-on-miss.
 		p.disabled = true
 		p.fallbacks.Inc()
 		return

@@ -30,9 +30,10 @@ import (
 const (
 	// stripeMinFile is the smallest file striped across replicas; below it
 	// the extra dials and duplicate tails outweigh the bandwidth gain and
-	// the historical single-source CopyIn path (with its ranked failover
-	// walk) is used.
+	// the single-source CopyIn (with its ranked failover walk) is used.
 	stripeMinFile = 512 << 10
+	// stripeStreamsPerReplica is the parallel stream count per replica.
+	stripeStreamsPerReplica = 2
 	// stripeChunkMin is the smallest planned range; per-replica spans are
 	// subdivided into parallel streams only while each piece stays at least
 	// this large.
@@ -318,8 +319,8 @@ func (w *stripeWriter) Write(p []byte) (int, error) {
 // bandwidth-proportional ranges concurrently from every usable replica. It
 // reports used=false — without touching lp — when striping does not apply
 // (a local replica, fewer than two reachable remote sources, or a file
-// below stripeMinFile); the caller then falls back to the historical
-// single-source path.
+// below stripeMinFile); the caller then falls back to the single-source
+// path.
 func (m *Multiplexer) stripedStageIn(path, lp string, ranked []replica.Ranked) (int64, bool, error) {
 	if len(ranked) < 2 || ranked[0].Local {
 		return 0, false, nil
@@ -347,7 +348,7 @@ func (m *Multiplexer) stripedStageIn(path, lp string, ranked []replica.Ranked) (
 		bws[i] = src.bw
 		m.stats.replicaChosen(src.loc.Host)
 	}
-	tasks := planStripes(size, bws, m.cfg.CopyStreamsPerReplica)
+	tasks := planStripes(size, bws, stripeStreamsPerReplica)
 	dst, err := m.cfg.FS.OpenFile(lp, vfs.CreateTruncFlag, 0o644)
 	if err != nil {
 		return 0, true, err
@@ -366,7 +367,7 @@ func (m *Multiplexer) stripedStageIn(path, lp string, ranked []replica.Ranked) (
 		obs.KV("path", path), obs.KV("size", size),
 		obs.KV("sources", stripeSummary(srcs, tasks)),
 		obs.KV("tasks", len(tasks)),
-		obs.KV("streams_per_replica", m.cfg.CopyStreamsPerReplica))
+		obs.KV("streams_per_replica", stripeStreamsPerReplica))
 	runErr := s.run()
 	if cerr := dst.Close(); runErr == nil {
 		runErr = cerr

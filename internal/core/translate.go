@@ -30,20 +30,12 @@ func orderByName(name string) (binary.ByteOrder, error) {
 	}
 }
 
-// localOrder reports this FM's byte order ("le" unless configured).
-func (m *Multiplexer) localOrder() string {
-	if m.cfg.ByteOrder != "" {
-		return m.cfg.ByteOrder
-	}
-	return "le"
-}
-
 // maybeTranslate wraps f with an in-flight byte-order translator when the
 // mapping declares a foreign DataOrder and a record schema is registered
 // for the open path. Files opened for writing are never wrapped (the FM
 // writes native order; the GNS entry records it).
 func (m *Multiplexer) maybeTranslate(f File, path string, mapping gns.Mapping, writing bool) (File, error) {
-	if writing || mapping.DataOrder == "" || mapping.DataOrder == m.localOrder() {
+	if writing || mapping.DataOrder == "" || mapping.DataOrder == m.cfg.ByteOrder {
 		return f, nil
 	}
 	spec, ok := m.cfg.Records[path]
@@ -57,13 +49,9 @@ func (m *Multiplexer) maybeTranslate(f File, path string, mapping gns.Mapping, w
 	if err != nil {
 		return nil, err
 	}
-	to, err := orderByName(m.localOrder())
-	if err != nil {
-		return nil, err
-	}
 	m.stats.translated()
 	return &translatingFile{
-		inner: f, schema: spec.Schema, from: from, to: to,
+		inner: f, schema: spec.Schema, from: from, to: m.order,
 		recSize: spec.Schema.Size(),
 	}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"griddles/internal/climate"
+	"griddles/internal/core"
 	"griddles/internal/gns"
 	"griddles/internal/mech"
 	"griddles/internal/obs"
@@ -22,10 +23,8 @@ import (
 )
 
 // Env is one fresh experiment environment: a virtual clock, the Table 1
-// grid with all services running, and a workflow runner configured the way
-// the paper's prototype was: SOAP-style connection-per-call buffer writers
-// and a two-block request pipeline, the 2004 values of the parameters the
-// modern Grid Buffer transport derives from a byte budget.
+// grid with all services running, and a workflow runner whose FMs run the
+// paper's parameter set (core.Paper2004).
 type Env struct {
 	Clock  *simclock.Virtual
 	Grid   *testbed.Grid
@@ -50,14 +49,10 @@ func NewEnv() *Env {
 		Clock: v,
 		Grid:  grid,
 		Runner: &workflow.Runner{
-			Grid:        grid,
-			GNS:         gns.NewStore(v),
-			ConnPerCall: true,
-			// Two blocks in flight either way, as the paper's
-			// request/response Web-Services transport had.
-			WriterWindow: 2,
-			ReaderDepth:  2,
-			PollWork:     0.025,
+			Grid:     grid,
+			GNS:      gns.NewStore(v),
+			FM:       core.Paper2004(),
+			PollWork: 0.025,
 		},
 	}
 	if traceSink != nil {
@@ -94,9 +89,8 @@ func (e *Env) Run(spec *workflow.Spec, coupling workflow.Coupling, setup func() 
 	return rep, err
 }
 
-// ScaledParams returns both workloads divided by scale (steps, sizes and work
-// units): 1 is the paper-calibrated full scale, cmd/benchtables -scale N and
-// the tables golden use larger divisors for quick runs.
+// ScaledParams returns both workloads with steps, sizes and work units divided
+// by scale; 1 is the paper-calibrated full scale (cmd/benchtables -scale).
 func ScaledParams(scale int) (climate.Params, mech.Params) {
 	cp := climate.DefaultParams()
 	cp.Steps /= scale

@@ -247,7 +247,7 @@ func (s *Store) ResolveFresh(machine, path string) (Mapping, error) {
 // Directory is the full read-write GNS surface the workflow coordinator
 // drives: Resolve/Watch for the FM side plus the exact-key mutations the
 // scheduler, speculation rollback and journal recovery use. The embedded
-// *Store satisfies it directly (the historical in-process deployment); a
+// *Store satisfies it directly (the in-process deployment); a
 // *DirectoryClient adapts the network *Client, which routes every write —
 // including the SetIfAbsent speculation commit — to the owning shard's
 // leaseholder.

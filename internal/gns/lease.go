@@ -20,7 +20,7 @@ import (
 // first contact with the new one, and the epoch lets a client reject a
 // grant that raced its own later write.
 //
-// New message types only — the historical 1..12 protocol is untouched, so
+// New message types only — messages 1..12 are untouched, so
 // a default deployment (one shard, cache off) stays byte-identical.
 const (
 	msgLookup          = 13

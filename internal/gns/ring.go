@@ -16,7 +16,7 @@ import (
 // static cluster description — every shard's member addresses, primary
 // first — handed to clients at connect time; the Ring places each
 // (machine, path) key on exactly one shard. One shard with one member is
-// the historical single-server deployment, byte for byte.
+// the single-server deployment, byte for byte.
 
 // DefaultVNodes is the virtual-node count per shard on the hash ring. 64
 // points per shard keeps the keyspace split within a few percent of even

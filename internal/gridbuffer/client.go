@@ -114,7 +114,7 @@ type WriterOptions struct {
 	// from DefaultWriterWindowBytes and the negotiated block size.
 	Window int
 	// Codec names the block codec proposed at attach ("" or "raw" keeps the
-	// stream raw and the attach bytes identical to the historical protocol).
+	// stream raw and the attach request free of any codec field).
 	// Connection-per-call mode never negotiates and ignores this.
 	Codec string
 	// ConnPerCall reproduces the paper's Web-Services transport behaviour:
@@ -551,7 +551,7 @@ func (w *Writer) queue(blk wblock) error {
 
 // putLocked queues one PUT frame; wmu is held. The payload goes vectored from
 // the block (or the compression arena) into the connection buffer, and the
-// frame is byte-identical to the historical one-block PUT.
+// frame is byte-identical to a one-block PUT sent from a flat buffer.
 func (w *Writer) putLocked(blk wblock) error {
 	w.armWriteDeadline()
 	data, err := w.cs.Encode(blk.data)
@@ -744,7 +744,7 @@ type ReaderOptions struct {
 	// carries.
 	Depth int
 	// Codec names the block codec proposed at attach ("" or "raw" keeps the
-	// stream raw and the attach bytes identical to the historical protocol).
+	// stream raw and the attach request free of any codec field).
 	Codec string
 	// Retry is the resilience policy; the zero policy fails fast.
 	Retry retry.Policy

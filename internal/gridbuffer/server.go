@@ -352,8 +352,8 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 		// (-1 for a first attach), so a reconnected reader keeps its
 		// identity in broadcast accounting.
 		prev := int(d.I64())
-		// A codec-capable client appends the codec it wants; the historical
-		// request ends at prev, so absence means a raw stream.
+		// A codec-capable client appends the codec it wants; a request
+		// that ends at prev means a raw stream.
 		reqCodec := ""
 		if d.Err() == nil && d.Remaining() > 0 {
 			reqCodec = d.String()

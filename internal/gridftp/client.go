@@ -94,7 +94,7 @@ func (c *Client) SetRetry(p retry.Policy) { c.rc.Retry = p }
 
 // SetCodec requests a stream codec for bulk Fetch/Put transfers. "" or
 // "raw" (the default) sends no negotiation frame at all, so the wire bytes
-// are identical to the historical protocol; any other codec is proposed to
+// are those of a peer that knows no codecs; any other codec is proposed to
 // the server at stream open and transparently dropped to raw when the peer
 // does not speak it.
 func (c *Client) SetCodec(name string) { c.codecName = name }

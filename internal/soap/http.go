@@ -1,7 +1,7 @@
-// Package soap implements the Grid Buffer service's historically faithful
-// transport: SOAP 1.1 envelopes over HTTP POST, one connection per call —
-// exactly how the paper's prototype exposed the service ("implemented using
-// Web Services, and is accessed by SOAP messages", §4).
+// Package soap implements the Grid Buffer service's paper-faithful transport
+// (core.TransportSOAP): SOAP 1.1 envelopes over HTTP POST, one connection per
+// call — exactly how the paper's prototype exposed the service ("implemented
+// using Web Services, and is accessed by SOAP messages", §4).
 //
 // The HTTP layer is a deliberately small HTTP/1.1 subset rather than
 // net/http: under the deterministic virtual clock every goroutine that can

@@ -47,7 +47,7 @@ func CodecSupported(name string) bool {
 
 // ForName returns the codec for name. Raw (and the empty string) return nil:
 // a nil Codec means "leave payloads alone", which is how every call site
-// keeps the negotiated-raw path byte-identical to the historical protocol.
+// keeps the negotiated-raw path byte-identical to a stream with no codec.
 func ForName(name string) (Codec, error) {
 	switch name {
 	case "", CodecRaw:

@@ -114,15 +114,11 @@ func (t *eagerTracker) start(consumerMachine, path, producerMachine string) {
 	if lp == "" {
 		lp = path
 	}
-	streams := r.CopyStreams
-	if streams <= 0 {
-		streams = 1
-	}
 	t.clock.Go("eagercopy-"+consumerMachine+"-"+path, func() {
 		defer t.wg.Done()
 		c := gridftp.NewClient(machine, mapping.RemoteHost, t.clock)
 		defer c.Close()
-		n, err := c.CopyIn(rp, machine.FS(), lp, streams)
+		n, err := c.CopyIn(rp, machine.FS(), lp, r.FM.CopyStreams)
 		if err != nil {
 			e.failed = true
 			r.Obs.Counter("wf.eagercopy.fail.total").Inc()

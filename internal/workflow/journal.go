@@ -185,8 +185,7 @@ func decodeRecord(payload []byte) (record, error) {
 }
 
 // Journal is the append side. All methods are nil-receiver safe, so the
-// scheduler journals unconditionally and a nil Runner.Journal costs nothing
-// — the journal-off run stays byte-identical to the historical executor.
+// scheduler journals unconditionally and a nil Runner.Journal costs nothing.
 type Journal struct {
 	// SyncEvery syncs the sink every N appends (default 1: every record is
 	// durable before the scheduler acts on it). Larger values trade a

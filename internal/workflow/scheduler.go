@@ -29,9 +29,9 @@ import (
 // byte-identically). Ready stages are dispatched longest-critical-path
 // first with the component index as a deterministic tie-break, so the
 // DAG's spine starts as early as possible and a pure chain dispatches in
-// exactly the historical topological order.
+// exactly topological order, as Runner.Serial does.
 //
-// Failure semantics match the historical serial executor: after a stage
+// Failure semantics match the Serial executor: after a stage
 // fails, no new stage is dispatched; in-flight stages drain and the error
 // of the lowest-indexed failed component is returned.
 //

@@ -13,6 +13,7 @@ package workflow
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -321,34 +322,27 @@ func StartServices(clock simclock.Clock, grid *testbed.Grid) error {
 // Runner executes workflows on a grid.
 type Runner struct {
 	Grid *testbed.Grid
-	// GNS is the name service the coordinator programs: the embedded *Store
-	// (historical, workflow-private) or a *DirectoryClient over a shared —
+	// GNS is the name service the coordinator programs: an in-process
+	// *Store private to this workflow, or a *DirectoryClient over a shared —
 	// possibly sharded — gnsd cluster, whose writes (including the
 	// SetIfAbsent speculation commit) route to each shard's leaseholder.
 	GNS gns.Directory
 
-	// PollInterval paces WaitClose polling (default 200ms).
-	PollInterval time.Duration
+	// FM is the template every stage's File Multiplexer is built from, by
+	// value: all of core.Config's tuning reaches a workflow through it. The
+	// runner fills Machine, Clock, FS, Dialer, GNS, Obs and Hooks per stage
+	// attempt and Run refuses a template that sets any of them. The zero
+	// template is core's defaults; core.Paper2004() is the paper's set.
+	FM core.Config
+
 	// PollWork is the CPU time in seconds each WaitClose poll burns on the
 	// polling machine (default 0.004). It is charged as constant *time*
 	// rather than constant work: the poll path (stat + name-service check)
 	// cost roughly the same milliseconds on every 2004 box.
 	PollWork float64
-	// WriterWindow / ReaderDepth tune buffer pipelining (defaults in
-	// package gridbuffer).
-	WriterWindow int
-	ReaderDepth  int
-	// ConnPerCall selects the SOAP-style connection-per-call buffer
-	// transport (the paper's implementation; see gridbuffer.WriterOptions).
-	ConnPerCall bool
-	// SOAP routes buffer traffic through the actual SOAP/HTTP endpoint
-	// instead of the binary protocol (a heavier, fully faithful mode).
-	SOAP bool
 	// BlockSize overrides the Grid Buffer block size for all coupled files
 	// (0 keeps the paper's 4096-byte default).
 	BlockSize int
-	// CopyStreams is the parallel-stream count for staging copies.
-	CopyStreams int
 	// BufferAt overrides Grid Buffer placement per file; the default is the
 	// first consumer's machine (the paper's reader-end placement).
 	BufferAt map[string]string
@@ -357,22 +351,21 @@ type Runner struct {
 	CacheFiles map[string]bool
 	// MaxPerMachine bounds how many CouplingSequential stages may run
 	// concurrently on one machine under the DAG scheduler. 0 means 1 — the
-	// paper's one-job-per-box regime, under which pure chains execute
-	// exactly as the historical serial executor did.
+	// paper's one-job-per-box regime, under which a pure chain runs one
+	// stage at a time in topological order, as Serial does.
 	MaxPerMachine int
 	// EagerCopy starts each staging copy toward a remote consumer as soon
 	// as the producer closes the file, overlapping transfers with upstream
 	// compute; the consumer's open adopts the eager copy. Off by default
 	// (the paper charges copies inside the consumer's slot).
 	EagerCopy bool
-	// Serial forces the historical strict-sequential executor for
-	// CouplingSequential (one stage at a time in topological order),
-	// ignoring MaxPerMachine and EagerCopy. Mainly for A/B benchmarks.
+	// Serial runs CouplingSequential strictly one stage at a time in
+	// topological order, ignoring MaxPerMachine and EagerCopy: the reference
+	// executor tests and A/B benchmarks compare the DAG scheduler against.
 	Serial bool
 	// Journal, if set, appends every coordinator transition to a durable
 	// log so a crashed run can be resumed (Resume). Only the sequential-
-	// files DAG scheduler journals; nil (the default) keeps the executor
-	// byte-identical to the unjournaled one.
+	// files DAG scheduler journals.
 	Journal *Journal
 	// Kill is the chaos harness's coordinator crash switch: when its named
 	// point fires, the coordinator stops dispatching and journaling,
@@ -397,7 +390,7 @@ type Runner struct {
 	// Obs, if set, is shared by every component's File Multiplexer and
 	// receives per-stage "wf.stage" events (wall time and IO volume per
 	// component) plus the GNS store's metrics. nil keeps each FM on its own
-	// private observer, exactly as before.
+	// private observer.
 	Obs *obs.Observer
 }
 
@@ -441,7 +434,7 @@ func (r *Runner) Configure(spec *Spec, coupling Coupling) error {
 				bufferMachine = m
 			}
 			bufferPort := BufferServicePort
-			if r.SOAP {
+			if r.FM.Buffer.Transport == core.TransportSOAP {
 				bufferPort = SOAPBufferServicePort
 			}
 			mapping := gns.Mapping{
@@ -496,6 +489,9 @@ func (r *Runner) run(spec *Spec, coupling Coupling, img *RunImage) (*Report, err
 	if (r.Journal != nil || r.Speculate || img != nil) && !durable {
 		return nil, fmt.Errorf("workflow: journaling, speculation and resume require the sequential-files DAG scheduler (got %s, serial=%v)", coupling, r.Serial)
 	}
+	if err := r.checkTemplate(); err != nil {
+		return nil, err
+	}
 	if err := r.Configure(spec, coupling); err != nil {
 		return nil, err
 	}
@@ -543,25 +539,16 @@ func (r *Runner) run(spec *Spec, coupling Coupling, img *RunImage) (*Report, err
 		machine := r.Grid.Machine(att.machine)
 		release := machine.Attach()
 		defer release()
-		cfg := core.Config{
-			Machine:           att.machine,
-			Clock:             clock,
-			FS:                machine.FS(),
-			Dialer:            machine,
-			GNS:               r.GNS,
-			PollInterval:      r.PollInterval,
-			PollCost:          func() { machine.Compute(r.pollWork() * machine.Spec().SpeedFactor) },
-			WriterWindow:      r.WriterWindow,
-			ReaderDepth:       r.ReaderDepth,
-			BufferConnPerCall: r.ConnPerCall,
-			BufferTransport:   bufferTransport(r.SOAP),
-			CopyStreams:       r.CopyStreams,
-			Interrupt:         att.interrupt,
-			Obs:               r.Obs,
+		cfg := r.FM
+		cfg.Machine, cfg.Clock, cfg.FS, cfg.Dialer = att.machine, clock, machine.FS(), machine
+		cfg.GNS, cfg.Obs = r.GNS, r.Obs
+		cfg.Hooks = core.Hooks{
+			PollCost:  func() { machine.Compute(r.pollWork() * machine.Spec().SpeedFactor) },
+			Interrupt: att.interrupt,
 		}
 		if eager != nil {
-			cfg.Prestage = eager
-			cfg.CloseNotify = func(path string) { eager.produced(att.machine, path) }
+			cfg.Hooks.Prestage = eager
+			cfg.Hooks.CloseNotify = func(path string) { eager.produced(att.machine, path) }
 		}
 		fm, err := core.New(cfg)
 		if err != nil {
@@ -609,8 +596,8 @@ func (r *Runner) run(spec *Spec, coupling Coupling, img *RunImage) (*Report, err
 	switch coupling {
 	case CouplingSequential:
 		if r.Serial {
-			// The historical strict-sequential executor: one stage at a
-			// time, topological order, stop at the first failure.
+			// One stage at a time, topological order, stop at the first
+			// failure.
 			order, err := spec.TopoOrder()
 			if err != nil {
 				return nil, err
@@ -653,11 +640,16 @@ func (r *Runner) run(spec *Spec, coupling Coupling, img *RunImage) (*Report, err
 	return report, nil
 }
 
-func bufferTransport(soapMode bool) string {
-	if soapMode {
-		return "soap"
+// checkTemplate refuses an FM template that sets what the runner fills per
+// stage attempt: it would be silently overwritten.
+func (r *Runner) checkTemplate() error {
+	fm := reflect.ValueOf(r.FM)
+	for _, name := range []string{"Machine", "Clock", "FS", "Dialer", "GNS", "Obs", "Hooks"} {
+		if !fm.FieldByName(name).IsZero() {
+			return fmt.Errorf("workflow: Runner.FM.%s is set; the runner fills it per stage", name)
+		}
 	}
-	return ""
+	return nil
 }
 
 func (r *Runner) pollWork() float64 {

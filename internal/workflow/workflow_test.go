@@ -3,10 +3,12 @@ package workflow
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"griddles/internal/core"
 	"griddles/internal/gns"
 	"griddles/internal/simclock"
 	"griddles/internal/testbed"
@@ -462,5 +464,75 @@ func TestConfigureIsIncrementalGNSOnly(t *testing.T) {
 	m, _ = store.Resolve("vpac27", "stage1.dat")
 	if m.Mode != gns.ModeCopy || m.RemoteHost != "brecca"+FileServicePort {
 		t.Fatalf("consumer mapping: %+v", m)
+	}
+}
+
+// TestSOAPPortFollowsTransport: the FM template's transport picks the port
+// Configure publishes, so the endpoint in the GNS and the protocol the stage
+// FMs speak cannot disagree.
+func TestSOAPPortFollowsTransport(t *testing.T) {
+	v := simclock.NewVirtualDefault()
+	spec := pipeSpec([3]string{"brecca", "vpac27", "dione"}, 1, 1, 64)
+	for _, tc := range []struct {
+		transport core.Transport
+		port      string
+	}{
+		{"", BufferServicePort},
+		{core.TransportPerCall, BufferServicePort},
+		{core.TransportSOAP, SOAPBufferServicePort},
+	} {
+		store := gns.NewStore(v)
+		runner := &Runner{Grid: testbed.DefaultGrid(v), GNS: store, FM: core.Config{Buffer: core.Buffer{Transport: tc.transport}}}
+		if err := runner.Configure(spec, CouplingBuffers); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range [][2]string{{"brecca", "stage1.dat"}, {"vpac27", "stage1.dat"}, {"vpac27", "stage2.dat"}, {"dione", "stage2.dat"}} {
+			m, err := store.Resolve(key[0], key[1])
+			if err != nil || m.Mode != gns.ModeBuffer || !strings.HasSuffix(m.BufferHost, tc.port) {
+				t.Errorf("transport %q: %s on %s maps to %+v (%v), want a buffer on port %s", tc.transport, key[1], key[0], m, err, tc.port)
+			}
+		}
+	}
+}
+
+// TestRunRefusesTemplateWiring: the runner fills the wiring and the hooks of
+// every stage FM itself, so a template that sets one is a mistake Run names
+// rather than silently overwrites.
+func TestRunRefusesTemplateWiring(t *testing.T) {
+	v := simclock.NewVirtualDefault()
+	for _, tc := range []struct {
+		field string
+		set   func(*core.Config)
+	}{
+		{"FM.Machine", func(c *core.Config) { c.Machine = "brecca" }},
+		{"FM.GNS", func(c *core.Config) { c.GNS = gns.NewStore(v) }},
+		{"FM.Hooks", func(c *core.Config) { c.Hooks.PollCost = func() {} }},
+		{"FM.Hooks", func(c *core.Config) { c.Hooks.Prestage = &eagerTracker{} }},
+		{"FM.Hooks", func(c *core.Config) { c.Hooks.CloseNotify = func(string) {} }},
+		{"FM.Hooks", func(c *core.Config) { c.Hooks.Interrupt = func() error { return nil } }},
+	} {
+		runner := &Runner{Grid: testbed.DefaultGrid(v), GNS: gns.NewStore(v)}
+		tc.set(&runner.FM)
+		_, err := runner.Run(pipeSpec([3]string{"brecca", "brecca", "brecca"}, 1, 1, 64), CouplingSequential)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("template setting %s: Run = %v, want an error naming it", tc.field, err)
+		}
+	}
+}
+
+// TestRunnerDeclaresNoFMField: every FM parameter is declared once, in
+// core.Config; the Runner passes its template down by value and mirrors none
+// of it. GNS and Obs are the runner's own (a gns.Directory it programs, the
+// observer it shares), not copies.
+func TestRunnerDeclaresNoFMField(t *testing.T) {
+	own := map[string]bool{"GNS": true, "Obs": true}
+	rt := reflect.TypeOf(Runner{})
+	for _, ct := range []reflect.Type{reflect.TypeOf(core.Config{}), reflect.TypeOf(core.Buffer{}), reflect.TypeOf(core.Hooks{})} {
+		for i := 0; i < ct.NumField(); i++ {
+			name := ct.Field(i).Name
+			if _, dup := rt.FieldByName(name); dup && !own[name] {
+				t.Errorf("Runner.%s mirrors core.%s.%s: set it on Runner.FM", name, ct.Name(), name)
+			}
+		}
 	}
 }
