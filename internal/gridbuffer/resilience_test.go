@@ -235,6 +235,61 @@ func TestConnPerCallWriterRetries(t *testing.T) {
 	})
 }
 
+// TestIdleWriterKeepsItsConnection: a writer that goes quiet between blocks
+// for three times its attempt timeout keeps the one connection it attached
+// on. What bounds its wait for acknowledgements is the window, not a read
+// deadline, so an application that is merely slow is not taken for a dead
+// service — a write deadline armed in both directions would be, and would
+// re-dial after every pause.
+func TestIdleWriterKeepsItsConnection(t *testing.T) {
+	b := newBrig(simnet.LinkSpec{Latency: time.Millisecond})
+	p := bPolicy(b.v)
+	want := make([]byte, 3*DefaultBlockSize)
+	rand.New(rand.NewSource(26)).Read(want)
+	wd := &countingDialer{Dialer: b.net.Host("w")}
+	b.v.Run(func() {
+		b.start(t)
+		var got []byte
+		done := simclock.NewWaitGroup(b.v)
+		done.Add(1)
+		b.v.Go("reader", func() {
+			defer done.Done()
+			r, err := NewReader(b.net.Host("r"), b.addr, b.v, "k", Options{}, ReaderOptions{})
+			if err != nil {
+				t.Errorf("reader: %v", err)
+				return
+			}
+			defer r.Close()
+			got, err = io.ReadAll(r)
+			if err != nil {
+				t.Errorf("readall: %v", err)
+			}
+		})
+		w, err := NewWriter(wd, b.addr, b.v, "k", Options{}, WriterOptions{Retry: p})
+		if err != nil {
+			t.Fatalf("writer: %v", err)
+		}
+		for off := 0; off < len(want); off += DefaultBlockSize {
+			if off > 0 {
+				b.v.Sleep(3 * p.AttemptTimeout)
+			}
+			if _, err := w.Write(want[off : off+DefaultBlockSize]); err != nil {
+				t.Fatalf("write at %d: %v", off, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		done.Wait()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reader got %d bytes, want %d", len(got), len(want))
+		}
+	})
+	if n := len(wd.conns); n != 1 {
+		t.Errorf("an idle writer dialed %d times, want 1", n)
+	}
+}
+
 func TestWriterFailsFastWithoutPolicy(t *testing.T) {
 	b := newBrig(simnet.LinkSpec{Latency: time.Millisecond})
 	b.v.Run(func() {

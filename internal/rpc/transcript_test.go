@@ -758,4 +758,186 @@ func scriptGridBuffer(s *script) {
 	// A reader's parting detach is not waited for; give the server the time
 	// to answer it, so the answer is on the tape every run.
 	s.v.Sleep(10 * time.Millisecond)
+
+	// The pipe itself, on a third service without admission: where each
+	// socket write ends is the flush rule at all three endpoints. The window
+	// holds a whole stream, so no write waits on its peer and no two
+	// goroutines woken at one instant decide a write boundary between them.
+	s.net.SetWindow(1 << 20)
+	psrv := gridbuffer.NewServer(gridbuffer.NewRegistry(s.v, nil), s.v)
+	pl := s.listen("srv:9003")
+	s.v.Go("gridbuffer-pipe-serve", func() { psrv.Serve(pl) })
+	s.gbStream()
+	s.gbStall()
+	s.gbWriterReset()
+	s.gbReaderReset()
+	s.gbBroadcast()
+	s.gbDrop()
+}
+
+// gbRead reads the buffer key to its end through a reader attached with ropts
+// and checks it holds want (see gbDrain).
+func (s *script) gbRead(what, key string, opts gridbuffer.Options, ropts gridbuffer.ReaderOptions, want []byte, pace time.Duration) {
+	s.t.Helper()
+	r, err := gridbuffer.NewReader(s.dialer, "srv:9003", s.v, key, opts, ropts)
+	if err != nil {
+		s.t.Fatalf("%s: attach reader: %v", what, err)
+	}
+	s.gbDrain(what, r, want, pace)
+}
+
+// gbDrain reads r to its end a block at a time, pace apart, checks it held
+// want, and gives the parting detach time to be answered.
+func (s *script) gbDrain(what string, r *gridbuffer.Reader, want []byte, pace time.Duration) {
+	s.t.Helper()
+	var body []byte
+	buf := make([]byte, 4096)
+	for {
+		n, err := r.Read(buf)
+		body = append(body, buf[:n]...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			s.t.Fatalf("%s: read after %d bytes: %v", what, len(body), err)
+		}
+		s.v.Sleep(pace)
+	}
+	if !bytes.Equal(body, want) {
+		s.t.Fatalf("%s: read %d bytes, want %d", what, len(body), len(want))
+	}
+	if err := r.Close(); err != nil {
+		s.t.Fatalf("%s: close reader: %v", what, err)
+	}
+	s.v.Sleep(10 * time.Millisecond)
+}
+
+func (s *script) gbWrite(what string, w *gridbuffer.Writer, body []byte) {
+	s.t.Helper()
+	if _, err := w.Write(body); err != nil {
+		s.t.Fatalf("%s: write: %v", what, err)
+	}
+	if err := w.Close(); err != nil {
+		s.t.Fatalf("%s: close writer: %v", what, err)
+	}
+}
+
+// gbStream: 40 raw 4 KiB blocks at the default window and depth, the reader
+// attached first. The writer's PUTs leave 15 to a socket write, the service
+// answers every PUT its read buffer holds in one write of acknowledgements,
+// and the reader asks for runs of blocks (GET-WIN) half its depth at a time.
+func (s *script) gbStream() {
+	body := pattern(40 * 4096)
+	s.step("stream-attach")
+	r, err := gridbuffer.NewReader(s.dialer, "srv:9003", s.v, "stream", gridbuffer.Options{}, gridbuffer.ReaderOptions{})
+	if err != nil {
+		s.t.Fatalf("stream: attach reader: %v", err)
+	}
+	w, err := gridbuffer.NewWriter(s.dialer, "srv:9003", s.v, "stream", gridbuffer.Options{}, gridbuffer.WriterOptions{})
+	if err != nil {
+		s.t.Fatalf("stream: attach writer: %v", err)
+	}
+	s.step("stream-put")
+	s.gbWrite("stream", w, body)
+	s.step("stream-get")
+	s.gbDrain("stream", r, body, 0)
+}
+
+// gbStall: a buffer of 4 blocks fills while its reader is away. The put that
+// would exceed it stalls in the service, which first sends the
+// acknowledgements it is holding; the stalled puts go through as the reader
+// (depth 2, below the capacity) acknowledges what it has read.
+func (s *script) gbStall() {
+	opts := gridbuffer.Options{Capacity: 4}
+	body := pattern(8 * 4096)
+	s.step("stall-put")
+	w, err := gridbuffer.NewWriter(s.dialer, "srv:9003", s.v, "stall", opts, gridbuffer.WriterOptions{})
+	if err != nil {
+		s.t.Fatalf("stall: attach writer: %v", err)
+	}
+	done := simclock.NewWaitGroup(s.v)
+	done.Add(1)
+	s.v.Go("stall-writer", func() {
+		defer done.Done()
+		s.gbWrite("stall", w, body)
+	})
+	s.v.Sleep(100 * time.Millisecond)
+	s.step("stall-get")
+	s.gbRead("stall", "stall", opts, gridbuffer.ReaderOptions{Depth: 2}, body, 10*time.Millisecond)
+	done.Wait()
+}
+
+// gbWriterReset: the writer's connection dies inside the burst of held PUTs.
+// The writer re-attaches and replays every block not yet acknowledged, which
+// the service takes idempotently.
+func (s *script) gbWriterReset() {
+	body := pattern(8 * 4096)
+	s.step("wreset-put")
+	w, err := gridbuffer.NewWriter(s.dialer, "srv:9003", s.v, "wreset", gridbuffer.Options{}, gridbuffer.WriterOptions{Retry: s.resumePolicy()})
+	if err != nil {
+		s.t.Fatalf("writer reset: attach writer: %v", err)
+	}
+	s.net.FailAfter("app", "srv", 4*4126)
+	s.gbWrite("writer reset", w, body)
+	s.step("wreset-get")
+	s.gbRead("writer reset", "wreset", gridbuffer.Options{}, gridbuffer.ReaderOptions{}, body, 0)
+}
+
+// gbReaderReset: the reader's connection dies mid-stream. It re-attaches under
+// the reader ID it had and asks again from its position: the blocks it never
+// acknowledged are still resident.
+func (s *script) gbReaderReset() {
+	body := pattern(8 * 4096)
+	s.step("rreset-put")
+	w, err := gridbuffer.NewWriter(s.dialer, "srv:9003", s.v, "rreset", gridbuffer.Options{}, gridbuffer.WriterOptions{})
+	if err != nil {
+		s.t.Fatalf("reader reset: attach writer: %v", err)
+	}
+	s.gbWrite("reader reset", w, body)
+	s.step("rreset-get")
+	s.net.FailAfter("srv", "app", 3*4126)
+	s.gbRead("reader reset", "rreset", gridbuffer.Options{}, gridbuffer.ReaderOptions{Retry: s.resumePolicy()}, body, 0)
+}
+
+// gbBroadcast: one writer, two readers of every block (Readers: 2). The
+// second reader attaches as reader 1 and finds every block still resident.
+func (s *script) gbBroadcast() {
+	opts := gridbuffer.Options{Readers: 2}
+	body := pattern(4 * 4096)
+	s.step("bcast-attach")
+	r0, err := gridbuffer.NewReader(s.dialer, "srv:9003", s.v, "bcast", opts, gridbuffer.ReaderOptions{})
+	if err != nil {
+		s.t.Fatalf("broadcast: attach reader 0: %v", err)
+	}
+	r1, err := gridbuffer.NewReader(s.dialer, "srv:9003", s.v, "bcast", opts, gridbuffer.ReaderOptions{})
+	if err != nil {
+		s.t.Fatalf("broadcast: attach reader 1: %v", err)
+	}
+	w, err := gridbuffer.NewWriter(s.dialer, "srv:9003", s.v, "bcast", opts, gridbuffer.WriterOptions{})
+	if err != nil {
+		s.t.Fatalf("broadcast: attach writer: %v", err)
+	}
+	s.step("bcast-put")
+	s.gbWrite("broadcast", w, body)
+	s.step("bcast-get-0")
+	s.gbDrain("broadcast reader 0", r0, body, 0)
+	s.step("bcast-get-1")
+	s.gbDrain("broadcast reader 1", r1, body, 0)
+}
+
+// gbDrop: the frame gridlab's dropBuffer sends between two pipes, on a
+// connection of its own.
+func (s *script) gbDrop() {
+	s.step("drop")
+	conn, err := s.dialer.Dial("srv:9003")
+	if err != nil {
+		s.t.Fatalf("drop: dial: %v", err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, 11, wire.NewEncoder().String("stream").Bytes()); err != nil {
+		s.t.Fatalf("drop: %v", err)
+	}
+	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != 12 {
+		s.t.Fatalf("drop answered with type %d, %v", typ, err)
+	}
 }
