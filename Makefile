@@ -17,7 +17,7 @@ COVER_FLOOR_RPC        ?= 90.0
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr24.json
+BENCH_OUT ?= BENCH_pr25.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
@@ -46,7 +46,11 @@ vet:
 ## reply or builds an accept backoff itself, or declares its own Dialer; when
 ## a non-test file of internal/gridftp or internal/objstore arms a deadline,
 ## runs a frame-receive loop or buffers a connection itself (the data channel
-## is rpc.Stream); when a private stream-codec state reappears anywhere; when a
+## is rpc.Stream); when a non-test file of internal/gridbuffer arms a
+## deadline, buffers a connection, dials, runs a frame-receive loop or declares
+## a frame writer (its endpoints are rpc streams and rpc.ServeConn); when
+## wire.FrameBuffered is called outside internal/rpc (the flush rule lives in
+## rpc.ServeConn); when a private stream-codec state reappears anywhere; when a
 ## non-test file of internal/objstore dials a stream itself (every exchange
 ## goes through the client's rpc.Channels); or when a non-test comment still
 ## promises a connection "per-operation".
@@ -61,6 +65,16 @@ one-substrate:
 		$$(ls internal/gridftp/*.go internal/objstore/*.go | grep -v '_test\.go$$')); \
 	if [ -n "$$out" ]; then \
 		echo "data channel outside internal/rpc:"; echo "$$out"; exit 1; \
+	fi; \
+	out=$$(grep -nE '\.Set(Read|Write)?Deadline\(|bufio\.New(Reader|Writer)(Size)?\(|\.Dial\(|wire\.ReadFrameInto\(|type [A-Za-z]*[Ff]rame[Ww]riter\b' \
+		$$(ls internal/gridbuffer/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$out" ]; then \
+		echo "Grid Buffer connection shell outside internal/rpc:"; echo "$$out"; exit 1; \
+	fi; \
+	out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'wire\.FrameBuffered(' . \
+		| grep -v '^\./internal/rpc/'); \
+	if [ -n "$$out" ]; then \
+		echo "a flush rule outside rpc.ServeConn:"; echo "$$out"; exit 1; \
 	fi; \
 	out=$$(grep -rnE --include='*.go' 'type (streamCodec|connCodec|codecState) struct' .); \
 	if [ -n "$$out" ]; then \

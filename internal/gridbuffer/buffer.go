@@ -174,8 +174,7 @@ type Buffer struct {
 	cmu       *simclock.Mutex
 	cacheFile vfs.File
 
-	written atomic.Int64 // highest sequential watermark (for diagnostics)
-	ins     atomic.Pointer[bufInstruments]
+	ins atomic.Pointer[bufInstruments]
 }
 
 // NewBuffer returns an empty buffer with the given key and options.
@@ -409,7 +408,6 @@ func (b *Buffer) put(idx int64, data []byte, onStall func()) error {
 		b.Recycle(old)
 		s.rcond.Broadcast()
 		s.mu.Unlock()
-		b.noteWritten(idx)
 		return nil
 	}
 	s.mu.Unlock()
@@ -430,7 +428,6 @@ func (b *Buffer) put(idx int64, data []byte, onStall func()) error {
 		s.rcond.Broadcast()
 		s.mu.Unlock()
 		b.releaseSlot()
-		b.noteWritten(idx)
 		return nil
 	}
 	s.blocks[idx] = b.copyIn(data)
@@ -439,7 +436,6 @@ func (b *Buffer) put(idx int64, data []byte, onStall func()) error {
 	}
 	s.rcond.Broadcast()
 	s.mu.Unlock()
-	b.noteWritten(idx)
 	return nil
 }
 
@@ -455,18 +451,6 @@ func (b *Buffer) noteLate(idx int64) {
 		}
 	}
 	b.smu.Unlock()
-}
-
-func (b *Buffer) noteWritten(idx int64) {
-	for {
-		w := b.written.Load()
-		if idx < w {
-			return
-		}
-		if b.written.CompareAndSwap(w, idx+1) {
-			return
-		}
-	}
 }
 
 // CloseWrite marks end-of-stream with the total byte length. A repeat with

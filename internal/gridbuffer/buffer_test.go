@@ -256,10 +256,20 @@ func TestBufferNegativeIndex(t *testing.T) {
 	}
 }
 
+// getOrCreate is Registry.GetOrCreate for options in range.
+func getOrCreate(t *testing.T, r *Registry, key string, opts Options) *Buffer {
+	t.Helper()
+	b, err := r.GetOrCreate(key, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry(simclock.Real{}, vfs.NewMemFS())
-	b1 := r.GetOrCreate("a", Options{BlockSize: 8})
-	b2 := r.GetOrCreate("a", Options{BlockSize: 16}) // first options win
+	b1 := getOrCreate(t, r, "a", Options{BlockSize: 8})
+	b2 := getOrCreate(t, r, "a", Options{BlockSize: 16}) // first options win
 	if b1 != b2 {
 		t.Error("GetOrCreate returned distinct buffers for one key")
 	}
@@ -284,7 +294,7 @@ func TestRegistryLifecycle(t *testing.T) {
 func TestRegistryCacheFSInherited(t *testing.T) {
 	fs := vfs.NewMemFS()
 	r := NewRegistry(simclock.Real{}, fs)
-	b := r.GetOrCreate("k", Options{BlockSize: 2, Cache: true})
+	b := getOrCreate(t, r, "k", Options{BlockSize: 2, Cache: true})
 	id := b.Attach()
 	b.Put(0, []byte("ab"))
 	b.Get(id, 0)

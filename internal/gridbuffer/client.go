@@ -1,13 +1,10 @@
 package gridbuffer
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
-	"time"
 
 	"griddles/internal/obs"
 	"griddles/internal/retry"
@@ -64,32 +61,16 @@ type wblock struct {
 // and continues. Without one it fails fast, as the paper's service did: the
 // zero policy is the same code making one attempt with no timeouts.
 type Writer struct {
-	clock     simclock.Clock
-	key       string
-	blockSize int
-	retry     retry.Policy
-	flushHist *obs.Histogram
+	endpoint
+	connPerCall bool // the paper's SOAP discipline: a connection per block
 
-	// connection-per-call (SOAP-style) state
-	connPerCall bool
-	dialer      Dialer
-	addr        string
-	opts        Options
-
-	// codecName is the codec proposed at every attach; cs is the state the
-	// current connection actually negotiated.
-	codecName string
-
-	// wmu guards the send side of the current connection, which the
-	// application goroutine and the ack loop share (the ack loop sends held
-	// frames when the last in-flight block is acknowledged). It is held
-	// across socket writes, hence clock-aware.
+	// wmu guards the send side of the current stream, which the application
+	// goroutine and the ack loop share (the ack loop sends held frames when
+	// the last in-flight block is acknowledged). It is held across socket
+	// writes, hence clock-aware.
 	wmu   *simclock.Mutex
-	conn  net.Conn
-	fw    *frameWriter
-	cs    *rpc.StreamCodec
 	hdr   wire.Encoder // PUT header scratch
-	wrote int64        // index after the last block queued on this connection
+	wrote int64        // index after the last block queued on this stream
 
 	window  *simclock.Semaphore
 	winSize int64
@@ -129,16 +110,9 @@ type WriterOptions struct {
 	Retry retry.Policy
 }
 
-// link is one attached connection and what its Attach exchange negotiated.
-type link struct {
-	conn      net.Conn
-	br        *bufio.Reader
-	fw        *frameWriter
-	readerID  int
-	blockSize int
-	cs        *rpc.StreamCodec // what the server settled on; raw against an old server
-}
-
+// endpoint is what a Writer and a Reader share: where the buffer is, what
+// every attach proposes, and the stream the last attach opened.
+//
 // Block-codec negotiation rides the Attach exchange: a client that wants a
 // compressed stream appends the codec name after the attach fields every
 // peer sends (old servers ignore trailing bytes), and a new server appends its
@@ -148,57 +122,67 @@ type link struct {
 // are identical to the pre-codec protocol. Only block payloads are
 // transformed — framing, indices and acknowledgements stay raw — with the
 // same rpc.StreamCodec the bulk streams use, without a schema.
-//
 // Connection-per-call mode (the paper's 2004 SOAP discipline) never
 // negotiates: its data connections skip the Attach exchange entirely.
+type endpoint struct {
+	dialer    Dialer
+	addr      string
+	clock     simclock.Clock
+	key       string
+	opts      Options
+	codec     string // proposed at every attach; "" or "raw" stays raw
+	retry     retry.Policy
+	bufs      rpc.Buffers
+	blockSize int // what the first attach negotiated
 
-// attach dials addr and performs one Attach handshake. prev is the reader ID
-// a reconnecting reader resumes (-1 for writers and first attaches); codec,
-// if non-raw, is proposed for the stream; dl, if non-zero,
-// bounds the whole handshake.
-func attach(dialer Dialer, addr string, key string, role uint8, opts Options, prev int, codec string, dl time.Time, hist *obs.Histogram) (*link, error) {
-	conn, err := dialer.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("gridbuffer: dial %s: %w", addr, err)
-	}
-	l, err := handshake(conn, key, role, opts, prev, codec, dl, hist)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return l, nil
+	s  *rpc.Stream
+	cs *rpc.StreamCodec // what the server settled on; raw against an old server
 }
 
-func handshake(conn net.Conn, key string, role uint8, opts Options, prev int, codec string, dl time.Time, hist *obs.Histogram) (*link, error) {
-	if !dl.IsZero() {
-		conn.SetDeadline(dl)
+func newEndpoint(dialer Dialer, addr string, clock simclock.Clock, key string, opts Options, codec string, p retry.Policy, side string) endpoint {
+	return endpoint{
+		dialer: dialer, addr: addr, clock: clock, key: key, opts: opts, codec: codec, retry: p,
+		// Frames per socket write land in the observer the retry policy
+		// already carries (nil discards).
+		bufs: rpc.Buffers{Size: connBufSize, Flushes: p.Obs.Histogram(obs.Key("buf.flush.blocks", "side", side))},
 	}
-	l := &link{conn: conn, br: bufio.NewReaderSize(conn, connBufSize), fw: newFrameWriter(conn, hist)}
-	e := wire.NewEncoder()
-	e.String(key).U8(role)
-	encodeOptions(e, opts)
-	e.I64(int64(prev))
-	if codec != "" && codec != wire.CodecRaw {
-		e.String(codec)
-	}
-	if err := l.fw.frame(msgAttach, e.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := l.fw.flush(); err != nil {
-		return nil, err
-	}
-	typ, resp, err := wire.ReadFrame(l.br)
+}
+
+// attach opens a stream to the service and performs the Attach exchange on
+// it, under the policy's per-attempt timeout. prev is the reader ID a
+// reconnecting reader resumes (-1 for writers and first attaches). It
+// returns the reader ID and block size the service settled on.
+func (e *endpoint) attach(role uint8, prev int) (readerID, blockSize int, err error) {
+	s, err := rpc.OpenBuffered("gridbuffer", e.bufs, e.dialer, e.addr, e.clock, e.retry.Timeout())
 	if err != nil {
-		return nil, err
+		return 0, 0, err
+	}
+	req := wire.NewEncoder()
+	req.String(e.key).U8(role)
+	encodeOptions(req, e.opts)
+	req.I64(int64(prev))
+	if e.codec != "" && e.codec != wire.CodecRaw {
+		req.String(e.codec)
 	}
 	// A shed here is a stream-setup shed: the service is at its stream limit,
 	// and the attach-level retry policy waits out the hint and redials.
-	if err := rpc.Reply("gridbuffer", typ, resp); err != nil {
-		return nil, err
+	_, resp, err := s.Call(msgAttach, req.Bytes(), msgAttachResp)
+	var cs *rpc.StreamCodec
+	if err == nil {
+		readerID, blockSize, cs, err = decodeAttachResp(resp)
 	}
+	if err != nil {
+		s.Close()
+		return 0, 0, err
+	}
+	e.s, e.cs = s, cs
+	return readerID, blockSize, nil
+}
+
+// decodeAttachResp reads the service's answer to an Attach.
+func decodeAttachResp(resp []byte) (readerID, blockSize int, cs *rpc.StreamCodec, err error) {
 	d := wire.NewDecoder(resp)
-	l.readerID = int(d.I64())
-	l.blockSize = int(d.U32())
+	readerID, blockSize = int(d.I64()), int(d.U32())
 	// A codec-capable server echoes its choice; an old server's response
 	// ends at blockSize, which means the stream is raw.
 	chosen := ""
@@ -206,81 +190,62 @@ func handshake(conn net.Conn, key string, role uint8, opts Options, prev int, co
 		chosen = d.String()
 	}
 	if err := d.Err(); err != nil {
-		return nil, retry.Permanent(err)
+		return 0, 0, nil, retry.Permanent(err)
 	}
 	block, err := wire.ForName(chosen)
 	if err != nil {
-		return nil, retry.Permanent(fmt.Errorf("gridbuffer: server chose %w", err))
+		return 0, 0, nil, retry.Permanent(fmt.Errorf("gridbuffer: server chose %w", err))
 	}
-	l.cs = &rpc.StreamCodec{Block: block}
-	if l.blockSize <= 0 {
-		return nil, retry.Permanent(fmt.Errorf("gridbuffer: server negotiated block size %d", l.blockSize))
+	if blockSize <= 0 {
+		return 0, 0, nil, retry.Permanent(fmt.Errorf("gridbuffer: server negotiated block size %d", blockSize))
 	}
-	if !dl.IsZero() {
-		conn.SetDeadline(time.Time{})
-	}
-	return l, nil
+	return readerID, blockSize, &rpc.StreamCodec{Block: block}, nil
 }
 
-// flushHistogram is where a client endpoint records frames per socket
-// write: the observer its retry policy already carries (nil discards).
-func flushHistogram(p retry.Policy, side string) *obs.Histogram {
-	return p.Obs.Histogram(obs.Key("buf.flush.blocks", "side", side))
-}
+// BlockSize reports the negotiated block size.
+func (e *endpoint) BlockSize() int { return e.blockSize }
 
 // NewWriter attaches to (or creates) the buffer key on the service at addr
 // and returns a Writer.
 func NewWriter(dialer Dialer, addr string, clock simclock.Clock, key string, opts Options, wopts WriterOptions) (*Writer, error) {
-	codecName := wopts.Codec
+	codec := wopts.Codec
 	if wopts.ConnPerCall {
 		// Conn-per-call data connections skip the Attach exchange, so there
 		// is nowhere to negotiate; the paper's SOAP discipline stays raw.
-		codecName = ""
+		codec = ""
 	}
-	hist := flushHistogram(wopts.Retry, "writer")
-	var l *link
+	w := &Writer{
+		endpoint:    newEndpoint(dialer, addr, clock, key, opts, codec, wopts.Retry, "writer"),
+		connPerCall: wopts.ConnPerCall,
+		wmu:         simclock.NewMutex(clock),
+		done:        simclock.NewEvent(clock),
+	}
 	err := wopts.Retry.Do("gb.attach", func(int) error {
 		var err error
-		l, err = attach(dialer, addr, key, roleWriter, opts, -1, codecName, wopts.Retry.Deadline(), hist)
+		_, w.blockSize, err = w.attach(roleWriter, -1)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	win := int64(inFlightBlocks(wopts.Window, DefaultWriterWindowBytes, l.blockSize))
-	w := &Writer{
-		clock:       clock,
-		key:         key,
-		blockSize:   l.blockSize,
-		retry:       wopts.Retry,
-		flushHist:   hist,
-		connPerCall: wopts.ConnPerCall,
-		dialer:      dialer,
-		addr:        addr,
-		opts:        opts,
-		codecName:   codecName,
-		wmu:         simclock.NewMutex(clock),
-		window:      simclock.NewSemaphore(clock, win),
-		winSize:     win,
-		done:        simclock.NewEvent(clock),
-	}
+	w.winSize = int64(inFlightBlocks(wopts.Window, DefaultWriterWindowBytes, w.blockSize))
+	w.window = simclock.NewSemaphore(clock, w.winSize)
 	if w.connPerCall {
-		// The construction connection only created the buffer; each block
+		// The construction stream only created the buffer; each block
 		// travels on its own connection, so close it now.
-		l.conn.Close()
+		w.s.Close()
 		return w, nil
 	}
-	w.conn, w.fw, w.cs = l.conn, l.fw, l.cs
-	w.spawnAckLoop(l.br)
+	w.spawnAckLoop()
 	return w, nil
 }
 
-func (w *Writer) spawnAckLoop(br *bufio.Reader) {
+func (w *Writer) spawnAckLoop() {
 	w.mu.Lock()
 	gen := w.gen
 	w.mu.Unlock()
-	window, done := w.window, w.done
-	w.clock.Go("gridbuffer-writer-acks", func() { w.ackLoop(br, window, done, gen) })
+	s, window, done := w.s, w.window, w.done
+	w.clock.Go("gridbuffer-writer-acks", func() { w.ackLoop(s, window, done, gen) })
 }
 
 // oneCall opens a fresh connection, performs a single request/response,
@@ -308,16 +273,17 @@ func (w *Writer) oneCall(reqType uint8, payload []byte) error {
 // ackLoop consumes Put acknowledgements, releasing window permits. One loop
 // runs per connection generation; window/done belong to that generation, so
 // a stale loop can never release permits of a successor connection.
-func (w *Writer) ackLoop(br *bufio.Reader, window *simclock.Semaphore, done *simclock.Event, gen uint64) {
+func (w *Writer) ackLoop(s *rpc.Stream, window *simclock.Semaphore, done *simclock.Event, gen uint64) {
 	// However the loop ends, nothing more will be acknowledged on this
 	// connection: unblock whoever waits on it.
 	defer func() {
 		window.Release(w.winSize)
 		done.Set()
 	}()
-	var frameBuf []byte
 	for {
-		typ, payload, err := wire.ReadFrameInto(br, &frameBuf)
+		// No deadline: what bounds the wait for an acknowledgement is the
+		// window (acquire), so a writer that is merely idle keeps its stream.
+		typ, payload, err := s.Await()
 		if err != nil {
 			w.noteTransport(gen, err)
 			return
@@ -406,20 +372,11 @@ func (w *Writer) Err() error {
 	return w.err
 }
 
-func (w *Writer) isBroken() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.broken
-}
-
 func (w *Writer) setBroken() {
 	w.mu.Lock()
 	w.broken = true
 	w.mu.Unlock()
 }
-
-// BlockSize reports the negotiated block size.
-func (w *Writer) BlockSize() int { return w.blockSize }
 
 // Write implements io.Writer: bytes accumulate into blocks; each full block
 // is queued for the service as soon as the in-flight window permits.
@@ -491,11 +448,24 @@ func (w *Writer) sendBlock() error {
 // usable starts an attempt: it surfaces a permanent error and replaces a
 // broken connection.
 func (w *Writer) usable() error {
-	if err := w.Err(); err != nil {
-		return retry.Permanent(err)
+	if err := w.state(); err != errBroken {
+		return err
 	}
-	if w.isBroken() {
-		return w.reconnect()
+	return w.reconnect()
+}
+
+var errBroken = errors.New("gridbuffer: connection broken")
+
+// state reports the writer's standing for an attempt: its permanent error,
+// errBroken when the connection was lost, or nil.
+func (w *Writer) state() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return retry.Permanent(w.err)
+	}
+	if w.broken {
+		return errBroken
 	}
 	return nil
 }
@@ -517,21 +487,17 @@ func (w *Writer) acquire(n int64) error {
 	}
 	// A dying ack loop releases the whole window; those permits belong to a
 	// dead connection.
-	if err := w.Err(); err != nil {
-		return retry.Permanent(err)
-	}
-	if w.isBroken() {
-		return errors.New("gridbuffer: connection broken")
-	}
-	return nil
+	return w.state()
 }
 
-// queue puts one block's PUT frame on the connection under Nagle's rule,
-// clocked by acknowledgements instead of a timer: with nothing in flight the
-// frame leaves at once, so a lone block is never delayed; otherwise it waits
-// in the connection buffer for company until the buffer fills, the
-// application has to wait (acquire, Close), or the ack loop sees the last
-// in-flight block acknowledged.
+// queue puts one block's PUT frame on the stream under Nagle's rule, clocked
+// by acknowledgements instead of a timer: with nothing in flight the frame
+// leaves at once, so a lone block is never delayed; otherwise it waits in the
+// stream's buffer for company until the buffer fills, the application has to
+// wait (acquire, Close), or the ack loop sees the last in-flight block
+// acknowledged. It is the flush-before-block rule of every endpoint — the
+// service's is rpc.ServeConn's — which makes a legacy code's 4 KiB records
+// cost one socket write per buffer-full rather than two per record.
 func (w *Writer) queue(blk wblock) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
@@ -540,7 +506,7 @@ func (w *Writer) queue(blk wblock) error {
 	}
 	w.mu.Lock()
 	// A full buffer sends the frames ahead of this one on its own.
-	w.flushed = w.wrote - w.fw.frames
+	w.flushed = w.wrote - int64(w.s.Queued())
 	idle := !w.inFlightLocked()
 	w.mu.Unlock()
 	if idle {
@@ -550,17 +516,16 @@ func (w *Writer) queue(blk wblock) error {
 }
 
 // putLocked queues one PUT frame; wmu is held. The payload goes vectored from
-// the block (or the compression arena) into the connection buffer, and the
+// the block (or the compression arena) into the stream's buffer, and the
 // frame is byte-identical to a one-block PUT sent from a flat buffer.
 func (w *Writer) putLocked(blk wblock) error {
-	w.armWriteDeadline()
 	data, err := w.cs.Encode(blk.data)
 	if err != nil {
 		return err
 	}
 	w.hdr.Reset()
 	w.hdr.String(w.key).I64(blk.idx).U32(uint32(len(data)))
-	if err := w.fw.frame(msgPut, w.hdr.Bytes(), data); err != nil {
+	if err := w.s.Frame(msgPut, w.hdr.Bytes(), data); err != nil {
 		w.lost(err)
 		return err
 	}
@@ -570,8 +535,7 @@ func (w *Writer) putLocked(blk wblock) error {
 
 // flushLocked hands every queued frame to the socket; wmu is held.
 func (w *Writer) flushLocked() error {
-	w.armWriteDeadline()
-	if err := w.fw.flush(); err != nil {
+	if err := w.s.Flush(); err != nil {
 		w.lost(err)
 		return err
 	}
@@ -587,22 +551,16 @@ func (w *Writer) flushHeld() error {
 	return w.flushLocked()
 }
 
-// armWriteDeadline bounds the next socket write by the per-attempt timeout.
-func (w *Writer) armWriteDeadline() {
-	if t := w.retry.Timeout(); t > 0 {
-		w.conn.SetWriteDeadline(w.clock.Now().Add(t))
-	}
-}
-
 // reconnect re-attaches the writer, replays the unacknowledged block window
 // through the same held-frame path, and restarts the ack loop. Only the
 // application goroutine calls it.
 func (w *Writer) reconnect() error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	w.conn.Close()
-	l, err := attach(w.dialer, w.addr, w.key, roleWriter, w.opts, -1, w.codecName, w.retry.Deadline(), w.flushHist)
-	if err != nil {
+	w.s.Close()
+	// The replacement stream renegotiates from scratch — a failover to an
+	// older server build downgrades the stream to raw mid-flight.
+	if _, _, err := w.attach(roleWriter, -1); err != nil {
 		return err
 	}
 	w.mu.Lock()
@@ -610,9 +568,6 @@ func (w *Writer) reconnect() error {
 	w.broken = false
 	replay := append([]wblock(nil), w.unacked...)
 	w.mu.Unlock()
-	// The replacement connection renegotiated from scratch — a failover to
-	// an older server build downgrades the stream to raw mid-flight.
-	w.conn, w.fw, w.cs = l.conn, l.fw, l.cs
 	for _, blk := range replay {
 		if err := w.putLocked(blk); err != nil {
 			return err
@@ -623,7 +578,7 @@ func (w *Writer) reconnect() error {
 	}
 	w.window = simclock.NewSemaphore(w.clock, max(w.winSize-int64(len(replay)), 0))
 	w.done = simclock.NewEvent(w.clock)
-	w.spawnAckLoop(l.br)
+	w.spawnAckLoop()
 	return nil
 }
 
@@ -637,7 +592,7 @@ func (w *Writer) Close() error {
 	if !w.connPerCall {
 		defer func() {
 			w.wmu.Lock()
-			w.conn.Close()
+			w.s.Close()
 			w.wmu.Unlock()
 		}()
 	}
@@ -671,21 +626,14 @@ func (w *Writer) Close() error {
 			w.setBroken()
 			return errors.New("gridbuffer: close-write not acknowledged in time")
 		}
-		if err := w.Err(); err != nil {
-			return retry.Permanent(err)
-		}
-		if w.isBroken() {
-			return errors.New("gridbuffer: connection broken")
-		}
-		return nil
+		return w.state()
 	})
 }
 
 func (w *Writer) sendCloseWrite(payload []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	w.armWriteDeadline()
-	if err := w.fw.frame(msgCloseWrite, payload); err != nil {
+	if err := w.s.Frame(msgCloseWrite, payload); err != nil {
 		w.lost(err)
 		return err
 	}
@@ -706,24 +654,10 @@ func (w *Writer) sendCloseWrite(payload []byte) error {
 // budget is indistinguishable from a dead one — raise the timeout for
 // slow producers.
 type Reader struct {
-	clock     simclock.Clock
-	conn      net.Conn
-	br        *bufio.Reader
-	fw        *frameWriter
-	key       string
-	blockSize int
-	readerID  int
-	depth     int
-	flushHist *obs.Histogram
-	retry     retry.Policy
-	dialer    Dialer
-	addr      string
-	opts      Options
-	broken    bool
-
-	codecName string
-	cs        *rpc.StreamCodec
-	frameBuf  []byte
+	endpoint
+	readerID int
+	depth    int
+	broken   bool
 
 	inflight []int64 // block indices with pending responses, in order
 	nextReq  int64
@@ -752,25 +686,17 @@ type ReaderOptions struct {
 
 // NewReader attaches to (or creates) the buffer key on the service at addr.
 func NewReader(dialer Dialer, addr string, clock simclock.Clock, key string, opts Options, ropts ReaderOptions) (*Reader, error) {
-	hist := flushHistogram(ropts.Retry, "reader")
-	var l *link
+	r := &Reader{endpoint: newEndpoint(dialer, addr, clock, key, opts, ropts.Codec, ropts.Retry, "reader"), total: -1}
 	err := ropts.Retry.Do("gb.attach", func(int) error {
 		var err error
-		l, err = attach(dialer, addr, key, roleReader, opts, -1, ropts.Codec, ropts.Retry.Deadline(), hist)
+		r.readerID, r.blockSize, err = r.attach(roleReader, -1)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{
-		clock: clock, conn: l.conn, br: l.br, fw: l.fw,
-		key: key, blockSize: l.blockSize, readerID: l.readerID,
-		depth: inFlightBlocks(ropts.Depth, DefaultReaderDepthBytes, l.blockSize),
-		retry: ropts.Retry, flushHist: hist,
-		dialer: dialer, addr: addr, opts: opts,
-		codecName: ropts.Codec, cs: l.cs,
-		total: -1,
-	}, nil
+	r.depth = inFlightBlocks(ropts.Depth, DefaultReaderDepthBytes, r.blockSize)
+	return r, nil
 }
 
 // noteTotal tightens the known stream length. EOF responses give upper
@@ -782,21 +708,17 @@ func (r *Reader) noteTotal(v int64) {
 	}
 }
 
-// BlockSize reports the negotiated block size.
-func (r *Reader) BlockSize() int { return r.blockSize }
-
 // reconnect re-attaches the reader under its previous identity and resets
 // the request pipeline; the next fill re-requests from the current
 // position, whose blocks the server retained (they were never
 // acknowledged).
 func (r *Reader) reconnect() error {
-	r.conn.Close()
-	l, err := attach(r.dialer, r.addr, r.key, roleReader, r.opts, r.readerID, r.codecName, r.retry.Deadline(), r.flushHist)
+	r.s.Close()
+	id, _, err := r.attach(roleReader, r.readerID)
 	if err != nil {
 		return err
 	}
-	r.conn, r.br, r.fw, r.cs = l.conn, l.br, l.fw, l.cs
-	r.readerID = l.readerID
+	r.readerID = id
 	r.inflight = nil
 	r.broken = false
 	return nil
@@ -808,18 +730,12 @@ func (r *Reader) reconnect() error {
 // count requests outstanding at the cost of a single request frame. The
 // request leaves at once: it is what keeps the reader from blocking later.
 func (r *Reader) sendWindow(first int64, count int) error {
-	if t := r.retry.Timeout(); t > 0 {
-		r.conn.SetWriteDeadline(r.clock.Now().Add(t))
-	}
 	e := wire.NewEncoder()
 	encodeGetWin(e, getWinReq{
 		key: r.key, readerID: r.readerID,
 		first: first, count: count, ackBelow: r.acked,
 	})
-	if err := r.fw.frame(msgGetWin, e.Bytes()); err != nil {
-		return err
-	}
-	if err := r.fw.flush(); err != nil {
+	if err := r.s.Request(msgGetWin, e.Bytes()); err != nil {
 		return err
 	}
 	for i := 0; i < count; i++ {
@@ -828,16 +744,15 @@ func (r *Reader) sendWindow(first int64, count int) error {
 	return nil
 }
 
-// recvOne consumes the response for inflight[0].
+// recvOne consumes the response for inflight[0], tightening the known stream
+// length by what it says: an EOF response gives an upper bound, a short
+// block (the tail) the exact length.
 func (r *Reader) recvOne() (idx int64, data []byte, eof bool, err error) {
 	if len(r.inflight) == 0 {
 		return 0, nil, false, errors.New("gridbuffer: no in-flight request")
 	}
 	idx = r.inflight[0]
-	if t := r.retry.Timeout(); t > 0 {
-		r.conn.SetReadDeadline(r.clock.Now().Add(t))
-	}
-	typ, payload, err := wire.ReadFrameInto(r.br, &r.frameBuf)
+	typ, payload, err := r.s.Next()
 	if err != nil {
 		return idx, nil, false, err
 	}
@@ -859,6 +774,11 @@ func (r *Reader) recvOne() (idx int64, data []byte, eof bool, err error) {
 		if gotIdx != idx {
 			return idx, nil, false, retry.Permanent(fmt.Errorf("gridbuffer: response for block %d, expected %d", gotIdx, idx))
 		}
+		if bs := int64(r.blockSize); eof {
+			r.noteTotal(idx * bs)
+		} else if len(data) < r.blockSize {
+			r.noteTotal(idx*bs + int64(len(data)))
+		}
 		return idx, data, eof, nil
 	case msgError:
 		return idx, nil, false, rpc.Reply("gridbuffer", typ, payload)
@@ -871,14 +791,8 @@ func (r *Reader) recvOne() (idx int64, data []byte, eof bool, err error) {
 // keeping whatever stream-length information they carry.
 func (r *Reader) drain() error {
 	for len(r.inflight) > 0 {
-		gotIdx, data, eof, err := r.recvOne()
-		if err != nil {
+		if _, _, _, err := r.recvOne(); err != nil {
 			return err
-		}
-		if eof {
-			r.noteTotal(gotIdx * int64(r.blockSize))
-		} else if len(data) < r.blockSize {
-			r.noteTotal(gotIdx*int64(r.blockSize) + int64(len(data)))
 		}
 	}
 	return nil
@@ -974,12 +888,7 @@ func (r *Reader) readOnce(p []byte) (int, error) {
 			return 0, err
 		}
 		if eof {
-			r.noteTotal(gotIdx * bs) // upper bound; loop re-checks pos
-			continue
-		}
-		if len(data) < r.blockSize {
-			// A short block is the tail: its end is the exact total.
-			r.noteTotal(gotIdx*bs + int64(len(data)))
+			continue // the loop re-checks pos against the tighter total
 		}
 		off := r.pos - gotIdx*bs
 		if off < 0 || off >= int64(len(data)) {
@@ -993,8 +902,9 @@ func (r *Reader) readOnce(p []byte) (int, error) {
 	return n, nil
 }
 
-// Seek implements io.Seeker. Seeking relative to the end requires the
-// stream end to be known (the reader has already observed EOF).
+// Seek implements io.Seeker for offsets from the start and from the current
+// position. Seeking relative to the end is refused, even once EOF was seen:
+// a stream's end is not a position its reader names.
 func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 	if r.closed {
 		return 0, errors.New("gridbuffer: seek after close")
@@ -1027,10 +937,7 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
-	e := wire.NewEncoder()
-	e.String(r.key).I64(int64(r.readerID))
-	if r.fw.frame(msgDetach, e.Bytes()) == nil {
-		_ = r.fw.flush() // best effort: the connection is going away
-	}
-	return r.conn.Close()
+	// Best effort: the connection is going away.
+	_ = r.s.Request(msgDetach, wire.NewEncoder().String(r.key).I64(int64(r.readerID)).Bytes())
+	return r.s.Close()
 }

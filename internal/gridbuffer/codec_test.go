@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"griddles/internal/retry"
 	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
@@ -35,7 +34,11 @@ func TestWritePutFrameMatchesEncoder(t *testing.T) {
 		}
 	}
 	conn := &countingConn{}
-	w := &Writer{key: "k", conn: conn, fw: newFrameWriter(conn, flushHistogram(retry.Policy{}, "writer")), cs: &rpc.StreamCodec{}}
+	s, err := rpc.OpenBuffered("gridbuffer", rpc.Buffers{Size: connBufSize}, sinkDialer{conn}, "sink", simclock.Real{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Writer{endpoint: endpoint{key: "k", s: s, cs: &rpc.StreamCodec{}}}
 	for _, blk := range blocks {
 		if err := w.putLocked(blk); err != nil {
 			t.Fatal(err)
@@ -51,6 +54,11 @@ func TestWritePutFrameMatchesEncoder(t *testing.T) {
 		t.Fatalf("3 queued frames took %d conn writes, want 1", conn.writes)
 	}
 }
+
+// sinkDialer hands out one connection, whatever the address.
+type sinkDialer struct{ conn net.Conn }
+
+func (d sinkDialer) Dial(string) (net.Conn, error) { return d.conn, nil }
 
 // TestCodecStreamRoundTrip: a writer and reader that both negotiate lzb
 // move byte-identical content, with a shallow and a deep window.
@@ -170,7 +178,11 @@ func serveOldAttach(clock simclock.Clock, reg *Registry, l net.Listener) {
 					opts := decodeOptions(d)
 					prev := int(d.I64())
 					// Old decoders stopped here; trailing codec bytes vanish.
-					b := reg.GetOrCreate(key, opts)
+					b, err := reg.GetOrCreate(key, opts)
+					if err != nil {
+						oldWriteError(bw, err)
+						break
+					}
 					readerID := -1
 					if role == roleReader {
 						readerID = b.Reattach(prev)

@@ -438,11 +438,12 @@ func TestLateDetachMissesSuccessorBuffer(t *testing.T) {
 	b.v.Run(func() {
 		b.start(t)
 		// The old stream: one reader attaches, and its connection stays open.
-		old, err := attach(b.net.Host("r"), b.addr, "k", roleReader, Options{}, -1, "", time.Time{}, flushHistogram(retry.Policy{}, "reader"))
+		old := newEndpoint(b.net.Host("r"), b.addr, b.v, "k", Options{}, "", retry.Policy{}, "reader")
+		oldID, _, err := old.attach(roleReader, -1)
 		if err != nil {
 			t.Fatalf("old attach: %v", err)
 		}
-		defer old.conn.Close()
+		defer old.s.Close()
 		b.reg.Drop("k")
 
 		// The successor stream under the same key, fully written and resident.
@@ -461,20 +462,14 @@ func TestLateDetachMissesSuccessorBuffer(t *testing.T) {
 			t.Fatalf("reader: %v", err)
 		}
 		defer r.Close()
-		if r.readerID != old.readerID {
-			t.Fatalf("successor reader is %d, old reader %d: the test needs them equal", r.readerID, old.readerID)
+		if r.readerID != oldID {
+			t.Fatalf("successor reader is %d, old reader %d: the test needs them equal", r.readerID, oldID)
 		}
 
 		// Now the old connection's Detach arrives.
-		e := wire.NewEncoder().String("k").I64(int64(old.readerID))
-		if err := old.fw.frame(msgDetach, e.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if err := old.fw.flush(); err != nil {
-			t.Fatal(err)
-		}
-		if typ, _, err := wire.ReadFrame(old.br); err != nil || typ != msgDetachResp {
-			t.Fatalf("detach response: type %d err %v", typ, err)
+		e := wire.NewEncoder().String("k").I64(int64(oldID))
+		if _, _, err := old.s.Call(msgDetach, e.Bytes(), msgDetachResp); err != nil {
+			t.Fatalf("detach response: %v", err)
 		}
 
 		got, err := io.ReadAll(r)
@@ -491,9 +486,9 @@ func TestLateDetachMissesSuccessorBuffer(t *testing.T) {
 // registry's pool, and dropping a buffer hands its resident payloads to it.
 func TestDropRecyclesIntoSharedPool(t *testing.T) {
 	reg := NewRegistry(simclock.Real{}, nil)
-	a := reg.GetOrCreate("a", Options{})
-	c := reg.GetOrCreate("c", Options{})
-	other := reg.GetOrCreate("other", Options{BlockSize: 512})
+	a := getOrCreate(t, reg, "a", Options{})
+	c := getOrCreate(t, reg, "c", Options{})
+	other := getOrCreate(t, reg, "other", Options{BlockSize: 512})
 	if a.pool != c.pool {
 		t.Error("two 4 KiB buffers of one registry do not share a block pool")
 	}

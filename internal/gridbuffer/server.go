@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -23,17 +24,17 @@ const (
 	msgAttachResp     = 2
 	msgPut            = 3
 	msgPutResp        = 4
-	msgGet            = 5
-	msgGetResp        = 6
 	msgCloseWrite     = 7
 	msgCloseWriteResp = 8
 	msgDetach         = 9
 	msgDetachResp     = 10
 	msgDrop           = 11
 	msgDropResp       = 12
-	// 13 and 14 are reserved: they were PUT-BATCH and its acknowledgement,
-	// which no writer has sent since plain PUTs coalesce in the connection
-	// buffer. The server answers them like any unknown type.
+	// 5 and 6 are reserved: they were the single-block GET and its answer,
+	// which no reader has sent since GET-WIN. 13 and 14 are reserved too:
+	// they were PUT-BATCH and its acknowledgement, which no writer has sent
+	// since plain PUTs coalesce in the connection buffer. The server answers
+	// all four like any unknown type.
 	//
 	// A windowed GET asks for a run of blocks and receives one response frame
 	// per block, so a reader keeps N requests outstanding without N frames.
@@ -98,20 +99,36 @@ func (r *Registry) SetDefaultShards(n int) {
 	r.defShards = n
 }
 
+// Bounds on the options an attach may ask for, which arrive from the network
+// on both transports: a block must fit in one wire frame beside its PUT
+// header, and the shard table — allocated whole when the buffer is made — is
+// bounded far above anything in the tree (DefaultShards).
+const (
+	maxBlockSize = wire.MaxFrame - 64<<10
+	maxShards    = 1 << 10
+)
+
 // GetOrCreate returns the buffer named key, creating it with opts on first
 // use. Options of later attachers are ignored: the first attach wins, which
-// is safe because writer and readers receive the same GNS mapping.
-func (r *Registry) GetOrCreate(key string, opts Options) *Buffer {
+// is safe because writer and readers receive the same GNS mapping. Options
+// out of range are refused, and no buffer is made.
+func (r *Registry) GetOrCreate(key string, opts Options) (*Buffer, error) {
+	if opts.BlockSize > maxBlockSize {
+		return nil, fmt.Errorf("gridbuffer: block size %d exceeds limit %d", opts.BlockSize, maxBlockSize)
+	}
+	if opts.Shards > maxShards {
+		return nil, fmt.Errorf("gridbuffer: %d shards exceeds limit %d", opts.Shards, maxShards)
+	}
 	r.mu.RLock()
 	b, ok := r.buffers[key]
 	r.mu.RUnlock()
 	if ok {
-		return b
+		return b, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if b, ok := r.buffers[key]; ok {
-		return b
+		return b, nil
 	}
 	if opts.Cache && opts.CacheFS == nil {
 		opts.CacheFS = r.cacheFS
@@ -132,7 +149,7 @@ func (r *Registry) GetOrCreate(key string, opts Options) *Buffer {
 		b.SetObserver(r.obs)
 	}
 	r.buffers[key] = b
-	return b
+	return b, nil
 }
 
 // Lookup returns the buffer named key, if present.
@@ -193,17 +210,41 @@ func (s *Server) SetAdmission(c *admit.Controller) { s.adm = c }
 // supports; raw is always available regardless.
 func (s *Server) SetCodecs(names []string) { s.codecs = names }
 
-// Serve accepts connections until l is closed (see rpc.Serve). The request
-// loop is this package's own: admission is per stream, taken at the first
-// Attach, and answers leave when the next read would block (see handle).
+// connBufSize is the size of both buffers on every Grid Buffer connection,
+// at either end: 15 PUT or GET-WIN response frames at the paper's 4096-byte
+// block, and what a loopback or LAN socket moves in one call anyway. It is
+// part of the protocol — where a socket write ends — not a tuning knob: the
+// flush-before-block rule counts on a read buffer that holds many PUTs.
+const connBufSize = 64 << 10
+
+// Serve accepts connections until l is closed, each running the shared
+// request loop (see rpc.Serve, rpc.ServeConn), which answers every request
+// already read before it flushes. Admission is per stream: rpc.Serve holds
+// the connection bound, and a connection's first Attach takes the stream's
+// Bulk slot (see SetAdmission).
 func (s *Server) Serve(l net.Listener) {
-	rpc.Serve(l, s.clock, "gridbuffer-conn", s.adm, s.handle)
+	rpc.Serve(l, s.clock, "gridbuffer-conn", s.adm, func(conn net.Conn) {
+		c := &connState{srv: s, conn: conn}
+		defer c.release()
+		rpc.ServeConn(conn, nil, rpc.Handler{
+			Buffers:  rpc.Buffers{Size: connBufSize, Flushes: s.reg.flushBlocks.Load()},
+			Dispatch: c.dispatch,
+		})
+	})
 }
 
 // connState is what a connection remembers between frames.
 type connState struct {
-	fw *frameWriter
-	cs rpc.StreamCodec
+	srv  *Server
+	conn net.Conn
+	// admitted releases the stream slot this connection's first Attach
+	// took; nil until then.
+	admitted func()
+	// served is the serving end of the connection, made from what the first
+	// request's Dispatch was handed; st points at it from then on.
+	st     *rpc.Stream
+	served rpc.Stream
+	cs     rpc.StreamCodec
 	// key and buf are what this connection's Attach resolved. Requests for
 	// key use buf rather than looking the key up again, so a request still
 	// in flight when the buffer is dropped (a reader's parting Detach) can
@@ -212,74 +253,23 @@ type connState struct {
 	buf *Buffer
 }
 
+func (c *connState) release() {
+	if c.admitted != nil {
+		c.admitted()
+	}
+}
+
 // lookup returns the buffer a request for key addresses: the attached one,
 // or — on connections that never attached, such as a connection-per-call
 // writer's — whatever the registry holds now.
-func (st *connState) lookup(reg *Registry, key string) (*Buffer, error) {
-	if st.buf != nil && key == st.key {
-		return st.buf, nil
+func (c *connState) lookup(key string) (*Buffer, error) {
+	if c.buf != nil && key == c.key {
+		return c.buf, nil
 	}
-	if b, ok := reg.Lookup(key); ok {
+	if b, ok := c.srv.reg.Lookup(key); ok {
 		return b, nil
 	}
 	return nil, fmt.Errorf("gridbuffer: no buffer %q", key)
-}
-
-func (s *Server) handle(conn net.Conn) {
-	// admitted is the stream slot taken by this connection's first Attach,
-	// released when the connection goes away.
-	var admitted func()
-	br := readBufPool.Get().(*bufio.Reader)
-	bw := writeBufPool.Get().(*bufio.Writer)
-	br.Reset(conn)
-	bw.Reset(conn)
-	defer func() {
-		conn.Close()
-		if admitted != nil {
-			admitted()
-		}
-		br.Reset(nil)
-		bw.Reset(nil)
-		readBufPool.Put(br)
-		writeBufPool.Put(bw)
-	}()
-	tenant := admit.TenantOf(conn)
-	st := &connState{fw: &frameWriter{bw: bw, hist: s.reg.flushBlocks.Load()}}
-	var frameBuf []byte
-	for {
-		// Answer every request already in the read buffer before sending any
-		// answer: the flush happens only when the next read would block.
-		if !wire.FrameBuffered(br) {
-			if err := st.fw.flush(); err != nil {
-				return
-			}
-		}
-		typ, payload, err := wire.ReadFrameInto(br, &frameBuf)
-		if err != nil {
-			return
-		}
-		if typ == msgAttach && admitted == nil {
-			rel, aerr := s.adm.Acquire(tenant, admit.Bulk)
-			if aerr != nil {
-				// Answer with the shed (or a plain error frame when aerr is not
-				// one), leaving the connection usable.
-				var shed *admit.ShedError
-				if errors.As(aerr, &shed) {
-					err = st.fw.frame(admit.MsgShed, admit.EncodeShed(shed))
-				} else {
-					err = writeError(st.fw, aerr)
-				}
-				if err != nil {
-					return
-				}
-				continue
-			}
-			admitted = rel
-		}
-		if err := s.dispatch(st, typ, payload); err != nil {
-			return
-		}
-	}
 }
 
 func decodeOptions(d *wire.Decoder) Options {
@@ -340,8 +330,25 @@ func decodeGetWin(d *wire.Decoder) (getWinReq, error) {
 	return r, nil
 }
 
-func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
-	w, cs := st.fw, &st.cs
+func (c *connState) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byte) error {
+	if c.st == nil {
+		c.served = rpc.Over("gridbuffer", w, r)
+		c.st = &c.served
+	}
+	st, cs, reg := c.st, &c.cs, c.srv.reg
+	if typ == msgAttach && c.admitted == nil {
+		rel, err := c.srv.adm.Acquire(admit.TenantOf(c.conn), admit.Bulk)
+		if err != nil {
+			// Answer with the shed (or a plain error frame when err is not
+			// one), leaving the connection usable.
+			var shed *admit.ShedError
+			if errors.As(err, &shed) {
+				return st.Frame(admit.MsgShed, admit.EncodeShed(shed))
+			}
+			return writeError(st, err)
+		}
+		c.admitted = rel
+	}
 	d := wire.NewDecoder(payload)
 	switch typ {
 	case msgAttach:
@@ -359,10 +366,13 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 			reqCodec = d.String()
 		}
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
-		b := s.reg.GetOrCreate(key, opts)
-		st.key, st.buf = key, b
+		b, err := reg.GetOrCreate(key, opts)
+		if err != nil {
+			return writeError(st, err)
+		}
+		c.key, c.buf = key, b
 		readerID := -1
 		if role == roleReader {
 			readerID = b.Reattach(prev)
@@ -370,83 +380,49 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 		e := wire.NewEncoder()
 		e.I64(int64(readerID)).U32(uint32(b.BlockSize()))
 		if reqCodec != "" {
-			chosen := wire.NegotiateCodec(reqCodec, s.codecs)
+			chosen := wire.NegotiateCodec(reqCodec, c.srv.codecs)
 			codec, err := wire.ForName(chosen)
 			if err != nil {
-				return writeError(w, err)
+				return writeError(st, err)
 			}
 			cs.Block = codec
 			e.String(chosen)
 		}
-		return w.frame(msgAttachResp, e.Bytes())
+		return st.Frame(msgAttachResp, e.Bytes())
 
 	case msgPut:
 		key := d.String()
 		idx := d.I64()
 		data := d.Bytes32()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
 		data, derr := cs.Decode(data)
 		if derr != nil {
-			return writeError(w, derr)
+			return writeError(st, derr)
 		}
-		b, err := st.lookup(s.reg, key)
+		b, err := c.lookup(key)
 		if err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
-		if err := b.put(idx, data, st.flushHeld); err != nil {
-			return writeError(w, err)
+		if err := b.put(idx, data, c.flushHeld); err != nil {
+			return writeError(st, err)
 		}
-		return w.frame(msgPutResp)
-
-	case msgGet:
-		key := d.String()
-		readerID := int(d.I64())
-		idx := d.I64()
-		// ackBelow acknowledges safe receipt of every block < ackBelow; the
-		// requested block itself stays resident until a later ack, so a
-		// response lost on the wire can be re-requested after reconnect.
-		ackBelow := d.I64()
-		if err := d.Err(); err != nil {
-			return writeError(w, err)
-		}
-		b, err := st.lookup(s.reg, key)
-		if err != nil {
-			return writeError(w, err)
-		}
-		if ackBelow > 0 {
-			b.AckBelow(readerID, ackBelow)
-		}
-		if err := st.flushUnlessReady(b, idx); err != nil {
-			return err
-		}
-		data, eof, err := b.GetKeep(readerID, idx)
-		if err != nil {
-			return writeError(w, err)
-		}
-		out, err := cs.Encode(data)
-		if err == nil {
-			e := wire.NewEncoder()
-			e.Bool(eof).U32(uint32(len(out)))
-			err = w.frame(msgGetResp, e.Bytes(), out)
-		}
-		b.Recycle(data)
-		return err
+		return st.Frame(msgPutResp)
 
 	case msgGetWin:
 		req, err := decodeGetWin(d)
 		if err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
-		b, err := st.lookup(s.reg, req.key)
+		b, err := c.lookup(req.key)
 		if err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
 		if req.ackBelow > 0 {
 			b.AckBelow(req.readerID, req.ackBelow)
 		}
-		s.reg.windowDepth.Load().Observe(int64(req.count))
+		reg.windowDepth.Load().Observe(int64(req.count))
 		// One response frame per block. Responses queue while the blocks are
 		// there to be had and are flushed before a read that has to wait for
 		// the writer: a reader that is behind gets many blocks per socket
@@ -458,18 +434,20 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 		e := wire.NewEncoder()
 		for i := 0; i < req.count; i++ {
 			idx := req.first + int64(i)
-			if err := st.flushUnlessReady(b, idx); err != nil {
-				return err
+			if !b.Ready(idx) {
+				if err := st.Flush(); err != nil {
+					return err
+				}
 			}
 			data, eof, err := b.GetKeep(req.readerID, idx)
 			if err != nil {
-				return writeError(w, err)
+				return writeError(st, err)
 			}
 			out, err := cs.Encode(data)
 			if err == nil {
 				e.Reset()
 				e.I64(idx).Bool(eof).U32(uint32(len(out)))
-				err = w.frame(msgGetWinResp, e.Bytes(), out)
+				err = st.Frame(msgGetWinResp, e.Bytes(), out)
 			}
 			b.Recycle(data)
 			if err != nil {
@@ -482,56 +460,47 @@ func (s *Server) dispatch(st *connState, typ uint8, payload []byte) error {
 		key := d.String()
 		total := d.I64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
-		b, err := st.lookup(s.reg, key)
+		b, err := c.lookup(key)
 		if err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
 		if err := b.CloseWrite(total); err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
-		return w.frame(msgCloseWriteResp)
+		return st.Frame(msgCloseWriteResp)
 
 	case msgDetach:
 		key := d.String()
 		readerID := int(d.I64())
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
-		if b, err := st.lookup(s.reg, key); err == nil {
+		if b, err := c.lookup(key); err == nil {
 			b.Detach(readerID)
 		}
-		return w.frame(msgDetachResp)
+		return st.Frame(msgDetachResp)
 
 	case msgDrop:
 		key := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return writeError(st, err)
 		}
-		s.reg.Drop(key)
-		return w.frame(msgDropResp)
+		reg.Drop(key)
+		return st.Frame(msgDropResp)
 
 	default:
-		return writeError(w, fmt.Errorf("gridbuffer: unknown message type %d", typ))
+		return writeError(st, fmt.Errorf("gridbuffer: unknown message type %d", typ))
 	}
 }
 
-// flushHeld sends the responses the connection is holding; a put about to
+// flushHeld sends the answers the connection is holding; a put about to
 // stall on capacity calls it so the writer is not left waiting for
 // acknowledgements queued behind the stall. A failed flush resurfaces at the
 // connection's next write.
-func (st *connState) flushHeld() { _ = st.fw.flush() }
+func (c *connState) flushHeld() { _ = c.st.Flush() }
 
-// flushUnlessReady sends the held responses if a read of block idx would
-// have to wait for the writer.
-func (st *connState) flushUnlessReady(b *Buffer, idx int64) error {
-	if b.Ready(idx) {
-		return nil
-	}
-	return st.fw.flush()
-}
-
-func writeError(fw *frameWriter, err error) error {
-	return fw.frame(msgError, wire.NewEncoder().String(err.Error()).Bytes())
+func writeError(st *rpc.Stream, err error) error {
+	return st.Frame(msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }

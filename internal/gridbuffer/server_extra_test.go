@@ -17,19 +17,19 @@ import (
 func TestRegistryDefaultShards(t *testing.T) {
 	b := newBrig(simnet.LinkSpec{})
 	b.reg.SetDefaultShards(6)
-	buf := b.reg.GetOrCreate("defaulted", Options{})
+	buf := getOrCreate(t, b.reg, "defaulted", Options{})
 	if got := buf.Shards(); got != 8 {
 		t.Errorf("defaulted buffer has %d shards, want 8 (6 rounded up)", got)
 	}
 	if buf.Key() != "defaulted" {
 		t.Errorf("Key() = %q", buf.Key())
 	}
-	explicit := b.reg.GetOrCreate("explicit", Options{Shards: 2})
+	explicit := getOrCreate(t, b.reg, "explicit", Options{Shards: 2})
 	if got := explicit.Shards(); got != 2 {
 		t.Errorf("explicit buffer has %d shards, want 2", got)
 	}
 	b.reg.SetDefaultShards(0)
-	restored := b.reg.GetOrCreate("restored", Options{})
+	restored := getOrCreate(t, b.reg, "restored", Options{})
 	if got := restored.Shards(); got != DefaultShards {
 		t.Errorf("after reset: %d shards, want DefaultShards=%d", got, DefaultShards)
 	}
@@ -146,6 +146,24 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 		e.String("ghost").U32(1).I64(0).Bytes32([]byte("d"))
 		if typ, _ := rawCall(t, b, 13, e.Bytes()); typ != msgError {
 			t.Errorf("reserved type 13: got %d, want msgError", typ)
+		}
+		// So is the retired single-block GET.
+		e = wire.NewEncoder()
+		e.String("ghost").I64(0).I64(0).I64(0)
+		if typ, _ := rawCall(t, b, 5, e.Bytes()); typ != msgError {
+			t.Errorf("reserved type 5: got %d, want msgError", typ)
+		}
+		// Attach options out of range: a shard table or a block past what the
+		// service allocates for anyone. Neither creates a buffer.
+		for _, o := range []Options{{Shards: 1 << 30}, {BlockSize: 1 << 30}} {
+			e = wire.NewEncoder().String("huge").U8(roleWriter)
+			encodeOptions(e, o)
+			if typ, _ := rawCall(t, b, msgAttach, e.I64(-1).Bytes()); typ != msgError {
+				t.Errorf("attach with %+v: got %d, want msgError", o, typ)
+			}
+		}
+		if _, ok := b.reg.Lookup("huge"); ok {
+			t.Error("an attach out of range created its buffer")
 		}
 		// A windowed GET with a hostile count.
 		e = wire.NewEncoder()

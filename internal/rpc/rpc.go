@@ -16,9 +16,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"griddles/internal/admit"
+	"griddles/internal/obs"
 	"griddles/internal/retry"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
@@ -108,26 +110,42 @@ type Handler struct {
 	// request as admit.Control.
 	Class func(typ uint8) admit.Class
 	// Dispatch answers one admitted request into w. r is the connection's
-	// reader, for requests a stream of further frames follows. An error ends
-	// the connection.
+	// reader, for requests a stream of further frames follows; payload is
+	// valid until Dispatch returns. An error ends the connection.
 	Dispatch func(w io.Writer, r *bufio.Reader, typ uint8, payload []byte) error
 	// Drain, if set, runs when a request is shed, before the shed is
 	// answered: it consumes whatever the client streams after a request of
 	// this type regardless, so the connection stays usable.
 	Drain func(r *bufio.Reader, typ uint8)
+	// Buffers is the protocol's connection buffering (see Buffers).
+	Buffers Buffers
 }
 
 // ServeConn runs the request loop on conn until the peer goes away or a
 // dispatch fails, then closes it: read a frame, take an admission slot of
-// its class (answering a shed if there is none), dispatch, release, and
-// flush — one socket write per reply. A nil adm admits everything.
+// its class (answering a shed if there is none), dispatch, release. Answers
+// queue, and leave when the next read would block: every request that
+// arrived in one segment is answered in one socket write. A nil adm admits
+// everything.
 func ServeConn(conn net.Conn, adm *admit.Controller, h Handler) {
 	defer conn.Close()
 	tenant := admit.TenantOf(conn)
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	bufs, pool := h.Buffers.get(conn)
+	defer func() {
+		bufs.r.Reset(nil)
+		bufs.q.Reset(nil)
+		bufs.q.frames = 0
+		pool.Put(bufs)
+	}()
+	br, bw := bufs.r, &bufs.q
+	var frame []byte
 	for {
-		typ, payload, err := wire.ReadFrame(br)
+		if !wire.FrameBuffered(br) {
+			if err := bw.flush(); err != nil {
+				return
+			}
+		}
+		typ, payload, err := wire.ReadFrameInto(br, &frame)
 		if err != nil {
 			return
 		}
@@ -150,10 +168,87 @@ func ServeConn(conn net.Conn, adm *admit.Controller, h Handler) {
 				return
 			}
 		}
-		if err := bw.Flush(); err != nil {
-			return
+	}
+}
+
+// Buffers is how a protocol buffers its connections, passed in as a value
+// like its service name, because it decides where one socket write ends and
+// the next begins: the size of the read and the write buffer of every
+// connection the protocol runs (0 is bufio's 4 KiB), and the histogram the
+// queued side counts frames per flush into (nil counts nothing).
+type Buffers struct {
+	Size    int
+	Flushes *obs.Histogram
+}
+
+func (b Buffers) size() int {
+	if b.Size > 0 {
+		return b.Size
+	}
+	return 4096
+}
+
+// connBufs is what ServeConn buffers a connection with. They are recycled,
+// one pool per size: a connection-per-call client opens a connection per
+// request, and a 64 KiB protocol's buffers would be most of what each costs.
+type connBufs struct {
+	r *bufio.Reader
+	q queue
+}
+
+var servePools sync.Map // buffer size -> *sync.Pool of *connBufs
+
+func (b Buffers) get(conn net.Conn) (*connBufs, *sync.Pool) {
+	size := b.size()
+	p, ok := servePools.Load(size)
+	if !ok {
+		p, _ = servePools.LoadOrStore(size, &sync.Pool{New: func() any {
+			return &connBufs{r: bufio.NewReaderSize(nil, size), q: queue{Writer: *bufio.NewWriterSize(nil, size)}}
+		}})
+	}
+	c := p.(*sync.Pool).Get().(*connBufs)
+	c.r.Reset(conn)
+	c.q.Reset(conn)
+	c.q.hist = b.Flushes
+	return c, p.(*sync.Pool)
+}
+
+// queue is a connection's queued side: frames wait in a buffer of the
+// protocol's size and leave together, when it fills or when the endpoint
+// flushes because it is about to wait. frame keeps each socket write to whole
+// frames wherever a frame fits in the buffer, and flush counts the frames a
+// write carried. Plain Writes pass to the buffer as they are.
+type queue struct {
+	bufio.Writer
+	frames int64          // queued by frame since the last flush
+	hist   *obs.Histogram // frames per flush; nil counts nothing
+}
+
+// frame queues one frame whose payload is the concatenation of parts. A
+// frame that does not fit behind the queued ones sends those first.
+func (q *queue) frame(typ uint8, parts ...[]byte) error {
+	need := 5
+	for _, p := range parts {
+		need += len(p)
+	}
+	if need > q.Available() && q.Buffered() > 0 {
+		if err := q.flush(); err != nil {
+			return err
 		}
 	}
+	q.frames++
+	return wire.WriteFrameV(q, typ, parts...)
+}
+
+// flush sends everything queued in one socket write.
+func (q *queue) flush() error {
+	if q.frames > 0 {
+		if q.hist != nil {
+			q.hist.Observe(q.frames)
+		}
+		q.frames = 0
+	}
+	return q.Flush()
 }
 
 // Conn is one pooled client connection to a service: dialed at first use,
@@ -174,11 +269,9 @@ type Conn struct {
 	// CallTimeout bounds one round trip when Retry sets no deadline.
 	CallTimeout time.Duration
 
-	mu   *simclock.Mutex // serializes use of the connection
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	gen  uint64
+	mu  *simclock.Mutex // serializes use of the connection
+	s   *Stream         // nil until dialed
+	gen uint64
 }
 
 // NewConn returns a Conn for the service at addr; service prefixes the
@@ -196,16 +289,14 @@ func (c *Conn) Unlock() { c.mu.Unlock() }
 
 // DialLocked establishes the connection if there is none.
 func (c *Conn) DialLocked() error {
-	if c.conn != nil {
+	if c.s != nil {
 		return nil
 	}
-	conn, err := c.dialer.Dial(c.addr)
+	s, err := Open(c.service, c.dialer, c.addr, c.clock, 0)
 	if err != nil {
-		return fmt.Errorf("%s: dial %s: %w", c.service, c.addr, err)
+		return err
 	}
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
+	c.s = s
 	c.gen++
 	return nil
 }
@@ -214,16 +305,16 @@ func (c *Conn) DialLocked() error {
 // dials it took to get here — or 0 when there is none. State a server keeps
 // per connection (a file handle) dies with the generation it was made under.
 func (c *Conn) GenLocked() uint64 {
-	if c.conn == nil {
+	if c.s == nil {
 		return 0
 	}
 	return c.gen
 }
 
 func (c *Conn) dropLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.br, c.bw = nil, nil, nil
+	if c.s != nil {
+		c.s.Close()
+		c.s = nil
 	}
 }
 
@@ -233,26 +324,27 @@ func (c *Conn) dropLocked() {
 // connection; the reply is classified by Reply, so a shed or a server error
 // leaves the connection usable and comes back as the error.
 func (c *Conn) CallLocked(reqType uint8, parts ...[]byte) (uint8, []byte, error) {
+	conn := c.s.conn
 	if dl := c.Retry.Deadline(); !dl.IsZero() {
-		c.conn.SetDeadline(dl)
+		conn.SetDeadline(dl)
 	} else if c.CallTimeout > 0 {
-		c.conn.SetDeadline(c.clock.Now().Add(c.CallTimeout))
+		conn.SetDeadline(c.clock.Now().Add(c.CallTimeout))
 	}
-	if err := wire.WriteFrameV(c.bw, reqType, parts...); err != nil {
-		c.dropLocked()
-		return 0, nil, err
+	err := c.s.Frame(reqType, parts...)
+	if err == nil {
+		err = c.s.Flush()
 	}
-	if err := c.bw.Flush(); err != nil {
-		c.dropLocked()
-		return 0, nil, err
+	var typ uint8
+	var resp []byte
+	if err == nil {
+		typ, resp, err = wire.ReadFrame(c.s.r)
 	}
-	typ, resp, err := wire.ReadFrame(c.br)
 	if err != nil {
 		c.dropLocked()
 		return 0, nil, err
 	}
 	if c.Retry.Enabled() || c.CallTimeout > 0 {
-		c.conn.SetDeadline(time.Time{})
+		conn.SetDeadline(time.Time{})
 	}
 	if err := Reply(c.service, typ, resp); err != nil {
 		if _, shed := err.(*admit.ShedError); typ == admit.MsgShed && !shed {

@@ -35,45 +35,59 @@ type Stream struct {
 	service string
 	r       *bufio.Reader
 	w       io.Writer // queued output; nil until a dialed stream first queues
+	q       *queue    // w's frame side: the stream's own, or ServeConn's
 
 	// A dialed stream owns its connection, both buffers and the idle
 	// deadline; a served one borrows ServeConn's and has no deadline.
 	conn  net.Conn
 	clock simclock.Clock
 	idle  time.Duration
+	bufs  Buffers
 	br    bufio.Reader
-	bw    bufio.Writer
+	own   queue
 
-	frame    []byte // reused by Recv for every data frame
+	frame    []byte // reused by Recv and Next for every frame
 	answered bool   // a frame of the peer's was read since Channels handed the stream out
 }
 
 // Open dials a dedicated connection to the service at addr; service prefixes
 // the errors it reports. idle bounds silence, not the exchange: the deadline
-// is armed here, before the first byte moves, and again for every frame a
-// transfer moves, so a peer that accepts and then says nothing fails the
-// exchange after idle however far it got. Zero means no deadline.
+// is armed here, before the first byte moves, and again in the direction of
+// every frame the stream moves, so a peer that accepts and then says nothing
+// fails the exchange after idle however far it got. Zero means no deadline.
 func Open(service string, dialer Dialer, addr string, clock simclock.Clock, idle time.Duration) (*Stream, error) {
+	return OpenBuffered(service, Buffers{}, dialer, addr, clock, idle)
+}
+
+// OpenBuffered is Open for a protocol that sizes its buffers (see Buffers).
+// Such a stream sends every frame whole: a Request leaves in one socket write
+// with whatever was queued ahead of it, not header and payload apart.
+func OpenBuffered(service string, bufs Buffers, dialer Dialer, addr string, clock simclock.Clock, idle time.Duration) (*Stream, error) {
 	conn, err := dialer.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("%s: dial %s: %w", service, addr, err)
 	}
-	s := &Stream{service: service, conn: conn, clock: clock, idle: idle}
-	s.br.Reset(conn)
+	s := &Stream{service: service, conn: conn, clock: clock, idle: idle, bufs: bufs}
+	s.br = *bufio.NewReaderSize(conn, bufs.size())
 	s.r = &s.br
-	s.arm()
+	s.arm(net.Conn.SetDeadline)
 	return s, nil
 }
 
 // Over is the serving end of a stream on a connection ServeConn runs: w and r
 // are what Dispatch was handed. The reply leaves with ServeConn's flush.
 func Over(service string, w io.Writer, r *bufio.Reader) Stream {
-	return Stream{service: service, w: w, r: r}
+	q, _ := w.(*queue)
+	return Stream{service: service, w: w, q: q, r: r}
 }
 
-func (s *Stream) arm() {
+// arm bounds the stream's next move by idle from now, through set — the
+// connection's SetDeadline, SetReadDeadline or SetWriteDeadline. A stream
+// arms the direction it moves, so a writer's acknowledgements never inherit
+// a bound from its last write.
+func (s *Stream) arm(set func(net.Conn, time.Time) error) {
 	if s.idle > 0 {
-		s.conn.SetDeadline(s.clock.Now().Add(s.idle))
+		set(s.conn, s.clock.Now().Add(s.idle))
 	}
 }
 
@@ -117,7 +131,7 @@ type Channels struct {
 func (c *Channels) Do(idle time.Duration, up *Source, exchange func(*Stream) error) error {
 	if s := c.take(up); s != nil {
 		s.idle, s.answered = idle, false
-		s.arm()
+		s.arm(net.Conn.SetDeadline)
 		err := exchange(s)
 		c.release(s, err)
 		var timeout net.Error
@@ -156,7 +170,7 @@ func (c *Channels) take(up *Source) *Stream {
 // with nothing read ahead or left unsent; its deadline is cleared, because
 // idle bounds silence inside an exchange, not between two.
 func (c *Channels) release(s *Stream, err error) {
-	if err == nil && s.br.Buffered() == 0 && s.bw.Buffered() == 0 {
+	if err == nil && s.r.Buffered() == 0 && !s.queued() {
 		if s.idle > 0 {
 			s.conn.SetDeadline(time.Time{})
 		}
@@ -192,33 +206,77 @@ func count(c *obs.Counter) {
 }
 
 // Queue is where frames go to be sent together (wire.WriteFrame(s.Queue(),
-// ...)): on a dialed stream they leave when its buffer fills or at the next
-// Reply, on a served one with ServeConn's flush.
+// ...), or Frame): on a dialed stream they leave when its buffer fills, at
+// the next Flush or at the next Reply, on a served one with ServeConn's
+// flush.
 func (s *Stream) Queue() io.Writer {
 	if s.w == nil {
-		s.bw.Reset(s.conn)
-		s.w = &s.bw
+		s.own = queue{Writer: *bufio.NewWriterSize(s.conn, s.bufs.size()), hist: s.bufs.Flushes}
+		s.q, s.w = &s.own, &s.own
 	}
 	return s.w
 }
 
-// Request writes one frame straight to the connection, unbuffered: the
-// request that opens a download, or a frame pipelined in front of it.
+// Frame queues one frame whose payload is the concatenation of parts, written
+// without joining them. A frame that does not fit behind the queued ones
+// sends those first, so a socket write carries whole frames wherever a frame
+// fits in the buffer.
+func (s *Stream) Frame(typ uint8, parts ...[]byte) error {
+	w := s.Queue()
+	if s.q == nil { // served over a writer that is not ServeConn's
+		return wire.WriteFrameV(w, typ, parts...)
+	}
+	s.arm(net.Conn.SetWriteDeadline)
+	return s.q.frame(typ, parts...)
+}
+
+// Flush sends everything queued now, in as few socket writes as the buffer
+// allows: what an endpoint does before it waits on its peer.
+func (s *Stream) Flush() error {
+	if s.q == nil {
+		return nil
+	}
+	s.arm(net.Conn.SetWriteDeadline)
+	return s.q.flush()
+}
+
+// Queued reports how many frames Frame queued that have not yet been handed
+// to the connection.
+func (s *Stream) Queued() int {
+	if s.q == nil {
+		return 0
+	}
+	return int(s.q.frames)
+}
+
+func (s *Stream) queued() bool { return s.q != nil && s.q.Buffered() > 0 }
+
+// Request writes one frame to the connection now: the request that opens a
+// download, or a frame pipelined in front of it. Unless the stream was opened
+// with sized buffers (OpenBuffered), it goes straight to the connection,
+// unbuffered.
 func (s *Stream) Request(typ uint8, payload []byte) error {
+	if s.bufs.Size > 0 {
+		if err := s.Frame(typ, payload); err != nil {
+			return err
+		}
+		return s.Flush()
+	}
+	s.arm(net.Conn.SetWriteDeadline)
 	return wire.WriteFrameV(s.conn, typ, payload)
 }
 
-// Reply sends whatever is still queued, re-arming the deadline for the answer
-// to it, then reads one frame and classifies it (see the Reply function): a
-// shed or an error frame comes back as the error, and so does a reply whose
-// type is not among want, when any are given.
+// Reply sends whatever is still queued, arms the deadline for the answer to
+// it, then reads one frame and classifies it (see the Reply function): a shed
+// or an error frame comes back as the error, and so does a reply whose type
+// is not among want, when any are given. The payload is the caller's.
 func (s *Stream) Reply(want ...uint8) (uint8, []byte, error) {
-	if s.bw.Buffered() > 0 {
-		if err := s.bw.Flush(); err != nil {
+	if s.queued() {
+		if err := s.Flush(); err != nil {
 			return 0, nil, err
 		}
-		s.arm()
 	}
+	s.arm(net.Conn.SetReadDeadline)
 	typ, payload, err := wire.ReadFrame(s.r)
 	if err != nil {
 		return 0, nil, err
@@ -239,6 +297,33 @@ func (s *Stream) Call(reqType uint8, payload []byte, want ...uint8) (uint8, []by
 		return 0, nil, err
 	}
 	return s.Reply(want...)
+}
+
+// Next reads the peer's next frame, unclassified, into a buffer the stream
+// reuses: the payload is valid until the stream's next read. Like every
+// frame the stream moves in, it is bounded by idle from now.
+func (s *Stream) Next() (uint8, []byte, error) {
+	s.arm(net.Conn.SetReadDeadline)
+	return s.next()
+}
+
+// Await is Next with no bound, for a loop that waits on the peer for as long
+// as the stream lives and is bounded elsewhere: a writer's
+// acknowledgements, which its window bounds, must not time out because the
+// application paused.
+func (s *Stream) Await() (uint8, []byte, error) {
+	if s.idle > 0 {
+		s.conn.SetReadDeadline(time.Time{})
+	}
+	return s.next()
+}
+
+func (s *Stream) next() (uint8, []byte, error) {
+	typ, payload, err := wire.ReadFrameInto(s.r, &s.frame)
+	if err == nil {
+		s.answered = true
+	}
+	return typ, payload, err
 }
 
 // Frames names one direction of a service's transfer: the frame that opens
@@ -263,7 +348,7 @@ func (s *Stream) Send(fr Frames, hdr []byte, src io.Reader, chunk int, c *Stream
 	for {
 		n, rerr := src.Read(buf)
 		if n > 0 {
-			s.arm()
+			s.arm(net.Conn.SetWriteDeadline)
 			data, err := c.Encode(buf[:n])
 			if err != nil {
 				return retry.Permanent(err)
@@ -292,12 +377,10 @@ func (s *Stream) Send(fr Frames, hdr []byte, src io.Reader, chunk int, c *Stream
 func (s *Stream) Recv(fr Frames, want int64, dst io.Writer, c *StreamCodec) (int64, error) {
 	var total int64
 	for {
-		s.arm()
-		typ, payload, err := wire.ReadFrameInto(s.r, &s.frame)
+		typ, payload, err := s.Next()
 		if err != nil {
 			return total, err
 		}
-		s.answered = true
 		switch typ {
 		case fr.Data:
 			data, err := c.Decode(payload)

@@ -152,9 +152,12 @@ func (s *BufferServer) dispatch(body Body) (Body, error) {
 	switch {
 	case body.Attach != nil:
 		r := body.Attach
-		b := s.reg.GetOrCreate(r.Key, gridbuffer.Options{
+		b, err := s.reg.GetOrCreate(r.Key, gridbuffer.Options{
 			BlockSize: r.BlockSize, Cache: r.Cache, Readers: r.Readers,
 		})
+		if err != nil {
+			return Body{}, err
+		}
 		id := -1
 		if r.Role == "reader" {
 			id = b.Attach()

@@ -173,6 +173,23 @@ func TestSOAPFaultOnUnknownBuffer(t *testing.T) {
 	})
 }
 
+// TestSOAPFaultOnOutOfRangeAttach: the envelope's block size reaches the same
+// range check as the binary ATTACH — a block past one wire frame is a fault,
+// and no buffer is made.
+func TestSOAPFaultOnOutOfRangeAttach(t *testing.T) {
+	r := newRig(simnet.LinkSpec{})
+	r.v.Run(func() {
+		r.start(t)
+		_, err := NewBufferWriter(r.v, r.net.Host("w"), "svc:8000", "huge", gridbuffer.Options{BlockSize: 1 << 30})
+		if err == nil || !strings.Contains(err.Error(), "fault") {
+			t.Errorf("err = %v, want SOAP fault", err)
+		}
+		if _, ok := r.reg.Lookup("huge"); ok {
+			t.Error("an attach out of range created its buffer")
+		}
+	})
+}
+
 func TestSOAPRejectsWrongPathAndMethod(t *testing.T) {
 	r := newRig(simnet.LinkSpec{})
 	r.v.Run(func() {
