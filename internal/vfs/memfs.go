@@ -35,6 +35,25 @@ type memNode struct {
 	mtime time.Time
 }
 
+// grow lengthens data to end bytes, the new ones reading as zeros; the
+// caller holds mu and end exceeds len(data). Within capacity the slice is
+// resliced and the gap cleared, since a Truncate shrink leaves stale bytes
+// there. Past it the capacity at least doubles, so a file written
+// sequentially allocates about 2n bytes in all, not a copy of the whole
+// file per extending write. The doubling is explicit because append grows
+// a large slice by about 1.25x, which allocates about 5n.
+func (n *memNode) grow(end int64) {
+	if end <= int64(cap(n.data)) {
+		old := len(n.data)
+		n.data = n.data[:end]
+		clear(n.data[old:])
+		return
+	}
+	grown := make([]byte, end, max(end, 2*int64(cap(n.data))))
+	copy(grown, n.data)
+	n.data = grown
+}
+
 // NewMemFS returns an empty MemFS.
 func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memNode), NowFunc: time.Now}
@@ -219,9 +238,7 @@ func (f *memFile) writeAtLocked(p []byte, off int64) int {
 	defer f.node.mu.Unlock()
 	end := off + int64(len(p))
 	if end > int64(len(f.node.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.node.data)
-		f.node.data = grown
+		f.node.grow(end)
 	}
 	copy(f.node.data[off:end], p)
 	f.node.mtime = f.fs.now()
@@ -272,9 +289,7 @@ func (f *memFile) Truncate(size int64) error {
 	if size <= int64(len(f.node.data)) {
 		f.node.data = f.node.data[:size]
 	} else {
-		grown := make([]byte, size)
-		copy(grown, f.node.data)
-		f.node.data = grown
+		f.node.grow(size)
 	}
 	f.node.mtime = f.fs.now()
 	return nil
