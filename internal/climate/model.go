@@ -96,24 +96,38 @@ func (m *Model) InitAnalytic() {
 	}
 }
 
-// Step advances the model one time step.
+// Step advances the model one time step. Neighbours are clamped and
+// wrapped as At does, once per row and once per column rather than per
+// read; every floating-point expression keeps At's operand order, so the
+// result is bit-identical to reading through At.
 func (m *Model) Step() {
 	n := m.F.N
 	if cap(m.scratch) < n*n {
 		m.scratch = make([]float64, n*n)
 	}
 	out := m.scratch[:n*n]
+	d := m.F.Data
 	for i := 0; i < n; i++ {
+		north, south := max(i-1, 0), min(i+1, n-1)
+		row := d[i*n : (i+1)*n]
+		above, below := d[north*n:(north+1)*n], d[south*n:(south+1)*n]
 		for j := 0; j < n; j++ {
-			c := m.F.At(i, j)
+			west, east := j-1, j+1
+			if west < 0 {
+				west = n - 1
+			}
+			if east == n {
+				east = 0
+			}
+			c := row[j]
 			// Diffusion: 5-point Laplacian.
-			lap := m.F.At(i-1, j) + m.F.At(i+1, j) + m.F.At(i, j-1) + m.F.At(i, j+1) - 4*c
+			lap := above[j] + below[j] + row[west] + row[east] - 4*c
 			// Upwind zonal advection.
 			var adv float64
 			if m.U >= 0 {
-				adv = -m.U * (c - m.F.At(i, j-1))
+				adv = -m.U * (c - row[west])
 			} else {
-				adv = -m.U * (m.F.At(i, j+1) - c)
+				adv = -m.U * (row[east] - c)
 			}
 			v := c + m.Kappa*lap + adv
 			if m.Forcing != nil {
@@ -130,12 +144,20 @@ func (m *Model) Step() {
 
 // Interpolate bilinearly samples src onto an out-sized grid covering the
 // fractional window [r0,r1) x [c0,c1) of src (the cc2lam global-to-regional
-// mapping). Window coordinates are in [0,1].
+// mapping). Window coordinates are in [0,1], and both grids need an edge of
+// at least 2: the mapping places out's first and last samples on the
+// window's edges and reads a 2x2 cell of src.
 func Interpolate(src *Field, out *Field, r0, r1, c0, c1 float64) error {
 	if r1 <= r0 || c1 <= c0 || r0 < 0 || r1 > 1 || c0 < 0 || c1 > 1 {
 		return fmt.Errorf("climate: bad window [%g,%g)x[%g,%g)", r0, r1, c0, c1)
 	}
 	ns, no := src.N, out.N
+	if ns < 2 || no < 2 {
+		return fmt.Errorf("climate: cannot interpolate a %dx%d grid onto %dx%d: both edges must be at least 2", ns, ns, no, no)
+	}
+	// i0 and j0 lie in [0, ns-2], so the 2x2 cell never wraps or clamps
+	// and src is indexed directly.
+	d := src.Data
 	for i := 0; i < no; i++ {
 		fr := (r0 + (r1-r0)*float64(i)/float64(no-1)) * float64(ns-1)
 		i0 := int(fr)
@@ -150,11 +172,12 @@ func Interpolate(src *Field, out *Field, r0, r1, c0, c1 float64) error {
 				j0 = ns - 2
 			}
 			dj := fc - float64(j0)
-			v := src.At(i0, j0)*(1-di)*(1-dj) +
-				src.At(i0+1, j0)*di*(1-dj) +
-				src.At(i0, j0+1)*(1-di)*dj +
-				src.At(i0+1, j0+1)*di*dj
-			out.Set(i, j, v)
+			k := i0*ns + j0
+			v := d[k]*(1-di)*(1-dj) +
+				d[k+ns]*di*(1-dj) +
+				d[k+1]*(1-di)*dj +
+				d[k+ns+1]*di*dj
+			out.Data[i*no+j] = v
 		}
 	}
 	return nil
