@@ -4,7 +4,9 @@ GO ?= go
 # overhaul touches, the PR5 scheduler floor for internal/workflow, the
 # PR6 floor for the new internal/objstore backend, the PR7 floors for
 # internal/gns and the new admission/stress packages, and the PR15 floor for
-# the shared RPC shell. `make cover` fails when any drops below its floor.
+# the shared RPC shell. internal/vfs (the simulated disk) and internal/climate
+# (the stencil) are floored because every simulated table runs their hot
+# loops. `make cover` fails when any drops below its floor.
 COVER_FLOOR_CORE       ?= 80.3
 COVER_FLOOR_GRIDBUFFER ?= 84.7
 COVER_FLOOR_WORKFLOW   ?= 92.0
@@ -13,11 +15,13 @@ COVER_FLOOR_GNS        ?= 87.0
 COVER_FLOOR_ADMIT      ?= 92.0
 COVER_FLOOR_STRESS     ?= 85.0
 COVER_FLOOR_RPC        ?= 90.0
+COVER_FLOOR_VFS        ?= 76.5
+COVER_FLOOR_CLIMATE    ?= 91.5
 
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr25.json
+BENCH_OUT ?= BENCH_pr27.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
@@ -135,6 +139,7 @@ cover:
 		./internal/obs/... ./internal/core/... ./internal/gridbuffer/... \
 		./internal/workflow/... ./internal/objstore/... ./internal/gns/... \
 		./internal/admit/... ./internal/stress/... ./internal/rpc/... \
+		./internal/vfs/... ./internal/climate/... \
 		| $(GO) run ./cmd/covergate \
 		-floor griddles/internal/core=$(COVER_FLOOR_CORE) \
 		-floor griddles/internal/gridbuffer=$(COVER_FLOOR_GRIDBUFFER) \
@@ -143,7 +148,9 @@ cover:
 		-floor griddles/internal/gns=$(COVER_FLOOR_GNS) \
 		-floor griddles/internal/admit=$(COVER_FLOOR_ADMIT) \
 		-floor griddles/internal/stress=$(COVER_FLOOR_STRESS) \
-		-floor griddles/internal/rpc=$(COVER_FLOOR_RPC)
+		-floor griddles/internal/rpc=$(COVER_FLOOR_RPC) \
+		-floor griddles/internal/vfs=$(COVER_FLOOR_VFS) \
+		-floor griddles/internal/climate=$(COVER_FLOOR_CLIMATE)
 
 ## chaos: the fault-injection matrix — {IO mechanism} x {fault scenario},
 ## the no-survivor budget tests, and 50 seeded random fault schedules.
