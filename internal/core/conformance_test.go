@@ -139,6 +139,18 @@ type confMech struct {
 	configure func(e *env, content []byte)               // GNS entries, replica seeding
 	produce   func(t *testing.T, e *env, content []byte) // nil: configure seeded the data
 	async     bool                                       // produce concurrently (streaming coupling)
+	transport Transport                                  // the reader's Grid Buffer transport
+}
+
+// readerFM builds the row's reader FM: its transport, then extra's settings.
+func (m confMech) readerFM(t *testing.T, e *env, extra func(*Config)) *Multiplexer {
+	t.Helper()
+	return e.fm(t, m.reader, func(c *Config) {
+		c.Buffer.Transport = m.transport
+		if extra != nil {
+			extra(c)
+		}
+	})
 }
 
 func confMechanisms() []confMech {
@@ -245,6 +257,25 @@ func confMechanisms() []confMech {
 			},
 		},
 		{
+			// Mechanism 6 over the paper's SOAP endpoint: the same registry
+			// as 6-buffer, both ends speaking SOAP.
+			name:      "6-soap",
+			reader:    "vpac27",
+			async:     true,
+			transport: TransportSOAP,
+			configure: func(e *env, _ []byte) {
+				m := gns.Mapping{
+					Mode: gns.ModeBuffer, BufferHost: "vpac27" + soapPort,
+					BufferKey: "conf/stream", CacheEnabled: true,
+				}
+				e.store.Set("brecca", file, m)
+				e.store.Set("vpac27", file, m)
+			},
+			produce: func(t *testing.T, e *env, content []byte) {
+				writeAll(t, e.fm(t, "brecca", func(c *Config) { c.Buffer.Transport = TransportSOAP }), content)
+			},
+		},
+		{
 			// The producer writes through its own FM: the write handle
 			// accumulates the body and commits it as one atomic PUT on Close,
 			// so by the time the (synchronous) reader opens, the object is
@@ -302,7 +333,7 @@ func TestConformanceMechanismMatrix(t *testing.T) {
 								m.produce(t, e, content)
 							}
 						}
-						fm := e.fm(t, m.reader, func(c *Config) {
+						fm := m.readerFM(t, e, func(c *Config) {
 							c.BlockCacheBytes = cacheMB << 20
 							c.PrefetchWindow = prefetch
 						})
@@ -372,7 +403,7 @@ func TestConformanceCodecMatrix(t *testing.T) {
 							m.produce(t, e, content)
 						}
 					}
-					fm := e.fm(t, m.reader, cd.extra)
+					fm := m.readerFM(t, e, cd.extra)
 					f, err := fm.Open("conf.dat")
 					if err != nil {
 						t.Fatalf("open: %v", err)
