@@ -313,7 +313,7 @@ func (replicaCopyBackend) Stat(_ context.Context, env *Env, path string, mapping
 }
 
 // bufferBackend is mechanism 6: direct Grid Buffer streaming between writer
-// and reader, over the binary transport or the paper's SOAP envelopes.
+// and reader, over the binary transport or inside the paper's SOAP envelopes.
 type bufferBackend struct{}
 
 func (bufferBackend) Scheme() string { return SchemeForMode(gns.ModeBuffer) }
@@ -335,29 +335,25 @@ func (bufferBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, e
 		CachePath: mapping.CachePath,
 		Readers:   mapping.Readers,
 	}
-	var (
-		w   io.WriteCloser
-		r   io.ReadSeekCloser
-		err error
-	)
-	soapWire := cfg.Buffer.Transport == TransportSOAP
-	switch {
-	case soapWire && req.Writing:
-		w, err = soap.NewBufferWriter(cfg.Clock, cfg.Dialer, mapping.BufferHost, key, opts)
-	case soapWire:
-		r, err = soap.NewBufferReader(cfg.Clock, cfg.Dialer, mapping.BufferHost, key, opts)
-	case req.Writing:
-		w, err = gridbuffer.NewWriter(cfg.Dialer, mapping.BufferHost, cfg.Clock, key, opts,
-			gridbuffer.WriterOptions{Window: cfg.Buffer.Window, ConnPerCall: cfg.Buffer.Transport == TransportPerCall, Retry: cfg.Retry, Codec: env.WireCodec(mapping.BufferHost)})
-	default:
-		r, err = gridbuffer.NewReader(cfg.Dialer, mapping.BufferHost, cfg.Clock, key, opts,
-			gridbuffer.ReaderOptions{Depth: cfg.Buffer.Depth, Retry: cfg.Retry, Codec: env.WireCodec(mapping.BufferHost)})
+	// SOAP is an envelope around the connection-per-call exchanges, whose
+	// reader fetches a block per call too.
+	dialer, soapWire := cfg.Dialer, cfg.Buffer.Transport == TransportSOAP
+	if soapWire {
+		dialer = soap.Dialer{Dialer: cfg.Dialer}
 	}
+	codec := env.WireCodec(mapping.BufferHost)
+	if req.Writing {
+		w, err := gridbuffer.NewWriter(dialer, mapping.BufferHost, cfg.Clock, key, opts, gridbuffer.WriterOptions{
+			Window: cfg.Buffer.Window, ConnPerCall: soapWire || cfg.Buffer.Transport == TransportPerCall, Retry: cfg.Retry, Codec: codec})
+		if err != nil {
+			return nil, err
+		}
+		return env.File(req.Path, Handle{Writer: w, Closer: w}), nil
+	}
+	r, err := gridbuffer.NewReader(dialer, mapping.BufferHost, cfg.Clock, key, opts, gridbuffer.ReaderOptions{
+		Depth: cfg.Buffer.Depth, ConnPerCall: soapWire, Retry: cfg.Retry, Codec: codec})
 	if err != nil {
 		return nil, err
-	}
-	if req.Writing {
-		return env.File(req.Path, Handle{Writer: w, Closer: w}), nil
 	}
 	return env.File(req.Path, Handle{Reader: r, Seeker: r, Closer: r}), nil
 }

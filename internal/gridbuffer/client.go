@@ -62,7 +62,6 @@ type wblock struct {
 // zero policy is the same code making one attempt with no timeouts.
 type Writer struct {
 	endpoint
-	connPerCall bool // the paper's SOAP discipline: a connection per block
 
 	// wmu guards the send side of the current stream, which the application
 	// goroutine and the ack loop share (the ack loop sends held frames when
@@ -99,12 +98,11 @@ type WriterOptions struct {
 	// Connection-per-call mode never negotiates and ignores this.
 	Codec string
 	// ConnPerCall reproduces the paper's Web-Services transport behaviour:
-	// every block is delivered on a fresh, politely closed connection (TCP
-	// handshake + request round trip + serialized teardown, ~3 RTTs per
-	// block), as 2004 connection-per-call SOAP stacks did. This is
+	// every block is delivered on a fresh, politely closed connection (see
+	// endpoint.call), as 2004 connection-per-call SOAP stacks did. This is
 	// dramatically latency-sensitive — the very effect the paper observes
 	// on its trans-continental Table 5 rows — and is the default in the
-	// experiment harness. Window is ignored in this mode.
+	// experiment harness. Window and Codec are ignored in this mode.
 	ConnPerCall bool
 	// Retry is the resilience policy; the zero policy fails fast.
 	Retry retry.Policy
@@ -131,6 +129,7 @@ type endpoint struct {
 	key       string
 	opts      Options
 	codec     string // proposed at every attach; "" or "raw" stays raw
+	perCall   bool   // every request after the first attach on a connection of its own
 	retry     retry.Policy
 	bufs      rpc.Buffers
 	blockSize int // what the first attach negotiated
@@ -139,9 +138,14 @@ type endpoint struct {
 	cs *rpc.StreamCodec // what the server settled on; raw against an old server
 }
 
-func newEndpoint(dialer Dialer, addr string, clock simclock.Clock, key string, opts Options, codec string, p retry.Policy, side string) endpoint {
+func newEndpoint(dialer Dialer, addr string, clock simclock.Clock, key string, opts Options, codec string, perCall bool, p retry.Policy, side string) endpoint {
+	if perCall {
+		// Per-call connections skip the Attach exchange, so there is nowhere
+		// to negotiate; the paper's SOAP discipline stays raw.
+		codec = ""
+	}
 	return endpoint{
-		dialer: dialer, addr: addr, clock: clock, key: key, opts: opts, codec: codec, retry: p,
+		dialer: dialer, addr: addr, clock: clock, key: key, opts: opts, codec: codec, perCall: perCall, retry: p,
 		// Frames per socket write land in the observer the retry policy
 		// already carries (nil discards).
 		bufs: rpc.Buffers{Size: connBufSize, Flushes: p.Obs.Histogram(obs.Key("buf.flush.blocks", "side", side))},
@@ -179,6 +183,43 @@ func (e *endpoint) attach(role uint8, prev int) (readerID, blockSize int, err er
 	return readerID, blockSize, nil
 }
 
+// open performs the first attach under the retry policy and settles the
+// block size. A per-call endpoint closes that stream at once: it only made
+// the buffer, and every later request travels on a connection of its own.
+func (e *endpoint) open(role uint8) (readerID int, err error) {
+	err = e.retry.Do("gb.attach", func(int) error {
+		var err error
+		readerID, e.blockSize, err = e.attach(role, -1)
+		return err
+	})
+	if err == nil && e.perCall {
+		e.s.Close()
+	}
+	return readerID, err
+}
+
+// call opens a fresh connection, makes one request, returns the payload of
+// a reply of type want, closes the connection and waits out the teardown —
+// the 2004 connection-per-call SOAP discipline. Per call that is a TCP
+// handshake, one request round trip, and a FIN handshake before the stack
+// reuses the port (2004 SOAP clients closed politely and serially), i.e. ~3
+// round trips. The teardown is charged as the measured connection-setup
+// time, so it scales with the actual link rather than a constant.
+func (e *endpoint) call(reqType uint8, payload []byte, want uint8) ([]byte, error) {
+	t0 := e.clock.Now()
+	s, err := rpc.Open("gridbuffer", e.dialer, e.addr, e.clock, e.retry.Timeout())
+	if err != nil {
+		return nil, err
+	}
+	setup := e.clock.Now().Sub(t0)
+	defer func() {
+		s.Close()
+		e.clock.Sleep(setup)
+	}()
+	_, resp, err := s.Call(reqType, payload, want)
+	return resp, err
+}
+
 // decodeAttachResp reads the service's answer to an Attach.
 func decodeAttachResp(resp []byte) (readerID, blockSize int, cs *rpc.StreamCodec, err error) {
 	d := wire.NewDecoder(resp)
@@ -208,35 +249,19 @@ func (e *endpoint) BlockSize() int { return e.blockSize }
 // NewWriter attaches to (or creates) the buffer key on the service at addr
 // and returns a Writer.
 func NewWriter(dialer Dialer, addr string, clock simclock.Clock, key string, opts Options, wopts WriterOptions) (*Writer, error) {
-	codec := wopts.Codec
-	if wopts.ConnPerCall {
-		// Conn-per-call data connections skip the Attach exchange, so there
-		// is nowhere to negotiate; the paper's SOAP discipline stays raw.
-		codec = ""
-	}
 	w := &Writer{
-		endpoint:    newEndpoint(dialer, addr, clock, key, opts, codec, wopts.Retry, "writer"),
-		connPerCall: wopts.ConnPerCall,
-		wmu:         simclock.NewMutex(clock),
-		done:        simclock.NewEvent(clock),
+		endpoint: newEndpoint(dialer, addr, clock, key, opts, wopts.Codec, wopts.ConnPerCall, wopts.Retry, "writer"),
+		wmu:      simclock.NewMutex(clock),
+		done:     simclock.NewEvent(clock),
 	}
-	err := wopts.Retry.Do("gb.attach", func(int) error {
-		var err error
-		_, w.blockSize, err = w.attach(roleWriter, -1)
-		return err
-	})
-	if err != nil {
+	if _, err := w.open(roleWriter); err != nil {
 		return nil, err
 	}
 	w.winSize = int64(inFlightBlocks(wopts.Window, DefaultWriterWindowBytes, w.blockSize))
 	w.window = simclock.NewSemaphore(clock, w.winSize)
-	if w.connPerCall {
-		// The construction stream only created the buffer; each block
-		// travels on its own connection, so close it now.
-		w.s.Close()
-		return w, nil
+	if !w.perCall {
+		w.spawnAckLoop()
 	}
-	w.spawnAckLoop()
 	return w, nil
 }
 
@@ -246,28 +271,6 @@ func (w *Writer) spawnAckLoop() {
 	w.mu.Unlock()
 	s, window, done := w.s, w.window, w.done
 	w.clock.Go("gridbuffer-writer-acks", func() { w.ackLoop(s, window, done, gen) })
-}
-
-// oneCall opens a fresh connection, performs a single request/response,
-// closes it and waits out the teardown — the 2004 connection-per-call SOAP
-// discipline. Per call that is a TCP handshake, one request round trip,
-// and a FIN handshake before the stack reuses the port (2004 SOAP clients
-// closed politely and serially), i.e. ~3 round trips per block. The
-// teardown is charged as the measured connection-setup time, so it scales
-// with the actual link rather than a constant.
-func (w *Writer) oneCall(reqType uint8, payload []byte) error {
-	t0 := w.clock.Now()
-	s, err := rpc.Open("gridbuffer", w.dialer, w.addr, w.clock, w.retry.Timeout())
-	if err != nil {
-		return err
-	}
-	setup := w.clock.Now().Sub(t0)
-	defer func() {
-		s.Close()
-		w.clock.Sleep(setup)
-	}()
-	_, _, err = s.Call(reqType, payload)
-	return err
 }
 
 // ackLoop consumes Put acknowledgements, releasing window permits. One loop
@@ -414,10 +417,13 @@ func (w *Writer) sendBlock() error {
 	w.nextIdx++
 	w.partial = w.partial[:0]
 
-	if w.connPerCall {
+	if w.perCall {
 		e := wire.NewEncoder()
 		e.String(w.key).I64(blk.idx).Bytes32(blk.data)
-		err := w.retry.Do("gb.put", func(int) error { return w.oneCall(msgPut, e.Bytes()) })
+		err := w.retry.Do("gb.put", func(int) error {
+			_, err := w.call(msgPut, e.Bytes(), msgPutResp)
+			return err
+		})
 		if err != nil {
 			w.failServer(err)
 		}
@@ -589,7 +595,7 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	if !w.connPerCall {
+	if !w.perCall {
 		defer func() {
 			w.wmu.Lock()
 			w.s.Close()
@@ -602,8 +608,11 @@ func (w *Writer) Close() error {
 		}
 	}
 	closeWrite := wire.NewEncoder().String(w.key).I64(w.total).Bytes()
-	if w.connPerCall {
-		err := w.retry.Do("gb.close", func(int) error { return w.oneCall(msgCloseWrite, closeWrite) })
+	if w.perCall {
+		err := w.retry.Do("gb.close", func(int) error {
+			_, err := w.call(msgCloseWrite, closeWrite, msgCloseWriteResp)
+			return err
+		})
 		if err != nil {
 			return err
 		}
@@ -652,7 +661,8 @@ func (w *Writer) sendCloseWrite(payload []byte) error {
 // per-attempt timeout then also bounds how long the reader tolerates
 // silence, so a producer that stalls longer than the policy's attempt
 // budget is indistinguishable from a dead one — raise the timeout for
-// slow producers.
+// slow producers. A connection-per-call reader (ReaderOptions.ConnPerCall)
+// keeps the same rule: every request acknowledges what was delivered.
 type Reader struct {
 	endpoint
 	readerID int
@@ -680,19 +690,21 @@ type ReaderOptions struct {
 	// Codec names the block codec proposed at attach ("" or "raw" keeps the
 	// stream raw and the attach request free of any codec field).
 	Codec string
+	// ConnPerCall fetches every block on a connection of its own (see
+	// endpoint.call): one windowed GET of one block, which acknowledges
+	// every block before it, and the Detach at Close. It is the reader of
+	// the SOAP transport, whose envelope holds one exchange. Depth and Codec
+	// are ignored in this mode.
+	ConnPerCall bool
 	// Retry is the resilience policy; the zero policy fails fast.
 	Retry retry.Policy
 }
 
 // NewReader attaches to (or creates) the buffer key on the service at addr.
 func NewReader(dialer Dialer, addr string, clock simclock.Clock, key string, opts Options, ropts ReaderOptions) (*Reader, error) {
-	r := &Reader{endpoint: newEndpoint(dialer, addr, clock, key, opts, ropts.Codec, ropts.Retry, "reader"), total: -1}
-	err := ropts.Retry.Do("gb.attach", func(int) error {
-		var err error
-		r.readerID, r.blockSize, err = r.attach(roleReader, -1)
-		return err
-	})
-	if err != nil {
+	r := &Reader{endpoint: newEndpoint(dialer, addr, clock, key, opts, ropts.Codec, ropts.ConnPerCall, ropts.Retry, "reader"), total: -1}
+	var err error
+	if r.readerID, err = r.open(roleReader); err != nil {
 		return nil, err
 	}
 	r.depth = inFlightBlocks(ropts.Depth, DefaultReaderDepthBytes, r.blockSize)
@@ -744,9 +756,46 @@ func (r *Reader) sendWindow(first int64, count int) error {
 	return nil
 }
 
-// recvOne consumes the response for inflight[0], tightening the known stream
+// block decodes the response for block idx, tightening the known stream
 // length by what it says: an EOF response gives an upper bound, a short
 // block (the tail) the exact length.
+func (r *Reader) block(idx int64, payload []byte) (int64, []byte, bool, error) {
+	d := wire.NewDecoder(payload)
+	gotIdx := d.I64()
+	eof := d.Bool()
+	raw := d.Bytes32()
+	if err := d.Err(); err != nil {
+		return idx, nil, false, err
+	}
+	block, err := r.cs.Decode(raw)
+	if err != nil {
+		return idx, nil, false, retry.Permanent(err)
+	}
+	data := append([]byte(nil), block...)
+	if gotIdx != idx {
+		return idx, nil, false, retry.Permanent(fmt.Errorf("gridbuffer: response for block %d, expected %d", gotIdx, idx))
+	}
+	if bs := int64(r.blockSize); eof {
+		r.noteTotal(idx * bs)
+	} else if len(data) < r.blockSize {
+		r.noteTotal(idx*bs + int64(len(data)))
+	}
+	return idx, data, eof, nil
+}
+
+// fetch asks for block idx alone, on a connection of its own, acknowledging
+// every block before it (connection-per-call mode).
+func (r *Reader) fetch(idx int64) (int64, []byte, bool, error) {
+	e := wire.NewEncoder()
+	encodeGetWin(e, getWinReq{key: r.key, readerID: r.readerID, first: idx, count: 1, ackBelow: r.acked})
+	resp, err := r.call(msgGetWin, e.Bytes(), msgGetWinResp)
+	if err != nil {
+		return idx, nil, false, err
+	}
+	return r.block(idx, resp)
+}
+
+// recvOne consumes the response for inflight[0] (see block).
 func (r *Reader) recvOne() (idx int64, data []byte, eof bool, err error) {
 	if len(r.inflight) == 0 {
 		return 0, nil, false, errors.New("gridbuffer: no in-flight request")
@@ -759,27 +808,7 @@ func (r *Reader) recvOne() (idx int64, data []byte, eof bool, err error) {
 	r.inflight = r.inflight[1:]
 	switch typ {
 	case msgGetWinResp:
-		d := wire.NewDecoder(payload)
-		gotIdx := d.I64()
-		eof = d.Bool()
-		raw := d.Bytes32()
-		if err := d.Err(); err != nil {
-			return idx, nil, false, err
-		}
-		block, derr := r.cs.Decode(raw)
-		if derr != nil {
-			return idx, nil, false, retry.Permanent(derr)
-		}
-		data = append([]byte(nil), block...)
-		if gotIdx != idx {
-			return idx, nil, false, retry.Permanent(fmt.Errorf("gridbuffer: response for block %d, expected %d", gotIdx, idx))
-		}
-		if bs := int64(r.blockSize); eof {
-			r.noteTotal(idx * bs)
-		} else if len(data) < r.blockSize {
-			r.noteTotal(idx*bs + int64(len(data)))
-		}
-		return idx, data, eof, nil
+		return r.block(idx, payload)
 	case msgError:
 		return idx, nil, false, rpc.Reply("gridbuffer", typ, payload)
 	default:
@@ -820,8 +849,8 @@ func (r *Reader) Read(p []byte) (int, error) {
 				n, eof = nn, true
 				return nil
 			}
-			if !retry.IsPermanent(rerr) {
-				r.broken = true
+			if !retry.IsPermanent(rerr) && !r.perCall {
+				r.broken = true // a per-call reader dials afresh every attempt anyway
 			}
 			return rerr
 		}
@@ -851,39 +880,11 @@ func (r *Reader) readOnce(p []byte) (int, error) {
 		if idx > r.acked {
 			r.acked = idx
 		}
-		// Keep the pipeline aligned with the read position.
-		if len(r.inflight) > 0 && r.inflight[0] != idx {
-			if err := r.drain(); err != nil {
-				return 0, err
-			}
+		get := r.pipelined
+		if r.perCall {
+			get = r.fetch
 		}
-		if len(r.inflight) == 0 {
-			r.nextReq = idx
-		}
-		// Refill in runs of half the window, not a request per block: the
-		// other half is still in flight, so the pipe never drains, and the
-		// service hears from the reader 2/depth times per block.
-		if want := r.depth - len(r.inflight); want >= (r.depth+1)/2 {
-			count := 0
-			for count < want {
-				if r.total >= 0 && (r.nextReq+int64(count))*bs >= r.total {
-					break
-				}
-				count++
-			}
-			if count > 0 {
-				if err := r.sendWindow(r.nextReq, count); err != nil {
-					return 0, err
-				}
-				r.nextReq += int64(count)
-			}
-		}
-		if len(r.inflight) == 0 {
-			// Nothing requestable below the known end: the position must be
-			// at or past it.
-			return 0, io.EOF
-		}
-		gotIdx, data, eof, err := r.recvOne()
+		gotIdx, data, eof, err := get(idx)
 		if err != nil {
 			return 0, err
 		}
@@ -900,6 +901,46 @@ func (r *Reader) readOnce(p []byte) (int, error) {
 	r.cur = r.cur[n:]
 	r.pos += int64(n)
 	return n, nil
+}
+
+// pipelined returns the next response of the request pipeline, first aligning
+// the pipeline with block idx and topping it up. It reports io.EOF when
+// nothing is requestable below the known end.
+func (r *Reader) pipelined(idx int64) (int64, []byte, bool, error) {
+	bs := int64(r.blockSize)
+	// Keep the pipeline aligned with the read position.
+	if len(r.inflight) > 0 && r.inflight[0] != idx {
+		if err := r.drain(); err != nil {
+			return idx, nil, false, err
+		}
+	}
+	if len(r.inflight) == 0 {
+		r.nextReq = idx
+	}
+	// Refill in runs of half the window, not a request per block: the
+	// other half is still in flight, so the pipe never drains, and the
+	// service hears from the reader 2/depth times per block.
+	if want := r.depth - len(r.inflight); want >= (r.depth+1)/2 {
+		count := 0
+		for count < want {
+			if r.total >= 0 && (r.nextReq+int64(count))*bs >= r.total {
+				break
+			}
+			count++
+		}
+		if count > 0 {
+			if err := r.sendWindow(r.nextReq, count); err != nil {
+				return idx, nil, false, err
+			}
+			r.nextReq += int64(count)
+		}
+	}
+	if len(r.inflight) == 0 {
+		// Nothing requestable below the known end: the position must be
+		// at or past it.
+		return idx, nil, false, io.EOF
+	}
+	return r.recvOne()
 }
 
 // Seek implements io.Seeker for offsets from the start and from the current
@@ -931,13 +972,18 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 	return npos, nil
 }
 
-// Close detaches the reader (best effort) and releases the connection.
+// Close detaches the reader and releases the connection. A streaming reader
+// sends the Detach and does not wait: the connection is going away.
 func (r *Reader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	// Best effort: the connection is going away.
-	_ = r.s.Request(msgDetach, wire.NewEncoder().String(r.key).I64(int64(r.readerID)).Bytes())
+	detach := wire.NewEncoder().String(r.key).I64(int64(r.readerID)).Bytes()
+	if r.perCall {
+		_, err := r.call(msgDetach, detach, msgDetachResp)
+		return err
+	}
+	_ = r.s.Request(msgDetach, detach)
 	return r.s.Close()
 }

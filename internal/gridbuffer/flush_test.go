@@ -438,7 +438,7 @@ func TestLateDetachMissesSuccessorBuffer(t *testing.T) {
 	b.v.Run(func() {
 		b.start(t)
 		// The old stream: one reader attaches, and its connection stays open.
-		old := newEndpoint(b.net.Host("r"), b.addr, b.v, "k", Options{}, "", retry.Policy{}, "reader")
+		old := newEndpoint(b.net.Host("r"), b.addr, b.v, "k", Options{}, "", false, retry.Policy{}, "reader")
 		oldID, _, err := old.attach(roleReader, -1)
 		if err != nil {
 			t.Fatalf("old attach: %v", err)

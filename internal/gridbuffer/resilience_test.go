@@ -235,6 +235,37 @@ func TestConnPerCallWriterRetries(t *testing.T) {
 	})
 }
 
+// TestConnPerCallReaderRetries: a connection-per-call reader fetches each
+// block with a one-block windowed GET that acknowledges the blocks before it.
+// A reset mid-answer costs nothing: with no cache file to fall back on, the
+// block is still resident because nothing acknowledged it, and the retried
+// call fetches it again.
+func TestConnPerCallReaderRetries(t *testing.T) {
+	b := newBrig(simnet.LinkSpec{Latency: time.Millisecond})
+	want := make([]byte, 40_000)
+	rand.New(rand.NewSource(27)).Read(want)
+	b.v.Run(func() {
+		b.start(t)
+		w, err := NewWriter(b.net.Host("w"), b.addr, b.v, "k", Options{}, WriterOptions{ConnPerCall: true})
+		if err != nil {
+			t.Fatalf("writer: %v", err)
+		}
+		pump(t, w, want)
+		r, err := NewReader(b.net.Host("r"), b.addr, b.v, "k", Options{}, ReaderOptions{ConnPerCall: true, Retry: bPolicy(b.v)})
+		if err != nil {
+			t.Fatalf("reader: %v", err)
+		}
+		b.net.FailAfter("buf", "r", 10_000)
+		got, err := io.ReadAll(r)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %d of %d bytes across a reset: %v", len(got), len(want), err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("detach: %v", err)
+		}
+	})
+}
+
 // TestIdleWriterKeepsItsConnection: a writer that goes quiet between blocks
 // for three times its attempt timeout keeps the one connection it attached
 // on. What bounds its wait for acknowledgements is the window, not a read

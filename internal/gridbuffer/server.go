@@ -17,8 +17,8 @@ import (
 	"griddles/internal/wire"
 )
 
-// Protocol message types (binary transport; internal/soap carries the same
-// operations in SOAP envelopes).
+// Protocol message types. Both transports carry these frames: the binary one
+// as they are, the SOAP one inside envelopes (internal/soap).
 const (
 	msgAttach         = 1
 	msgAttachResp     = 2
@@ -217,19 +217,24 @@ func (s *Server) SetCodecs(names []string) { s.codecs = names }
 // flush-before-block rule counts on a read buffer that holds many PUTs.
 const connBufSize = 64 << 10
 
-// Serve accepts connections until l is closed, each running the shared
-// request loop (see rpc.Serve, rpc.ServeConn), which answers every request
-// already read before it flushes. Admission is per stream: rpc.Serve holds
-// the connection bound, and a connection's first Attach takes the stream's
-// Bulk slot (see SetAdmission).
+// Serve accepts connections until l is closed, each served by ServeConn.
+// Admission is per stream: rpc.Serve holds the connection bound, and a
+// connection's first Attach takes the stream's Bulk slot (see SetAdmission).
 func (s *Server) Serve(l net.Listener) {
-	rpc.Serve(l, s.clock, "gridbuffer-conn", s.adm, func(conn net.Conn) {
-		c := &connState{srv: s, conn: conn}
-		defer c.release()
-		rpc.ServeConn(conn, nil, rpc.Handler{
-			Buffers:  rpc.Buffers{Size: connBufSize, Flushes: s.reg.flushBlocks.Load()},
-			Dispatch: c.dispatch,
-		})
+	rpc.Serve(l, s.clock, "gridbuffer-conn", s.adm, s.ServeConn)
+}
+
+// ServeConn serves one connection with the shared request loop (see
+// rpc.ServeConn), which answers every request already read before it
+// flushes, until the peer goes away. It is the one dispatch of both
+// transports: Serve runs it on binary connections, and soap.Serve on each
+// SOAP request's frames.
+func (s *Server) ServeConn(conn net.Conn) {
+	c := &connState{srv: s, conn: conn}
+	defer c.release()
+	rpc.ServeConn(conn, nil, rpc.Handler{
+		Buffers:  rpc.Buffers{Size: connBufSize, Flushes: s.reg.flushBlocks.Load()},
+		Dispatch: c.dispatch,
 	})
 }
 
@@ -261,7 +266,7 @@ func (c *connState) release() {
 
 // lookup returns the buffer a request for key addresses: the attached one,
 // or — on connections that never attached, such as a connection-per-call
-// writer's — whatever the registry holds now.
+// writer's or reader's — whatever the registry holds now.
 func (c *connState) lookup(key string) (*Buffer, error) {
 	if c.buf != nil && key == c.key {
 		return c.buf, nil

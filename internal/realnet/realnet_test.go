@@ -129,14 +129,15 @@ func TestGridBufferOverTCP(t *testing.T) {
 
 func TestSOAPBufferOverTCP(t *testing.T) {
 	clock := simclock.Real{}
-	reg := gridbuffer.NewRegistry(clock, vfs.NewMemFS())
-	addr := listen(t, func(l net.Listener) { soap.ServeBuffer(clock, reg).Serve(l) })
+	srv := gridbuffer.NewServer(gridbuffer.NewRegistry(clock, vfs.NewMemFS()), clock)
+	addr := listen(t, func(l net.Listener) { soap.Serve(l, clock, srv.ServeConn) })
+	d := soap.Dialer{Dialer: tcpDialer{}}
 
 	want := make([]byte, 60_000)
 	rand.New(rand.NewSource(3)).Read(want)
 	got := make(chan []byte, 1)
 	go func() {
-		r, err := soap.NewBufferReader(clock, tcpDialer{}, addr, "k", gridbuffer.Options{})
+		r, err := gridbuffer.NewReader(d, addr, clock, "k", gridbuffer.Options{}, gridbuffer.ReaderOptions{ConnPerCall: true})
 		if err != nil {
 			got <- nil
 			return
@@ -145,7 +146,7 @@ func TestSOAPBufferOverTCP(t *testing.T) {
 		data, _ := io.ReadAll(r)
 		got <- data
 	}()
-	w, err := soap.NewBufferWriter(clock, tcpDialer{}, addr, "k", gridbuffer.Options{})
+	w, err := gridbuffer.NewWriter(d, addr, clock, "k", gridbuffer.Options{}, gridbuffer.WriterOptions{ConnPerCall: true})
 	if err != nil {
 		t.Fatal(err)
 	}

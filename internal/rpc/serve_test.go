@@ -1,6 +1,7 @@
 package rpc_test
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -103,11 +104,17 @@ func TestEveryServeRidesOutTemporaryAcceptErrors(t *testing.T) {
 			}},
 		{"soap",
 			func(v *simclock.Virtual, l net.Listener) {
-				echo := func(path string, body []byte) (int, []byte) { return 200, body }
-				soap.NewHTTPServer(v, echo).Serve(l)
+				echo := func(conn net.Conn) { io.Copy(conn, conn) }
+				soap.Serve(l, v, echo)
 			},
 			func(v *simclock.Virtual, d *simnet.Host) error {
-				_, err := soap.Post(d, addr, "/x", []byte("ping"))
+				conn, err := soap.Dialer{Dialer: d}.Dial(addr)
+				if err != nil {
+					return err
+				}
+				defer conn.Close()
+				io.WriteString(conn, "ping")
+				_, err = io.ReadAll(conn)
 				return err
 			}},
 	}

@@ -3,6 +3,7 @@ package soap
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -11,51 +12,54 @@ import (
 	"time"
 
 	"griddles/internal/gridbuffer"
+	"griddles/internal/obs"
+	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 	"griddles/internal/vfs"
+	"griddles/internal/wire"
 )
 
 func TestEnvelopeRoundTrip(t *testing.T) {
-	in := Body{Put: &PutReq{Key: "wf/file", Index: 42, Data: "AAEC"}}
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := []byte{0, 0, 0, 2, 3, 0xff, 0}
+	data := encode(in)
 	if !strings.Contains(string(data), "schemas.xmlsoap.org/soap/envelope") {
 		t.Errorf("not a SOAP envelope:\n%s", data)
 	}
-	out, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Put == nil || *out.Put != *in.Put {
-		t.Errorf("round trip = %+v", out.Put)
+	out, f, err := decode(data)
+	if err != nil || f != nil || !bytes.Equal(out, in) {
+		t.Errorf("round trip = %x, fault %v, err %v", out, f, err)
 	}
 }
 
 func TestEnvelopeFault(t *testing.T) {
-	data, _ := Marshal(Body{Fault: &Fault{Code: "soap:Server", String: "boom"}})
-	out, err := Unmarshal(data)
-	if err != nil || out.Fault == nil || out.Fault.String != "boom" {
-		t.Errorf("fault round trip: %+v err=%v", out.Fault, err)
+	out, f, err := decode(faultBody("Server", `no buffer "k" & <more>`))
+	if err != nil || out != nil || f == nil || f.Code != "soap:Server" || f.String != `no buffer "k" & <more>` {
+		t.Errorf("fault round trip: %+v err=%v", f, err)
 	}
 }
 
 func TestUnmarshalGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte("not xml at all")); err == nil {
-		t.Error("garbage accepted")
+	for _, body := range []string{
+		"not xml at all",
+		`<Envelope xmlns="` + nsEnvelope + `"><Body xmlns="` + nsEnvelope + `"></Body></Envelope>`,
+		`<Envelope xmlns="` + nsEnvelope + `"><Body xmlns="` + nsEnvelope + `"><Frames>!!</Frames></Body></Envelope>`,
+	} {
+		if _, _, err := decode([]byte(body)); err == nil {
+			t.Errorf("accepted %q", body)
+		}
 	}
 }
 
 func TestReadRequestParsing(t *testing.T) {
 	raw := "POST /GridBufferService HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello"
-	method, path, body, err := ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+	line, body, err := readMessage(bufio.NewReader(strings.NewReader(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if method != "POST" || path != "/GridBufferService" || string(body) != "hello" {
-		t.Errorf("parsed %q %q %q", method, path, body)
+	if line[0] != "POST" || line[1] != "/GridBufferService" || line[2] != "HTTP/1.1" || string(body) != "hello" {
+		t.Errorf("parsed %q %q", line, body)
 	}
 }
 
@@ -63,15 +67,34 @@ func TestReadRequestRejectsBadLength(t *testing.T) {
 	for _, raw := range []string{
 		"POST / HTTP/1.1\r\nContent-Length: -3\r\n\r\n",
 		"POST / HTTP/1.1\r\nContent-Length: zillion\r\n\r\n",
+		"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nshort",
 		"GARBAGE\r\n\r\n",
 	} {
-		if _, _, _, err := ReadRequest(bufio.NewReader(strings.NewReader(raw))); err == nil {
+		if _, _, err := readMessage(bufio.NewReader(strings.NewReader(raw))); err == nil {
 			t.Errorf("accepted %q", raw)
 		}
 	}
 }
 
-// rig is a SOAP buffer service on simnet.
+// TestMaxBodyHoldsTheLargestFrame: the body bound is the envelope of one
+// frame of wire.MaxFrame payload, so any block a service accepts can be put.
+// A request whose Content-Length is exactly the bound parses; one byte more
+// is refused.
+func TestMaxBodyHoldsTheLargestFrame(t *testing.T) {
+	if n := len(encode(make([]byte, 5+wire.MaxFrame))); n != MaxBody {
+		t.Fatalf("envelope of the largest frame = %d bytes, MaxBody = %d", n, MaxBody)
+	}
+	body := bytes.Repeat([]byte{'A'}, MaxBody+1)
+	for _, n := range []int{MaxBody, MaxBody + 1} {
+		raw := io.MultiReader(strings.NewReader(fmt.Sprintf("POST %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n", servicePath, n)), bytes.NewReader(body[:n]))
+		_, got, err := readMessage(bufio.NewReader(raw))
+		if ok := err == nil && len(got) == n; ok != (n == MaxBody) {
+			t.Errorf("Content-Length %d (MaxBody%+d): %d bytes read, err %v", n, n-MaxBody, len(got), err)
+		}
+	}
+}
+
+// rig is a Grid Buffer service behind the SOAP endpoint, on simnet.
 type rig struct {
 	v   *simclock.Virtual
 	net *simnet.Network
@@ -92,7 +115,49 @@ func (r *rig) start(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.v.Go("soap-serve", func() { ServeBuffer(r.v, r.reg).Serve(l) })
+	srv := gridbuffer.NewServer(r.reg, r.v)
+	r.v.Go("soap-serve", func() { Serve(l, r.v, srv.ServeConn) })
+}
+
+// writer and reader are the SOAP transport's two ends, as core builds them.
+func (r *rig) writer(opts gridbuffer.Options, p retry.Policy) (*gridbuffer.Writer, error) {
+	return gridbuffer.NewWriter(Dialer{r.net.Host("w")}, "svc:8000", r.v, "k", opts, gridbuffer.WriterOptions{ConnPerCall: true, Retry: p})
+}
+
+func (r *rig) reader(opts gridbuffer.Options, p retry.Policy) (*gridbuffer.Reader, error) {
+	return gridbuffer.NewReader(Dialer{r.net.Host("r")}, "svc:8000", r.v, "k", opts, gridbuffer.ReaderOptions{ConnPerCall: true, Retry: p})
+}
+
+// pipe writes want through a SOAP writer while a SOAP reader reads it all.
+func (r *rig) pipe(t *testing.T, opts gridbuffer.Options, want []byte) []byte {
+	t.Helper()
+	var got []byte
+	done := simclock.NewWaitGroup(r.v)
+	done.Add(1)
+	r.v.Go("reader", func() {
+		defer done.Done()
+		rd, err := r.reader(opts, retry.Policy{})
+		if err != nil {
+			t.Errorf("reader: %v", err)
+			return
+		}
+		defer rd.Close()
+		if got, err = io.ReadAll(rd); err != nil {
+			t.Errorf("read: %v", err)
+		}
+	})
+	w, err := r.writer(opts, retry.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done.Wait()
+	return got
 }
 
 func TestSOAPStreamEndToEnd(t *testing.T) {
@@ -101,31 +166,7 @@ func TestSOAPStreamEndToEnd(t *testing.T) {
 	rand.New(rand.NewSource(7)).Read(want)
 	r.v.Run(func() {
 		r.start(t)
-		var got []byte
-		done := simclock.NewWaitGroup(r.v)
-		done.Add(1)
-		r.v.Go("reader", func() {
-			defer done.Done()
-			rd, err := NewBufferReader(r.v, r.net.Host("r"), "svc:8000", "k", gridbuffer.Options{})
-			if err != nil {
-				t.Errorf("reader: %v", err)
-				return
-			}
-			defer rd.Close()
-			got, _ = io.ReadAll(rd)
-		})
-		w, err := NewBufferWriter(r.v, r.net.Host("w"), "svc:8000", "k", gridbuffer.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(want); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		done.Wait()
-		if !bytes.Equal(got, want) {
+		if got := r.pipe(t, gridbuffer.Options{}, want); !bytes.Equal(got, want) {
 			t.Errorf("SOAP stream corrupted: %d vs %d bytes", len(got), len(want))
 		}
 	})
@@ -140,7 +181,7 @@ func TestSOAPBlockingRead(t *testing.T) {
 		done.Add(1)
 		r.v.Go("reader", func() {
 			defer done.Done()
-			rd, err := NewBufferReader(r.v, r.net.Host("r"), "svc:8000", "k", gridbuffer.Options{})
+			rd, err := r.reader(gridbuffer.Options{}, retry.Policy{})
 			if err != nil {
 				t.Errorf("reader: %v", err)
 				return
@@ -152,7 +193,7 @@ func TestSOAPBlockingRead(t *testing.T) {
 			io.Copy(io.Discard, rd)
 		})
 		r.v.Sleep(30 * time.Second)
-		w, _ := NewBufferWriter(r.v, r.net.Host("w"), "svc:8000", "k", gridbuffer.Options{BlockSize: 16})
+		w, _ := r.writer(gridbuffer.Options{BlockSize: 16}, retry.Policy{})
 		w.Write(bytes.Repeat([]byte{7}, 64))
 		w.Close()
 		done.Wait()
@@ -162,29 +203,36 @@ func TestSOAPBlockingRead(t *testing.T) {
 	})
 }
 
+// TestSOAPFaultOnUnknownBuffer: a request the service refuses travels back
+// as a SOAP fault and reaches the caller as the service's own error frame.
 func TestSOAPFaultOnUnknownBuffer(t *testing.T) {
 	r := newRig(simnet.LinkSpec{})
 	r.v.Run(func() {
 		r.start(t)
-		_, err := call(r.v, r.net.Host("w"), "svc:8000", Body{Put: &PutReq{Key: "ghost", Index: 0, Data: ""}})
-		if err == nil || !strings.Contains(err.Error(), "fault") {
-			t.Errorf("err = %v, want SOAP fault", err)
+		s, err := rpc.Open("gridbuffer", Dialer{r.net.Host("w")}, "svc:8000", r.v, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		_, _, err = s.Call(3, wire.NewEncoder().String("ghost").I64(0).Bytes32(nil).Bytes()) // a PUT
+		if want := `gridbuffer: gridbuffer: no buffer "ghost"`; err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %q", err, want)
 		}
 	})
 }
 
-// TestSOAPFaultOnOutOfRangeAttach: the envelope's block size reaches the same
-// range check as the binary ATTACH — a block past one wire frame is a fault,
-// and no buffer is made.
+// TestSOAPFaultOnOutOfRangeAttach: the block size reaches the same range
+// check as the binary ATTACH — a block past one wire frame is a fault, and
+// no buffer is made.
 func TestSOAPFaultOnOutOfRangeAttach(t *testing.T) {
 	r := newRig(simnet.LinkSpec{})
 	r.v.Run(func() {
 		r.start(t)
-		_, err := NewBufferWriter(r.v, r.net.Host("w"), "svc:8000", "huge", gridbuffer.Options{BlockSize: 1 << 30})
-		if err == nil || !strings.Contains(err.Error(), "fault") {
-			t.Errorf("err = %v, want SOAP fault", err)
+		_, err := r.writer(gridbuffer.Options{BlockSize: 1 << 30}, retry.Policy{})
+		if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Errorf("err = %v, want the service's range error", err)
 		}
-		if _, ok := r.reg.Lookup("huge"); ok {
+		if r.reg.Len() != 0 {
 			t.Error("an attach out of range created its buffer")
 		}
 	})
@@ -194,22 +242,123 @@ func TestSOAPRejectsWrongPathAndMethod(t *testing.T) {
 	r := newRig(simnet.LinkSpec{})
 	r.v.Run(func() {
 		r.start(t)
-		payload, _ := Marshal(Body{Attach: &AttachReq{Key: "k", Role: "writer"}})
-		if _, err := Post(r.net.Host("w"), "svc:8000", "/wrong", payload); err == nil {
-			t.Error("wrong path accepted")
+		for _, tc := range []struct{ req, status string }{
+			{"POST /wrong HTTP/1.1\r\nContent-Length: 0\r\n\r\n", "400"},
+			{"POST " + servicePath + " HTTP/1.1\r\nContent-Length: 4\r\n\r\nnope", "400"},
+			{"POST " + servicePath + " HTTP/1.1\r\nContent-Length: " + fmt.Sprint(len(faultBody("Client", "x"))) + "\r\n\r\n" + string(faultBody("Client", "x")), "400"},
+			{"POST / SPDY\r\n\r\n", "400"},
+			{"GET / HTTP/1.1\r\n\r\n", "405"},
+		} {
+			conn, err := r.net.Host("w").Dial("svc:8000")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.WriteString(conn, tc.req)
+			resp, _ := io.ReadAll(conn)
+			conn.Close()
+			if !strings.HasPrefix(string(resp), "HTTP/1.1 "+tc.status) {
+				t.Errorf("%.30q answered %.40q, want %s", tc.req, resp, tc.status)
+			}
 		}
-		// Raw GET is rejected.
-		conn, err := r.net.Host("w").Dial("svc:8000")
+	})
+}
+
+// TestSOAPDialerRefusesWriteAfterPost: a SOAP connection holds one exchange.
+func TestSOAPDialerRefusesWriteAfterPost(t *testing.T) {
+	r := newRig(simnet.LinkSpec{})
+	r.v.Run(func() {
+		r.start(t)
+		conn, err := Dialer{r.net.Host("w")}.Dial("svc:8000")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		io.WriteString(conn, "GET / HTTP/1.1\r\n\r\n")
-		resp, _ := io.ReadAll(conn)
-		if !strings.Contains(string(resp), "405") {
-			t.Errorf("GET response: %q", resp)
+		wire.WriteFrame(conn, 11, wire.NewEncoder().String("k").Bytes()) // a DROP
+		if typ, _, err := wire.ReadFrame(conn); err != nil || typ != 12 {
+			t.Fatalf("drop answered with type %d, %v", typ, err)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("read past the answer: %v, want EOF", err)
+		}
+		if _, err := conn.Write([]byte{0}); err == nil {
+			t.Error("a second request was accepted on a posted call")
 		}
 	})
+}
+
+// TestSOAPSilentPeerTimesOut: against a listener that accepts and never
+// answers, a SOAP writer and a SOAP reader each fail once the retry policy's
+// attempts have timed out, instead of waiting for ever.
+func TestSOAPSilentPeerTimesOut(t *testing.T) {
+	r := newRig(simnet.LinkSpec{Latency: time.Millisecond})
+	p := retry.Policy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, AttemptTimeout: 500 * time.Millisecond, Clock: r.v}
+	budget := p.MaxElapsed() + 10*time.Millisecond // and a dial per attempt
+	r.v.Run(func() {
+		l, err := r.net.Host("svc").Listen("svc:8000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		r.v.Go("silent", func() {
+			for {
+				if _, err := l.Accept(); err != nil {
+					return
+				}
+			}
+		})
+		for _, end := range []struct {
+			name string
+			open func() error
+		}{
+			{"writer", func() error { _, err := r.writer(gridbuffer.Options{}, p); return err }},
+			{"reader", func() error { _, err := r.reader(gridbuffer.Options{}, p); return err }},
+		} {
+			start := r.v.Now()
+			err := end.open()
+			if took := r.v.Now().Sub(start); err == nil || took > budget {
+				t.Errorf("%s against a silent peer: err %v after %v, want an error within %v", end.name, err, took, budget)
+			}
+		}
+	})
+}
+
+// TestSOAPLostResponseKeepsBlock: the connection carrying a get's answer is
+// reset mid-answer. The block stays resident until a later get acknowledges
+// it, so the reader's retry fetches it again and every byte arrives in order.
+func TestSOAPLostResponseKeepsBlock(t *testing.T) {
+	r := newRig(simnet.LinkSpec{Latency: time.Millisecond})
+	want := make([]byte, 8*4096)
+	rand.New(rand.NewSource(11)).Read(want)
+	o := obs.New(r.v)
+	p := retry.Policy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, AttemptTimeout: time.Second, Clock: r.v, Obs: o}
+	r.v.Run(func() {
+		r.start(t)
+		w, err := r.writer(gridbuffer.Options{}, retry.Policy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := r.reader(gridbuffer.Options{}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		// An answer carries one 4 KiB block as ~5.7 KB of base64: the cut
+		// lands inside the third.
+		r.net.FailAfter("svc", "r", 14_000)
+		got, err := io.ReadAll(rd)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %d of %d bytes across a lost answer: %v", len(got), len(want), err)
+		}
+	})
+	if n := o.Snapshot().Counters["retry.attempt.total{op=gb.get}"]; n == 0 {
+		t.Errorf("no retried get: the reset never cut an answer (counters %v)", o.Snapshot().Counters)
+	}
 }
 
 func TestSOAPIsSlowerThanBinaryOnWAN(t *testing.T) {
@@ -223,18 +372,7 @@ func TestSOAPIsSlowerThanBinaryOnWAN(t *testing.T) {
 		r := newRig(lat)
 		r.v.Run(func() {
 			r.start(t)
-			done := simclock.NewWaitGroup(r.v)
-			done.Add(1)
-			r.v.Go("reader", func() {
-				defer done.Done()
-				rd, _ := NewBufferReader(r.v, r.net.Host("r"), "svc:8000", "k", gridbuffer.Options{})
-				defer rd.Close()
-				io.Copy(io.Discard, rd)
-			})
-			w, _ := NewBufferWriter(r.v, r.net.Host("w"), "svc:8000", "k", gridbuffer.Options{})
-			w.Write(make([]byte, total))
-			w.Close()
-			done.Wait()
+			r.pipe(t, gridbuffer.Options{}, make([]byte, total))
 		})
 		return r.v.Elapsed()
 	}()
@@ -281,45 +419,12 @@ func TestSOAPStreamProperty(t *testing.T) {
 		want := make([]byte, size)
 		rand.New(rand.NewSource(seed)).Read(want)
 		r := newRig(simnet.LinkSpec{Latency: time.Millisecond})
-		ok := true
+		var got []byte
 		r.v.Run(func() {
-			l, err := r.net.Host("svc").Listen("svc:8000")
-			if err != nil {
-				ok = false
-				return
-			}
-			r.v.Go("serve", func() { ServeBuffer(r.v, r.reg).Serve(l) })
-			opts := gridbuffer.Options{BlockSize: bs}
-			var got []byte
-			done := simclock.NewWaitGroup(r.v)
-			done.Add(1)
-			r.v.Go("reader", func() {
-				defer done.Done()
-				rd, err := NewBufferReader(r.v, r.net.Host("r"), "svc:8000", "k", opts)
-				if err != nil {
-					ok = false
-					return
-				}
-				defer rd.Close()
-				got, _ = io.ReadAll(rd)
-			})
-			w, err := NewBufferWriter(r.v, r.net.Host("w"), "svc:8000", "k", opts)
-			if err != nil {
-				ok = false
-				return
-			}
-			if _, err := w.Write(want); err != nil {
-				ok = false
-				return
-			}
-			if err := w.Close(); err != nil {
-				ok = false
-				return
-			}
-			done.Wait()
-			ok = ok && bytes.Equal(got, want)
+			r.start(t)
+			got = r.pipe(t, gridbuffer.Options{BlockSize: bs}, want)
 		})
-		return ok
+		return bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

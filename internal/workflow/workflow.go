@@ -302,14 +302,14 @@ func StartServices(clock simclock.Clock, grid *testbed.Grid) error {
 		if err != nil {
 			return fmt.Errorf("workflow: %s buffer service: %w", name, err)
 		}
-		reg := gridbuffer.NewRegistry(clock, m.FS())
-		clock.Go(name+"-gridbuffer", func() { gridbuffer.NewServer(reg, clock).Serve(lb) })
-		// The same registry behind the paper's SOAP endpoint.
+		srv := gridbuffer.NewServer(gridbuffer.NewRegistry(clock, m.FS()), clock)
+		clock.Go(name+"-gridbuffer", func() { srv.Serve(lb) })
+		// The same server behind the paper's SOAP endpoint.
 		ls, err := m.Listen(SOAPBufferServicePort)
 		if err != nil {
 			return fmt.Errorf("workflow: %s soap buffer service: %w", name, err)
 		}
-		clock.Go(name+"-soapbuffer", func() { soap.ServeBuffer(clock, reg).Serve(ls) })
+		clock.Go(name+"-soapbuffer", func() { soap.Serve(ls, clock, srv.ServeConn) })
 		lo, err := m.Listen(ObjectStoreServicePort)
 		if err != nil {
 			return fmt.Errorf("workflow: %s object store service: %w", name, err)
