@@ -6,7 +6,8 @@ GO ?= go
 # internal/gns and the new admission/stress packages, and the PR15 floor for
 # the shared RPC shell. internal/vfs (the simulated disk) and internal/climate
 # (the stencil) are floored because every simulated table runs their hot
-# loops. `make cover` fails when any drops below its floor.
+# loops; internal/soap because the paper's transport has no other gate.
+# `make cover` fails when any drops below its floor.
 COVER_FLOOR_CORE       ?= 80.3
 COVER_FLOOR_GRIDBUFFER ?= 84.7
 COVER_FLOOR_WORKFLOW   ?= 92.0
@@ -17,11 +18,12 @@ COVER_FLOOR_STRESS     ?= 85.0
 COVER_FLOOR_RPC        ?= 90.0
 COVER_FLOOR_VFS        ?= 76.5
 COVER_FLOOR_CLIMATE    ?= 91.5
+COVER_FLOOR_SOAP       ?= 95.0
 
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr27.json
+BENCH_OUT ?= BENCH_pr28.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
@@ -52,7 +54,10 @@ vet:
 ## runs a frame-receive loop or buffers a connection itself (the data channel
 ## is rpc.Stream); when a non-test file of internal/gridbuffer arms a
 ## deadline, buffers a connection, dials, runs a frame-receive loop or declares
-## a frame writer (its endpoints are rpc streams and rpc.ServeConn); when
+## a frame writer (its endpoints are rpc streams and rpc.ServeConn); when a
+## non-test file of internal/soap arms a deadline or names the retry or
+## admission package, or internal/soap depends on internal/gridbuffer (SOAP is
+## an envelope: the protocol's own client and server do the rest); when
 ## wire.FrameBuffered is called outside internal/rpc (the flush rule lives in
 ## rpc.ServeConn); when a private stream-codec state reappears anywhere; when a
 ## non-test file of internal/objstore dials a stream itself (every exchange
@@ -74,6 +79,12 @@ one-substrate:
 		$$(ls internal/gridbuffer/*.go | grep -v '_test\.go$$')); \
 	if [ -n "$$out" ]; then \
 		echo "Grid Buffer connection shell outside internal/rpc:"; echo "$$out"; exit 1; \
+	fi; \
+	out=$$(grep -nE 'Set(Read|Write)?Deadline\(|retry\.|admit\.' \
+		$$(ls internal/soap/*.go | grep -v '_test\.go$$'); \
+		$(GO) list -deps ./internal/soap | grep '/internal/gridbuffer$$'); \
+	if [ -n "$$out" ]; then \
+		echo "SOAP doing more than the envelope:"; echo "$$out"; exit 1; \
 	fi; \
 	out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'wire\.FrameBuffered(' . \
 		| grep -v '^\./internal/rpc/'); \
@@ -139,7 +150,7 @@ cover:
 		./internal/obs/... ./internal/core/... ./internal/gridbuffer/... \
 		./internal/workflow/... ./internal/objstore/... ./internal/gns/... \
 		./internal/admit/... ./internal/stress/... ./internal/rpc/... \
-		./internal/vfs/... ./internal/climate/... \
+		./internal/vfs/... ./internal/climate/... ./internal/soap/... \
 		| $(GO) run ./cmd/covergate \
 		-floor griddles/internal/core=$(COVER_FLOOR_CORE) \
 		-floor griddles/internal/gridbuffer=$(COVER_FLOOR_GRIDBUFFER) \
@@ -150,7 +161,8 @@ cover:
 		-floor griddles/internal/stress=$(COVER_FLOOR_STRESS) \
 		-floor griddles/internal/rpc=$(COVER_FLOOR_RPC) \
 		-floor griddles/internal/vfs=$(COVER_FLOOR_VFS) \
-		-floor griddles/internal/climate=$(COVER_FLOOR_CLIMATE)
+		-floor griddles/internal/climate=$(COVER_FLOOR_CLIMATE) \
+		-floor griddles/internal/soap=$(COVER_FLOOR_SOAP)
 
 ## chaos: the fault-injection matrix — {IO mechanism} x {fault scenario},
 ## the no-survivor budget tests, and 50 seeded random fault schedules.
