@@ -6,8 +6,9 @@ GO ?= go
 # internal/gns and the new admission/stress packages, and the PR15 floor for
 # the shared RPC shell. internal/vfs (the simulated disk) and internal/climate
 # (the stencil) are floored because every simulated table runs their hot
-# loops; internal/soap because the paper's transport has no other gate.
-# `make cover` fails when any drops below its floor.
+# loops; internal/soap because the paper's transport has no other gate;
+# internal/daemon at its first measured coverage, the shell every cmd/*d
+# main runs in. `make cover` fails when any drops below its floor.
 COVER_FLOOR_CORE       ?= 80.3
 COVER_FLOOR_GRIDBUFFER ?= 84.7
 COVER_FLOOR_WORKFLOW   ?= 92.0
@@ -19,23 +20,24 @@ COVER_FLOOR_RPC        ?= 90.0
 COVER_FLOOR_VFS        ?= 76.5
 COVER_FLOOR_CLIMATE    ?= 91.5
 COVER_FLOOR_SOAP       ?= 95.0
+COVER_FLOOR_DAEMON     ?= 90.2
 
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr28.json
+BENCH_OUT ?= BENCH_pr35.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
 # short randomized probe on top.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet one-substrate one-handle one-config test race chaos build cover fuzz bench bench-gate stress stress-smoke pairs
+.PHONY: check fmt vet one-substrate one-handle one-config one-daemon test race chaos build cover fuzz bench bench-gate stress stress-smoke pairs
 
-## check: gofmt + vet + one-substrate, one-handle and one-config guards + race
-## coverage gate + chaos matrix + fuzz smoke + bench regression gate + overload
-## stress smoke
-check: fmt vet one-substrate one-handle one-config cover chaos fuzz bench-gate stress-smoke
+## check: gofmt + vet + one-substrate, one-handle, one-config and one-daemon
+## guards + race coverage gate + chaos matrix + fuzz smoke + bench regression
+## gate + overload stress smoke
+check: fmt vet one-substrate one-handle one-config one-daemon cover chaos fuzz bench-gate stress-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -139,6 +141,24 @@ one-config:
 		echo "a comment says what was, not what is:"; echo "$$out"; exit 1; \
 	fi
 
+## one-daemon: the five service mains run in one shell, internal/daemon
+## (DESIGN.md §25). Fails when a non-test file under cmd/ opens a listener,
+## builds an admission controller or parses a codec list itself, declares
+## -listen, an -admit-* flag or -codecs itself, or passes a literal nil
+## observer; or when a cmd/*d main does not register with the shell. The
+## one allowed net.Listen is flowrun's serve helper, which starts the
+## in-process services of its demo on loopback ports.
+one-daemon:
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'net\.Listen\(|admit\.New\(|wire\.ParseCodecList\(|"(listen|admit-[a-z-]*|codecs)"|SetObserver\(nil\)|Obs: *nil' cmd \
+		| grep -vE '^cmd/flowrun/main\.go:[0-9]+:	l, err := net\.Listen\("tcp", "127\.0\.0\.1:0"\)$$'); \
+	if [ -n "$$out" ]; then \
+		echo "daemon set-up outside internal/daemon:"; echo "$$out"; exit 1; \
+	fi; \
+	for d in gnsd gridftpd gridbufferd objstored nwsd; do \
+		grep -q 'daemon\.Register(' cmd/$$d/main.go || { echo "cmd/$$d does not run in internal/daemon"; exit 1; }; \
+	done
+
 race:
 	$(GO) test -race -shuffle=on ./internal/obs/... ./internal/core/... ./internal/gridftp/... ./internal/rpc/...
 
@@ -151,6 +171,7 @@ cover:
 		./internal/workflow/... ./internal/objstore/... ./internal/gns/... \
 		./internal/admit/... ./internal/stress/... ./internal/rpc/... \
 		./internal/vfs/... ./internal/climate/... ./internal/soap/... \
+		./internal/daemon/... \
 		| $(GO) run ./cmd/covergate \
 		-floor griddles/internal/core=$(COVER_FLOOR_CORE) \
 		-floor griddles/internal/gridbuffer=$(COVER_FLOOR_GRIDBUFFER) \
@@ -162,7 +183,8 @@ cover:
 		-floor griddles/internal/rpc=$(COVER_FLOOR_RPC) \
 		-floor griddles/internal/vfs=$(COVER_FLOOR_VFS) \
 		-floor griddles/internal/climate=$(COVER_FLOOR_CLIMATE) \
-		-floor griddles/internal/soap=$(COVER_FLOOR_SOAP)
+		-floor griddles/internal/soap=$(COVER_FLOOR_SOAP) \
+		-floor griddles/internal/daemon=$(COVER_FLOOR_DAEMON)
 
 ## chaos: the fault-injection matrix — {IO mechanism} x {fault scenario},
 ## the no-survivor budget tests, and 50 seeded random fault schedules.

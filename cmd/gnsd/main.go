@@ -15,27 +15,18 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"strings"
 
-	"griddles/internal/admit"
+	"griddles/internal/daemon"
 	"griddles/internal/gns"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 )
 
-// tcpDialer adapts net.Dial to the gns.Dialer the shard replication loop
-// uses to reach its peers.
-type tcpDialer struct{}
-
-func (tcpDialer) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-
 func main() {
-	listen := flag.String("listen", ":5000", "TCP listen address")
+	d := daemon.Register(flag.CommandLine, daemon.Spec{Name: "gnsd", Listen: ":5000", Admission: daemon.PerRequest})
 	mappings := flag.String("mappings", "", "optional mapping file to pre-load")
-	admitLimit := flag.Int("admit-limit", 0, "admission concurrency limit (0 = admission off)")
-	admitTarget := flag.Duration("admit-target", 0, "admission AIMD latency target (0 = static limit)")
-	admitQueue := flag.Int("admit-queue", 0, "admission queue depth per priority class")
 	ring := flag.String("ring", "", "shard ring spec '<id>=<primary>[,<replica>...];...' (empty = unsharded)")
 	shardID := flag.Uint("shard-id", 0, "this member's shard id (with -ring)")
 	self := flag.String("self", "", "this member's address exactly as written in -ring (with -ring)")
@@ -44,45 +35,31 @@ func main() {
 
 	clock := simclock.Real{}
 	store := gns.NewStore(clock)
+	store.SetObserver(d.Obs)
 	if *mappings != "" {
-		if err := loadMappings(store, *mappings); err != nil {
-			log.Fatalf("gnsd: %v", err)
-		}
+		d.Must(loadMappings(store, *mappings))
+		log.Printf("gnsd: %d mappings pre-loaded", len(store.List()))
 	}
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("gnsd: %v", err)
-	}
-	log.Printf("gnsd: serving on %s (%d mappings pre-loaded)", l.Addr(), len(store.List()))
 	srv := gns.NewServer(store, clock)
-	if *leaseTTL > 0 {
-		srv.SetLeaseTTL(*leaseTTL)
-	}
-	if c := admit.MaybeController("gnsd", *admitLimit, *admitTarget, *admitQueue, clock, nil); c != nil {
-		log.Printf("gnsd: admission on (limit %d, target %v, queue %d)", *admitLimit, *admitTarget, *admitQueue)
-		srv.SetAdmission(c)
-	}
+	srv.SetObserver(d.Obs)
+	srv.SetLeaseTTL(*leaseTTL)
+	srv.SetAdmission(d.Admission())
 	if *ring != "" {
 		sm, err := gns.ParseRing(*ring)
-		if err != nil {
-			log.Fatalf("gnsd: %v", err)
-		}
+		d.Must(err)
 		if *self == "" {
 			log.Fatalf("gnsd: -ring requires -self (this member's address as written in the ring)")
 		}
-		err = srv.EnableShard(gns.ShardConfig{
+		d.Must(srv.EnableShard(gns.ShardConfig{
 			Map:      sm,
 			ID:       uint32(*shardID),
 			Self:     *self,
-			Dialer:   tcpDialer{},
+			Dialer:   rpc.TCPDialer{},
 			LeaseTTL: *leaseTTL,
-		})
-		if err != nil {
-			log.Fatalf("gnsd: %v", err)
-		}
+		}))
 		log.Printf("gnsd: sharded — member %s of shard %d (%d shards)", *self, *shardID, len(sm.Shards))
 	}
-	srv.Serve(l)
+	d.Serve(srv.Serve)
 }
 
 func loadMappings(store *gns.Store, path string) error {

@@ -6,50 +6,28 @@ package main
 import (
 	"flag"
 	"log"
-	"net"
 	"os"
 
-	"griddles/internal/admit"
+	"griddles/internal/daemon"
 	"griddles/internal/gridbuffer"
 	"griddles/internal/simclock"
 	"griddles/internal/vfs"
-	"griddles/internal/wire"
 )
 
 func main() {
-	listen := flag.String("listen", ":7000", "TCP listen address")
+	d := daemon.Register(flag.CommandLine, daemon.Spec{Name: "gridbufferd", Listen: ":7000", Admission: daemon.PerStream, Codecs: true})
 	cacheDir := flag.String("cache", os.TempDir(), "directory for buffer cache files")
 	shards := flag.Int("shards", 0, "block-table shards per buffer (0 = default, rounded up to a power of two)")
-	admitLimit := flag.Int("admit-limit", 0, "admission stream limit (0 = admission off); slots are per attached stream")
-	admitQueue := flag.Int("admit-queue", 0, "admission queue depth per priority class")
-	codecs := flag.String("codecs", "", "comma-separated stream codecs this server will negotiate (e.g. raw,lzb; empty = all supported)")
 	flag.Parse()
 
-	accept, err := wire.ParseCodecList(*codecs)
-	if err != nil {
-		log.Fatalf("gridbufferd: %v", err)
-	}
-	if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
-		log.Fatalf("gridbufferd: %v", err)
-	}
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("gridbufferd: %v", err)
-	}
+	d.Must(os.MkdirAll(*cacheDir, 0o755))
+	log.Printf("gridbufferd: cache in %s", *cacheDir)
 	clock := simclock.Real{}
 	reg := gridbuffer.NewRegistry(clock, vfs.NewOSFS(*cacheDir))
 	reg.SetDefaultShards(*shards)
-	log.Printf("gridbufferd: serving on %s (cache in %s)", l.Addr(), *cacheDir)
+	reg.SetObserver(d.Obs)
 	srv := gridbuffer.NewServer(reg, clock)
-	if *codecs != "" {
-		log.Printf("gridbufferd: negotiable codecs restricted to %v", accept)
-		srv.SetCodecs(accept)
-	}
-	// Stream slots are held for a stream's whole life, so the AIMD latency
-	// target does not apply here: the limit is static.
-	if c := admit.MaybeController("gridbufferd", *admitLimit, 0, *admitQueue, clock, nil); c != nil {
-		log.Printf("gridbufferd: admission on (streams %d, queue %d)", *admitLimit, *admitQueue)
-		srv.SetAdmission(c)
-	}
-	srv.Serve(l)
+	srv.SetCodecs(d.Codecs())
+	srv.SetAdmission(d.Admission())
+	d.Serve(srv.Serve)
 }

@@ -6,47 +6,27 @@ package main
 import (
 	"flag"
 	"log"
-	"net"
 	"os"
 
-	"griddles/internal/admit"
+	"griddles/internal/daemon"
 	"griddles/internal/gridftp"
 	"griddles/internal/simclock"
 	"griddles/internal/vfs"
-	"griddles/internal/wire"
 )
 
 func main() {
-	listen := flag.String("listen", ":6000", "TCP listen address")
+	d := daemon.Register(flag.CommandLine, daemon.Spec{Name: "gridftpd", Listen: ":6000", Admission: daemon.PerRequest, Codecs: true})
 	root := flag.String("root", ".", "directory to export")
 	chunkKB := flag.Int("chunk-kb", 64, "bulk-stream frame size in KiB (smaller interleaves striped streams better)")
-	admitLimit := flag.Int("admit-limit", 0, "admission concurrency limit (0 = admission off)")
-	admitTarget := flag.Duration("admit-target", 0, "admission AIMD latency target (0 = static limit)")
-	admitQueue := flag.Int("admit-queue", 0, "admission queue depth per priority class")
-	codecs := flag.String("codecs", "", "comma-separated stream codecs this server will negotiate (e.g. raw,lzb; empty = all supported)")
 	flag.Parse()
 
 	if fi, err := os.Stat(*root); err != nil || !fi.IsDir() {
 		log.Fatalf("gridftpd: -root %q is not a directory", *root)
 	}
-	accept, err := wire.ParseCodecList(*codecs)
-	if err != nil {
-		log.Fatalf("gridftpd: %v", err)
-	}
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("gridftpd: %v", err)
-	}
-	log.Printf("gridftpd: exporting %s on %s", *root, l.Addr())
+	log.Printf("gridftpd: exporting %s", *root)
 	srv := gridftp.NewServer(vfs.NewOSFS(*root), simclock.Real{})
 	srv.SetChunkSize(*chunkKB << 10)
-	if *codecs != "" {
-		log.Printf("gridftpd: negotiable codecs restricted to %v", accept)
-		srv.SetCodecs(accept)
-	}
-	if c := admit.MaybeController("gridftpd", *admitLimit, *admitTarget, *admitQueue, simclock.Real{}, nil); c != nil {
-		log.Printf("gridftpd: admission on (limit %d, target %v, queue %d)", *admitLimit, *admitTarget, *admitQueue)
-		srv.SetAdmission(c)
-	}
-	srv.Serve(l)
+	srv.SetCodecs(d.Codecs())
+	srv.SetAdmission(d.Admission())
+	d.Serve(srv.Serve)
 }

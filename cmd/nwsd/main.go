@@ -2,33 +2,22 @@
 // forecaster that sensors report observations into and replica selectors
 // query. It can also run an active monitor against a list of sensor
 // addresses.
-//
-// Usage:
-//
-//	nwsd [-listen :8200] [-sensor :8100]
-//	     [-probe src=dst=host:port,...] [-interval 30s]
-//
-// -sensor additionally runs a probe responder on this machine;
-// -probe makes this instance actively measure the named links.
 package main
 
 import (
 	"flag"
 	"log"
-	"net"
 	"strings"
 	"time"
 
+	"griddles/internal/daemon"
 	"griddles/internal/nws"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 )
 
-type tcpDialer struct{}
-
-func (tcpDialer) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-
 func main() {
-	listen := flag.String("listen", ":8200", "forecast service listen address")
+	d := daemon.Register(flag.CommandLine, daemon.Spec{Name: "nwsd", Listen: ":8200", ListenUsage: "forecast service listen address"})
 	sensor := flag.String("sensor", "", "also run a probe responder on this address (optional)")
 	probe := flag.String("probe", "", "comma-separated src=dst=host:port links to monitor (optional)")
 	interval := flag.Duration("interval", 30*time.Second, "probe interval")
@@ -36,12 +25,10 @@ func main() {
 
 	clock := simclock.Real{}
 	svc := nws.NewService()
+	svc.SetObserver(d.Obs)
 
 	if *sensor != "" {
-		l, err := net.Listen("tcp", *sensor)
-		if err != nil {
-			log.Fatalf("nwsd: sensor: %v", err)
-		}
+		l := d.Listen(*sensor)
 		log.Printf("nwsd: sensor on %s", l.Addr())
 		go nws.NewSensor(clock).Serve(l)
 	}
@@ -54,7 +41,7 @@ func main() {
 				log.Fatalf("nwsd: bad -probe entry %q (want src=dst=host:port)", spec)
 			}
 			targets = append(targets, nws.Target{
-				Src: parts[0], Dst: parts[1], Addr: parts[2], Dialer: tcpDialer{},
+				Src: parts[0], Dst: parts[1], Addr: parts[2], Dialer: rpc.TCPDialer{},
 			})
 		}
 		mon := nws.NewMonitor(clock, svc, *interval, targets)
@@ -63,10 +50,5 @@ func main() {
 		go mon.Run(stop)
 	}
 
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("nwsd: %v", err)
-	}
-	log.Printf("nwsd: forecast service on %s", l.Addr())
-	nws.NewServer(svc, clock).Serve(l)
+	d.Serve(nws.NewServer(svc, clock).Serve)
 }

@@ -8,29 +8,19 @@ import (
 	"flag"
 	"io/fs"
 	"log"
-	"net"
 	"os"
 	"path/filepath"
 
-	"griddles/internal/admit"
+	"griddles/internal/daemon"
 	"griddles/internal/objstore"
 	"griddles/internal/simclock"
-	"griddles/internal/wire"
 )
 
 func main() {
-	listen := flag.String("listen", ":7100", "TCP listen address")
+	d := daemon.Register(flag.CommandLine, daemon.Spec{Name: "objstored", Listen: ":7100", Admission: daemon.PerRequest, Codecs: true})
 	seed := flag.String("seed", "", "optional directory whose files pre-load the object table (keys are slash-separated relative paths)")
-	admitLimit := flag.Int("admit-limit", 0, "admission concurrency limit (0 = admission off)")
-	admitTarget := flag.Duration("admit-target", 0, "admission AIMD latency target (0 = static limit)")
-	admitQueue := flag.Int("admit-queue", 0, "admission queue depth per priority class")
-	codecs := flag.String("codecs", "", "comma-separated stream codecs this server will negotiate (e.g. raw,lzb; empty = all supported)")
 	flag.Parse()
 
-	accept, err := wire.ParseCodecList(*codecs)
-	if err != nil {
-		log.Fatalf("objstored: %v", err)
-	}
 	store := objstore.NewStore()
 	if *seed != "" {
 		n, err := seedFrom(store, *seed)
@@ -39,21 +29,10 @@ func main() {
 		}
 		log.Printf("objstored: seeded %d objects from %s", n, *seed)
 	}
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("objstored: %v", err)
-	}
-	log.Printf("objstored: serving on %s", l.Addr())
 	srv := objstore.NewServer(store, simclock.Real{})
-	if *codecs != "" {
-		log.Printf("objstored: negotiable codecs restricted to %v", accept)
-		srv.SetCodecs(accept)
-	}
-	if c := admit.MaybeController("objstored", *admitLimit, *admitTarget, *admitQueue, simclock.Real{}, nil); c != nil {
-		log.Printf("objstored: admission on (limit %d, target %v, queue %d)", *admitLimit, *admitTarget, *admitQueue)
-		srv.SetAdmission(c)
-	}
-	srv.Serve(l)
+	srv.SetCodecs(d.Codecs())
+	srv.SetAdmission(d.Admission())
+	d.Serve(srv.Serve)
 }
 
 // seedFrom loads every regular file under root as an object keyed by its

@@ -1,14 +1,26 @@
 package daemon_test
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
+
+	"griddles/internal/gns"
+	"griddles/internal/gridbuffer"
+	"griddles/internal/gridftp"
+	"griddles/internal/nws"
+	"griddles/internal/objstore"
+	"griddles/internal/rpc"
+	"griddles/internal/simclock"
 )
 
 var updateFlags = flag.Bool("update-flags", false, "re-record testdata/flags.golden from the built daemons")
@@ -121,4 +133,149 @@ func lineDiff(want, got string) string {
 		}
 	}
 	return b.String()
+}
+
+// TestDaemonSmoke starts each built daemon on a loopback port, completes
+// one request against it, sends SIGTERM and checks that the daemon exits 0
+// having logged a metric snapshot naming what the request recorded.
+func TestDaemonSmoke(t *testing.T) {
+	bin := buildDaemons(t)
+	clock := simclock.Real{}
+	dial := rpc.TCPDialer{}
+	cases := []struct {
+		name    string
+		args    []string
+		request func(t *testing.T, addr string)
+		metrics []string
+	}{
+		{
+			name: "gnsd",
+			request: func(t *testing.T, addr string) {
+				c := gns.NewClient(dial, addr, clock)
+				defer c.Close()
+				if _, err := c.Resolve("jagan", "JOB.DAT"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			metrics: []string{"gns.resolve.total 1", "gns.set.total 0"},
+		},
+		{
+			name: "gridftpd",
+			args: []string{"-admit-limit", "2", "-root", t.TempDir()},
+			request: func(t *testing.T, addr string) {
+				c := gridftp.NewClient(dial, addr, clock)
+				defer c.Close()
+				if _, _, err := c.Stat("absent"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			metrics: []string{"admit.admitted.total{service=gridftpd,class=control} 1", "admit.limit{service=gridftpd} 2"},
+		},
+		{
+			name: "gridbufferd",
+			args: []string{"-cache", t.TempDir()},
+			request: func(t *testing.T, addr string) {
+				w, err := gridbuffer.NewWriter(dial, addr, clock, "smoke", gridbuffer.Options{}, gridbuffer.WriterOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.Write([]byte("one block")); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				r, err := gridbuffer.NewReader(dial, addr, clock, "smoke", gridbuffer.Options{}, gridbuffer.ReaderOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				if got, err := io.ReadAll(r); err != nil || string(got) != "one block" {
+					t.Fatalf("read %q, %v", got, err)
+				}
+			},
+			metrics: []string{"gb.put.total{key=smoke} 1", "buf.window.depth count="},
+		},
+		{
+			name: "objstored",
+			args: []string{"-admit-limit", "2"},
+			request: func(t *testing.T, addr string) {
+				c := objstore.NewClient(dial, addr, clock)
+				defer c.Close()
+				if _, _, err := c.Stat("absent"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			metrics: []string{"admit.admitted.total{service=objstored,class=control} 1", "admit.limit{service=objstored} 2"},
+		},
+		{
+			name: "nwsd",
+			request: func(t *testing.T, addr string) {
+				c := nws.NewClient(dial, addr, clock)
+				defer c.Close()
+				if err := c.Record("jagan", "dione", "bandwidth", 1.5); err != nil {
+					t.Fatal(err)
+				}
+			},
+			metrics: []string{"nws.record.total{metric=bandwidth} 1"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(bin, tc.name), append([]string{"-listen", "127.0.0.1:0"}, tc.args...)...)
+			stderr, err := cmd.StderrPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			lines := make(chan string)
+			go func() {
+				defer close(lines)
+				sc := bufio.NewScanner(stderr)
+				for sc.Scan() {
+					lines <- sc.Text()
+				}
+			}()
+			defer func() {
+				cmd.Process.Kill()
+				for range lines {
+				}
+				cmd.Wait()
+			}()
+			var log strings.Builder
+			addr := ""
+			for addr == "" {
+				select {
+				case line, ok := <-lines:
+					if !ok {
+						t.Fatalf("exited before serving:\n%s", log.String())
+					}
+					log.WriteString(line + "\n")
+					if _, a, found := strings.Cut(line, tc.name+": serving on "); found {
+						addr = a
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("no start-up line after 10s:\n%s", log.String())
+				}
+			}
+			tc.request(t, addr)
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			for line := range lines {
+				log.WriteString(line + "\n")
+			}
+			if err := cmd.Wait(); err != nil {
+				t.Fatalf("exit after SIGTERM: %v\n%s", err, log.String())
+			}
+			out := log.String()
+			for _, m := range tc.metrics {
+				if !strings.Contains(out, "\n"+m) {
+					t.Errorf("snapshot lacks %q:\n%s", m, out)
+				}
+			}
+		})
+	}
 }

@@ -134,6 +134,7 @@ type bufInstruments struct {
 	fanout     *obs.Gauge
 	shardCount *obs.Gauge
 	contended  *obs.Counter
+	names      []string // every instrument's labelled name, for Registry.Drop
 }
 
 // Buffer is one named writer/reader rendezvous.
@@ -210,7 +211,12 @@ func NewBuffer(clock simclock.Clock, key string, opts Options) *Buffer {
 // SetObserver routes the buffer's metrics to o; nil discards them. Metrics
 // carry the buffer key as a label, so concurrent couplings stay separable.
 func (b *Buffer) SetObserver(o *obs.Observer) {
-	kv := func(name string) string { return obs.Key(name, "key", b.key) }
+	var names []string
+	kv := func(name string) string {
+		name = obs.Key(name, "key", b.key)
+		names = append(names, name)
+		return name
+	}
 	ins := &bufInstruments{
 		puts:       o.Counter(kv("gb.put.total")),
 		gets:       o.Counter(kv("gb.get.total")),
@@ -223,6 +229,7 @@ func (b *Buffer) SetObserver(o *obs.Observer) {
 		shardCount: o.Gauge(kv("buf.shard.count")),
 		contended:  o.Counter(kv("buf.shard.contended.total")),
 	}
+	ins.names = names
 	ins.shardCount.Set(int64(len(b.shards)))
 	b.ins.Store(ins)
 }

@@ -160,11 +160,17 @@ func (r *Registry) Lookup(key string) (*Buffer, bool) {
 	return b, ok
 }
 
-// Drop removes and aborts the buffer named key.
+// Drop removes and aborts the buffer named key, and removes its metrics
+// from the observer's registry: keys are unbounded over a service's life.
 func (r *Registry) Drop(key string) {
 	r.mu.Lock()
 	b, ok := r.buffers[key]
 	delete(r.buffers, key)
+	if ok {
+		// Under r.mu, so a buffer re-created under the same key registers
+		// its metrics after these are gone.
+		r.obs.Registry().Remove(b.ins.Load().names...)
+	}
 	r.mu.Unlock()
 	if ok {
 		b.Drop()

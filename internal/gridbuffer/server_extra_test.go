@@ -2,6 +2,8 @@ package gridbuffer
 
 import (
 	"io"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,4 +212,39 @@ func TestServerRegistryAccessorAndDrop(t *testing.T) {
 			t.Error("dropped buffer still resolvable")
 		}
 	})
+}
+
+// TestDropRemovesKeyMetrics: a buffer's key-labelled metrics leave the
+// observer's registry with the buffer, so a long-lived service that sees
+// fresh keys does not grow its registry without bound. A live key keeps
+// its metrics, and so do the service-wide ones.
+func TestDropRemovesKeyMetrics(t *testing.T) {
+	o := obs.New(simclock.Real{})
+	reg := NewRegistry(simclock.Real{}, nil)
+	reg.SetObserver(o)
+	getOrCreate(t, reg, "kept", Options{})
+	for i := 0; i < 1000; i++ {
+		key := "k" + strconv.Itoa(i)
+		b := getOrCreate(t, reg, key, Options{})
+		if err := b.Put(0, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		reg.Drop(key)
+	}
+	snap := o.Snapshot()
+	var kept int
+	for _, line := range strings.Split(snap.String(), "\n") {
+		switch {
+		case strings.Contains(line, "key=kept}"):
+			kept++
+		case strings.Contains(line, "key="):
+			t.Fatalf("dropped buffer's metric survives: %s", line)
+		}
+	}
+	if kept != 10 {
+		t.Errorf("live buffer reports %d metrics, want 10", kept)
+	}
+	if _, ok := snap.Histograms["buf.window.depth"]; !ok {
+		t.Error("service-wide buf.window.depth removed with the buffers")
+	}
 }

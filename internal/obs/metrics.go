@@ -187,6 +187,22 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Remove deletes the named metrics, whatever their kind, so a snapshot no
+// longer reports them. A pointer already handed out stays usable; its
+// updates are simply never read. Safe on a nil Registry.
+func (r *Registry) Remove(names ...string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		delete(r.counters, name)
+		delete(r.gauges, name)
+		delete(r.hists, name)
+	}
+}
+
 // CounterValue reports the named counter's value, 0 if it was never
 // created.
 func (r *Registry) CounterValue(name string) int64 {

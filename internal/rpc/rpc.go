@@ -27,11 +27,17 @@ import (
 )
 
 // Dialer opens connections to service addresses. simnet.Host implements it
-// for simulated runs; cmd/ binaries use a TCP adapter. Every service
-// package's Dialer is an alias of this one.
+// for simulated runs; cmd/ binaries use TCPDialer. Every service package's
+// Dialer is an alias of this one.
 type Dialer interface {
 	Dial(addr string) (net.Conn, error)
 }
+
+// TCPDialer dials real TCP connections.
+type TCPDialer struct{}
+
+// Dial implements Dialer.
+func (TCPDialer) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
 // MsgError is the error reply frame of every protocol: one string.
 const MsgError = 255

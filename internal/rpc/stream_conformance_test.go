@@ -494,7 +494,7 @@ func TestStreamSilentPeerMeetsDeadline(t *testing.T) {
 				}
 				t.Run(sv.name+"/"+dir+"/"+codec, func(t *testing.T) {
 					t.Parallel()
-					client, download, put := sv.dial(tcpDialer{}, l.Addr().String(), clock)
+					client, download, put := sv.dial(rpc.TCPDialer{}, l.Addr().String(), clock)
 					defer client.Close()
 					client.SetRetry(policy)
 					client.SetCodec(codec)
@@ -526,10 +526,6 @@ func TestStreamSilentPeerMeetsDeadline(t *testing.T) {
 		}
 	}
 }
-
-type tcpDialer struct{}
-
-func (tcpDialer) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
 // Reuse conformance: the rows a client that keeps its connections between
 // exchanges (rpc.Channels) adds to the table. objstore is the one service that

@@ -232,7 +232,7 @@ func TestOneShotCall(t *testing.T) {
 		}
 	}()
 	call := func(want ...uint8) (uint8, []byte, error) {
-		s, err := rpc.Open("svc", tcpDialer{}, l.Addr().String(), simclock.Real{}, 0)
+		s, err := rpc.Open("svc", rpc.TCPDialer{}, l.Addr().String(), simclock.Real{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestOneShotCall(t *testing.T) {
 		t.Fatalf("shed reply: err = %v", err)
 	}
 	l.Close()
-	if _, err := rpc.Open("svc", tcpDialer{}, l.Addr().String(), simclock.Real{}, 0); err == nil || !strings.HasPrefix(err.Error(), "svc: dial ") {
+	if _, err := rpc.Open("svc", rpc.TCPDialer{}, l.Addr().String(), simclock.Real{}, 0); err == nil || !strings.HasPrefix(err.Error(), "svc: dial ") {
 		t.Fatalf("dial of a closed listener: err = %v", err)
 	}
 }
