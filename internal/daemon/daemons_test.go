@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -49,9 +50,8 @@ func buildDaemons(t *testing.T) string {
 		}
 		cmd := exec.Command("go", args...)
 		cmd.Dir = filepath.Join("..", "..")
-		var out []byte
-		if out, buildErr = cmd.CombinedOutput(); buildErr != nil {
-			buildErr = &buildError{buildErr, out}
+		if out, err := cmd.CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
 		}
 	})
 	if buildErr != nil {
@@ -59,13 +59,6 @@ func buildDaemons(t *testing.T) string {
 	}
 	return binDir
 }
-
-type buildError struct {
-	err error
-	out []byte
-}
-
-func (e *buildError) Error() string { return "go build: " + e.err.Error() + "\n" + string(e.out) }
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -107,32 +100,8 @@ func TestFlagListings(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("-h listings differ from %s (-update-flags re-records):\n%s", golden, lineDiff(string(want), got.String()))
+		t.Errorf("-h listings differ from %s (-update-flags re-records); got:\n%s", golden, got.String())
 	}
-}
-
-// lineDiff lists the lines only one side has, marked - (want) and + (got).
-func lineDiff(want, got string) string {
-	in := func(s string) map[string]bool {
-		m := make(map[string]bool)
-		for _, l := range strings.Split(s, "\n") {
-			m[l] = true
-		}
-		return m
-	}
-	w, g := in(want), in(got)
-	var b strings.Builder
-	for _, l := range strings.Split(want, "\n") {
-		if !g[l] {
-			b.WriteString("- " + l + "\n")
-		}
-	}
-	for _, l := range strings.Split(got, "\n") {
-		if !w[l] {
-			b.WriteString("+ " + l + "\n")
-		}
-	}
-	return b.String()
 }
 
 // TestDaemonSmoke starts each built daemon on a loopback port, completes

@@ -121,7 +121,8 @@ func (e Event) JSONL() string { return string(e.AppendJSONL(nil)) }
 // sink. Emission is mutex-serialized (events are rare next to metric
 // increments); the ring overwrites oldest events once full.
 type Trace struct {
-	clock simclock.Clock
+	clock    simclock.Clock
+	capacity int // len(ring) once full; the ring grows to it as events arrive
 
 	mu      sync.Mutex
 	ring    []Event // ring[next] is the oldest once wrapped
@@ -143,7 +144,7 @@ func NewTrace(clock simclock.Clock, capacity int, sink io.Writer) *Trace {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Trace{clock: clock, ring: make([]Event, 0, capacity), sink: sink}
+	return &Trace{clock: clock, capacity: capacity, sink: sink}
 }
 
 // Emit records one event stamped with the trace's clock.
@@ -153,12 +154,12 @@ func (t *Trace) Emit(typ, src string, attrs ...Attr) {
 	defer t.mu.Unlock()
 	e := Event{Time: now, Seq: t.seq, Type: typ, Src: src, Attrs: attrs}
 	t.seq++
-	if cap(t.ring) > 0 {
-		if len(t.ring) < cap(t.ring) {
+	if t.capacity > 0 {
+		if len(t.ring) < t.capacity {
 			t.ring = append(t.ring, e)
 		} else {
 			t.ring[t.next] = e
-			t.next = (t.next + 1) % cap(t.ring)
+			t.next = (t.next + 1) % t.capacity
 			t.wrapped = true
 		}
 	}
