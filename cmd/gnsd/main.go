@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"strings"
 
@@ -33,33 +34,35 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 0, "client cache lease TTL granted on resolves (0 = default)")
 	flag.Parse()
 
-	clock := simclock.Real{}
-	store := gns.NewStore(clock)
+	store := gns.NewStore(simclock.Real{})
 	store.SetObserver(d.Obs)
 	if *mappings != "" {
 		d.Must(loadMappings(store, *mappings))
 		log.Printf("gnsd: %d mappings pre-loaded", len(store.List()))
 	}
-	srv := gns.NewServer(store, clock)
+	srv := gns.NewServer(store, simclock.Real{})
 	srv.SetObserver(d.Obs)
 	srv.SetLeaseTTL(*leaseTTL)
 	srv.SetAdmission(d.Admission())
-	if *ring != "" {
-		sm, err := gns.ParseRing(*ring)
-		d.Must(err)
-		if *self == "" {
-			log.Fatalf("gnsd: -ring requires -self (this member's address as written in the ring)")
+	// Shard once listening, so the member is reachable from its first heartbeat.
+	d.Serve(func(l net.Listener) {
+		if *ring != "" {
+			sm, err := gns.ParseRing(*ring)
+			d.Must(err)
+			if *self == "" {
+				log.Fatalf("gnsd: -ring requires -self (this member's address as written in the ring)")
+			}
+			d.Must(srv.EnableShard(gns.ShardConfig{
+				Map:      sm,
+				ID:       uint32(*shardID),
+				Self:     *self,
+				Dialer:   rpc.TCPDialer{},
+				LeaseTTL: *leaseTTL,
+			}))
+			log.Printf("gnsd: sharded — member %s of shard %d (%d shards)", *self, *shardID, len(sm.Shards))
 		}
-		d.Must(srv.EnableShard(gns.ShardConfig{
-			Map:      sm,
-			ID:       uint32(*shardID),
-			Self:     *self,
-			Dialer:   rpc.TCPDialer{},
-			LeaseTTL: *leaseTTL,
-		}))
-		log.Printf("gnsd: sharded — member %s of shard %d (%d shards)", *self, *shardID, len(sm.Shards))
-	}
-	d.Serve(srv.Serve)
+		srv.Serve(l)
+	})
 }
 
 func loadMappings(store *gns.Store, path string) error {

@@ -5,7 +5,6 @@ package main
 
 import (
 	"flag"
-	"log"
 	"os"
 
 	"griddles/internal/daemon"
@@ -21,12 +20,10 @@ func main() {
 	flag.Parse()
 
 	d.Must(os.MkdirAll(*cacheDir, 0o755))
-	log.Printf("gridbufferd: cache in %s", *cacheDir)
-	clock := simclock.Real{}
-	reg := gridbuffer.NewRegistry(clock, vfs.NewOSFS(*cacheDir))
+	reg := gridbuffer.NewRegistry(simclock.Real{}, vfs.NewOSFS(*cacheDir))
 	reg.SetDefaultShards(*shards)
 	reg.SetObserver(d.Obs)
-	srv := gridbuffer.NewServer(reg, clock)
+	srv := gridbuffer.NewServer(reg, simclock.Real{})
 	srv.SetCodecs(d.Codecs())
 	srv.SetAdmission(d.Admission())
 	d.Serve(srv.Serve)

@@ -23,7 +23,6 @@ func main() {
 	if fi, err := os.Stat(*root); err != nil || !fi.IsDir() {
 		log.Fatalf("gridftpd: -root %q is not a directory", *root)
 	}
-	log.Printf("gridftpd: exporting %s", *root)
 	srv := gridftp.NewServer(vfs.NewOSFS(*root), simclock.Real{})
 	srv.SetChunkSize(*chunkKB << 10)
 	srv.SetCodecs(d.Codecs())
