@@ -74,9 +74,6 @@ func Register(fs *flag.FlagSet, spec Spec) *Daemon {
 func (d *Daemon) Codecs() []string {
 	accept, err := wire.ParseCodecList(d.codecs)
 	d.Must(err)
-	if accept != nil {
-		log.Printf("%s: negotiable codecs restricted to %v", d.name, accept)
-	}
 	return accept
 }
 
@@ -86,7 +83,6 @@ func (d *Daemon) Admission() *admit.Controller {
 	if d.limit <= 0 {
 		return nil
 	}
-	log.Printf("%s: admission on (limit %d, target %v, queue %d)", d.name, d.limit, d.target, d.queue)
 	return admit.New(admit.Options{Service: d.name, MaxConcurrent: d.limit, TargetLatency: d.target,
 		QueueDepth: d.queue, Clock: simclock.Real{}, Obs: d.Obs})
 }
@@ -106,10 +102,15 @@ func (d *Daemon) Must(err error) {
 }
 
 // Serve runs serve on -listen until SIGINT or SIGTERM arrives or serve
-// returns, then logs the metric snapshot and the trace ring (JSONL).
+// returns, then logs the metric snapshot and the trace ring (JSONL). The
+// signals are caught from 100 ms on: os/signal's first use starts an OS
+// thread, which would compete with every daemon starting beside this one.
 func (d *Daemon) Serve(serve func(net.Listener)) {
 	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	time.AfterFunc(100*time.Millisecond, func() {
+		signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+		log.Printf("%s: SIGINT or SIGTERM now reports and exits 0", d.name)
+	})
 	d.run(d.Listen(d.listen), serve, stop, log.Writer())
 }
 

@@ -213,9 +213,11 @@ func TestDaemonSmoke(t *testing.T) {
 				}
 				cmd.Wait()
 			}()
+			// Wait for the start-up line and for the signal handler to be
+			// installed, which the shell logs a moment after start-up.
 			var log strings.Builder
-			addr := ""
-			for addr == "" {
+			addr, armed := "", false
+			for addr == "" || !armed {
 				select {
 				case line, ok := <-lines:
 					if !ok {
@@ -225,8 +227,9 @@ func TestDaemonSmoke(t *testing.T) {
 					if _, a, found := strings.Cut(line, tc.name+": serving on "); found {
 						addr = a
 					}
+					armed = armed || strings.Contains(line, tc.name+": SIGINT or SIGTERM now reports")
 				case <-time.After(10 * time.Second):
-					t.Fatalf("no start-up line after 10s:\n%s", log.String())
+					t.Fatalf("no start-up lines after 10s:\n%s", log.String())
 				}
 			}
 			tc.request(t, addr)
