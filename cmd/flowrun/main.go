@@ -62,16 +62,12 @@ import (
 	"griddles/internal/objstore"
 	"griddles/internal/obs"
 	"griddles/internal/retry"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/testbed"
 	"griddles/internal/vfs"
 	"griddles/internal/workflow"
 )
-
-// tcpDialer adapts net.Dial to the service clients' Dialer interface.
-type tcpDialer struct{}
-
-func (tcpDialer) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
 func main() {
 	mode := flag.String("mode", "buffer", "IO mechanism: local, copy, remote, buffer or objstore (alias: 7)")
@@ -203,7 +199,7 @@ func main() {
 	}
 
 	fmFor := func(machine, fsDir string) *core.Multiplexer {
-		gnsClient := gns.NewClient(tcpDialer{}, gnsAddr, clock)
+		gnsClient := gns.NewClient(rpc.TCPDialer{}, gnsAddr, clock)
 		gnsClient.SetRetry(policy)
 		if *gnsCache {
 			gnsClient.SetObserver(observer)
@@ -213,7 +209,7 @@ func main() {
 			Machine: machine,
 			Clock:   clock,
 			FS:      vfs.NewOSFS(fsDir),
-			Dialer:  tcpDialer{},
+			Dialer:  rpc.TCPDialer{},
 			GNS:     gnsClient,
 			Retry:   policy,
 			Obs:     observer,
