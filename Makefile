@@ -8,7 +8,10 @@ GO ?= go
 # (the stencil) are floored because every simulated table runs their hot
 # loops; internal/soap because the paper's transport has no other gate;
 # internal/daemon at its first measured coverage, the shell every cmd/*d
-# main runs in. `make cover` fails when any drops below its floor.
+# main runs in; internal/simclock and internal/simnet, the simulator kernel
+# whose free lists and recycled chunks every simulated run relies on, at
+# their first measured coverage. `make cover` fails when any drops below its
+# floor.
 COVER_FLOOR_CORE       ?= 80.3
 COVER_FLOOR_GRIDBUFFER ?= 84.7
 COVER_FLOOR_WORKFLOW   ?= 92.0
@@ -21,11 +24,13 @@ COVER_FLOOR_VFS        ?= 76.5
 COVER_FLOOR_CLIMATE    ?= 91.5
 COVER_FLOOR_SOAP       ?= 95.0
 COVER_FLOOR_DAEMON     ?= 85.0
+COVER_FLOOR_SIMCLOCK   ?= 91.2
+COVER_FLOOR_SIMNET     ?= 89.0
 
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr35.json
+BENCH_OUT ?= BENCH_pr36.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a
@@ -171,7 +176,7 @@ cover:
 		./internal/workflow/... ./internal/objstore/... ./internal/gns/... \
 		./internal/admit/... ./internal/stress/... ./internal/rpc/... \
 		./internal/vfs/... ./internal/climate/... ./internal/soap/... \
-		./internal/daemon/... \
+		./internal/daemon/... ./internal/simclock/... ./internal/simnet/... \
 		| $(GO) run ./cmd/covergate \
 		-floor griddles/internal/core=$(COVER_FLOOR_CORE) \
 		-floor griddles/internal/gridbuffer=$(COVER_FLOOR_GRIDBUFFER) \
@@ -184,7 +189,9 @@ cover:
 		-floor griddles/internal/vfs=$(COVER_FLOOR_VFS) \
 		-floor griddles/internal/climate=$(COVER_FLOOR_CLIMATE) \
 		-floor griddles/internal/soap=$(COVER_FLOOR_SOAP) \
-		-floor griddles/internal/daemon=$(COVER_FLOOR_DAEMON)
+		-floor griddles/internal/daemon=$(COVER_FLOOR_DAEMON) \
+		-floor griddles/internal/simclock=$(COVER_FLOOR_SIMCLOCK) \
+		-floor griddles/internal/simnet=$(COVER_FLOOR_SIMNET)
 
 ## chaos: the fault-injection matrix — {IO mechanism} x {fault scenario},
 ## the no-survivor budget tests, and 50 seeded random fault schedules.

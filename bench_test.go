@@ -19,6 +19,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1169,6 +1170,65 @@ func BenchmarkLayerObjstoreLoopbackGet64K(b *testing.B) {
 	}
 	b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
 	b.ReportMetric(float64(writes.n.Load())/float64(b.N)/(total>>20), "connwrites/MB")
+}
+
+// BenchmarkLayerSimKernel is the simulator kernel's Layer/* entry: wall time
+// and allocations per virtual event, where an event is a Sleep ending or a
+// Cond wait ending. Eight pairs of registered goroutines each play 1000
+// rounds: one sleeps a virtual millisecond and signals, the other waits on
+// the Cond with a deadline it never reaches. Every Table row, chaos cell and
+// golden table pays this cost per event; its allocs/event is 0 in steady
+// state, so what it reports at -benchtime 1x is the clock's warm-up spread
+// over the op.
+func BenchmarkLayerSimKernel(b *testing.B) {
+	const pairs, rounds = 8, 1000
+	var events int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := simclock.NewVirtualDefault()
+		v.Run(func() {
+			done := simclock.NewWaitGroup(v)
+			waits := make([]int64, pairs)
+			for p := 0; p < pairs; p++ {
+				var mu sync.Mutex
+				cond := v.NewCond(&mu)
+				turn := 0
+				done.Add(2)
+				v.Go("ping", func() {
+					defer done.Done()
+					for r := 0; r < rounds; r++ {
+						v.Sleep(time.Millisecond)
+						mu.Lock()
+						turn++
+						cond.Signal()
+						mu.Unlock()
+					}
+				})
+				v.Go("pong", func() {
+					defer done.Done()
+					mu.Lock()
+					defer mu.Unlock()
+					for seen := 0; seen < rounds; seen = turn {
+						for turn == seen {
+							cond.WaitTimeout(time.Second)
+							waits[p]++
+						}
+					}
+				})
+			}
+			done.Wait()
+			events += pairs * rounds
+			for _, n := range waits {
+				events += n
+			}
+		})
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(events), "allocs/event")
 }
 
 // BenchmarkFMReReadCache prices the FM block cache on a remote re-read: a

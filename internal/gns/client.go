@@ -389,7 +389,7 @@ func (c *Client) watchOnce(addr, machine, path string, since uint64, timeoutMS i
 		// answering "unchanged"; the fault deadline starts after that.
 		idle += time.Duration(timeoutMS) * time.Millisecond
 	}
-	s, err := rpc.Open("gns", c.dialer, addr, c.clock, idle)
+	s, err := rpc.OpenOnce("gns", rpc.Buffers{}, c.dialer, addr, c.clock, idle)
 	if err != nil {
 		return Mapping{}, false, err
 	}

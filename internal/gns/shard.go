@@ -429,7 +429,7 @@ func (r *shardRun) stepDownTo(term uint64, leader string) {
 // call performs one replication RPC on a fresh connection. The deadline
 // bounds the exchange so a blackholed peer cannot park the timer loop.
 func (r *shardRun) call(peer string, typ uint8, payload []byte) (replAck, error) {
-	s, err := rpc.Open("gns", r.cfg.Dialer, peer, r.srv.clock, 3*r.cfg.Heartbeat)
+	s, err := rpc.OpenOnce("gns", rpc.Buffers{}, r.cfg.Dialer, peer, r.srv.clock, 3*r.cfg.Heartbeat)
 	if err != nil {
 		return replAck{}, err
 	}

@@ -68,7 +68,7 @@ type Writer struct {
 	// the last in-flight block is acknowledged). It is held across socket
 	// writes, hence clock-aware.
 	wmu   *simclock.Mutex
-	hdr   wire.Encoder // PUT header scratch
+	hdr   wire.Encoder // PUT header scratch; a per-call writer's whole PUT payload
 	wrote int64        // index after the last block queued on this stream
 
 	window  *simclock.Semaphore
@@ -157,7 +157,11 @@ func newEndpoint(dialer Dialer, addr string, clock simclock.Clock, key string, o
 // reconnecting reader resumes (-1 for writers and first attaches). It
 // returns the reader ID and block size the service settled on.
 func (e *endpoint) attach(role uint8, prev int) (readerID, blockSize int, err error) {
-	s, err := rpc.OpenBuffered("gridbuffer", e.bufs, e.dialer, e.addr, e.clock, e.retry.Timeout())
+	open := rpc.OpenBuffered
+	if e.perCall {
+		open = rpc.OpenOnce // open closes it at once
+	}
+	s, err := open("gridbuffer", e.bufs, e.dialer, e.addr, e.clock, e.retry.Timeout())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -194,6 +198,7 @@ func (e *endpoint) open(role uint8) (readerID int, err error) {
 	})
 	if err == nil && e.perCall {
 		e.s.Close()
+		e.s = nil
 	}
 	return readerID, err
 }
@@ -204,10 +209,13 @@ func (e *endpoint) open(role uint8) (readerID int, err error) {
 // handshake, one request round trip, and a FIN handshake before the stack
 // reuses the port (2004 SOAP clients closed politely and serially), i.e. ~3
 // round trips. The teardown is charged as the measured connection-setup
-// time, so it scales with the actual link rather than a constant.
+// time, so it scales with the actual link rather than a constant. The
+// exchange is one-shot (rpc.OpenOnce): the connection's buffers are
+// recycled, and the reply payload, which Call read into memory of its own,
+// is the caller's.
 func (e *endpoint) call(reqType uint8, payload []byte, want uint8) ([]byte, error) {
 	t0 := e.clock.Now()
-	s, err := rpc.Open("gridbuffer", e.dialer, e.addr, e.clock, e.retry.Timeout())
+	s, err := rpc.OpenOnce("gridbuffer", rpc.Buffers{}, e.dialer, e.addr, e.clock, e.retry.Timeout())
 	if err != nil {
 		return nil, err
 	}
@@ -413,15 +421,16 @@ func (w *Writer) Write(p []byte) (int, error) {
 // sendBlock delivers the filled partial block over the configured transport
 // discipline.
 func (w *Writer) sendBlock() error {
-	blk := wblock{idx: w.nextIdx, data: append([]byte(nil), w.partial...)}
-	w.nextIdx++
-	w.partial = w.partial[:0]
-
 	if w.perCall {
-		e := wire.NewEncoder()
-		e.String(w.key).I64(blk.idx).Bytes32(blk.data)
+		// The block is encoded once, from the partial buffer into a payload
+		// sized for it, and every attempt sends that: a call has written
+		// its request before it returns, so the scratch is free again then.
+		w.hdr.Reset()
+		w.hdr.Grow(4 + len(w.key) + 8 + 4 + len(w.partial)).String(w.key).I64(w.nextIdx).Bytes32(w.partial)
+		w.nextIdx++
+		w.partial = w.partial[:0]
 		err := w.retry.Do("gb.put", func(int) error {
-			_, err := w.call(msgPut, e.Bytes(), msgPutResp)
+			_, err := w.call(msgPut, w.hdr.Bytes(), msgPutResp)
 			return err
 		})
 		if err != nil {
@@ -429,6 +438,10 @@ func (w *Writer) sendBlock() error {
 		}
 		return err
 	}
+
+	blk := wblock{idx: w.nextIdx, data: append([]byte(nil), w.partial...)}
+	w.nextIdx++
+	w.partial = w.partial[:0]
 
 	queued := false
 	return w.retry.Do("gb.put", func(int) error {

@@ -250,9 +250,11 @@ var (
 	putFrames   = rpc.Frames{Verb: "put", Hdr: msgPut, Data: msgPutData, End: msgPutEnd}
 )
 
-// open dials a dedicated connection for one bulk transfer.
+// open dials a dedicated connection for one bulk transfer, a one-shot
+// exchange: the caller closes it before it returns, which hands its buffers
+// back.
 func (c *Client) open() (*rpc.Stream, error) {
-	return rpc.Open("gridftp", c.dialer, c.addr, c.clock, c.rc.Retry.Timeout())
+	return rpc.OpenOnce("gridftp", rpc.Buffers{}, c.dialer, c.addr, c.clock, c.rc.Retry.Timeout())
 }
 
 // Fetch streams [off, off+length) of path into w over a dedicated

@@ -67,7 +67,7 @@ func NewProber(clock simclock.Clock, dialer Dialer) *Prober {
 // Probe measures the link to the sensor at addr and returns the estimated
 // one-way latency and bandwidth (bytes/sec).
 func (p *Prober) Probe(addr string) (latency time.Duration, bandwidth float64, err error) {
-	s, err := rpc.Open("nws", p.dialer, addr, p.clock, 0)
+	s, err := rpc.OpenOnce("nws", rpc.Buffers{}, p.dialer, addr, p.clock, 0)
 	if err != nil {
 		return 0, 0, err
 	}

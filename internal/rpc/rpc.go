@@ -136,22 +136,17 @@ type Handler struct {
 func ServeConn(conn net.Conn, adm *admit.Controller, h Handler) {
 	defer conn.Close()
 	tenant := admit.TenantOf(conn)
-	bufs, pool := h.Buffers.get(conn)
-	defer func() {
-		bufs.r.Reset(nil)
-		bufs.q.Reset(nil)
-		bufs.q.frames = 0
-		pool.Put(bufs)
-	}()
+	bufs := h.Buffers.get(conn)
+	defer bufs.put()
 	br, bw := bufs.r, &bufs.q
-	var frame []byte
+	frame := &bufs.frame
 	for {
 		if !wire.FrameBuffered(br) {
 			if err := bw.flush(); err != nil {
 				return
 			}
 		}
-		typ, payload, err := wire.ReadFrameInto(br, &frame)
+		typ, payload, err := wire.ReadFrameInto(br, frame)
 		if err != nil {
 			return
 		}
@@ -194,17 +189,21 @@ func (b Buffers) size() int {
 	return 4096
 }
 
-// connBufs is what ServeConn buffers a connection with. They are recycled,
-// one pool per size: a connection-per-call client opens a connection per
-// request, and a 64 KiB protocol's buffers would be most of what each costs.
+// connBufs is what ServeConn buffers a connection with, and a one-shot
+// stream (OpenOnce) too: the read and write buffers and the frame a request
+// is read into. They are recycled, one pool per size: a connection-per-call
+// client opens a connection per request, and a 64 KiB protocol's buffers
+// would be most of what each costs at either end.
 type connBufs struct {
-	r *bufio.Reader
-	q queue
+	r     *bufio.Reader
+	q     queue
+	frame []byte
+	pool  *sync.Pool
 }
 
 var servePools sync.Map // buffer size -> *sync.Pool of *connBufs
 
-func (b Buffers) get(conn net.Conn) (*connBufs, *sync.Pool) {
+func (b Buffers) get(conn net.Conn) *connBufs {
 	size := b.size()
 	p, ok := servePools.Load(size)
 	if !ok {
@@ -213,10 +212,20 @@ func (b Buffers) get(conn net.Conn) (*connBufs, *sync.Pool) {
 		}})
 	}
 	c := p.(*sync.Pool).Get().(*connBufs)
+	c.pool = p.(*sync.Pool)
 	c.r.Reset(conn)
 	c.q.Reset(conn)
 	c.q.hist = b.Flushes
-	return c, p.(*sync.Pool)
+	return c
+}
+
+// put returns the buffers to their pool, holding on to nothing of the
+// connection's.
+func (c *connBufs) put() {
+	c.r.Reset(nil)
+	c.q.Reset(nil)
+	c.q.frames, c.q.hist = 0, nil
+	c.pool.Put(c)
 }
 
 // queue is a connection's queued side: frames wait in a buffer of the

@@ -38,13 +38,16 @@ type Stream struct {
 	q       *queue    // w's frame side: the stream's own, or ServeConn's
 
 	// A dialed stream owns its connection, both buffers and the idle
-	// deadline; a served one borrows ServeConn's and has no deadline.
+	// deadline; a served one borrows ServeConn's and has no deadline. A
+	// one-shot stream's buffers come from ServeConn's pools (once) and go
+	// back at Close.
 	conn  net.Conn
 	clock simclock.Clock
 	idle  time.Duration
 	bufs  Buffers
 	br    bufio.Reader
 	own   queue
+	once  *connBufs
 
 	frame    []byte // reused by Recv and Next for every frame
 	answered bool   // a frame of the peer's was read since Channels handed the stream out
@@ -63,13 +66,34 @@ func Open(service string, dialer Dialer, addr string, clock simclock.Clock, idle
 // Such a stream sends every frame whole: a Request leaves in one socket write
 // with whatever was queued ahead of it, not header and payload apart.
 func OpenBuffered(service string, bufs Buffers, dialer Dialer, addr string, clock simclock.Clock, idle time.Duration) (*Stream, error) {
+	return open(service, bufs, dialer, addr, clock, idle, false)
+}
+
+// OpenOnce is OpenBuffered for a one-shot exchange: the goroutine that opens
+// the stream runs its exchange and closes it, and no other goroutine ever
+// holds it. Its read and write buffers come from the pools ServeConn keeps
+// and go back at Close, so a connection-per-call client allocates none per
+// call. A payload Reply or Call returns is the caller's and stays intact
+// after Close; one Next returns does not outlive the stream, as with any
+// stream. A stream another goroutine may read, or close under a reader,
+// must be opened with Open or OpenBuffered.
+func OpenOnce(service string, bufs Buffers, dialer Dialer, addr string, clock simclock.Clock, idle time.Duration) (*Stream, error) {
+	return open(service, bufs, dialer, addr, clock, idle, true)
+}
+
+func open(service string, bufs Buffers, dialer Dialer, addr string, clock simclock.Clock, idle time.Duration, once bool) (*Stream, error) {
 	conn, err := dialer.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("%s: dial %s: %w", service, addr, err)
 	}
 	s := &Stream{service: service, conn: conn, clock: clock, idle: idle, bufs: bufs}
-	s.br = *bufio.NewReaderSize(conn, bufs.size())
-	s.r = &s.br
+	if once {
+		s.once = bufs.get(conn)
+		s.r, s.frame = s.once.r, s.once.frame
+	} else {
+		s.br = *bufio.NewReaderSize(conn, bufs.size())
+		s.r = &s.br
+	}
 	s.arm(net.Conn.SetDeadline)
 	return s, nil
 }
@@ -91,8 +115,17 @@ func (s *Stream) arm(set func(net.Conn, time.Time) error) {
 	}
 }
 
-// Close closes a dialed stream's connection.
-func (s *Stream) Close() error { return s.conn.Close() }
+// Close closes a dialed stream's connection. A one-shot stream's buffers go
+// back to their pool, and the stream can read or queue nothing more.
+func (s *Stream) Close() error {
+	err := s.conn.Close()
+	if cb := s.once; cb != nil {
+		cb.frame = s.frame
+		cb.put()
+		s.once, s.r, s.w, s.q, s.frame = nil, nil, nil, nil, nil
+	}
+	return err
+}
 
 // maxIdle bounds the connections a Channels keeps: a sequential reader's, and
 // one for each of the four fetches core's default prefetch window runs
@@ -211,8 +244,13 @@ func count(c *obs.Counter) {
 // flush.
 func (s *Stream) Queue() io.Writer {
 	if s.w == nil {
-		s.own = queue{Writer: *bufio.NewWriterSize(s.conn, s.bufs.size()), hist: s.bufs.Flushes}
-		s.q, s.w = &s.own, &s.own
+		if s.once != nil {
+			s.q = &s.once.q
+		} else {
+			s.own = queue{Writer: *bufio.NewWriterSize(s.conn, s.bufs.size()), hist: s.bufs.Flushes}
+			s.q = &s.own
+		}
+		s.w = s.q
 	}
 	return s.w
 }

@@ -21,6 +21,13 @@ import (
 // Determinism: timer fires are ordered by (deadline, registration sequence),
 // so runs are reproducible whenever goroutines woken at the same instant do
 // not race on shared state outside the clock-aware primitives.
+//
+// Allocation: an event costs no allocation once the clock has warmed up. A
+// parked goroutine waits on a waiter taken from a free list, with a wake
+// channel the waiter keeps; a timer is recycled once it fires or is stopped;
+// and while Run is active a registered goroutine whose function returned
+// waits to be handed the next Go's function instead of exiting, so its grown
+// stack is reused rather than regrown.
 type Virtual struct {
 	mu         sync.Mutex
 	base       time.Time
@@ -30,6 +37,12 @@ type Virtual struct {
 	condWait   int // goroutines parked in untimed Cond waits
 	timers     timerHeap
 	rootExited bool
+
+	// Recycled per-event state.
+	freeWaiters *vwaiter
+	freeTimers  *timer
+	idle        []chan vjob // goroutines waiting for a function, most recent last
+	running     bool        // inside Run: a finished goroutine idles instead of exiting
 
 	// Failure propagation: a panic on any registered goroutine (including
 	// the synthetic deadlock panic) aborts the simulation and is re-panicked
@@ -71,44 +84,89 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	ch := make(chan struct{})
 	v.mu.Lock()
-	v.addTimerLocked(v.now+d, func() {
-		v.runnable++
-		close(ch)
-	})
+	w := v.waiterLocked()
+	w.parked, w.timed = true, true
+	v.addTimerLocked(v.now+d, w)
 	v.park()
 	v.mu.Unlock()
-	<-ch
+	<-w.wake
+	v.mu.Lock()
+	v.freeWaiterLocked(w)
+	v.mu.Unlock()
 }
 
-// Go implements Clock.
+// vjob is a function Go hands to a registered goroutine between two
+// functions, on that goroutine's one-slot channel; a nil fn ends it.
+type vjob struct {
+	name string
+	fn   func()
+}
+
+// Go implements Clock. While Run is active it hands fn to a goroutine whose
+// previous function returned, if one is idle, and starts one otherwise.
 func (v *Virtual) Go(name string, fn func()) {
 	v.mu.Lock()
 	v.runnable++
+	if n := len(v.idle); n > 0 {
+		jobs := v.idle[n-1]
+		v.idle[n-1] = nil
+		v.idle = v.idle[:n-1]
+		v.mu.Unlock()
+		jobs <- vjob{name, fn}
+		return
+	}
 	v.mu.Unlock()
-	go func() {
-		defer func() {
-			r := recover()
-			v.mu.Lock()
-			if r != nil {
-				v.failLocked(fmt.Sprintf("simclock: goroutine %q panicked: %v", name, r))
-			}
-			v.park()
-			v.mu.Unlock()
-		}()
-		fn()
+	go v.work(vjob{name, fn})
+}
+
+// work runs jobs on one registered goroutine until Run ends, the simulation
+// aborts, or a job exits the goroutine (runtime.Goexit, as t.Fatal does).
+func (v *Virtual) work(j vjob) {
+	jobs := make(chan vjob, 1)
+	for v.call(j, jobs) {
+		if j = <-jobs; j.fn == nil {
+			return
+		}
+	}
+}
+
+// call runs one job and parks its goroutine when the job returns, panics or
+// exits. A goroutine whose job returned while Run is active joins the idle
+// list under the same lock as it parks, so a Go that its park lets run finds
+// it there; call reports whether it did.
+func (v *Virtual) call(j vjob, jobs chan vjob) (idle bool) {
+	returned := false
+	defer func() {
+		r := recover()
+		v.mu.Lock()
+		if r != nil {
+			v.failLocked(fmt.Sprintf("simclock: goroutine %q panicked: %v", j.name, r))
+		}
+		v.park()
+		if returned && v.running && !v.aborted {
+			v.idle = append(v.idle, jobs)
+			idle = true
+		}
+		v.mu.Unlock()
 	}()
+	j.fn()
+	returned = true
+	return false
 }
 
 // Run executes root as a registered goroutine and blocks the (unregistered)
 // caller until it returns. Daemon goroutines left parked in Cond waits after
 // root exits (e.g. server accept loops) do not trigger the deadlock panic.
 // A panic on any registered goroutine — or a detected deadlock — aborts the
-// simulation and re-panics here, on the caller's goroutine.
+// simulation and re-panics here, on the caller's goroutine. Goroutines idle
+// between two functions exit when Run returns, and one whose function
+// returns later exits then: a clock is usually dropped after its Run, and
+// its idle goroutines would otherwise wait for a function forever.
 func (v *Virtual) Run(root func()) {
 	v.mu.Lock()
 	v.rootExited = false
+	v.running = true
 	v.mu.Unlock()
 	done := make(chan struct{})
 	v.Go("root", func() {
@@ -124,9 +182,17 @@ func (v *Virtual) Run(root func()) {
 	case <-done:
 	case <-v.fatalCh:
 	}
+	// Goroutines still registered are daemons (or the simulation aborted):
+	// those that finish from now on exit, and the idle ones exit now.
 	v.mu.Lock()
 	f := v.fatal
+	v.running = false
+	idle := v.idle
+	v.idle = nil
 	v.mu.Unlock()
+	for _, jobs := range idle {
+		jobs <- vjob{}
+	}
 	if f != nil {
 		panic(f)
 	}
@@ -153,33 +219,46 @@ func (v *Virtual) park() {
 // NewCond implements Clock.
 func (v *Virtual) NewCond(l sync.Locker) Cond { return &vcond{v: v, l: l} }
 
-// timer is a pending virtual-time event. fire is invoked with v.mu held and
-// must not block; it typically marks one goroutine runnable and closes its
-// wake channel.
+// timer is a pending virtual-time event: when it fires, its waiter times
+// out. A timer is recycled once it fires or is stopped.
 type timer struct {
-	at      time.Duration
-	seq     uint64
-	fire    func()
-	stopped bool
-	idx     int
+	at   time.Duration
+	seq  uint64
+	w    *vwaiter
+	idx  int
+	next *timer // free list
 }
 
-func (v *Virtual) addTimerLocked(at time.Duration, fire func()) *timer {
-	t := &timer{at: at, seq: v.seq, fire: fire}
+func (v *Virtual) addTimerLocked(at time.Duration, w *vwaiter) {
+	t := v.freeTimers
+	if t == nil {
+		t = new(timer)
+	} else {
+		v.freeTimers = t.next
+	}
+	*t = timer{at: at, seq: v.seq, w: w}
 	v.seq++
 	heap.Push(&v.timers, t)
-	return t
+	w.timer = t
 }
 
-func (v *Virtual) stopTimerLocked(t *timer) { t.stopped = true }
+// stopTimerLocked takes t out of the heap. The order of the timers left is
+// their (deadline, sequence) order whatever the heap's shape, so removing
+// one now or skipping it when it comes due fires the rest identically.
+func (v *Virtual) stopTimerLocked(t *timer) {
+	heap.Remove(&v.timers, t.idx)
+	v.freeTimerLocked(t)
+}
+
+func (v *Virtual) freeTimerLocked(t *timer) {
+	*t = timer{next: v.freeTimers}
+	v.freeTimers = t
+}
 
 // advanceLocked advances simulated time while no registered goroutine is
 // runnable, firing due timers in deterministic order.
 func (v *Virtual) advanceLocked() {
 	for v.runnable == 0 && !v.aborted {
-		for len(v.timers) > 0 && v.timers[0].stopped {
-			heap.Pop(&v.timers)
-		}
 		if len(v.timers) == 0 {
 			if v.condWait > 0 && !v.rootExited {
 				v.deadlockLocked()
@@ -190,11 +269,11 @@ func (v *Virtual) advanceLocked() {
 		if t0 > v.now {
 			v.now = t0
 		}
-		for len(v.timers) > 0 && (v.timers[0].stopped || v.timers[0].at == t0) {
+		for len(v.timers) > 0 && v.timers[0].at == t0 {
 			t := heap.Pop(&v.timers).(*timer)
-			if !t.stopped {
-				t.fire()
-			}
+			w := t.w
+			v.freeTimerLocked(t)
+			v.timeOutLocked(w)
 		}
 	}
 }
@@ -207,25 +286,90 @@ func (v *Virtual) deadlockLocked() {
 		v.now, v.condWait, buf[:n]))
 }
 
-// vcond is the Virtual implementation of Cond.
-type vcond struct {
-	v       *Virtual
-	l       sync.Locker
-	waiters []*vwaiter
-}
-
 const (
 	wPending = iota
 	wSignaled
 	wTimedOut
 )
 
+// vwaiter is one parked goroutine: a sleeper, or a Cond waiter. Its owner
+// takes it from the clock's free list and returns it when it resumes; by
+// then it is in no Cond's list and has no timer, so its next owner cannot be
+// woken by anything meant for the last.
 type vwaiter struct {
-	ch     chan struct{}
+	wake   chan struct{} // one slot: a wake sent before the owner blocks waits there
 	state  int
 	timer  *timer
-	parked bool // the waiter has decremented runnable
-	timed  bool // registered with a timeout (not counted in condWait)
+	cond   *vcond // the Cond whose list holds the waiter; nil for a sleeper
+	parked bool   // the waiter has decremented runnable
+	timed  bool   // registered with a timeout (not counted in condWait)
+	next   *vwaiter
+}
+
+// resumeLocked sends the parked owner its wake. The slot is empty unless the
+// waiter was woken twice, which would leak a wake into its next use: that
+// aborts the simulation.
+func (v *Virtual) resumeLocked(w *vwaiter) {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+		v.failLocked("simclock: a waiter was woken twice")
+	}
+}
+
+func (v *Virtual) waiterLocked() *vwaiter {
+	w := v.freeWaiters
+	if w == nil {
+		return &vwaiter{wake: make(chan struct{}, 1)}
+	}
+	v.freeWaiters = w.next
+	w.next = nil
+	return w
+}
+
+func (v *Virtual) freeWaiterLocked(w *vwaiter) {
+	*w = vwaiter{wake: w.wake, next: v.freeWaiters}
+	v.freeWaiters = w
+}
+
+// timeOutLocked ends a waiter's wait because its timer fired: a Cond waiter
+// leaves its Cond's list at once, so no later Signal is spent on it. Only a
+// parked owner is sent the wake; one that has not parked yet sees the state
+// change before it would.
+func (v *Virtual) timeOutLocked(w *vwaiter) {
+	w.timer = nil
+	w.state = wTimedOut
+	if w.cond != nil {
+		w.cond.removeLocked(w)
+	}
+	if w.parked {
+		v.runnable++
+		v.resumeLocked(w)
+	}
+}
+
+// signalLocked ends a Cond waiter's wait because it was signaled; the caller
+// has taken it off the Cond's list.
+func (v *Virtual) signalLocked(w *vwaiter) {
+	w.state = wSignaled
+	if w.timer != nil {
+		v.stopTimerLocked(w.timer)
+		w.timer = nil
+	}
+	if w.parked {
+		if !w.timed {
+			v.condWait--
+		}
+		v.runnable++
+		v.resumeLocked(w)
+	}
+}
+
+// vcond is the Virtual implementation of Cond.
+type vcond struct {
+	v       *Virtual
+	l       sync.Locker
+	waiters []*vwaiter // pending waiters, in arrival order; guarded by v.mu
 }
 
 // wait implements Wait/WaitTimeout in three phases:
@@ -240,20 +384,14 @@ type vwaiter struct {
 //     arrived during phase 2.
 func (c *vcond) wait(d time.Duration) bool {
 	v := c.v
-	w := &vwaiter{ch: make(chan struct{}), timed: d >= 0}
 
 	v.mu.Lock()
+	w := v.waiterLocked()
+	w.cond = c
 	c.waiters = append(c.waiters, w)
 	if d >= 0 {
-		w.timer = v.addTimerLocked(v.now+d, func() {
-			if w.state == wPending {
-				w.state = wTimedOut
-				if w.parked {
-					v.runnable++
-				}
-				close(w.ch)
-			}
-		})
+		w.timed = true
+		v.addTimerLocked(v.now+d, w)
 	}
 	v.mu.Unlock()
 
@@ -267,14 +405,16 @@ func (c *vcond) wait(d time.Duration) bool {
 		}
 		v.park()
 		v.mu.Unlock()
-		<-w.ch
-	} else {
-		// Signaled (or timed out) before we parked; ch is already closed.
-		v.mu.Unlock()
+		<-w.wake
+		v.mu.Lock()
 	}
+	// Otherwise signaled (or timed out) before we parked, and sent no wake.
+	signaled := w.state == wSignaled
+	v.freeWaiterLocked(w)
+	v.mu.Unlock()
 
 	c.l.Lock()
-	return w.state == wSignaled
+	return signaled
 }
 
 func (c *vcond) Wait() { c.wait(-1) }
@@ -287,41 +427,36 @@ func (c *vcond) WaitTimeout(d time.Duration) bool {
 	return c.wait(d)
 }
 
-// wakeLocked transfers one pending waiter to runnable. It reports whether a
-// waiter was woken.
-func (c *vcond) wakeLocked() bool {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if w.state != wPending {
-			continue // already timed out; skip the stale entry
+// removeLocked takes a waiter that timed out off the list, keeping the order
+// of the rest.
+func (c *vcond) removeLocked(w *vwaiter) {
+	for i, x := range c.waiters {
+		if x == w {
+			n := copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[i+n] = nil
+			c.waiters = c.waiters[:i+n]
+			return
 		}
-		w.state = wSignaled
-		if w.timer != nil {
-			c.v.stopTimerLocked(w.timer)
-		}
-		if w.parked {
-			if !w.timed {
-				c.v.condWait--
-			}
-			c.v.runnable++
-		}
-		close(w.ch)
-		return true
 	}
-	return false
 }
 
 func (c *vcond) Signal() {
 	c.v.mu.Lock()
-	c.wakeLocked()
+	if len(c.waiters) > 0 {
+		w := c.waiters[0]
+		c.removeLocked(w)
+		c.v.signalLocked(w)
+	}
 	c.v.mu.Unlock()
 }
 
 func (c *vcond) Broadcast() {
 	c.v.mu.Lock()
-	for c.wakeLocked() {
+	for _, w := range c.waiters {
+		c.v.signalLocked(w)
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 	c.v.mu.Unlock()
 }
 

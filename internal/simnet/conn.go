@@ -107,11 +107,15 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 	return nil
 }
 
-// segment is a chunk of bytes that becomes readable at ready.
+// segment is a chunk of bytes that becomes readable at ready. Its bytes are
+// a recycled maxChunk array, returned when the reader drains it.
 type segment struct {
-	data  []byte
+	buf   *[maxChunk]byte
+	data  []byte // the unread part of buf
 	ready time.Time
 }
+
+var chunks = sync.Pool{New: func() any { return new([maxChunk]byte) }}
 
 // stream is one direction of a connection: a bounded FIFO of segments with
 // propagation delay. The window counts bytes written but not yet consumed by
@@ -125,7 +129,8 @@ type stream struct {
 	mu       sync.Mutex
 	rcond    simclock.Cond // readers wait for data
 	wcond    simclock.Cond // writers wait for window space
-	segs     []segment
+	segs     []segment     // the FIFO is segs[head:]; the backing array is kept
+	head     int
 	buffered int
 	window   int
 	wclosed  bool
@@ -201,18 +206,19 @@ func (s *stream) write(p []byte, deadline time.Time) (int, error) {
 
 		if !drop {
 			// Deliver after propagation delay (plus any injected spike).
-			data := make([]byte, chunk)
-			copy(data, p[:chunk])
+			buf := chunks.Get().(*[maxChunk]byte)
+			data := buf[:copy(buf[:], p[:chunk])]
 			s.mu.Lock()
 			if s.wclosed { // reset raced with this chunk; surface its error
 				err := s.err
 				s.mu.Unlock()
+				chunks.Put(buf)
 				if err == nil {
 					err = net.ErrClosed
 				}
 				return total, err
 			}
-			s.segs = append(s.segs, segment{data: data, ready: s.clock.Now().Add(s.link.spec.Latency + extra)})
+			s.pushLocked(segment{buf: buf, data: data, ready: s.clock.Now().Add(s.link.spec.Latency + extra)})
 			s.rcond.Broadcast()
 			s.mu.Unlock()
 		}
@@ -230,8 +236,8 @@ func (s *stream) read(p []byte, deadline time.Time) (int, error) {
 		if s.rclosed {
 			return 0, net.ErrClosed
 		}
-		if len(s.segs) > 0 {
-			wait := s.segs[0].ready.Sub(s.clock.Now())
+		if s.head < len(s.segs) {
+			wait := s.segs[s.head].ready.Sub(s.clock.Now())
 			if wait <= 0 {
 				break
 			}
@@ -265,12 +271,12 @@ func (s *stream) read(p []byte, deadline time.Time) (int, error) {
 	// Drain as much ready data as fits.
 	n := 0
 	now := s.clock.Now()
-	for n < len(p) && len(s.segs) > 0 && !s.segs[0].ready.After(now) {
-		seg := &s.segs[0]
+	for n < len(p) && s.head < len(s.segs) && !s.segs[s.head].ready.After(now) {
+		seg := &s.segs[s.head]
 		c := copy(p[n:], seg.data)
 		n += c
 		if c == len(seg.data) {
-			s.segs = s.segs[1:]
+			s.popLocked()
 		} else {
 			seg.data = seg.data[c:]
 		}
@@ -278,6 +284,26 @@ func (s *stream) read(p []byte, deadline time.Time) (int, error) {
 	s.buffered -= n
 	s.wcond.Broadcast()
 	return n, nil
+}
+
+// pushLocked appends seg to the FIFO. An append that would grow a backing
+// array whose front has been drained moves the queue down instead.
+func (s *stream) pushLocked(seg segment) {
+	if s.head > 0 && len(s.segs) == cap(s.segs) {
+		n := copy(s.segs, s.segs[s.head:])
+		clear(s.segs[n:])
+		s.segs, s.head = s.segs[:n], 0
+	}
+	s.segs = append(s.segs, seg)
+}
+
+// popLocked drops the front segment and recycles its bytes.
+func (s *stream) popLocked() {
+	chunks.Put(s.segs[s.head].buf)
+	s.segs[s.head] = segment{}
+	if s.head++; s.head == len(s.segs) {
+		s.segs, s.head = s.segs[:0], 0
+	}
 }
 
 // closeWrite marks the writer side done; readers drain then see EOF (or err
@@ -313,7 +339,9 @@ func (s *stream) reset(err error) {
 		if s.err == nil {
 			s.err = err
 		}
-		s.segs = nil
+		for s.head < len(s.segs) {
+			s.popLocked()
+		}
 		s.buffered = 0
 		s.rcond.Broadcast()
 		s.wcond.Broadcast()

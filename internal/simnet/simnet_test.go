@@ -498,3 +498,52 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEstablishedConnAllocatesNothing: on an established connection over a
+// shaped link, an 8 KiB write and the reads that drain it allocate nothing
+// in steady state: the segment's bytes are a recycled chunk, the segment
+// FIFO keeps its backing array, and the clock parks both sides from its free
+// lists.
+func TestEstablishedConnAllocatesNothing(t *testing.T) {
+	v := simclock.NewVirtualDefault()
+	n := testNet(v, LinkSpec{Latency: time.Millisecond, Bandwidth: 10 << 20})
+	v.Run(func() {
+		l, err := n.Host("b").Listen("b:9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b net.Conn
+		accepted := simclock.NewWaitGroup(v)
+		accepted.Add(1)
+		v.Go("accept", func() {
+			defer accepted.Done()
+			c, err := l.Accept()
+			if err != nil {
+				t.Error(err)
+			}
+			b = c
+		})
+		a, err := n.Host("a").Dial("b:9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted.Wait()
+		if b == nil {
+			return
+		}
+		out, in := make([]byte, 8<<10), make([]byte, 8<<10)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := a.Write(out); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(b, in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("an 8 KiB write and read allocate %v times, want 0", allocs)
+		}
+		a.Close()
+		b.Close()
+	})
+}

@@ -29,29 +29,102 @@ type MemFS struct {
 	NowFunc func() time.Time
 }
 
+// pageSize is the unit MemFS stores a file in.
+const pageSize = 64 << 10
+
+// memNode is a file's content: fixed pages, of which a nil one (a hole) reads
+// as zeros, and the size. Extending a file allocates only the pages it newly
+// touches and moves no byte already written. Every byte a page holds past
+// the size is zero, so a later extension reads zeros there.
 type memNode struct {
 	mu    sync.Mutex
-	data  []byte
+	pages [][]byte  // page i holds bytes [i*pageSize, (i+1)*pageSize)
+	page0 [1][]byte // backs pages while the file has one page: no slice to allocate
+	size  int64
 	mtime time.Time
 }
 
-// grow lengthens data to end bytes, the new ones reading as zeros; the
-// caller holds mu and end exceeds len(data). Within capacity the slice is
-// resliced and the gap cleared, since a Truncate shrink leaves stale bytes
-// there. Past it the capacity at least doubles, so a file written
-// sequentially allocates about 2n bytes in all, not a copy of the whole
-// file per extending write. The doubling is explicit because append grows
-// a large slice by about 1.25x, which allocates about 5n.
-func (n *memNode) grow(end int64) {
-	if end <= int64(cap(n.data)) {
-		old := len(n.data)
-		n.data = n.data[:end]
-		clear(n.data[old:])
-		return
+// page returns page i, allocated and at least need bytes long. Every page is
+// allocated whole except the first, which doubles while it holds less than a
+// quarter page, so a small file costs about its size and a large one less
+// than half a page more. A page never shrinks, and what lies between its
+// length and capacity was never written, so lengthening it in place exposes
+// zeros.
+func (n *memNode) page(i, need int) []byte {
+	pg := n.pages[i]
+	switch {
+	case len(pg) >= need:
+	case i > 0:
+		pg = make([]byte, pageSize)
+	case cap(pg) >= need:
+		pg = pg[:need]
+	default:
+		c := max(need, 2*cap(pg))
+		if c > pageSize/4 {
+			c = pageSize
+		}
+		grown := make([]byte, need, c)
+		copy(grown, pg)
+		pg = grown
 	}
-	grown := make([]byte, end, max(end, 2*int64(cap(n.data))))
-	copy(grown, n.data)
-	n.data = grown
+	n.pages[i] = pg
+	return pg
+}
+
+// resize makes the file size bytes long. Growing only adds holes; shrinking
+// drops the pages past the end and clears the tail of the new last page.
+func (n *memNode) resize(size int64) {
+	np := int((size + pageSize - 1) / pageSize)
+	if n.pages == nil {
+		n.pages = n.page0[:0]
+	}
+	for len(n.pages) < np {
+		n.pages = append(n.pages, nil)
+	}
+	if size < n.size {
+		clear(n.pages[np:])
+		n.pages = n.pages[:np]
+		if off := int(size % pageSize); off > 0 {
+			if last := n.pages[np-1]; off < len(last) {
+				clear(last[off:])
+			}
+		}
+	}
+	n.size = size
+}
+
+// readAt copies the file's bytes at off into p and reports how many there
+// were.
+func (n *memNode) readAt(p []byte, off int64) int {
+	if off >= n.size {
+		return 0
+	}
+	p = p[:min(int64(len(p)), n.size-off)]
+	total := len(p)
+	for len(p) > 0 {
+		i, po := int(off/pageSize), int(off%pageSize)
+		c := min(len(p), pageSize-po)
+		got := 0
+		if pg := n.pages[i]; po < len(pg) {
+			got = copy(p[:c], pg[po:])
+		}
+		clear(p[got:c])
+		p, off = p[c:], off+int64(c)
+	}
+	return total
+}
+
+// writeAt stores p at off, extending the file if it ends past the size.
+func (n *memNode) writeAt(p []byte, off int64) {
+	if end := off + int64(len(p)); end > n.size {
+		n.resize(end)
+	}
+	for len(p) > 0 {
+		i, po := int(off/pageSize), int(off%pageSize)
+		c := min(len(p), pageSize-po)
+		copy(n.page(i, po+c)[po:], p[:c])
+		p, off = p[c:], off+int64(c)
+	}
 }
 
 // NewMemFS returns an empty MemFS.
@@ -88,7 +161,7 @@ func (m *MemFS) OpenFile(name string, flag int, _ fs.FileMode) (File, error) {
 
 	node.mu.Lock()
 	if flag&os.O_TRUNC != 0 {
-		node.data = nil
+		node.resize(0)
 		node.mtime = m.now()
 	}
 	node.mu.Unlock()
@@ -96,7 +169,7 @@ func (m *MemFS) OpenFile(name string, flag int, _ fs.FileMode) (File, error) {
 	f := &memFile{fs: m, node: node, name: name, flag: flag}
 	if flag&os.O_APPEND != 0 {
 		node.mu.Lock()
-		f.pos = int64(len(node.data))
+		f.pos = node.size
 		node.mu.Unlock()
 	}
 	return f, nil
@@ -112,7 +185,7 @@ func (m *MemFS) Stat(name string) (fs.FileInfo, error) {
 	}
 	node.mu.Lock()
 	defer node.mu.Unlock()
-	return fileInfo{name: name, size: int64(len(node.data)), mtime: node.mtime}, nil
+	return fileInfo{name: name, size: node.size, mtime: node.mtime}, nil
 }
 
 // Remove implements FS.
@@ -174,10 +247,10 @@ func (f *memFile) Read(p []byte) (int, error) {
 	}
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	if f.pos >= int64(len(f.node.data)) {
+	if f.pos >= f.node.size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.node.data[f.pos:])
+	n := f.node.readAt(p, f.pos)
 	f.pos += int64(n)
 	return n, nil
 }
@@ -194,10 +267,10 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	}
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	if off >= int64(len(f.node.data)) {
+	if off >= f.node.size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.node.data[off:])
+	n := f.node.readAt(p, off)
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -236,11 +309,7 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 func (f *memFile) writeAtLocked(p []byte, off int64) int {
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(f.node.data)) {
-		f.node.grow(end)
-	}
-	copy(f.node.data[off:end], p)
+	f.node.writeAt(p, off)
 	f.node.mtime = f.fs.now()
 	return len(p)
 }
@@ -259,7 +328,7 @@ func (f *memFile) Seek(offset int64, whence int) (int64, error) {
 		base = f.pos
 	case io.SeekEnd:
 		f.node.mu.Lock()
-		base = int64(len(f.node.data))
+		base = f.node.size
 		f.node.mu.Unlock()
 	default:
 		return 0, fmt.Errorf("vfs: bad whence %d", whence)
@@ -286,11 +355,7 @@ func (f *memFile) Truncate(size int64) error {
 	}
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	if size <= int64(len(f.node.data)) {
-		f.node.data = f.node.data[:size]
-	} else {
-		f.node.grow(size)
-	}
+	f.node.resize(size)
 	f.node.mtime = f.fs.now()
 	return nil
 }
@@ -298,7 +363,7 @@ func (f *memFile) Truncate(size int64) error {
 func (f *memFile) Stat() (fs.FileInfo, error) {
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	return fileInfo{name: f.name, size: int64(len(f.node.data)), mtime: f.node.mtime}, nil
+	return fileInfo{name: f.name, size: f.node.size, mtime: f.node.mtime}, nil
 }
 
 func (f *memFile) Sync() error { return nil }

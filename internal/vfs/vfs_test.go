@@ -276,8 +276,10 @@ func TestOSFSEscapeBlocked(t *testing.T) {
 
 // TestMemFileGrowthIsLinear bounds what a MemFS file allocates while it
 // grows: sequential Writes (the testbed's bufio-flushed model output) and
-// block-indexed WriteAts (a Grid Buffer cache spill) must each cost a
-// constant multiple of the final size, not a copy of the file per write.
+// block-indexed WriteAts (a Grid Buffer cache spill) must each cost the
+// final size plus at most one page: the first page doubles up to a quarter
+// page before it is allocated whole, every other page is allocated once,
+// whole, and no byte past the first quarter page is ever copied.
 func TestMemFileGrowthIsLinear(t *testing.T) {
 	const blocks, blockSize = 512, 4096
 	block := make([]byte, blockSize)
@@ -303,80 +305,138 @@ func TestMemFileGrowthIsLinear(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		f.Close()
 		size := uint64(blocks * blockSize)
-		if got := after.TotalAlloc - before.TotalAlloc; got > 4*size {
-			t.Errorf("%s: growing a file to %d bytes allocated %d bytes, want <= %d", name, size, got, 4*size)
+		if got := after.TotalAlloc - before.TotalAlloc; got > size+pageSize {
+			t.Errorf("%s: growing a file to %d bytes allocated %d bytes, want <= %d", name, size, got, size+pageSize)
 		}
 	}
 }
 
-// opSeq drives the same random operation sequence against a memFile and a
-// plain byte-slice model, checking full content equality at the end.
+// memModel is what a file should hold: its bytes, with the os semantics for
+// writes past the end (a hole of zeros) and truncation.
+type memModel []byte
+
+func (m *memModel) writeAt(b []byte, off int64) {
+	if end := off + int64(len(b)); end > int64(len(*m)) {
+		m.truncate(end)
+	}
+	copy((*m)[off:], b)
+}
+
+func (m *memModel) truncate(size int64) {
+	if size <= int64(len(*m)) {
+		*m = (*m)[:size]
+		return
+	}
+	grown := make([]byte, size)
+	copy(grown, *m)
+	*m = grown
+}
+
+// TestMemFileMatchesModel drives random operation sequences against a
+// memFile and a plain byte-slice model, checking a random read after every
+// operation and the whole content at the end. Offsets and lengths
+// concentrate on the page boundaries (k·pageSize and one either side), so
+// writes straddle pages, leave holes of whole pages, and truncates cut into
+// the middle of a page before a later extension reads past the cut; the
+// sequences also reopen with O_TRUNC and write through an O_APPEND handle.
 func TestMemFileMatchesModel(t *testing.T) {
 	f := func(seed int64, nops uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
+		// at is an offset or length: on a page boundary or one byte either
+		// side of it, or anywhere in the first few pages.
+		at := func() int64 {
+			if rng.Intn(2) == 0 {
+				return int64(max(0, rng.Intn(4)*pageSize+rng.Intn(3)-1))
+			}
+			return int64(rng.Intn(3 * pageSize))
+		}
+		length := func() int {
+			switch rng.Intn(4) {
+			case 0:
+				return pageSize - 1 + rng.Intn(3)
+			case 1:
+				return 1 + rng.Intn(100)
+			}
+			return 1 + rng.Intn(2*pageSize)
+		}
 		m := NewMemFS()
 		fh, err := m.OpenFile("f", ReadWriteFlag, 0o644)
 		if err != nil {
 			return false
 		}
 		defer func() { fh.Close() }()
-		model := []byte{}
+		var model memModel
 		pos := int64(0)
-		for i := 0; i < int(nops%40)+5; i++ {
-			switch rng.Intn(5) {
+		for i := 0; i < int(nops%24)+6; i++ {
+			switch rng.Intn(7) {
 			case 0: // sequential write
-				b := make([]byte, rng.Intn(100)+1)
+				b := make([]byte, length())
 				rng.Read(b)
 				fh.Write(b)
-				end := pos + int64(len(b))
-				if end > int64(len(model)) {
-					grown := make([]byte, end)
-					copy(grown, model)
-					model = grown
-				}
-				copy(model[pos:end], b)
-				pos = end
+				model.writeAt(b, pos)
+				pos += int64(len(b))
 			case 1: // seek
-				if len(model) == 0 {
-					continue
-				}
-				off := int64(rng.Intn(len(model) + 1))
-				fh.Seek(off, io.SeekStart)
-				pos = off
-			case 2: // WriteAt
-				b := make([]byte, rng.Intn(50)+1)
+				pos = at()
+				fh.Seek(pos, io.SeekStart)
+			case 2: // WriteAt, often past the end: a sparse hole
+				b := make([]byte, length())
 				rng.Read(b)
-				off := int64(rng.Intn(200))
+				off := at()
 				fh.WriteAt(b, off)
-				end := off + int64(len(b))
-				if end > int64(len(model)) {
-					grown := make([]byte, end)
-					copy(grown, model)
-					model = grown
+				model.writeAt(b, off)
+			case 3: // truncate, into the middle of a page or past the end
+				size := at()
+				if rng.Intn(2) == 0 {
+					size = int64(rng.Intn(4)*pageSize + pageSize/2)
 				}
-				copy(model[off:end], b)
-			case 3: // truncate
-				size := int64(rng.Intn(150))
 				fh.Truncate(size)
-				if size <= int64(len(model)) {
-					model = model[:size]
-				} else {
-					grown := make([]byte, size)
-					copy(grown, model)
-					model = grown
-				}
+				model.truncate(size)
 			case 4: // reopen with O_TRUNC, then write past the old length
 				fh.Close()
 				if fh, err = m.OpenFile("f", os.O_RDWR|os.O_TRUNC, 0); err != nil {
 					return false
 				}
-				b := make([]byte, rng.Intn(50)+1)
+				b := make([]byte, length())
 				rng.Read(b)
-				off := int64(len(model) + rng.Intn(20))
+				off := int64(len(model)) + at()%pageSize
 				fh.WriteAt(b, off)
-				model = make([]byte, off+int64(len(b)))
-				copy(model[off:], b)
+				model = nil
+				model.writeAt(b, off)
 				pos = 0
+			case 5: // write through a second handle opened O_APPEND
+				ah, err := m.OpenFile("f", os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					return false
+				}
+				b := make([]byte, length())
+				rng.Read(b)
+				ah.Write(b)
+				ah.Close()
+				model.writeAt(b, int64(len(model)))
+			case 6: // truncate to a page boundary, then extend by WriteAt
+				size := int64(rng.Intn(3) * pageSize)
+				fh.Truncate(size)
+				model.truncate(size)
+				b := []byte{1, 2, 3}
+				off := size + int64(rng.Intn(2*pageSize))
+				fh.WriteAt(b, off)
+				model.writeAt(b, off)
+			}
+			// A random ReadAt agrees with the model, zeros and EOF included.
+			off := at()
+			got := make([]byte, length())
+			n, rerr := fh.ReadAt(got, off)
+			var want []byte
+			if off < int64(len(model)) {
+				want = model[off:min(int64(len(model)), off+int64(len(got)))]
+			}
+			if n != len(want) || !bytes.Equal(got[:n], want) || (n < len(got)) != (rerr == io.EOF) {
+				t.Logf("seed %d op %d: ReadAt(%d bytes, %d) = %d, %v; model has %d bytes there", seed, i, len(got), off, n, rerr, len(want))
+				return false
+			}
+			if st, _ := fh.Stat(); st.Size() != int64(len(model)) {
+				t.Logf("seed %d op %d: size %d, model %d", seed, i, st.Size(), len(model))
+				return false
 			}
 		}
 		got, err := ReadFile(m, "f")

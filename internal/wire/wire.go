@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MaxFrame bounds a frame payload (16 MiB) to catch corrupt length prefixes.
@@ -72,6 +73,13 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Reset clears the encoder for reuse.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Grow makes room for n more bytes, so the appends that follow copy nothing
+// already encoded.
+func (e *Encoder) Grow(n int) *Encoder {
+	e.buf = slices.Grow(e.buf, n)
+	return e
+}
 
 // U8 appends a byte.
 func (e *Encoder) U8(v uint8) *Encoder {
