@@ -37,12 +37,12 @@ BENCH_OUT ?= BENCH_pr36.json
 # short randomized probe on top.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet one-substrate one-handle one-config one-daemon test race chaos build cover fuzz bench bench-gate stress stress-smoke pairs
+.PHONY: check fmt vet one-substrate one-handle one-config one-daemon reachable test race chaos build cover fuzz bench bench-gate stress stress-smoke pairs
 
-## check: gofmt + vet + one-substrate, one-handle, one-config and one-daemon
-## guards + race coverage gate + chaos matrix + fuzz smoke + bench regression
-## gate + overload stress smoke
-check: fmt vet one-substrate one-handle one-config one-daemon cover chaos fuzz bench-gate stress-smoke
+## check: gofmt + vet + one-substrate, one-handle, one-config, one-daemon and
+## reachable guards + race coverage gate + chaos matrix + fuzz smoke + bench
+## regression gate + overload stress smoke
+check: fmt vet one-substrate one-handle one-config one-daemon reachable cover chaos fuzz bench-gate stress-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -163,6 +163,15 @@ one-daemon:
 	for d in gnsd gridftpd gridbufferd objstored nwsd; do \
 		grep -q 'daemon\.Register(' cmd/$$d/main.go || { echo "cmd/$$d does not run in internal/daemon"; exit 1; }; \
 	done
+
+## reachable: no exported function or method that only tests reach. Fails
+## when a non-test .go file declares an exported function nothing outside its
+## declaration names, or an exported method whose name no selector uses,
+## unless testdata/reachable.txt lists it with a reason; and when a line of
+## that list names something gone or used again (TestReachable,
+## reachable_test.go).
+reachable:
+	$(GO) test -count=1 -run '^TestReachable$$' .
 
 race:
 	$(GO) test -race -shuffle=on ./internal/obs/... ./internal/core/... ./internal/gridftp/... ./internal/rpc/...

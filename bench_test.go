@@ -1365,7 +1365,7 @@ func stripedStageInTime(b *testing.B, hosts []string) time.Duration {
 		if err := vfs.WriteFile(e.Grid.Machine(h).RawFS(), "/rep/big", want); err != nil {
 			b.Fatal(err)
 		}
-		e.Cat.Register("bench-big", replica.Location{Host: h, Addr: h + chaos.FTPPort, Path: "/rep/big"})
+		e.Cat.Register("bench-big", replica.Location{Host: h, Addr: h + workflow.FileServicePort, Path: "/rep/big"})
 		e.NWS.Record(h, "dione", nws.MetricBandwidth, now, bw[h])
 	}
 	e.Store.Set("dione", "BIG", gns.Mapping{

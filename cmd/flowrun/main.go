@@ -87,8 +87,7 @@ func main() {
 	resume := flag.Bool("resume", false, "replay -journal and resume the interrupted run instead of starting fresh")
 	speculate := flag.Bool("speculate", false, "enable straggler speculation under -mode dag (moves one transform to the slow jagan box)")
 	killAfter := flag.Int("kill-after", 0, "kill the coordinator after N stage dispatches (demonstrates -resume)")
-	compressThreshold := flag.Int("compress-threshold-kbps", 0, "negotiate block compression on links whose NWS bandwidth forecast is below this many kbit/s (0 = off)")
-	wireCodec := flag.String("wire-codec", "", "force the stream codec on every link: raw or lzb (empty = defer to -compress-threshold-kbps)")
+	wireCodec := flag.String("wire-codec", "", "stream codec on every link: raw or lzb (empty = raw)")
 	flag.Parse()
 
 	if *mode == "dag" {
@@ -217,9 +216,7 @@ func main() {
 			PollInterval:    20 * time.Millisecond,
 			BlockCacheBytes: int64(*cacheMB) << 20,
 			PrefetchWindow:  *prefetchWindow,
-
-			CompressThresholdKbps: *compressThreshold,
-			WireCodec:             *wireCodec,
+			WireCodec:       *wireCodec,
 		})
 		if err != nil {
 			log.Fatalf("flowrun: %v", err)

@@ -14,6 +14,7 @@ import (
 	"griddles/internal/retry"
 	"griddles/internal/simclock"
 	"griddles/internal/vfs"
+	"griddles/internal/workflow"
 )
 
 // Overload scenarios for the admission controller: unlike the fault matrix
@@ -33,7 +34,7 @@ func TestShedThenRetryBufferByteIdentical(t *testing.T) {
 	var got []byte
 	e.V.Run(func() {
 		m := e.Grid.Machine(DataHost)
-		ln, err := m.Listen(BufPort)
+		ln, err := m.Listen(workflow.BufferServicePort)
 		if err != nil {
 			t.Fatalf("listen: %v", err)
 		}
@@ -47,7 +48,7 @@ func TestShedThenRetryBufferByteIdentical(t *testing.T) {
 		e.V.Go("buf-server", func() { srv.Serve(ln) })
 
 		app := e.Grid.Machine(AppHost)
-		addr := DataHost + BufPort
+		addr := DataHost + workflow.BufferServicePort
 
 		// An occupant stream holds the only slot.
 		occ, err := gridbuffer.NewWriter(app, addr, e.V, "occupant",
@@ -125,7 +126,7 @@ func TestGNSResolveCompletesUnderBulkSaturation(t *testing.T) {
 			t.Fatalf("seed: %v", err)
 		}
 		e.Store.Set(AppHost, File, gns.Mapping{
-			Mode: gns.ModeRemote, RemoteHost: DataHost + FTPPort, RemotePath: "/data/big",
+			Mode: gns.ModeRemote, RemoteHost: DataHost + workflow.FileServicePort, RemotePath: "/data/big",
 		})
 
 		// One controller governs both services on the node: 4 slots, one
@@ -139,7 +140,7 @@ func TestGNSResolveCompletesUnderBulkSaturation(t *testing.T) {
 			Clock:         e.V,
 			Obs:           e.Obs,
 		})
-		lf, err := m.Listen(FTPPort)
+		lf, err := m.Listen(workflow.FileServicePort)
 		if err != nil {
 			t.Fatalf("ftp listen: %v", err)
 		}
@@ -164,7 +165,7 @@ func TestGNSResolveCompletesUnderBulkSaturation(t *testing.T) {
 			wg.Add(1)
 			e.V.Go("bulk-fetch", func() {
 				defer wg.Done()
-				c := gridftp.NewClient(app, DataHost+FTPPort, e.V)
+				c := gridftp.NewClient(app, DataHost+workflow.FileServicePort, e.V)
 				c.SetRetry(policyWith(e.V))
 				defer c.Close()
 				n, ferr := c.Fetch("/data/big", 0, -1, io.Discard)
@@ -191,7 +192,7 @@ func TestGNSResolveCompletesUnderBulkSaturation(t *testing.T) {
 		if mp.RemotePath != "/data/big" {
 			t.Fatalf("resolve returned wrong mapping: %+v", mp)
 		}
-		fc := gridftp.NewClient(app, DataHost+FTPPort, e.V)
+		fc := gridftp.NewClient(app, DataHost+workflow.FileServicePort, e.V)
 		fc.SetRetry(policyWith(e.V))
 		defer fc.Close()
 		size, exists, serr := fc.Stat("/data/big")

@@ -19,25 +19,15 @@ import (
 
 	"griddles/internal/core"
 	"griddles/internal/gns"
-	"griddles/internal/gridbuffer"
-	"griddles/internal/gridftp"
 	"griddles/internal/nws"
 	"griddles/internal/objstore"
 	"griddles/internal/obs"
 	"griddles/internal/replica"
 	"griddles/internal/retry"
 	"griddles/internal/simclock"
-	"griddles/internal/soap"
 	"griddles/internal/testbed"
 	"griddles/internal/vfs"
-)
-
-// Well-known service ports on the simulated testbed.
-const (
-	FTPPort  = ":6000"
-	BufPort  = ":7000"
-	SOAPPort = ":7001"
-	ObjPort  = ":7100"
+	"griddles/internal/workflow"
 )
 
 // Env is a miniature grid with shared GNS, replica catalogue, NWS and
@@ -51,7 +41,8 @@ type Env struct {
 	Obs   *obs.Observer
 	// Objs holds each machine's object-store table, created on first use.
 	// Prepare hooks run before V.Run, so they seed objects here directly;
-	// StartServices later serves the same table on ObjPort.
+	// StartServices later serves the same table on
+	// workflow.ObjectStoreServicePort.
 	Objs map[string]*objstore.Store
 	// Transport is the Grid Buffer transport every FM built here speaks;
 	// a mechanism's Prepare may set it.
@@ -82,34 +73,14 @@ func (e *Env) ObjStore(host string) *objstore.Store {
 	return s
 }
 
-// StartServices brings up a file service, a buffer service (binary and SOAP
-// endpoints of one server) and an object store on each named machine.
-// Must run inside V.Run.
+// StartServices brings up each named machine's services on workflow's
+// well-known ports (workflow.StartMachineServices), serving the machine's
+// object table from Objs. Must run inside V.Run.
 func (e *Env) StartServices(hosts ...string) error {
 	for _, name := range hosts {
-		m := e.Grid.Machine(name)
-		lf, err := m.Listen(FTPPort)
-		if err != nil {
-			return fmt.Errorf("chaos: %s ftp listen: %w", name, err)
+		if err := workflow.StartMachineServices(e.V, e.Grid.Machine(name), e.ObjStore(name)); err != nil {
+			return err
 		}
-		e.V.Go(name+"-ftp", func() { gridftp.NewServer(m.FS(), e.V).Serve(lf) })
-		lb, err := m.Listen(BufPort)
-		if err != nil {
-			return fmt.Errorf("chaos: %s buffer listen: %w", name, err)
-		}
-		srv := gridbuffer.NewServer(gridbuffer.NewRegistry(e.V, m.FS()), e.V)
-		e.V.Go(name+"-buf", func() { srv.Serve(lb) })
-		ls, err := m.Listen(SOAPPort)
-		if err != nil {
-			return fmt.Errorf("chaos: %s soap listen: %w", name, err)
-		}
-		e.V.Go(name+"-soap", func() { soap.Serve(ls, e.V, srv.ServeConn) })
-		lo, err := m.Listen(ObjPort)
-		if err != nil {
-			return fmt.Errorf("chaos: %s objstore listen: %w", name, err)
-		}
-		store := e.ObjStore(name)
-		e.V.Go(name+"-obj", func() { objstore.NewServer(store, e.V).Serve(lo) })
 	}
 	return nil
 }
@@ -204,7 +175,7 @@ var Mechanisms = []Mechanism{
 		Prepare: func(e *Env, want []byte) {
 			vfsWrite(e, DataHost, "/data/f", want)
 			e.Store.Set(AppHost, File, gns.Mapping{
-				Mode: gns.ModeCopy, RemoteHost: DataHost + FTPPort, RemotePath: "/data/f", LocalPath: "/stage/f",
+				Mode: gns.ModeCopy, RemoteHost: DataHost + workflow.FileServicePort, RemotePath: "/data/f", LocalPath: "/stage/f",
 			})
 		},
 	},
@@ -213,7 +184,7 @@ var Mechanisms = []Mechanism{
 		Prepare: func(e *Env, want []byte) {
 			vfsWrite(e, DataHost, "/data/f", want)
 			e.Store.Set(AppHost, File, gns.Mapping{
-				Mode: gns.ModeRemote, RemoteHost: DataHost + FTPPort, RemotePath: "/data/f",
+				Mode: gns.ModeRemote, RemoteHost: DataHost + workflow.FileServicePort, RemotePath: "/data/f",
 			})
 		},
 	},
@@ -236,7 +207,7 @@ var Mechanisms = []Mechanism{
 	{
 		ID: 6, Name: "buffer", Producer: true,
 		Prepare: func(e *Env, want []byte) {
-			m := gns.Mapping{Mode: gns.ModeBuffer, BufferHost: AppHost + BufPort, BufferKey: "chaos-k"}
+			m := gns.Mapping{Mode: gns.ModeBuffer, BufferHost: AppHost + workflow.BufferServicePort, BufferKey: "chaos-k"}
 			e.Store.Set(AppHost, File, m)
 			e.Store.Set(DataHost, File, m)
 		},
@@ -248,7 +219,7 @@ var Mechanisms = []Mechanism{
 		ID: 6, Name: "buffer-soap", Producer: true,
 		Prepare: func(e *Env, want []byte) {
 			e.Transport = core.TransportSOAP
-			m := gns.Mapping{Mode: gns.ModeBuffer, BufferHost: DataHost + SOAPPort, BufferKey: "chaos-k"}
+			m := gns.Mapping{Mode: gns.ModeBuffer, BufferHost: DataHost + workflow.SOAPBufferServicePort, BufferKey: "chaos-k"}
 			e.Store.Set(AppHost, File, m)
 			e.Store.Set(DataHost, File, m)
 		},
@@ -260,7 +231,7 @@ var Mechanisms = []Mechanism{
 		Prepare: func(e *Env, want []byte) {
 			e.ObjStore(DataHost).PutBytes("chaos/f", want)
 			e.Store.Set(AppHost, File, gns.Mapping{
-				Mode: gns.ModeObject, RemoteHost: DataHost + ObjPort, RemotePath: "chaos/f",
+				Mode: gns.ModeObject, RemoteHost: DataHost + workflow.ObjectStoreServicePort, RemotePath: "chaos/f",
 			})
 		},
 	},
@@ -277,8 +248,8 @@ func vfsWrite(e *Env, host, path string, data []byte) {
 func prepareReplicas(e *Env, want []byte) {
 	vfsWrite(e, DataHost, "/rep/f", want)
 	vfsWrite(e, AltHost, "/rep/f", want)
-	e.Cat.Register("chaos-ds", replica.Location{Host: DataHost, Addr: DataHost + FTPPort, Path: "/rep/f"})
-	e.Cat.Register("chaos-ds", replica.Location{Host: AltHost, Addr: AltHost + FTPPort, Path: "/rep/f"})
+	e.Cat.Register("chaos-ds", replica.Location{Host: DataHost, Addr: DataHost + workflow.FileServicePort, Path: "/rep/f"})
+	e.Cat.Register("chaos-ds", replica.Location{Host: AltHost, Addr: AltHost + workflow.FileServicePort, Path: "/rep/f"})
 	now := time.Unix(0, 0)
 	e.NWS.Record(DataHost, AppHost, nws.MetricLatency, now, 0.002)
 	e.NWS.Record(AltHost, AppHost, nws.MetricLatency, now, 0.2)

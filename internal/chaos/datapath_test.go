@@ -9,6 +9,7 @@ import (
 	"griddles/internal/fault"
 	"griddles/internal/gns"
 	"griddles/internal/vfs"
+	"griddles/internal/workflow"
 )
 
 // The data-path chaos cases: the striped stage-in and the coalescing remote
@@ -74,7 +75,7 @@ func TestChaosBlackholeDuringWriteBehindFlush(t *testing.T) {
 	e := NewEnv()
 	want := Payload(3, dataSize)
 	e.Store.Set(AppHost, File, gns.Mapping{
-		Mode: gns.ModeRemote, RemoteHost: DataHost + FTPPort, RemotePath: "/data/wb",
+		Mode: gns.ModeRemote, RemoteHost: DataHost + workflow.FileServicePort, RemotePath: "/data/wb",
 	})
 	var werr error
 	e.V.Run(func() {

@@ -8,6 +8,7 @@ import (
 
 	"griddles/internal/fault"
 	"griddles/internal/gns"
+	"griddles/internal/workflow"
 )
 
 // The PR 6 object-store chaos cases. Mechanism 7 also rides the full
@@ -25,7 +26,7 @@ func TestChaosObjstoreServerResetMidGet(t *testing.T) {
 	want := Payload(5, dataSize)
 	e.ObjStore(DataHost).PutBytes("chaos/f", want)
 	e.Store.Set(AppHost, File, gns.Mapping{
-		Mode: gns.ModeObject, RemoteHost: DataHost + ObjPort, RemotePath: "chaos/f",
+		Mode: gns.ModeObject, RemoteHost: DataHost + workflow.ObjectStoreServicePort, RemotePath: "chaos/f",
 	})
 	var got []byte
 	var rerr error
@@ -65,7 +66,7 @@ func TestChaosObjstoreServerResetMidGet(t *testing.T) {
 func TestChaosObjstorePutBlackhole(t *testing.T) {
 	e := NewEnv()
 	want := Payload(6, dataSize)
-	m := gns.Mapping{Mode: gns.ModeObject, RemoteHost: AppHost + ObjPort, RemotePath: "chaos/out"}
+	m := gns.Mapping{Mode: gns.ModeObject, RemoteHost: AppHost + workflow.ObjectStoreServicePort, RemotePath: "chaos/out"}
 	e.Store.Set(DataHost, File, m)
 	e.Store.Set(AppHost, File, m)
 	var werr error

@@ -11,6 +11,7 @@ import (
 	"griddles/internal/gns"
 	"griddles/internal/retry"
 	"griddles/internal/simclock"
+	"griddles/internal/workflow"
 )
 
 // TestRandomFaultSchedulesNeverHang is the property half of the chaos suite:
@@ -53,10 +54,10 @@ func TestRandomFaultSchedulesNeverHang(t *testing.T) {
 func runPipeline(t *testing.T, want []byte, sched []fault.Action) ([]byte, [3]error) {
 	t.Helper()
 	e := NewEnv()
-	b1 := gns.Mapping{Mode: gns.ModeBuffer, BufferHost: "dione" + BufPort, BufferKey: "p/s1"}
+	b1 := gns.Mapping{Mode: gns.ModeBuffer, BufferHost: "dione" + workflow.BufferServicePort, BufferKey: "p/s1"}
 	e.Store.Set("brecca", "S1.OUT", b1)
 	e.Store.Set("dione", "S1.OUT", b1)
-	b2 := gns.Mapping{Mode: gns.ModeBuffer, BufferHost: "koume00" + BufPort, BufferKey: "p/s2"}
+	b2 := gns.Mapping{Mode: gns.ModeBuffer, BufferHost: "koume00" + workflow.BufferServicePort, BufferKey: "p/s2"}
 	e.Store.Set("dione", "S2.OUT", b2)
 	e.Store.Set("koume00", "S2.OUT", b2)
 	p := Policy()

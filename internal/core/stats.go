@@ -173,15 +173,6 @@ func (s *Stats) Polls() int64 { return s.polls.Value() }
 // StagedIn reports stage-in (copy) traffic in bytes.
 func (s *Stats) StagedIn() int64 { return s.stageIn.Value() }
 
-// StagedOut reports stage-out traffic in bytes.
-func (s *Stats) StagedOut() int64 { return s.stageOut.Value() }
-
-// PrestageAdopts reports how many opens adopted an eager stage-in copy.
-func (s *Stats) PrestageAdopts() int64 { return s.prestageN.Value() }
-
-// PrestagedBytes reports bytes adopted from eager stage-in copies.
-func (s *Stats) PrestagedBytes() int64 { return s.prestageB.Value() }
-
 // Remaps reports mid-read replica re-bindings.
 func (s *Stats) Remaps() int64 { return s.remaps.Value() }
 

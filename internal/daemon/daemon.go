@@ -30,11 +30,10 @@ const (
 
 // Spec names a daemon and the shared flags it takes.
 type Spec struct {
-	Name        string // log prefix and admission service label
-	Listen      string // -listen default
-	ListenUsage string // empty means "TCP listen address"
-	Admission   Admission
-	Codecs      bool // takes -codecs
+	Name      string // log prefix and admission service label
+	Listen    string // -listen default
+	Admission Admission
+	Codecs    bool // takes -codecs
 }
 
 // Daemon is one service process.
@@ -49,10 +48,7 @@ type Daemon struct {
 // Register declares spec's shared flags on fs (flag.CommandLine in a main).
 func Register(fs *flag.FlagSet, spec Spec) *Daemon {
 	d := &Daemon{Obs: obs.New(simclock.Real{}), name: spec.Name}
-	if spec.ListenUsage == "" {
-		spec.ListenUsage = "TCP listen address"
-	}
-	fs.StringVar(&d.listen, "listen", spec.Listen, spec.ListenUsage)
+	fs.StringVar(&d.listen, "listen", spec.Listen, "TCP listen address")
 	switch spec.Admission {
 	case PerStream:
 		fs.IntVar(&d.limit, "admit-limit", 0, "admission stream limit (0 = admission off); slots are per attached stream")

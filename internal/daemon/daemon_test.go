@@ -7,9 +7,12 @@ import (
 	"log"
 	"net"
 	"os"
+	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"griddles/internal/obs"
 )
@@ -114,5 +117,67 @@ func TestRunEndsWithServe(t *testing.T) {
 	d.run(d.Listen(d.listen), func(l net.Listener) { l.Close() }, make(chan os.Signal), &out)
 	if out.Len() != 0 {
 		t.Errorf("empty observer reported %q", out.String())
+	}
+}
+
+// lockedBuffer is a log destination a test reads while the shell writes.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (w *lockedBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+func (w *lockedBuffer) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.String()
+}
+
+// TestServeStopsOnSIGTERM runs the whole shell in-process: Serve listens on
+// -listen, and once it has logged that the signals now report, a SIGTERM to
+// the process closes the listener and Serve returns after the report.
+func TestServeStopsOnSIGTERM(t *testing.T) {
+	var logged lockedBuffer
+	w := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(w) })
+	defer signal.Reset(syscall.SIGINT, syscall.SIGTERM)
+	d, _ := parse(t, Spec{Name: "x", Listen: "127.0.0.1:0"})
+	d.Obs.Counter("x.total").Add(7)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.Serve(func(l net.Listener) {
+			for {
+				if _, err := l.Accept(); err != nil {
+					return
+				}
+			}
+		})
+	}()
+	// Signalling before the handler is installed would end the test binary.
+	armed := time.After(10 * time.Second)
+	for !strings.Contains(logged.String(), "x: SIGINT or SIGTERM now reports") {
+		select {
+		case <-armed:
+			t.Fatalf("signals not armed after 10s:\n%s", logged.String())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Serve still running 10s after SIGTERM:\n%s", logged.String())
+	}
+	if got := logged.String(); !strings.Contains(got, "x: serving on 127.0.0.1:") || !strings.Contains(got, "x.total 7\n") {
+		t.Errorf("log:\n%s", got)
 	}
 }

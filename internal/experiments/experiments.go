@@ -7,7 +7,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -504,16 +503,4 @@ func (r Table5Row) Winner() string {
 		return "buffers"
 	}
 	return "files"
-}
-
-// SortedMachines returns the Table 3 machines sorted by measured total, for
-// shape assertions.
-func SortedMachines(rows []Table3Row) []string {
-	sorted := append([]Table3Row(nil), rows...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Total < sorted[j].Total })
-	names := make([]string, len(sorted))
-	for i, r := range sorted {
-		names[i] = r.Machine
-	}
-	return names
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -204,4 +205,16 @@ func TestFigures(t *testing.T) {
 	if !strings.HasPrefix(string(pgm), "P5\n64 64\n255\n") {
 		t.Error("figure 6 pgm header wrong")
 	}
+}
+
+// SortedMachines returns the Table 3 machines sorted by measured total, for
+// shape assertions.
+func SortedMachines(rows []Table3Row) []string {
+	sorted := append([]Table3Row(nil), rows...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Total < sorted[j].Total })
+	names := make([]string, len(sorted))
+	for i, r := range sorted {
+		names[i] = r.Machine
+	}
+	return names
 }

@@ -594,14 +594,14 @@ func (b *Buffer) ackOne(id int, idx int64) {
 }
 
 // Ready reports whether a Get of block idx would return without waiting for
-// the writer: the block is resident or cached, or the stream has ended or
-// been dropped. The server asks before each blocking read so it can flush
-// the responses it is holding first.
+// the writer: the block is resident, cached or dropped for good, or the
+// stream has ended or been dropped. The server asks before each blocking
+// read so it can flush the responses it is holding first.
 func (b *Buffer) Ready(idx int64) bool {
 	s := b.shard(idx)
 	b.lockShard(s)
 	_, ok := s.blocks[idx]
-	ok = ok || s.inCache[idx]
+	ok = ok || s.inCache[idx] || s.dead[idx]
 	s.mu.Unlock()
 	if ok {
 		return true
@@ -647,14 +647,14 @@ func (b *Buffer) get(id int, idx int64, consume bool) (data []byte, eof bool, er
 			observeWait()
 			return b.readCache(idx, seof, total)
 		}
-		if seof {
-			bs := int64(b.opts.blockSize())
-			if idx*bs >= total {
-				observeWait()
-				return nil, true, nil
-			}
-			// The block existed but was dropped without a cache: the reader
-			// attached too late or sought backward without cache enabled.
+		if seof && idx*int64(b.opts.blockSize()) >= total {
+			observeWait()
+			return nil, true, nil
+		}
+		if seof || s.dead[idx] {
+			// The block was consumed and dropped without a cache copy (the
+			// cache is off or its spill failed), or the reader attached too
+			// late: no put brings it back, so fail now, not at close-write.
 			return nil, false, fmt.Errorf("gridbuffer: block %d of %q no longer available (enable the cache file for re-reads)", idx, b.key)
 		}
 		waited = true

@@ -90,19 +90,3 @@ func curvature(x0, y0, x1, y1, x2, y2 float64) float64 {
 	}
 	return 2 * area2 / (a * b * c)
 }
-
-// Perimeter numerically integrates the boundary length.
-func (h HoleShape) Perimeter(n int) float64 {
-	if n < 8 {
-		n = 8
-	}
-	var sum float64
-	px, py := h.Point(0)
-	for i := 1; i <= n; i++ {
-		theta := 2 * math.Pi * float64(i) / float64(n)
-		x, y := h.Point(theta)
-		sum += math.Hypot(x-px, y-py)
-		px, py = x, y
-	}
-	return sum
-}

@@ -324,3 +324,19 @@ func TestPipelineBuffersCoScheduled(t *testing.T) {
 		t.Errorf("objective started at %v, chammy at %v: not co-scheduled", ob.Start, ch.Start)
 	}
 }
+
+// Perimeter numerically integrates the boundary length.
+func (h HoleShape) Perimeter(n int) float64 {
+	if n < 8 {
+		n = 8
+	}
+	var sum float64
+	px, py := h.Point(0)
+	for i := 1; i <= n; i++ {
+		theta := 2 * math.Pi * float64(i) / float64(n)
+		x, y := h.Point(theta)
+		sum += math.Hypot(x-px, y-py)
+		px, py = x, y
+	}
+	return sum
+}

@@ -173,16 +173,6 @@ func (s *Series) Len() int {
 	return len(s.samples)
 }
 
-// Last reports the most recent observation.
-func (s *Series) Last() (Sample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
-		return Sample{}, false
-	}
-	return s.samples[len(s.samples)-1], true
-}
-
 // Forecast reports the prediction of the best forecaster so far and its
 // name. ok is false when no samples exist.
 func (s *Series) Forecast() (v float64, by string, ok bool) {

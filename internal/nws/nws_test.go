@@ -221,3 +221,13 @@ func TestForecastersBoundedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Last reports the most recent observation.
+func (s *Series) Last() (Sample, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.samples) == 0 {
+		return Sample{}, false
+	}
+	return s.samples[len(s.samples)-1], true
+}

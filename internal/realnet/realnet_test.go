@@ -161,8 +161,6 @@ func TestSOAPBufferOverTCP(t *testing.T) {
 
 func TestNWSOverTCP(t *testing.T) {
 	clock := simclock.Real{}
-	svc := nws.NewService()
-	srvAddr := listen(t, func(l net.Listener) { nws.NewServer(svc, clock).Serve(l) })
 	sensorAddr := listen(t, func(l net.Listener) { nws.NewSensor(clock).Serve(l) })
 
 	p := nws.NewProber(clock, tcpDialer{})
@@ -173,14 +171,6 @@ func TestNWSOverTCP(t *testing.T) {
 	}
 	if lat < 0 || bw <= 0 {
 		t.Fatalf("probe = %v %v", lat, bw)
-	}
-	c := nws.NewClient(tcpDialer{}, srvAddr, clock)
-	defer c.Close()
-	if err := c.Record("here", "there", nws.MetricLatency, lat.Seconds()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := c.Forecast("here", "there", nws.MetricLatency); err != nil || !ok {
-		t.Fatalf("forecast: ok=%v err=%v", ok, err)
 	}
 }
 

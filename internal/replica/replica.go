@@ -81,18 +81,6 @@ func (c *Catalog) Lookup(logical string) []Location {
 	return out
 }
 
-// Logicals reports all registered logical names in lexical order.
-func (c *Catalog) Logicals() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.entries))
-	for n := range c.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Selector ranks replicas by estimated access cost.
 type Selector struct {
 	// NWS supplies transfer estimates; nil falls back to static order.
@@ -187,4 +175,17 @@ func rankedSummary(ranked []Ranked) string {
 		}
 	}
 	return strings.Join(parts, "|")
+}
+
+// Lookuper is the read interface the File Multiplexer needs.
+type Lookuper interface {
+	Lookup(logical string) ([]Location, error)
+}
+
+// CatalogLookuper adapts Catalog's infallible Lookup to Lookuper.
+type CatalogLookuper struct{ *Catalog }
+
+// Lookup implements Lookuper.
+func (c CatalogLookuper) Lookup(logical string) ([]Location, error) {
+	return c.Catalog.Lookup(logical), nil
 }

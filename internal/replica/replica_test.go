@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"griddles/internal/nws"
-	"griddles/internal/simclock"
-	"griddles/internal/simnet"
 )
 
 func loc(host, path string) Location {
@@ -39,7 +37,7 @@ func TestCatalogUnregister(t *testing.T) {
 		t.Errorf("after unregister: %v", locs)
 	}
 	c.Unregister("d", b)
-	if len(c.Logicals()) != 0 {
+	if len(c.entries) != 0 {
 		t.Error("empty entry not removed")
 	}
 }
@@ -103,54 +101,6 @@ func TestChooseEmptyFails(t *testing.T) {
 	if _, err := s.Choose("me", 1, nil); err == nil {
 		t.Error("choose on empty replica set succeeded")
 	}
-}
-
-func TestClientServerRoundTrip(t *testing.T) {
-	v := simclock.NewVirtualDefault()
-	n := simnet.New(v)
-	v.Run(func() {
-		cat := NewCatalog()
-		l, err := n.Host("rc").Listen("rc:5100")
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.Go("rc-serve", func() { NewServer(cat, v).Serve(l) })
-		c := NewClient(n.Host("app"), "rc:5100", v)
-		defer c.Close()
-
-		if err := c.Register("input", loc("dione", "/data/input")); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Register("input", loc("koume00", "/data/input")); err != nil {
-			t.Fatal(err)
-		}
-		locs, err := c.Lookup("input")
-		if err != nil || len(locs) != 2 {
-			t.Fatalf("lookup: %v %v", locs, err)
-		}
-		names, err := c.Logicals()
-		if err != nil || len(names) != 1 || names[0] != "input" {
-			t.Fatalf("logicals: %v %v", names, err)
-		}
-		if err := c.Unregister("input", loc("dione", "/data/input")); err != nil {
-			t.Fatal(err)
-		}
-		locs, _ = c.Lookup("input")
-		if len(locs) != 1 || locs[0].Host != "koume00" {
-			t.Errorf("after unregister: %v", locs)
-		}
-	})
-}
-
-func TestClientDialFailure(t *testing.T) {
-	v := simclock.NewVirtualDefault()
-	n := simnet.New(v)
-	v.Run(func() {
-		c := NewClient(n.Host("app"), "none:1", v)
-		if _, err := c.Lookup("x"); err == nil {
-			t.Error("lookup against missing server succeeded")
-		}
-	})
 }
 
 // Property: Rank returns a permutation of its input, locals first.

@@ -11,7 +11,6 @@ import (
 	"griddles/internal/gridftp"
 	"griddles/internal/nws"
 	"griddles/internal/objstore"
-	"griddles/internal/replica"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 	"griddles/internal/soap"
@@ -80,21 +79,6 @@ func TestEveryServeRidesOutTemporaryAcceptErrors(t *testing.T) {
 			func(v *simclock.Virtual, d *simnet.Host) error {
 				_, _, err := objstore.NewClient(d, addr, v).Stat("x")
 				return err
-			}},
-		{"replica",
-			func(v *simclock.Virtual, l net.Listener) { replica.NewServer(replica.NewCatalog(), v).Serve(l) },
-			func(v *simclock.Virtual, d *simnet.Host) error {
-				c := replica.NewClient(d, addr, v)
-				defer c.Close()
-				_, err := c.Lookup("lfn://x")
-				return err
-			}},
-		{"nws",
-			func(v *simclock.Virtual, l net.Listener) { nws.NewServer(nws.NewService(), v).Serve(l) },
-			func(v *simclock.Virtual, d *simnet.Host) error {
-				c := nws.NewClient(d, addr, v)
-				defer c.Close()
-				return c.Record("a", "b", nws.MetricLatency, 0.01)
 			}},
 		{"nws-sensor",
 			func(v *simclock.Virtual, l net.Listener) { nws.NewSensor(v).Serve(l) },

@@ -32,7 +32,6 @@ import (
 	"griddles/internal/gridftp"
 	"griddles/internal/nws"
 	"griddles/internal/objstore"
-	"griddles/internal/replica"
 	"griddles/internal/retry"
 	"griddles/internal/rpc"
 	"griddles/internal/simclock"
@@ -211,9 +210,8 @@ func (s *script) wantServerError(what string, err error, msg string) {
 }
 
 // serveCanned answers every request frame on l with the next canned reply,
-// one flush per reply: the replies a real server cannot be made to give
-// (replica and nws neither shed nor fail a well-formed request; a Grid Buffer
-// attach cannot be refused from the client API).
+// one flush per reply: the replies a real server cannot be made to give (a
+// Grid Buffer attach cannot be refused from the client API).
 func (s *script) serveCanned(l net.Listener, replies ...cannedReply) {
 	s.v.Go("canned-serve", func() {
 		for {
@@ -297,7 +295,6 @@ func TestWireTranscripts(t *testing.T) {
 		{"gns", scriptGNS},
 		{"gridftp", scriptGridFTP},
 		{"objstore", scriptObjstore},
-		{"replica", scriptReplica},
 		{"nws", scriptNWS},
 		{"gridbuffer", scriptGridBuffer},
 		{"soap", scriptSOAP},
@@ -607,67 +604,8 @@ func scriptObjstore(s *script) {
 	}
 }
 
-func scriptReplica(s *script) {
-	cat := replica.NewCatalog()
-	cat.Register("lfn://a", replica.Location{Host: "h1", Addr: "h1:6000", Path: "/a"})
-	srv := replica.NewServer(cat, s.v)
-	l := s.listen("srv:8000")
-	s.v.Go("replica-serve", func() { srv.Serve(l) })
-
-	c := replica.NewClient(s.dialer, "srv:8000", s.v)
-	defer c.Close()
-	s.step("lookup")
-	locs, err := c.Lookup("lfn://a")
-	if err != nil || len(locs) != 1 || locs[0].Path != "/a" {
-		s.t.Fatalf("lookup = %+v, %v", locs, err)
-	}
-	s.step("register")
-	if err := c.Register("lfn://b", replica.Location{Host: "h2", Addr: "h2:6000", Path: "/b"}); err != nil {
-		s.t.Fatalf("register: %v", err)
-	}
-
-	// The catalogue server neither sheds nor fails a well-formed request,
-	// so the other two reply classes come from a canned peer.
-	s.serveCanned(s.listen("srv:8001"), cannedShed(), cannedError("catalogue offline"))
-	cc := replica.NewClient(s.dialer, "srv:8001", s.v)
-	defer cc.Close()
-	s.step("shed")
-	if _, err := cc.Lookup("lfn://a"); err == nil {
-		s.t.Fatal("lookup answered by a shed: no error")
-	}
-	s.step("error")
-	_, err = cc.Lookup("lfn://a")
-	s.wantServerError("lookup answered by an error", err, "replica: catalogue offline")
-}
-
 func scriptNWS(s *script) {
-	srv := nws.NewServer(nws.NewService(), s.v)
-	l := s.listen("srv:8100")
-	s.v.Go("nws-serve", func() { srv.Serve(l) })
-
-	c := nws.NewClient(s.dialer, "srv:8100", s.v)
-	defer c.Close()
-	s.step("record")
-	if err := c.Record("a", "b", nws.MetricBandwidth, 1.5e6); err != nil {
-		s.t.Fatalf("record: %v", err)
-	}
-	s.step("forecast")
-	if v, ok, err := c.Forecast("a", "b", nws.MetricBandwidth); err != nil || !ok || v != 1.5e6 {
-		s.t.Fatalf("forecast = %v, %v, %v", v, ok, err)
-	}
-
-	s.serveCanned(s.listen("srv:8101"), cannedShed(), cannedError("memory offline"))
-	cc := nws.NewClient(s.dialer, "srv:8101", s.v)
-	defer cc.Close()
-	s.step("shed")
-	if _, _, err := cc.Forecast("a", "b", nws.MetricBandwidth); err == nil {
-		s.t.Fatal("forecast answered by a shed: no error")
-	}
-	s.step("error")
-	_, _, err := cc.Forecast("a", "b", nws.MetricBandwidth)
-	s.wantServerError("forecast answered by an error", err, "nws: memory offline")
-
-	// The sensor speaks its own two-message protocol on the same framing.
+	// The sensor speaks a two-message protocol on the shared framing.
 	sensor := nws.NewSensor(s.v)
 	sl := s.listen("srv:8102")
 	s.v.Go("nws-sensor-serve", func() { sensor.Serve(sl) })

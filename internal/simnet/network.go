@@ -55,7 +55,6 @@ type Network struct {
 	mu          sync.Mutex
 	listeners   map[string]*Listener
 	links       map[linkKey]*link
-	defaults    LinkSpec
 	window      int
 	partitioned map[linkKey]bool
 }
@@ -75,7 +74,7 @@ func newLink(clock simclock.Clock, spec LinkSpec) *link {
 }
 
 // New returns an empty Network on the given clock. Links not configured via
-// SetLink use defaults (zero LinkSpec: no latency, unlimited bandwidth).
+// SetLink have no latency and unlimited bandwidth (a zero LinkSpec).
 func New(clock simclock.Clock) *Network {
 	return &Network{
 		clock:     clock,
@@ -83,14 +82,6 @@ func New(clock simclock.Clock) *Network {
 		links:     make(map[linkKey]*link),
 		window:    DefaultWindow,
 	}
-}
-
-// SetDefaultLink sets the LinkSpec used for host pairs without an explicit
-// entry.
-func (n *Network) SetDefaultLink(spec LinkSpec) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.defaults = spec
 }
 
 // SetWindow sets the per-connection in-flight window in bytes.
@@ -125,19 +116,13 @@ func (n *Network) linkFor(from, to string) *link {
 	if l, ok := n.links[k]; ok {
 		return l
 	}
-	spec := n.defaults
+	var spec LinkSpec
 	if from == to {
 		spec = Loopback
 	}
 	l := newLink(n.clock, spec)
 	n.links[k] = l
 	return l
-}
-
-// LinkSpecFor reports the configured spec for the directed pair (defaults
-// apply as in dialing). Useful for NWS-style introspection in tests.
-func (n *Network) LinkSpecFor(from, to string) LinkSpec {
-	return n.linkFor(from, to).spec
 }
 
 // Addr is a simnet endpoint address.

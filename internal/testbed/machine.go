@@ -97,12 +97,6 @@ func (m *Machine) Residents() int { return m.cpu.residentCount() }
 // fair-sharing it with other concurrent Compute calls.
 func (m *Machine) Compute(units float64) { m.cpu.run(units) }
 
-// DiskRead accounts for reading n bytes from the local disk.
-func (m *Machine) DiskRead(n int) { m.disk.io(n) }
-
-// DiskWrite accounts for writing n bytes to the local disk.
-func (m *Machine) DiskWrite(n int) { m.disk.io(n) }
-
 // cpu is a single processor shared fairly among active tasks, with a
 // residency penalty. Work advances in quanta so arrivals and departures
 // re-balance shares.

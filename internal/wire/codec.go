@@ -36,10 +36,6 @@ const (
 	blockLZB    = 1
 )
 
-// SupportedCodecs lists every codec this build can decode, preference last
-// (raw is the universal fallback).
-func SupportedCodecs() []string { return []string{CodecRaw, CodecLZB} }
-
 // CodecSupported reports whether name is a codec this build speaks.
 func CodecSupported(name string) bool {
 	return name == CodecRaw || name == CodecLZB

@@ -288,34 +288,44 @@ func fmtDur(d time.Duration) string {
 // FormatDuration exposes the table format used in reports.
 func FormatDuration(d time.Duration) string { return fmtDur(d) }
 
-// StartServices brings up a file service and a Grid Buffer service on every
-// machine of the grid. Call inside the clock's Run.
+// StartServices brings up every machine's services (StartMachineServices),
+// each machine with an empty object store. Call inside the clock's Run.
 func StartServices(clock simclock.Clock, grid *testbed.Grid) error {
-	for name, m := range grid.Machines() {
-		m := m
-		lf, err := m.Listen(FileServicePort)
-		if err != nil {
-			return fmt.Errorf("workflow: %s file service: %w", name, err)
+	for _, m := range grid.Machines() {
+		if err := StartMachineServices(clock, m, objstore.NewStore()); err != nil {
+			return err
 		}
-		clock.Go(name+"-gridftp", func() { gridftp.NewServer(m.FS(), clock).Serve(lf) })
-		lb, err := m.Listen(BufferServicePort)
-		if err != nil {
-			return fmt.Errorf("workflow: %s buffer service: %w", name, err)
-		}
-		srv := gridbuffer.NewServer(gridbuffer.NewRegistry(clock, m.FS()), clock)
-		clock.Go(name+"-gridbuffer", func() { srv.Serve(lb) })
-		// The same server behind the paper's SOAP endpoint.
-		ls, err := m.Listen(SOAPBufferServicePort)
-		if err != nil {
-			return fmt.Errorf("workflow: %s soap buffer service: %w", name, err)
-		}
-		clock.Go(name+"-soapbuffer", func() { soap.Serve(ls, clock, srv.ServeConn) })
-		lo, err := m.Listen(ObjectStoreServicePort)
-		if err != nil {
-			return fmt.Errorf("workflow: %s object store service: %w", name, err)
-		}
-		clock.Go(name+"-objstore", func() { objstore.NewServer(objstore.NewStore(), clock).Serve(lo) })
 	}
+	return nil
+}
+
+// StartMachineServices brings up m's file service, its Grid Buffer service
+// on the binary and SOAP ports (one server behind both), and objs as its
+// object store, on the well-known ports. Call inside the clock's Run.
+func StartMachineServices(clock simclock.Clock, m *testbed.Machine, objs *objstore.Store) error {
+	name := m.Name()
+	lf, err := m.Listen(FileServicePort)
+	if err != nil {
+		return fmt.Errorf("workflow: %s file service: %w", name, err)
+	}
+	clock.Go(name+"-gridftp", func() { gridftp.NewServer(m.FS(), clock).Serve(lf) })
+	lb, err := m.Listen(BufferServicePort)
+	if err != nil {
+		return fmt.Errorf("workflow: %s buffer service: %w", name, err)
+	}
+	srv := gridbuffer.NewServer(gridbuffer.NewRegistry(clock, m.FS()), clock)
+	clock.Go(name+"-gridbuffer", func() { srv.Serve(lb) })
+	// The same server behind the paper's SOAP endpoint.
+	ls, err := m.Listen(SOAPBufferServicePort)
+	if err != nil {
+		return fmt.Errorf("workflow: %s soap buffer service: %w", name, err)
+	}
+	clock.Go(name+"-soapbuffer", func() { soap.Serve(ls, clock, srv.ServeConn) })
+	lo, err := m.Listen(ObjectStoreServicePort)
+	if err != nil {
+		return fmt.Errorf("workflow: %s object store service: %w", name, err)
+	}
+	clock.Go(name+"-objstore", func() { objstore.NewServer(objs, clock).Serve(lo) })
 	return nil
 }
 
