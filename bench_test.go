@@ -1373,9 +1373,11 @@ func stripedStageInTime(b *testing.B, hosts []string) time.Duration {
 	})
 	var el time.Duration
 	e.V.Run(func() {
-		if err := e.StartServices(append([]string{"dione"}, hosts...)...); err != nil {
+		stop, err := e.StartServices(append([]string{"dione"}, hosts...)...)
+		if err != nil {
 			b.Fatal(err)
 		}
+		defer stop()
 		fm, err := e.FM("dione", chaos.Policy())
 		if err != nil {
 			b.Fatal(err)
@@ -1561,10 +1563,11 @@ func dagBenchRun(b *testing.B, spec *workflow.Spec, mutate func(*workflow.Runner
 	}
 	var rep *workflow.Report
 	v.Run(func() {
-		if err := workflow.StartServices(v, grid); err != nil {
+		stop, err := workflow.StartServices(v, grid)
+		if err != nil {
 			b.Fatal(err)
 		}
-		var err error
+		defer stop()
 		rep, err = runner.Run(spec, workflow.CouplingSequential)
 		if err != nil {
 			b.Fatal(err)
@@ -1820,7 +1823,7 @@ func BenchmarkObjstoreRereadScan(b *testing.B) {
 // Returns the seed addresses and a closer. Must run inside v.Run.
 func gnsBenchCluster(b *testing.B, v *simclock.Virtual, n *simnet.Network, sm gns.ShardMap, service time.Duration) (seeds []string, closeAll func()) {
 	b.Helper()
-	var servers []*gns.Server
+	var listeners []net.Listener
 	for _, s := range sm.Shards {
 		seeds = append(seeds, s.Addrs...)
 		for _, addr := range s.Addrs {
@@ -1842,12 +1845,12 @@ func gnsBenchCluster(b *testing.B, v *simclock.Virtual, n *simnet.Network, sm gn
 				b.Fatalf("enable shard %s: %v", addr, err)
 			}
 			v.Go("gns-serve-"+addr, func() { srv.Serve(l) })
-			servers = append(servers, srv)
+			listeners = append(listeners, l)
 		}
 	}
 	return seeds, func() {
-		for _, srv := range servers {
-			srv.Close()
+		for _, l := range listeners {
+			l.Close()
 		}
 	}
 }
@@ -1984,7 +1987,7 @@ func BenchmarkGNSResolveLeaseCached(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer srv.Close()
+			defer l.Close()
 			v.Go("gns-serve", func() { srv.Serve(l) })
 			c := gns.NewClient(n.Host("app"), "gns0:5000", v)
 			c.SetRetry(gnsBenchPolicy(v))

@@ -427,10 +427,11 @@ func runDAGDemo(mb, maxParallel int, eagerCopy, serial bool, journalPath string,
 	var report *workflow.Report
 	killed := false
 	v.Run(func() {
-		if err := workflow.StartServices(v, grid); err != nil {
+		stop, err := workflow.StartServices(v, grid)
+		if err != nil {
 			log.Fatalf("flowrun: %v", err)
 		}
-		var err error
+		defer stop()
 		if img != nil {
 			// On a real grid only the coordinator dies — machine disks keep
 			// the done stages' outputs. The demo's simulated filesystems

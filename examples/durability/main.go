@@ -53,10 +53,11 @@ func main() {
 		}
 		var rep *workflow.Report
 		clock.Run(func() {
-			if err := workflow.StartServices(clock, grid); err != nil {
+			stop, err := workflow.StartServices(clock, grid)
+			if err != nil {
 				log.Fatal(err)
 			}
-			var err error
+			defer stop()
 			rep, err = runner.Run(mech.PipelineSpec(params, c.assign), c.coupling)
 			if err != nil {
 				log.Fatal(err)

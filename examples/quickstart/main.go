@@ -102,10 +102,11 @@ func main() {
 		}
 		var rep *workflow.Report
 		clock.Run(func() {
-			if err := workflow.StartServices(clock, grid); err != nil {
+			stop, err := workflow.StartServices(clock, grid)
+			if err != nil {
 				log.Fatal(err)
 			}
-			var err error
+			defer stop()
 			rep, err = runner.Run(spec, coupling)
 			if err != nil {
 				log.Fatal(err)
@@ -136,9 +137,11 @@ func autoDemo(sink io.Writer) {
 
 	var fm *core.Multiplexer
 	clock.Run(func() {
-		if err := workflow.StartServices(clock, grid); err != nil {
+		stop, err := workflow.StartServices(clock, grid)
+		if err != nil {
 			log.Fatal(err)
 		}
+		defer stop()
 		// The dataset lives on brecca; the consumer will read ~90% of it.
 		if err := vfs.WriteFile(grid.Machine("brecca").RawFS(), "data.auto", make([]byte, 2<<20)); err != nil {
 			log.Fatal(err)
@@ -156,7 +159,6 @@ func autoDemo(sink io.Writer) {
 			weather.Record("brecca", "vpac27", nws.MetricBandwidth, clock.Now(), 1e6)
 		}
 		machine := grid.Machine("vpac27")
-		var err error
 		fm, err = core.New(core.Config{
 			Machine: "vpac27",
 			Clock:   clock,

@@ -32,7 +32,7 @@ func TestShedThenRetryBufferByteIdentical(t *testing.T) {
 	e := NewEnv()
 	want := Payload(41, 96<<10)
 	var got []byte
-	e.V.Run(func() {
+	run(t, e, func() {
 		m := e.Grid.Machine(DataHost)
 		ln, err := m.Listen(workflow.BufferServicePort)
 		if err != nil {
@@ -120,7 +120,7 @@ func TestGNSResolveCompletesUnderBulkSaturation(t *testing.T) {
 	e := NewEnv()
 	const gnsPort = ":5000"
 	blob := Payload(42, 512<<10)
-	e.V.Run(func() {
+	run(t, e, func() {
 		m := e.Grid.Machine(DataHost)
 		if err := vfs.WriteFile(m.RawFS(), "/data/big", blob); err != nil {
 			t.Fatalf("seed: %v", err)

@@ -89,10 +89,12 @@ func coordReference(t *testing.T, mkSpec func() *workflow.Spec, mutate func(*wor
 		mutate(r)
 	}
 	var out []byte
-	e.V.Run(func() {
-		if err := workflow.StartServices(e.V, e.Grid); err != nil {
+	run(t, e, func() {
+		stop, err := workflow.StartServices(e.V, e.Grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		if _, err := r.Run(mkSpec(), workflow.CouplingSequential); err != nil {
 			t.Fatalf("reference run: %v", err)
 		}
@@ -118,10 +120,12 @@ func coordKillResume(t *testing.T, mkSpec func() *workflow.Spec, mutate func(*wo
 	spec := mkSpec()
 	n := len(spec.Components)
 	fired := false
-	e.V.Run(func() {
-		if err := workflow.StartServices(e.V, e.Grid); err != nil {
+	run(t, e, func() {
+		stop, err := workflow.StartServices(e.V, e.Grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		sink := &workflow.MemSink{}
 		j := workflow.NewJournal(sink, e.V)
 		j.SyncEvery = syncEvery
@@ -130,7 +134,7 @@ func coordKillResume(t *testing.T, mkSpec func() *workflow.Spec, mutate func(*wo
 		if mutate != nil {
 			mutate(r1)
 		}
-		_, err := r1.Run(spec, workflow.CouplingSequential)
+		_, err = r1.Run(spec, workflow.CouplingSequential)
 		switch {
 		case err == nil:
 			// The kill point never fired (possible only for randomized

@@ -70,10 +70,12 @@ func runWorkflow(t *testing.T, payload int, runner *workflow.Runner, arm func(e 
 	e := NewEnv()
 	want := Payload(23, payload)
 	runner.Grid, runner.GNS, runner.Obs = e.Grid, e.Store, e.Obs
-	e.V.Run(func() {
-		if err := e.StartServices(AppHost, DataHost); err != nil {
+	run(t, e, func() {
+		stop, err := e.StartServices(AppHost, DataHost)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		if arm != nil {
 			arm(e)
 		}

@@ -17,10 +17,12 @@ func TestRemoteReadAllEndpointsDeadFailsCleanly(t *testing.T) {
 	want := Payload(1, dataSize)
 	Mechanisms[2].Prepare(e, want) // mechanism 3: remote, single endpoint
 	p := Policy()
-	e.V.Run(func() {
-		if err := e.StartServices(AppHost, DataHost, AltHost); err != nil {
+	run(t, e, func() {
+		stop, err := e.StartServices(AppHost, DataHost, AltHost)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		fm, err := e.FM(AppHost, p)
 		if err != nil {
 			t.Fatal(err)
@@ -62,10 +64,12 @@ func TestReplicaReadAllReplicasDeadFailsCleanly(t *testing.T) {
 	want := Payload(1, dataSize)
 	Mechanisms[3].Prepare(e, want) // mechanism 4: replica-remote
 	p := Policy()
-	e.V.Run(func() {
-		if err := e.StartServices(AppHost, DataHost, AltHost); err != nil {
+	run(t, e, func() {
+		stop, err := e.StartServices(AppHost, DataHost, AltHost)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		fm, err := e.FM(AppHost, p)
 		if err != nil {
 			t.Fatal(err)

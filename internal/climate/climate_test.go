@@ -317,10 +317,11 @@ func runAtmosWith(t *testing.T, coupling workflow.Coupling, assign Assignment, t
 	runner := &workflow.Runner{Grid: grid, GNS: gns.NewStore(v), CacheFiles: CacheFiles(), FM: core.Config{Buffer: core.Buffer{Transport: transport}}}
 	var rep *workflow.Report
 	v.Run(func() {
-		if err := workflow.StartServices(v, grid); err != nil {
+		stop, err := workflow.StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var err error
+		defer stop()
 		rep, err = runner.Run(WorkflowSpec(TinyParams(), assign), coupling)
 		if err != nil {
 			t.Fatalf("run: %v", err)

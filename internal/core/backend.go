@@ -25,10 +25,6 @@ import (
 type Backend interface {
 	// Scheme is the registry key ("local", "remote", "objstore", ...).
 	Scheme() string
-	// Capabilities declares which optional semantics the backend supports;
-	// the FM and callers use it for documentation and error shaping, not for
-	// silent behaviour changes.
-	Capabilities() Capabilities
 	// Open binds one OPEN call and returns env.File over the mechanism's raw
 	// handle; env exposes the FM's cross-cutting layers (block cache,
 	// prefetch, retry policy, observer, client pools).
@@ -50,34 +46,6 @@ type OpenRequest struct {
 	// Writing is the FM's write-intent derivation: flag includes O_WRONLY
 	// or O_RDWR.
 	Writing bool
-}
-
-// Capabilities declares a backend's optional semantics. Read, sequential
-// write and Close-as-commit are mandatory for every backend; everything
-// here is opt-in and a false value is a documented divergence, not a bug.
-type Capabilities struct {
-	// Write reports whether the backend accepts write opens at all
-	// (replicated backends are read-only).
-	Write bool
-	// PartialOverwrite reports whether an existing byte range may be
-	// rewritten in place (seek-and-write on a written file). Object stores
-	// say false: objects are immutable, replace is a whole new PUT.
-	PartialOverwrite bool
-	// RandomRead reports whether read handles support full Seek, including
-	// io.SeekEnd.
-	RandomRead bool
-	// Ranged reports whether the transport serves ranged reads, which is
-	// what the prefetch pipeline needs to run ahead of the reader.
-	Ranged bool
-	// Listable reports whether the backend can enumerate names under a
-	// prefix (object stores; not the streaming buffer).
-	Listable bool
-	// DurabilityPoint names when written bytes are durable and visible to
-	// other openers: "write" (bytes land as the handle is written —
-	// mechanism 1 per call, mechanism 3 in blocks of up to 64 KiB — and
-	// Close is only the latest they can) or "close" (nothing is visible
-	// before the commit at Close: stage-out copies, buffer EOF, object PUT).
-	DurabilityPoint string
 }
 
 // Registry maps scheme names to Backends. The zero value is unusable; use

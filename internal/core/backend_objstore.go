@@ -26,10 +26,6 @@ type objstoreBackend struct{}
 
 func (objstoreBackend) Scheme() string { return SchemeForMode(gns.ModeObject) }
 
-func (objstoreBackend) Capabilities() Capabilities {
-	return Capabilities{Write: true, PartialOverwrite: false, RandomRead: true, Ranged: true, Listable: true, DurabilityPoint: "close"}
-}
-
 // objstoreClient returns the pooled per-FM client for addr, with the FM's
 // retry policy and observer threaded in.
 func objstoreClient(env *Env, addr string) *objstore.Client {

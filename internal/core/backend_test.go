@@ -23,10 +23,6 @@ type toyBackend struct {
 
 func (b *toyBackend) Scheme() string { return b.scheme }
 
-func (b *toyBackend) Capabilities() Capabilities {
-	return Capabilities{RandomRead: true, DurabilityPoint: "write"}
-}
-
 func (b *toyBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
 	b.opens++
 	r := bytes.NewReader(b.content)

@@ -84,9 +84,6 @@ func statRemote(env *Env, path string, mapping gns.Mapping) (int64, bool, error)
 type localBackend struct{}
 
 func (localBackend) Scheme() string { return SchemeForMode(gns.ModeLocal) }
-func (localBackend) Capabilities() Capabilities {
-	return Capabilities{Write: true, PartialOverwrite: true, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
-}
 func (localBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
 	fs, lp := env.FS(), localPath(req.Mapping, req.Path)
 	if req.Mapping.WaitClose && !req.Writing {
@@ -112,9 +109,6 @@ func (localBackend) Stat(_ context.Context, env *Env, path string, mapping gns.M
 type copyBackend struct{}
 
 func (copyBackend) Scheme() string { return SchemeForMode(gns.ModeCopy) }
-func (copyBackend) Capabilities() Capabilities {
-	return Capabilities{Write: true, PartialOverwrite: true, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "close"}
-}
 func (copyBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
 	m, path, mapping := env.fm, req.Path, req.Mapping
 	lp := localPath(mapping, path)
@@ -190,9 +184,6 @@ func (copyBackend) Stat(_ context.Context, env *Env, path string, mapping gns.Ma
 type remoteBackend struct{}
 
 func (remoteBackend) Scheme() string { return SchemeForMode(gns.ModeRemote) }
-func (remoteBackend) Capabilities() Capabilities {
-	return Capabilities{Write: true, PartialOverwrite: true, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
-}
 func (remoteBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
 	mapping := req.Mapping
 	c := env.fm.client(mapping.RemoteHost)
@@ -229,9 +220,6 @@ func (remoteBackend) Stat(_ context.Context, env *Env, path string, mapping gns.
 type replicaRemoteBackend struct{}
 
 func (replicaRemoteBackend) Scheme() string { return SchemeForMode(gns.ModeReplicaRemote) }
-func (replicaRemoteBackend) Capabilities() Capabilities {
-	return Capabilities{Write: false, PartialOverwrite: false, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
-}
 
 // Open binds the best-ranked replica. With the retry policy enabled an
 // unreachable best replica is not fatal at open time either: the ranked
@@ -281,9 +269,6 @@ func (replicaRemoteBackend) Stat(_ context.Context, env *Env, path string, mappi
 type replicaCopyBackend struct{}
 
 func (replicaCopyBackend) Scheme() string { return SchemeForMode(gns.ModeReplicaCopy) }
-func (replicaCopyBackend) Capabilities() Capabilities {
-	return Capabilities{Write: false, PartialOverwrite: false, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
-}
 func (replicaCopyBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
 	m, path, mapping := env.fm, req.Path, req.Mapping
 	if req.Writing {
@@ -317,9 +302,6 @@ func (replicaCopyBackend) Stat(_ context.Context, env *Env, path string, mapping
 type bufferBackend struct{}
 
 func (bufferBackend) Scheme() string { return SchemeForMode(gns.ModeBuffer) }
-func (bufferBackend) Capabilities() Capabilities {
-	return Capabilities{Write: true, PartialOverwrite: false, RandomRead: false, Ranged: false, Listable: false, DurabilityPoint: "close"}
-}
 func (bufferBackend) Open(_ context.Context, env *Env, req OpenRequest) (File, error) {
 	cfg, mapping := &env.fm.cfg, req.Mapping
 	if req.Flag&os.O_RDWR != 0 {
@@ -367,9 +349,6 @@ func (bufferBackend) Stat(_ context.Context, env *Env, path string, mapping gns.
 type autoBackend struct{}
 
 func (autoBackend) Scheme() string { return SchemeForMode(gns.ModeAuto) }
-func (autoBackend) Capabilities() Capabilities {
-	return Capabilities{Write: true, PartialOverwrite: true, RandomRead: true, Ranged: true, Listable: false, DurabilityPoint: "write"}
-}
 func (autoBackend) Open(ctx context.Context, env *Env, req OpenRequest) (File, error) {
 	d := Decision{Mode: gns.ModeCopy, Reason: "write binding always stages", Path: req.Path}
 	if !req.Writing {

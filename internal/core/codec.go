@@ -1,85 +1,29 @@
 package core
 
 import (
-	"net"
-
 	"griddles/internal/gns"
 	"griddles/internal/gridftp"
 	"griddles/internal/obs"
 	"griddles/internal/wire"
 )
 
-// codecFor decides the stream codec for a link from this FM to addr
-// (a "machine:port" service address). The decision order is the one the
-// negotiated-wire-encoding design pins:
-//
-//  1. Config.WireCodec, when set, wins deterministically ("raw" pins the
-//     link raw, anything else is negotiated everywhere).
-//  2. Otherwise links whose NWS bandwidth forecast falls below
-//     Config.CompressThresholdKbps negotiate block compression.
-//  3. Fast links, links with no forecast, and FMs with no NWS stay raw —
-//     a LAN transfer never pays compression CPU for bytes it could have
-//     streamed in the same time.
-//
-// "" means raw: the client sends no negotiation frame at all, which is what
-// Paper2004 runs. Every non-default decision is recorded as an
-// fm.codec.select event, mirroring fm.backend.select.
+// codecFor decides the stream codec for a link from this FM to addr (a
+// "machine:port" service address): Config.WireCodec, when set, decides every
+// link ("raw" pins it raw, anything else is negotiated), and is recorded as
+// an fm.codec.select event, mirroring fm.backend.select. "" means raw: the
+// client sends no negotiation frame at all, which is what Paper2004 runs.
 func (m *Multiplexer) codecFor(addr string) string {
-	if c := m.cfg.WireCodec; c != "" {
-		m.emitCodecSelect(addr, c, "configured", -1)
-		if c == wire.CodecRaw {
-			return ""
-		}
-		return c
-	}
-	threshold := m.cfg.CompressThresholdKbps
-	if threshold <= 0 {
-		return "" // feature off: no events, no negotiation
-	}
-	host := hostOfAddr(addr)
-	if m.cfg.NWS == nil {
-		m.emitCodecSelect(addr, wire.CodecRaw, "no-nws", -1)
+	c := m.cfg.WireCodec
+	if c == "" {
 		return ""
 	}
-	// A pooled client moves bytes both ways; take whichever direction the
-	// NWS has measured (outbound preferred).
-	bw, ok := m.cfg.NWS.EstimateBandwidth(m.cfg.Machine, host)
-	if !ok {
-		bw, ok = m.cfg.NWS.EstimateBandwidth(host, m.cfg.Machine)
-	}
-	if !ok {
-		m.emitCodecSelect(addr, wire.CodecRaw, "no-forecast", -1)
+	m.obs.Emit("fm.codec.select", m.cfg.Machine,
+		obs.KV("addr", addr), obs.KV("codec", c), obs.KV("reason", "configured"))
+	m.obs.Counter(obs.Key("fm.codec.select.total", "codec", c, "reason", "configured")).Inc()
+	if c == wire.CodecRaw {
 		return ""
 	}
-	kbps := bw * 8 / 1000 // NWS forecasts bytes/sec; the threshold is kilobits/sec
-	if kbps < float64(threshold) {
-		m.emitCodecSelect(addr, wire.CodecLZB, "slow-link", kbps)
-		return wire.CodecLZB
-	}
-	m.emitCodecSelect(addr, wire.CodecRaw, "fast-link", kbps)
-	return ""
-}
-
-// emitCodecSelect records one link's codec decision; kbps < 0 means the
-// bandwidth was unknown.
-func (m *Multiplexer) emitCodecSelect(addr, codec, reason string, kbps float64) {
-	kv := []obs.Attr{
-		obs.KV("addr", addr), obs.KV("codec", codec), obs.KV("reason", reason),
-	}
-	if kbps >= 0 {
-		kv = append(kv, obs.KV("kbps", int64(kbps)))
-	}
-	m.obs.Emit("fm.codec.select", m.cfg.Machine, kv...)
-	m.obs.Counter(obs.Key("fm.codec.select.total", "codec", codec, "reason", reason)).Inc()
-}
-
-// hostOfAddr strips the port from a service address; bare machine names
-// pass through unchanged (the NWS keys links by machine).
-func hostOfAddr(addr string) string {
-	if host, _, err := net.SplitHostPort(addr); err == nil {
-		return host
-	}
-	return addr
+	return c
 }
 
 // configureCodec arms a freshly pooled file-service client with the link's

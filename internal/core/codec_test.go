@@ -1,21 +1,17 @@
 package core
 
 import (
-	"bytes"
-	"io"
 	"testing"
 	"time"
 
-	"griddles/internal/gns"
 	"griddles/internal/nws"
 	"griddles/internal/obs"
-	"griddles/internal/vfs"
 	"griddles/internal/wire"
 )
 
-// TestCodecForDecisions pins the per-link decision table: explicit override,
-// feature off, unknown links, and the bandwidth threshold in both
-// directions.
+// TestCodecForDecisions pins the per-link decision table: an explicit
+// WireCodec decides every link, and without one every link stays raw
+// whatever the NWS forecasts.
 func TestCodecForDecisions(t *testing.T) {
 	now := time.Unix(0, 0)
 	cases := []struct {
@@ -37,43 +33,22 @@ func TestCodecForDecisions(t *testing.T) {
 			addr:  "brecca:6000", want: wire.CodecLZB, reason: "configured",
 		},
 		{
-			name: "configured-raw-pins-raw",
-			extra: func(c *Config) {
-				c.WireCodec = wire.CodecRaw
-				c.CompressThresholdKbps = 1 << 30 // would compress everything
-			},
-			addr: "brecca:6000", want: "", reason: "configured",
+			name:  "configured-raw-pins-raw",
+			extra: func(c *Config) { c.WireCodec = wire.CodecRaw },
+			addr:  "brecca:6000", want: "", reason: "configured",
 		},
 		{
-			name:  "no-forecast-stays-raw",
-			extra: func(c *Config) { c.CompressThresholdKbps = 4000 },
-			addr:  "brecca:6000", want: "", reason: "no-forecast",
+			// An NWS forecast arms nothing: only WireCodec negotiates.
+			name: "no-forecast-stays-raw",
+			addr: "brecca:6000", want: "", reason: "",
 		},
 		{
-			name:  "slow-link-compresses",
-			extra: func(c *Config) { c.CompressThresholdKbps = 4000 },
-			seed: func(s *nws.Service) {
-				// The paper's calibrated WAN link: 460 KB/s = 3680 kbit/s.
-				s.Record("vpac27", "brecca", nws.MetricBandwidth, now, 460_000)
-			},
-			addr: "brecca:6000", want: wire.CodecLZB, reason: "slow-link",
-		},
-		{
-			name:  "reverse-direction-forecast-counts",
-			extra: func(c *Config) { c.CompressThresholdKbps = 4000 },
-			seed: func(s *nws.Service) {
-				s.Record("brecca", "vpac27", nws.MetricBandwidth, now, 460_000)
-			},
-			addr: "brecca:6000", want: wire.CodecLZB, reason: "slow-link",
-		},
-		{
-			name:  "fast-link-stays-raw",
-			extra: func(c *Config) { c.CompressThresholdKbps = 4000 },
+			name: "fast-link-stays-raw",
 			seed: func(s *nws.Service) {
 				// 100 MB/s LAN = 800,000 kbit/s.
 				s.Record("vpac27", "brecca", nws.MetricBandwidth, now, 100e6)
 			},
-			addr: "brecca:6000", want: "", reason: "fast-link",
+			addr: "brecca:6000", want: "", reason: "",
 		},
 	}
 	for _, tc := range cases {
@@ -88,7 +63,7 @@ func TestCodecForDecisions(t *testing.T) {
 					t.Errorf("codecFor(%s) = %q, want %q", tc.addr, got, tc.want)
 				}
 				total := int64(0)
-				for _, reason := range []string{"configured", "no-nws", "no-forecast", "slow-link", "fast-link"} {
+				for _, reason := range []string{"configured"} {
 					for _, codec := range []string{wire.CodecRaw, wire.CodecLZB} {
 						n := fm.Obs().Counter(obs.Key("fm.codec.select.total", "codec", codec, "reason", reason)).Value()
 						total += n
@@ -106,42 +81,4 @@ func TestCodecForDecisions(t *testing.T) {
 			})
 		})
 	}
-}
-
-// TestCodecThresholdRemoteRead drives the whole stack: an FM whose NWS
-// forecast marks the file-service link slow negotiates lzb on its pooled
-// client, the remote read round-trips byte-identically, and the decision is
-// visible in the fm.codec.select counters.
-func TestCodecThresholdRemoteRead(t *testing.T) {
-	e := newEnv()
-	now := time.Unix(0, 0)
-	e.nws.Record("vpac27", "brecca", nws.MetricBandwidth, now, 460_000)
-	data := bytes.Repeat([]byte("station,42,1013.25,15.5\n"), 4000)
-	vfs.WriteFile(e.grid.Machine("brecca").RawFS(), "remote.dat", data)
-	e.store.Set("vpac27", "remote.dat", gns.Mapping{
-		Mode: gns.ModeRemote, RemoteHost: "brecca" + ftpPort, RemotePath: "remote.dat",
-	})
-	e.v.Run(func() {
-		e.startServices(t)
-		fm := e.fm(t, "vpac27", func(c *Config) { c.CompressThresholdKbps = 4000 })
-		f, err := fm.Open("remote.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("compressed remote read corrupted the data")
-		}
-		if n := fm.Obs().Counter(obs.Key("fm.codec.select.total", "codec", wire.CodecLZB, "reason", "slow-link")).Value(); n != 1 {
-			t.Errorf("slow-link lzb decisions = %d, want 1", n)
-		}
-		// The pooled client carries the negotiated codec for its lifetime.
-		if c := fm.client("brecca" + ftpPort).Codec(); c != wire.CodecLZB {
-			t.Errorf("pooled client codec = %q, want lzb", c)
-		}
-	})
 }

@@ -118,19 +118,11 @@ type Config struct {
 	// Requires a block cache; 0 fills synchronously on a miss. Seek-heavy
 	// handles detect themselves and fall back to per-call fetching.
 	PrefetchWindow int
-	// CompressThresholdKbps arms per-link wire compression: when this FM
-	// creates a transport to a remote service it asks the NWS for a
-	// bandwidth forecast and negotiates block compression ("lzb") on links
-	// below this many kilobits per second; faster links — and links with no
-	// forecast — stay raw, so LAN transfers never pay compression CPU. 0
-	// (the default) never negotiates: no frame of the exchange is sent.
-	// When Records declares a schema for a transferred path, the compressed
-	// stream additionally applies the columnar XDR transform to those
-	// records.
-	CompressThresholdKbps int
-	// WireCodec overrides the bandwidth heuristic deterministically: "raw"
-	// pins every link raw, any other supported codec name ("lzb") is
-	// negotiated on every link. Empty defers to CompressThresholdKbps.
+	// WireCodec names the stream codec every link negotiates ("lzb"); "raw"
+	// and empty (the default) keep every link raw, and empty sends no frame
+	// of the exchange. When Records declares a schema for a transferred
+	// path, a compressed stream additionally applies the columnar XDR
+	// transform to those records.
 	WireCodec string
 	// RemapInterval is how often a read-only replicated file re-evaluates
 	// its replica choice mid-read; 0 disables dynamic re-binding.

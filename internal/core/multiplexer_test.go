@@ -140,12 +140,11 @@ func TestConfigValidation(t *testing.T) {
 // without moving Tables 2–5. Only what the prototype did not have stays zero.
 func TestPaper2004Explicit(t *testing.T) {
 	absent := map[string]string{
-		"BlockCacheBytes":       "no FM block cache in 2004",
-		"PrefetchWindow":        "no prefetch",
-		"CompressThresholdKbps": "no wire codecs",
-		"RemapInterval":         "no mid-read remap",
-		"Retry":                 "one attempt, no deadline",
-		"Heuristic":             "ModeAuto's cost model; no table binds a file with it",
+		"BlockCacheBytes": "no FM block cache in 2004",
+		"PrefetchWindow":  "no prefetch",
+		"RemapInterval":   "no mid-read remap",
+		"Retry":           "one attempt, no deadline",
+		"Heuristic":       "ModeAuto's cost model; no table binds a file with it",
 	}
 	var walk func(prefix string, v reflect.Value)
 	walk = func(prefix string, v reflect.Value) {

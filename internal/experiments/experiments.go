@@ -61,7 +61,9 @@ func NewEnv() *Env {
 }
 
 // Run executes a workflow spec under a coupling inside a fresh simulation
-// and returns the report.
+// and returns the report. The grid's services stop before the simulation's
+// root returns, and a run that leaves a goroutine registered on the clock
+// is an error.
 func (e *Env) Run(spec *workflow.Spec, coupling workflow.Coupling, setup func() error) (*workflow.Report, error) {
 	var rep *workflow.Report
 	var err error
@@ -69,10 +71,12 @@ func (e *Env) Run(spec *workflow.Spec, coupling workflow.Coupling, setup func() 
 	func() {
 		defer func() { panicked = recover() }()
 		e.Clock.Run(func() {
-			if serr := workflow.StartServices(e.Clock, e.Grid); serr != nil {
+			stop, serr := workflow.StartServices(e.Clock, e.Grid)
+			if serr != nil {
 				err = serr
 				return
 			}
+			defer stop()
 			if setup != nil {
 				if serr := setup(); serr != nil {
 					err = serr
@@ -84,6 +88,9 @@ func (e *Env) Run(spec *workflow.Spec, coupling workflow.Coupling, setup func() 
 	}()
 	if panicked != nil {
 		return nil, fmt.Errorf("experiments: simulation aborted: %v", panicked)
+	}
+	if n := e.Clock.Live(); n > 0 && err == nil {
+		return nil, fmt.Errorf("experiments: %d goroutines still live after the run", n)
 	}
 	return rep, err
 }

@@ -73,8 +73,10 @@ type shardRun struct {
 	rank  int            // index of Self in the member list; rank 0 is the configured primary
 	ranks map[string]int // rank of every member address (equal-term tie-break)
 
+	// served is set when the server's Serve returns; the loop ends then.
+	served *simclock.Event
+
 	mu       sync.Mutex
-	stopped  bool
 	term     uint64
 	leader   string // "" while unknown (between stepdown and the next heartbeat)
 	lastBeat time.Time
@@ -133,6 +135,7 @@ func (s *Server) EnableShard(cfg ShardConfig) error {
 		lastBeat: now,
 		ackAt:    make(map[string]time.Time, len(info.Addrs)-1),
 		repMu:    simclock.NewMutex(s.clock),
+		served:   simclock.NewEvent(s.clock),
 	}
 	for _, a := range info.Addrs {
 		if a != cfg.Self {
@@ -142,18 +145,6 @@ func (s *Server) EnableShard(cfg ShardConfig) error {
 	s.shard = r
 	s.clock.Go(fmt.Sprintf("gns-shard-%d@%s", cfg.ID, cfg.Self), r.loop)
 	return nil
-}
-
-// Close stops the shard replication loop. Safe on an unsharded server.
-// Virtual-clock tests must call it: a leaked heartbeat loop keeps sleeping
-// on timers and spins simulated time after the test root exits.
-func (s *Server) Close() {
-	if s.shard == nil {
-		return
-	}
-	s.shard.mu.Lock()
-	s.shard.stopped = true
-	s.shard.mu.Unlock()
 }
 
 // checkOwned rejects keys the ring places on another shard — a misrouted
@@ -270,14 +261,10 @@ func (s *Server) writeState() (leader bool, redirect string, term uint64) {
 }
 
 // loop is the per-member timer: leaders heartbeat, followers watch for a
-// silent leader and promote.
+// silent leader and promote. It ends when the server's Serve returns.
 func (r *shardRun) loop() {
 	for {
 		r.mu.Lock()
-		if r.stopped {
-			r.mu.Unlock()
-			return
-		}
 		now := r.srv.clock.Now()
 		isLeader := r.leader == r.cfg.Self
 		if !isLeader {
@@ -318,7 +305,9 @@ func (r *shardRun) loop() {
 		if isLeader {
 			r.heartbeat(term)
 		}
-		r.srv.clock.Sleep(r.cfg.Heartbeat)
+		if r.served.WaitTimeout(r.cfg.Heartbeat) {
+			return
+		}
 	}
 }
 

@@ -61,23 +61,13 @@ const streamChunk = 64 * 1024
 type Server struct {
 	fs     vfs.FS
 	clock  simclock.Clock
-	chunk  int
 	adm    *admit.Controller
 	codecs []string
 }
 
 // NewServer returns a Server exporting fsys.
 func NewServer(fsys vfs.FS, clock simclock.Clock) *Server {
-	return &Server{fs: fsys, clock: clock, chunk: streamChunk}
-}
-
-// SetChunkSize sets the frame size Fetch bulk streaming uses (default
-// 64 KiB). Smaller frames interleave better when many striped streams share
-// a link; larger ones cut per-frame overhead on fat dedicated pipes.
-func (s *Server) SetChunkSize(n int) {
-	if n > 0 {
-		s.chunk = n
-	}
+	return &Server{fs: fsys, clock: clock}
 }
 
 // SetAdmission installs an admission controller; nil (the default) admits
@@ -308,7 +298,7 @@ func (sess *session) fetch(w io.Writer, path string, off, length int64) error {
 		off = end
 	}
 	st := rpc.Over("gridftp", w, nil)
-	err = st.Send(fetchFrames, wire.NewEncoder().I64(end-off).Bytes(), io.NewSectionReader(f, off, end-off), sess.srv.chunk, sess.sc)
+	err = st.Send(fetchFrames, wire.NewEncoder().I64(end-off).Bytes(), io.NewSectionReader(f, off, end-off), streamChunk, sess.sc)
 	return st.Finish(err)
 }
 

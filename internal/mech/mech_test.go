@@ -273,10 +273,11 @@ func runPipeline(t *testing.T, coupling workflow.Coupling, assign Assignment) (R
 	runner := &workflow.Runner{Grid: grid, GNS: gns.NewStore(v)}
 	var rep *workflow.Report
 	v.Run(func() {
-		if err := workflow.StartServices(v, grid); err != nil {
+		stop, err := workflow.StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var err error
+		defer stop()
 		rep, err = runner.Run(PipelineSpec(params, assign), coupling)
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)

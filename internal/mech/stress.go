@@ -1,8 +1,8 @@
 package mech
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -115,9 +115,7 @@ func RenderPGM(field []FieldPoint, rows, cols int) []byte {
 			maxV = v
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "P5\n%d %d\n255\n", cols, rows)
-	out := []byte(b.String())
+	out := []byte("P5\n" + strconv.Itoa(cols) + " " + strconv.Itoa(rows) + "\n255\n")
 	for _, p := range field {
 		v := 0.0
 		if maxV > 0 {

@@ -69,10 +69,11 @@ func runTail(t *testing.T, spec *Spec, mutate func(*Runner)) (*Report, map[strin
 	}
 	var report *Report
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var err error
+		defer stop()
 		report, err = runner.Run(spec, CouplingSequential)
 		if err != nil {
 			t.Fatalf("run: %v", err)

@@ -58,9 +58,11 @@ func TestGiantDAGJournaledKillResume(t *testing.T) {
 	store := gns.NewStore(v)
 	sink := &MemSink{}
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		j := NewJournal(sink, v)
 		j.SnapshotEvery = 512 // keep the journal compact at this scale
 		o1 := obs.New(v)

@@ -87,9 +87,11 @@ func referencePipeOut(t *testing.T, seed byte, payload int) []byte {
 	e := newResumeEnv()
 	var out []byte
 	e.v.Run(func() {
-		if err := StartServices(e.v, e.grid); err != nil {
+		stop, err := StartServices(e.v, e.grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		r := &Runner{Grid: e.grid, GNS: e.gns}
 		if _, err := r.Run(crashPipeSpec(seed, payload), CouplingSequential); err != nil {
 			t.Fatal(err)
@@ -107,9 +109,11 @@ func TestResumeValidation(t *testing.T) {
 	e := newResumeEnv()
 	spec := crashPipeSpec(1, 1<<10)
 	e.v.Run(func() {
-		if err := StartServices(e.v, e.grid); err != nil {
+		stop, err := StartServices(e.v, e.grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		r := &Runner{Grid: e.grid, GNS: e.gns}
 		if _, err := r.Resume(spec, CouplingSequential, nil); err == nil {
 			t.Error("Resume accepted a nil image")
@@ -144,9 +148,11 @@ func crashResumeRound(t *testing.T, kill *KillSwitch, syncEvery, tear int, want 
 	spec := crashPipeSpec(seed, payload)
 	n := len(spec.Components)
 	e.v.Run(func() {
-		if err := StartServices(e.v, e.grid); err != nil {
+		stop, err := StartServices(e.v, e.grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		sink := &MemSink{}
 		j := NewJournal(sink, e.v)
 		j.SyncEvery = syncEvery
@@ -155,7 +161,7 @@ func crashResumeRound(t *testing.T, kill *KillSwitch, syncEvery, tear int, want 
 		if mutate != nil {
 			mutate(r1)
 		}
-		_, err := r1.Run(spec, CouplingSequential)
+		_, err = r1.Run(spec, CouplingSequential)
 		if !errors.Is(err, ErrCoordinatorKilled) {
 			t.Fatalf("killed run returned %v, want ErrCoordinatorKilled", err)
 		}
@@ -233,9 +239,11 @@ func TestResumeOfCompletedRunIsANoOp(t *testing.T) {
 	e := newResumeEnv()
 	spec := crashPipeSpec(9, 8<<10)
 	e.v.Run(func() {
-		if err := StartServices(e.v, e.grid); err != nil {
+		stop, err := StartServices(e.v, e.grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		sink := &MemSink{}
 		r1 := &Runner{Grid: e.grid, GNS: e.gns, Journal: NewJournal(sink, e.v)}
 		if _, err := r1.Run(spec, CouplingSequential); err != nil {

@@ -84,10 +84,11 @@ func runSpec(t *testing.T, spec *Spec, mutate func(*Runner)) *Report {
 	}
 	var report *Report
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var err error
+		defer stop()
 		report, err = runner.Run(spec, CouplingSequential)
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -202,9 +203,11 @@ func TestDAGFailureDrainsInFlightAndStopsDispatch(t *testing.T) {
 	}}
 	var runErr error
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		_, runErr = runner.Run(spec, CouplingSequential)
 	})
 	if runErr == nil || !strings.Contains(runErr.Error(), "bad failed") {
@@ -240,9 +243,11 @@ func TestSchedulerEmitsDispatchMetrics(t *testing.T) {
 	o := obs.New(v)
 	runner := &Runner{Grid: grid, GNS: gns.NewStore(v), Obs: o}
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		if _, err := runner.Run(diamondSpec(5, 1024), CouplingSequential); err != nil {
 			t.Fatal(err)
 		}

@@ -34,13 +34,6 @@ func (r *Runner) specInterval() time.Duration {
 	return 5 * time.Second
 }
 
-func (r *Runner) specFactor() float64 {
-	if r.SpecFactor > 0 {
-		return r.SpecFactor
-	}
-	return 1.5
-}
-
 func (r *Runner) specMinSamples() int {
 	if r.SpecMinSamples > 0 {
 		return r.SpecMinSamples
@@ -89,7 +82,11 @@ func (d *dagRun) monitor() {
 	}
 }
 
-// thresholdLocked computes the straggler threshold: SpecFactor × the p75
+// specFactor scales the straggler threshold: a stage is a straggler once
+// its runtime exceeds specFactor × the p75 of completed stage durations.
+const specFactor = 1.5
+
+// thresholdLocked computes the straggler threshold: specFactor × the p75
 // of completed stage durations, once SpecMinSamples stages have finished.
 func (d *dagRun) thresholdLocked() (time.Duration, bool) {
 	r := d.runner
@@ -99,7 +96,7 @@ func (d *dagRun) thresholdLocked() (time.Duration, bool) {
 	sorted := append([]time.Duration(nil), d.durations...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 	p75 := sorted[(len(sorted)*3)/4]
-	return time.Duration(float64(p75) * r.specFactor()), true
+	return time.Duration(float64(p75) * specFactor), true
 }
 
 // idleMachineLocked picks the machine for a speculative attempt of stage

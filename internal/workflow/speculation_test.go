@@ -97,10 +97,11 @@ func runSpecObs(t *testing.T, spec *Spec, mutate func(*Runner)) (*Report, map[st
 	}
 	var report *Report
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var err error
+		defer stop()
 		report, err = runner.Run(spec, CouplingSequential)
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -184,9 +185,11 @@ func TestSpeculationJournalsRace(t *testing.T) {
 	}
 	spec := stragglerSpec(seed, payload)
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		if _, err := r.Run(spec, CouplingSequential); err != nil {
 			t.Fatalf("run: %v", err)
 		}

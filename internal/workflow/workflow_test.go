@@ -111,10 +111,11 @@ func runPipeSized(t *testing.T, machines [3]string, coupling Coupling, stepBytes
 	runner := &Runner{Grid: grid, GNS: gns.NewStore(v)}
 	var report *Report
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var err error
+		defer stop()
 		report, err = runner.Run(pipeSpec(machines, 30, 30, stepBytes), coupling)
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -291,9 +292,11 @@ func TestBroadcastFanOut(t *testing.T) {
 		{Name: "sink2", Machine: "vpac27", Inputs: []string{"feed.dat"}, Run: mkConsumer(1)},
 	}}
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		if _, err := runner.Run(spec, CouplingBuffers); err != nil {
 			t.Fatal(err)
 		}
@@ -363,9 +366,11 @@ func TestComponentErrorPropagates(t *testing.T) {
 		}},
 	}}
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		for _, coupling := range []Coupling{CouplingSequential, CouplingBuffers} {
 			_, err := runner.Run(spec, coupling)
 			if err == nil || !strings.Contains(err.Error(), "synthetic failure") {
@@ -394,9 +399,11 @@ func TestSequentialStopsAfterFailure(t *testing.T) {
 		}},
 	}}
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 		if _, err := runner.Run(spec, CouplingSequential); err == nil {
 			t.Fatal("no error")
 		}
@@ -420,10 +427,11 @@ func TestMarksRecorded(t *testing.T) {
 	}}
 	var rep *Report
 	v.Run(func() {
-		if err := StartServices(v, grid); err != nil {
+		stop, err := StartServices(v, grid)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var err error
+		defer stop()
 		rep, err = runner.Run(spec, CouplingSequential)
 		if err != nil {
 			t.Fatal(err)
