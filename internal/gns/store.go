@@ -25,6 +25,7 @@ type Store struct {
 	cond    simclock.Cond
 	entries map[Key]Mapping
 	version uint64
+	stops   uint64 // serving stops so far (see wakeWatches)
 }
 
 // NewStore returns an empty Store bound to clock (used for Watch timeouts).
@@ -221,9 +222,19 @@ func (s *Store) ApplyReplicated(machine, path string, m Mapping, tombstone bool,
 	return true
 }
 
+// wakeWatches ends every parked Watch as if its timeout had elapsed. A
+// server of the store calls it as it stops: a handler parked in Watch never
+// reads its connection again, so closing the connection would not end it.
+func (s *Store) wakeWatches() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stops++
+	s.cond.Broadcast()
+}
+
 // Watch implements Resolver. It blocks until the mapping resolved for
 // (machine, path) carries a version greater than since, or the timeout
-// elapses.
+// elapses, or a server of the store stops (wakeWatches).
 func (s *Store) Watch(machine, path string, since uint64, timeoutMS int64) (Mapping, bool, error) {
 	s.watches.Inc()
 	entered := s.clock.Now()
@@ -234,9 +245,13 @@ func (s *Store) Watch(machine, path string, since uint64, timeoutMS int64) (Mapp
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	stops := s.stops
 	for {
 		if m := s.resolveLocked(machine, path); m.Version > since {
 			return m, true, nil
+		}
+		if s.stops != stops {
+			return Mapping{}, false, nil
 		}
 		if timeoutMS <= 0 {
 			s.cond.Wait()

@@ -2,6 +2,7 @@ package gridbuffer
 
 import (
 	"io"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -246,5 +247,25 @@ func TestDropRemovesKeyMetrics(t *testing.T) {
 	}
 	if _, ok := snap.Histograms["buf.window.depth"]; !ok {
 		t.Error("service-wide buf.window.depth removed with the buffers")
+	}
+}
+
+// TestStopIsFinal: once the server's listener has closed, the registry has
+// dropped its buffers and makes no new one, so no handler still running,
+// on either transport, can park on a buffer nothing would wake.
+func TestStopIsFinal(t *testing.T) {
+	reg := NewRegistry(simclock.Real{}, nil)
+	getOrCreate(t, reg, "before", Options{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	NewServer(reg, simclock.Real{}).Serve(l)
+	if n := reg.Len(); n != 0 {
+		t.Errorf("%d buffers left after the stop", n)
+	}
+	if _, err := reg.GetOrCreate("after", Options{}); err == nil {
+		t.Error("a stopped registry made a buffer")
 	}
 }

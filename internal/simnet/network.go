@@ -247,13 +247,19 @@ func (l *Listener) Accept() (net.Conn, error) {
 	return c, nil
 }
 
-// Close implements net.Listener, unblocking pending Accepts.
+// Close implements net.Listener, unblocking pending Accepts. It closes the
+// connections dialed but not accepted, as a closed TCP listener resets them.
 func (l *Listener) Close() error {
 	l.mu.Lock()
 	wasClosed := l.closed
 	l.closed = true
+	backlog := l.backlog
+	l.backlog = nil
 	l.cond.Broadcast()
 	l.mu.Unlock()
+	for _, c := range backlog {
+		c.Close()
+	}
 	if !wasClosed {
 		l.net.mu.Lock()
 		delete(l.net.listeners, l.addr.HostPort)

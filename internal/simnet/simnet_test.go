@@ -252,6 +252,28 @@ func TestListenerClose(t *testing.T) {
 	})
 }
 
+// TestListenerCloseResetsBacklog: a connection dialed but never accepted
+// ends when its listener closes, so its dialer reads EOF instead of
+// waiting for an answer for ever.
+func TestListenerCloseResetsBacklog(t *testing.T) {
+	v := simclock.NewVirtualDefault()
+	n := New(v)
+	v.Run(func() {
+		l, err := n.Host("b").Listen("b:9")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		c, err := n.Host("a").Dial("b:9")
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		l.Close()
+		if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("read from an unaccepted conn after close = %v, want EOF", err)
+		}
+	})
+}
+
 func TestListenAddressInUse(t *testing.T) {
 	v := simclock.NewVirtualDefault()
 	n := New(v)
