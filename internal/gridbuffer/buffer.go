@@ -18,11 +18,14 @@
 // The hash table is sharded (power-of-two shards, per-shard lock), so
 // concurrent writers and broadcast readers on different blocks do not
 // contend on one lock; stream-wide state (capacity, EOF, attach registry)
-// lives behind a separate small lock, and block payloads are recycled
-// through a sync.Pool the Registry shares between buffers of one block size.
+// lives behind a separate small lock, and blocks are recycled through a
+// sync.Pool the Registry shares between buffers of one block size. A block
+// changes hands rather than being copied: the service frames a resident
+// block straight from the table while it holds it pinned (see block).
 package gridbuffer
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -115,10 +118,22 @@ type shard struct {
 	mu    *simclock.Mutex
 	rcond simclock.Cond // readers wait for blocks of this shard / EOF
 
-	blocks   map[int64][]byte
-	consumed map[int64]map[int]bool // blockIdx -> readerIDs that have read it
+	blocks   map[int64]*block
+	consumed map[int64]map[int]bool // blockIdx -> readerIDs that have read it (broadcast only)
 	dead     map[int64]bool         // fully consumed and dropped without a cache copy
 	inCache  map[int64]bool
+}
+
+// block is one block's memory and the count of its holders. The table
+// holds a resident block once; each pin holds it once more, for as long as
+// its framer copies the payload into a connection outside the shard lock.
+// Every way a block leaves the table (an overwriting replayed Put, the last
+// expected reader's consume, Drop) only lets go of the table's hold, and the
+// last holder to let go returns the block to the pool, so a pinned block's
+// memory is never handed to a new Put (DESIGN.md §29).
+type block struct {
+	data []byte // capacity >= blockSize
+	refs atomic.Int32
 }
 
 // bufInstruments is the swappable set of cached obs instruments (discard
@@ -145,7 +160,7 @@ type Buffer struct {
 
 	mask   int64
 	shards []shard
-	pool   *sync.Pool // block payloads, capacity == blockSize; shared per Registry
+	pool   *sync.Pool // *block, capacity >= blockSize; shared per Registry
 
 	// smu guards the stream-wide state: capacity accounting, EOF, the
 	// attach registry and the stop flag. Lock order is shard.mu -> smu ->
@@ -196,7 +211,7 @@ func NewBuffer(clock simclock.Clock, key string, opts Options) *Buffer {
 		s := &b.shards[i]
 		s.mu = simclock.NewMutex(clock)
 		s.rcond = clock.NewCond(s.mu)
-		s.blocks = make(map[int64][]byte)
+		s.blocks = make(map[int64]*block)
 		s.consumed = make(map[int64]map[int]bool)
 		s.dead = make(map[int64]bool)
 		s.inCache = make(map[int64]bool)
@@ -255,27 +270,35 @@ func (b *Buffer) lockShard(s *shard) {
 	s.mu.Lock()
 }
 
-// newBlockPool returns a pool of payloads of capacity bs.
+// newBlockPool returns a pool of blocks whose payloads have capacity bs.
 func newBlockPool(bs int) *sync.Pool {
-	return &sync.Pool{New: func() any { return make([]byte, bs) }}
+	return &sync.Pool{New: func() any { return &block{data: make([]byte, bs)} }}
 }
 
-// copyIn copies data into a pooled payload (capacity == blockSize).
-func (b *Buffer) copyIn(data []byte) []byte {
-	buf := b.pool.Get().([]byte)
-	if cap(buf) < len(data) {
-		buf = make([]byte, len(data))
+// take returns a pooled block of length n, held once by the caller.
+func (b *Buffer) take(n int) *block {
+	blk := b.pool.Get().(*block)
+	if cap(blk.data) < n {
+		blk.data = make([]byte, n)
 	}
-	buf = buf[:len(data)]
-	copy(buf, data)
-	return buf
+	blk.data = blk.data[:n]
+	blk.refs.Store(1)
+	return blk
 }
 
-// Recycle returns a payload obtained from Get/GetKeep to the block pool.
-// Optional: callers that keep the slice simply let the GC have it.
-func (b *Buffer) Recycle(p []byte) {
-	if cap(p) >= b.opts.blockSize() {
-		b.pool.Put(p[:cap(p)])
+// fill returns a pooled block holding a copy of data, held once: by the
+// table it goes into.
+func (b *Buffer) fill(data []byte) *block {
+	blk := b.take(len(data))
+	copy(blk.data, data)
+	return blk
+}
+
+// release lets go of one hold on blk; the last returns it to the pool.
+// Releasing nil (what pin returns at end-of-stream) does nothing.
+func (b *Buffer) release(blk *block) {
+	if blk != nil && blk.refs.Add(-1) == 0 {
+		b.pool.Put(blk)
 	}
 }
 
@@ -411,8 +434,8 @@ func (b *Buffer) put(idx int64, data []byte, onStall func()) error {
 		return errors.New("gridbuffer: put after close-write")
 	}
 	if old, resident := s.blocks[idx]; resident {
-		s.blocks[idx] = b.copyIn(data)
-		b.Recycle(old)
+		s.blocks[idx] = b.fill(data)
+		b.release(old)
 		s.rcond.Broadcast()
 		s.mu.Unlock()
 		return nil
@@ -430,14 +453,14 @@ func (b *Buffer) put(idx int64, data []byte, onStall func()) error {
 	}
 	if old, resident := s.blocks[idx]; resident {
 		// A racing replay beat us to the slot; overwrite in place.
-		s.blocks[idx] = b.copyIn(data)
-		b.Recycle(old)
+		s.blocks[idx] = b.fill(data)
+		b.release(old)
 		s.rcond.Broadcast()
 		s.mu.Unlock()
 		b.releaseSlot()
 		return nil
 	}
-	s.blocks[idx] = b.copyIn(data)
+	s.blocks[idx] = b.fill(data)
 	if idx < b.maxAcked.Load() {
 		b.noteLate(idx)
 	}
@@ -515,20 +538,21 @@ func (b *Buffer) blockLen(idx int64, eof bool, total int64) int {
 	return int(bs)
 }
 
-// Get returns the contents of block idx for reader id, blocking until the
-// block has been written. It returns (nil, true, nil) when idx is at or past
-// end-of-stream. Reading a block the reader already consumed is served from
-// the resident table or the cache file.
+// Get returns a copy of block idx, which the caller owns, and consumes the
+// block for reader id; it blocks until the block has been written. It
+// returns (nil, true, nil) when idx is at or past end-of-stream. Reading a
+// block the reader already consumed is served from the resident table or the
+// cache file.
 func (b *Buffer) Get(id int, idx int64) (data []byte, eof bool, err error) {
-	return b.get(id, idx, true)
+	return b.copyOut(id, idx, true)
 }
 
-// GetKeep is Get without the consume: the block stays resident (charged
-// against capacity) until the reader acknowledges it via AckBelow. The
-// resilient binary transport uses this pair so a delivery lost on the wire
-// can be re-requested after reconnect.
-func (b *Buffer) GetKeep(id int, idx int64) (data []byte, eof bool, err error) {
-	return b.get(id, idx, false)
+// copyOut is Get, with the consume optional.
+func (b *Buffer) copyOut(id int, idx int64, consume bool) ([]byte, bool, error) {
+	blk, data, eof, err := b.pin(id, idx, consume)
+	data = bytes.Clone(data)
+	b.release(blk)
+	return data, eof, err
 }
 
 // AckBelow marks every resident block with index < upto as consumed by
@@ -610,9 +634,17 @@ func (b *Buffer) Ready(idx int64) bool {
 	return stopped || eof
 }
 
-func (b *Buffer) get(id int, idx int64, consume bool) (data []byte, eof bool, err error) {
+// pin waits for block idx as Get does and returns it held for the caller,
+// who frames data, its valid part, and then releases blk; consume marks it
+// read by reader id as well. Without the consume the block stays resident,
+// charged against capacity, until the reader acknowledges it via AckBelow:
+// the binary transport serves every windowed GET this way, so a delivery
+// lost on the wire can be re-requested after reconnect. A block read back
+// from the cache file is a pooled one the caller alone holds. At or past
+// end-of-stream, and on error, blk is nil.
+func (b *Buffer) pin(id int, idx int64, consume bool) (blk *block, data []byte, eof bool, err error) {
 	if idx < 0 {
-		return nil, false, fmt.Errorf("gridbuffer: negative block index %d", idx)
+		return nil, nil, false, fmt.Errorf("gridbuffer: negative block index %d", idx)
 	}
 	ins := b.ins.Load()
 	ins.gets.Inc()
@@ -629,19 +661,16 @@ func (b *Buffer) get(id int, idx int64, consume bool) (data []byte, eof bool, er
 	for {
 		stopped, seof, total := b.streamState()
 		if stopped {
-			return nil, false, ErrStopped
+			return nil, nil, false, ErrStopped
 		}
-		if data, ok := s.blocks[idx]; ok {
+		if blk, ok := s.blocks[idx]; ok {
 			observeWait()
-			out := data
-			if n := b.blockLen(idx, seof, total); n < len(out) {
-				out = out[:n]
-			}
-			cp := b.copyIn(out)
+			blk.refs.Add(1)
+			data := blk.data[:min(len(blk.data), b.blockLen(idx, seof, total))]
 			if consume {
 				b.markConsumedLocked(s, idx, id)
 			}
-			return cp, false, nil
+			return blk, data, false, nil
 		}
 		if s.inCache[idx] {
 			observeWait()
@@ -649,13 +678,13 @@ func (b *Buffer) get(id int, idx int64, consume bool) (data []byte, eof bool, er
 		}
 		if seof && idx*int64(b.opts.blockSize()) >= total {
 			observeWait()
-			return nil, true, nil
+			return nil, nil, true, nil
 		}
 		if seof || s.dead[idx] {
 			// The block was consumed and dropped without a cache copy (the
 			// cache is off or its spill failed), or the reader attached too
 			// late: no put brings it back, so fail now, not at close-write.
-			return nil, false, fmt.Errorf("gridbuffer: block %d of %q no longer available (enable the cache file for re-reads)", idx, b.key)
+			return nil, nil, false, fmt.Errorf("gridbuffer: block %d of %q no longer available (enable the cache file for re-reads)", idx, b.key)
 		}
 		waited = true
 		s.rcond.Wait()
@@ -663,34 +692,37 @@ func (b *Buffer) get(id int, idx int64, consume bool) (data []byte, eof bool, er
 }
 
 // markConsumedLocked records that id has read idx and drops the block once
-// every expected reader has it (spilling to the cache file first). The
+// every expected reader has it (spilling to the cache file first). One
+// expected reader needs no record: its first read drops the block. The
 // caller holds the shard lock of idx.
 func (b *Buffer) markConsumedLocked(s *shard, idx int64, id int) {
-	set := s.consumed[idx]
-	if set == nil {
-		set = make(map[int]bool)
-		s.consumed[idx] = set
+	if readers := b.opts.readers(); readers > 1 {
+		set := s.consumed[idx]
+		if set == nil {
+			set = make(map[int]bool)
+			s.consumed[idx] = set
+		}
+		if set[id] {
+			return
+		}
+		set[id] = true
+		if len(set) < readers {
+			return
+		}
 	}
-	if set[id] {
-		return
-	}
-	set[id] = true
-	if len(set) < b.opts.readers() {
-		return
-	}
-	data, ok := s.blocks[idx]
+	blk, ok := s.blocks[idx]
 	if !ok {
 		return
 	}
 	if b.opts.Cache {
-		b.spill(s, idx, data)
+		b.spill(s, idx, blk.data)
 	}
 	delete(s.blocks, idx)
 	if !s.inCache[idx] {
 		s.dead[idx] = true
 	}
 	delete(s.consumed, idx)
-	b.Recycle(data)
+	b.release(blk)
 	b.releaseSlot()
 }
 
@@ -721,20 +753,23 @@ func (b *Buffer) spill(s *shard, idx int64, data []byte) {
 	}
 }
 
-func (b *Buffer) readCache(idx int64, eof bool, total int64) ([]byte, bool, error) {
+// readCache reads block idx back from the cache file into a pooled block
+// the caller holds (see pin).
+func (b *Buffer) readCache(idx int64, eof bool, total int64) (*block, []byte, bool, error) {
 	b.cmu.Lock()
 	defer b.cmu.Unlock()
 	if b.cacheFile == nil {
-		return nil, false, fmt.Errorf("gridbuffer: cache file missing for %q", b.key)
+		return nil, nil, false, fmt.Errorf("gridbuffer: cache file missing for %q", b.key)
 	}
 	b.ins.Load().cacheReads.Inc()
 	n := b.blockLen(idx, eof, total)
-	buf := make([]byte, n)
-	got, err := b.cacheFile.ReadAt(buf, idx*int64(b.opts.blockSize()))
+	blk := b.take(n)
+	got, err := b.cacheFile.ReadAt(blk.data, idx*int64(b.opts.blockSize()))
 	if err != nil && got < n {
-		return nil, false, fmt.Errorf("gridbuffer: cache read of block %d: %w", idx, err)
+		b.release(blk)
+		return nil, nil, false, fmt.Errorf("gridbuffer: cache read of block %d: %w", idx, err)
 	}
-	return buf[:got], false, nil
+	return blk, blk.data[:got], false, nil
 }
 
 // Resident reports the number of blocks currently in the hash table.
@@ -745,8 +780,8 @@ func (b *Buffer) Resident() int {
 }
 
 // Drop aborts the buffer: all blocked operations return ErrStopped, the
-// cache file is closed and the resident payloads go back to the block pool
-// for the next stream.
+// cache file is closed and the table lets go of its blocks, which go back
+// to the block pool for the next stream once no framer holds them.
 func (b *Buffer) Drop() {
 	b.smu.Lock()
 	if b.stopped {
@@ -765,8 +800,8 @@ func (b *Buffer) Drop() {
 	for i := range b.shards {
 		s := &b.shards[i]
 		s.mu.Lock()
-		for idx, data := range s.blocks {
-			b.Recycle(data)
+		for idx, blk := range s.blocks {
+			b.release(blk)
 			delete(s.blocks, idx)
 		}
 		s.rcond.Broadcast()

@@ -47,7 +47,8 @@ func inFlightBlocks(explicit, budget, blockSize int) int {
 // wblock is one block the writer has sent but the server has not yet
 // acknowledged. Acks arrive in send order, so the set is a FIFO; on
 // reconnect the whole window replays (the server accepts replayed blocks
-// idempotently).
+// idempotently). data is the partial block it was filled in, and once
+// acknowledged it becomes a partial block again.
 type wblock struct {
 	idx  int64
 	data []byte
@@ -75,12 +76,13 @@ type Writer struct {
 	winSize int64
 	done    *simclock.Event
 
-	mu      sync.Mutex // guards err, broken, gen, unacked, flushed
+	mu      sync.Mutex // guards err, broken, gen, unacked, spare, flushed
 	err     error
 	broken  bool
 	gen     uint64
 	unacked []wblock
-	flushed int64 // every block below this index has been handed to the socket
+	spare   [][]byte // acknowledged blocks' memory, for the next partials
+	flushed int64    // every block below this index has been handed to the socket
 	closed  bool
 
 	partial []byte
@@ -328,6 +330,9 @@ func (w *Writer) popAcked(gen uint64) (kick bool) {
 	if w.gen != gen || len(w.unacked) == 0 {
 		return false
 	}
+	// The server holds its own copy now, and no frame refers to the
+	// block's memory any more: it was sent before it was acknowledged.
+	w.spare = append(w.spare, w.unacked[0].data[:0])
 	w.unacked = w.unacked[1:]
 	return len(w.unacked) > 0 && !w.inFlightLocked()
 }
@@ -439,9 +444,11 @@ func (w *Writer) sendBlock() error {
 		return err
 	}
 
-	blk := wblock{idx: w.nextIdx, data: append([]byte(nil), w.partial...)}
+	// The filled partial becomes the unacknowledged block as it is, and an
+	// acknowledged block's memory the next partial.
+	blk := wblock{idx: w.nextIdx, data: w.partial}
 	w.nextIdx++
-	w.partial = w.partial[:0]
+	w.partial = w.nextPartial()
 
 	queued := false
 	return w.retry.Do("gb.put", func(int) error {
@@ -462,6 +469,19 @@ func (w *Writer) sendBlock() error {
 		queued = true
 		return w.queue(blk)
 	})
+}
+
+// nextPartial returns memory for the next partial block: an acknowledged
+// block's, or fresh while the window fills.
+func (w *Writer) nextPartial() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := len(w.spare); n > 0 {
+		p := w.spare[n-1]
+		w.spare = w.spare[:n-1]
+		return p
+	}
+	return make([]byte, 0, w.blockSize)
 }
 
 // usable starts an attempt: it surfaces a permanent error and replaces a
@@ -695,10 +715,10 @@ type Reader struct {
 // ReaderOptions tunes a Reader beyond the buffer Options.
 type ReaderOptions struct {
 	// Depth is the prefetch pipeline depth in blocks; 0 derives it from
-	// DefaultReaderDepthBytes and the negotiated block size. It must stay
-	// below the buffer's Capacity: the service answers a reader's requests
-	// in order and frees blocks only on the acknowledgement the next request
-	// carries.
+	// DefaultReaderDepthBytes and the negotiated block size. Either way it is
+	// held below the buffer's Capacity: the service answers a reader's
+	// requests in order and frees blocks only on the acknowledgement the
+	// next request carries.
 	Depth int
 	// Codec names the block codec proposed at attach ("" or "raw" keeps the
 	// stream raw and the attach request free of any codec field).
@@ -720,7 +740,10 @@ func NewReader(dialer Dialer, addr string, clock simclock.Clock, key string, opt
 	if r.readerID, err = r.open(roleReader); err != nil {
 		return nil, err
 	}
-	r.depth = inFlightBlocks(ropts.Depth, DefaultReaderDepthBytes, r.blockSize)
+	// The service answers a window in order and frees a block only on the
+	// acknowledgement of the next request, so a window of Capacity blocks
+	// waits for a block the writer has no room to put.
+	r.depth = max(min(inFlightBlocks(ropts.Depth, DefaultReaderDepthBytes, r.blockSize), opts.capacity()-1), 1)
 	return r, nil
 }
 
@@ -771,7 +794,9 @@ func (r *Reader) sendWindow(first int64, count int) error {
 
 // block decodes the response for block idx, tightening the known stream
 // length by what it says: an EOF response gives an upper bound, a short
-// block (the tail) the exact length.
+// block (the tail) the exact length. The data is the frame's own payload (or
+// the codec's arena), valid until the stream's next read: readOnce hands it
+// to the application as r.cur, which is empty again before any read.
 func (r *Reader) block(idx int64, payload []byte) (int64, []byte, bool, error) {
 	d := wire.NewDecoder(payload)
 	gotIdx := d.I64()
@@ -780,11 +805,10 @@ func (r *Reader) block(idx int64, payload []byte) (int64, []byte, bool, error) {
 	if err := d.Err(); err != nil {
 		return idx, nil, false, err
 	}
-	block, err := r.cs.Decode(raw)
+	data, err := r.cs.Decode(raw)
 	if err != nil {
 		return idx, nil, false, retry.Permanent(err)
 	}
-	data := append([]byte(nil), block...)
 	if gotIdx != idx {
 		return idx, nil, false, retry.Permanent(fmt.Errorf("gridbuffer: response for block %d, expected %d", gotIdx, idx))
 	}

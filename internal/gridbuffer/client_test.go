@@ -376,3 +376,65 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReaderDepthAtOrAboveCapacity: a reader asks for depth blocks at a time
+// and the service answers them in order, freeing room only on the
+// acknowledgement the next request carries. A depth at or above the
+// buffer's Capacity would wait for a block the writer cannot put, on a plain
+// sequential read as on a backward seek, so the reader keeps its depth below
+// Capacity. Each row reads 10 blocks, seeks back to 0 (the cache file serves
+// the re-read) and reads the whole stream.
+func TestReaderDepthAtOrAboveCapacity(t *testing.T) {
+	const blocks = 40
+	want := make([]byte, blocks*DefaultBlockSize)
+	rand.New(rand.NewSource(40)).Read(want)
+	for _, capacity := range []int{1, 2, 3, 4, 8, 33} {
+		for _, depth := range []int{0, 2, 8, 64} {
+			t.Run(fmt.Sprintf("capacity=%d/depth=%d", capacity, depth), func(t *testing.T) {
+				b := newBrig(simnet.LinkSpec{Latency: time.Millisecond})
+				opts := Options{Capacity: capacity, Cache: true}
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("%v", p)
+					}
+				}()
+				b.v.Run(func() {
+					b.start(t)
+					done := simclock.NewWaitGroup(b.v)
+					done.Add(1)
+					b.v.Go("writer", func() {
+						defer done.Done()
+						w, err := NewWriter(b.net.Host("w"), b.addr, b.v, "k", opts, WriterOptions{})
+						if err != nil {
+							t.Errorf("writer: %v", err)
+							return
+						}
+						if _, err := w.Write(want); err != nil {
+							t.Errorf("write: %v", err)
+						}
+						if err := w.Close(); err != nil {
+							t.Errorf("close: %v", err)
+						}
+					})
+					r, err := NewReader(b.net.Host("r"), b.addr, b.v, "k", opts, ReaderOptions{Depth: depth})
+					if err != nil {
+						t.Fatalf("reader: %v", err)
+					}
+					defer r.Close()
+					head := make([]byte, 10*DefaultBlockSize)
+					if _, err := io.ReadFull(r, head); err != nil || !bytes.Equal(head, want[:len(head)]) {
+						t.Fatalf("first 10 blocks: err=%v equal=%v", err, bytes.Equal(head, want[:len(head)]))
+					}
+					if _, err := r.Seek(0, io.SeekStart); err != nil {
+						t.Fatal(err)
+					}
+					got, err := io.ReadAll(r)
+					if err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("after seek(0): %d bytes, err=%v", len(got), err)
+					}
+					done.Wait()
+				})
+			})
+		}
+	}
+}

@@ -149,6 +149,15 @@ func TestCodecMixedRawReader(t *testing.T) {
 	})
 }
 
+// GetKeep is Get without the consume: the block stays resident until the
+// reader acknowledges it via AckBelow, and the copy is the caller's. The
+// service frames a pinned block instead (Buffer.pin); serveOldAttach, which
+// assembles each response in a buffer of its own, serves windowed GETs
+// through this copy.
+func (b *Buffer) GetKeep(id int, idx int64) ([]byte, bool, error) {
+	return b.copyOut(id, idx, false)
+}
+
 // serveOldAttach is a frame-level stand-in for a pre-codec server build: it
 // decodes the attach request with the historical field list (silently
 // ignoring any trailing bytes, as the old decoder did) and answers the
@@ -220,7 +229,6 @@ func serveOldAttach(clock simclock.Clock, reg *Registry, l net.Listener) {
 						e := wire.NewEncoder()
 						e.I64(idx).Bool(eof).Bytes32(data)
 						wire.WriteFrame(bw, msgGetWinResp, e.Bytes())
-						b.Recycle(data)
 						bw.Flush()
 					}
 				case msgCloseWrite:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,4 +80,126 @@ func TestReconnectKeepsTheAckLoopsBuffers(t *testing.T) {
 			t.Fatalf("reader got %d bytes, want %d", len(got), len(want))
 		}
 	})
+}
+
+// TestPinnedBlockIsNotRecycled: the service frames a resident block outside
+// the shard lock while it holds it pinned. Each way a block leaves the table
+// runs here while one is pinned: an overwriting replayed Put of the same
+// index, the last expected reader's AckBelow or Detach, and Drop. A burst of
+// new Puts afterwards must not be handed the pinned block's memory, and the
+// bytes a framer would send must still be the original ones. Run it under
+// -race.
+func TestPinnedBlockIsNotRecycled(t *testing.T) {
+	const bs = 512
+	orig := bytes.Repeat([]byte{0xAA}, bs)
+	cases := []struct {
+		name    string
+		readers int
+		// leave runs the recycle path on a, where block 0 is pinned, and
+		// returns the buffer that takes the burst (one sharing a's pool).
+		leave func(t *testing.T, reg *Registry, a *Buffer, ids []int) *Buffer
+	}{
+		{"replayed put", 1, func(t *testing.T, _ *Registry, a *Buffer, _ []int) *Buffer {
+			if err := a.Put(0, bytes.Repeat([]byte{0xBB}, bs)); err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}},
+		{"last reader's ack", 2, func(_ *testing.T, _ *Registry, a *Buffer, ids []int) *Buffer {
+			for _, id := range ids {
+				a.AckBelow(id, 1)
+			}
+			return a
+		}},
+		{"last reader's detach", 2, func(_ *testing.T, _ *Registry, a *Buffer, ids []int) *Buffer {
+			for _, id := range ids {
+				a.Detach(id)
+			}
+			return a
+		}},
+		{"drop", 1, func(t *testing.T, reg *Registry, _ *Buffer, _ []int) *Buffer {
+			reg.Drop("a")
+			return getOrCreate(t, reg, "c", Options{BlockSize: bs, Capacity: 1024})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry(simclock.Real{}, nil)
+			a := getOrCreate(t, reg, "a", Options{BlockSize: bs, Capacity: 1024, Readers: tc.readers})
+			ids := make([]int, tc.readers)
+			for i := range ids {
+				ids[i] = a.Attach()
+			}
+			if err := a.Put(0, orig); err != nil {
+				t.Fatal(err)
+			}
+			blk, framed, _, err := a.pin(ids[0], 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(framed, orig) {
+				t.Fatal("the pinned block does not hold what was put")
+			}
+			burst := tc.leave(t, reg, a, ids)
+			for i := int64(1); i <= 64; i++ {
+				if err := burst.Put(i, bytes.Repeat([]byte{byte(i)}, bs)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range burst.shards {
+				for idx, other := range burst.shards[i].blocks {
+					if &other.data[0] == &blk.data[0] {
+						t.Errorf("block %d was handed the pinned block's memory", idx)
+					}
+				}
+			}
+			if !bytes.Equal(framed, orig) {
+				t.Error("the pinned block's bytes changed before it was released")
+			}
+			a.release(blk)
+			if n := blk.refs.Load(); n != 0 {
+				t.Errorf("%d holds left on the block after its last release", n)
+			}
+		})
+	}
+}
+
+// TestPinnedBlocksUnderConcurrentReaders: two broadcast readers frame
+// pinned blocks while the writer puts, replays every block once more (an
+// overwrite while a reader may hold the old copy pinned) and the readers'
+// acknowledgements recycle what both have read. Every pinned block must
+// hold exactly what was put at its index. Run it under -race.
+func TestPinnedBlocksUnderConcurrentReaders(t *testing.T) {
+	const bs, n = 256, 2000
+	buf := NewBuffer(simclock.Real{}, "k", Options{BlockSize: bs, Capacity: 16, Readers: 2})
+	content := func(idx int64) []byte { return bytes.Repeat([]byte{byte(idx), byte(idx >> 8)}, bs/2) }
+	ids := []int{buf.Attach(), buf.Attach()}
+	var wg sync.WaitGroup
+	wg.Add(len(ids))
+	for _, id := range ids {
+		go func() {
+			defer wg.Done()
+			for idx := int64(0); idx < n; idx++ {
+				blk, data, _, err := buf.pin(id, idx, false)
+				if err != nil {
+					t.Errorf("reader %d, block %d: %v", id, idx, err)
+					return
+				}
+				if !bytes.Equal(data, content(idx)) {
+					t.Errorf("reader %d framed the wrong bytes for block %d", id, idx)
+				}
+				buf.release(blk)
+				buf.AckBelow(id, idx+1)
+			}
+		}()
+	}
+	for idx := int64(0); idx < n; idx++ {
+		for range 2 {
+			if err := buf.Put(idx, content(idx)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wg.Wait()
+	buf.Drop()
 }

@@ -424,7 +424,7 @@ func (c *connState) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []
 		return st.Frame(msgAttachResp, e.Bytes())
 
 	case msgPut:
-		key := d.String()
+		key := d.Bytes32()
 		idx := d.I64()
 		data := d.Bytes32()
 		if err := d.Err(); err != nil {
@@ -434,9 +434,15 @@ func (c *connState) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []
 		if derr != nil {
 			return writeError(st, derr)
 		}
-		b, err := c.lookup(key)
-		if err != nil {
-			return writeError(st, err)
+		// The attached buffer is found by comparing the key's bytes, which
+		// makes no string of them; only a connection that never attached
+		// pays for one.
+		b := c.buf
+		if b == nil || string(key) != c.key {
+			var err error
+			if b, err = c.lookup(string(key)); err != nil {
+				return writeError(st, err)
+			}
 		}
 		if err := b.put(idx, data, c.flushHeld); err != nil {
 			return writeError(st, err)
@@ -462,8 +468,11 @@ func (c *connState) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []
 		// write, a reader that has caught up gets each block as it lands, and
 		// the blocking read of block k still overlaps the delivery of blocks
 		// < k. The block payload is written vectored, straight from the
-		// buffer (or the connection's compression arena) — no per-block
-		// assembly copy, no per-block allocation.
+		// resident block (or the connection's compression arena) — no
+		// per-block copy, no per-block allocation. The block is pinned while
+		// it is framed, so nothing recycles its memory meanwhile, and the
+		// shard lock is not held: a frame that fills the connection buffer
+		// writes to the socket.
 		e := wire.NewEncoder()
 		for i := 0; i < req.count; i++ {
 			idx := req.first + int64(i)
@@ -472,7 +481,7 @@ func (c *connState) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []
 					return err
 				}
 			}
-			data, eof, err := b.GetKeep(req.readerID, idx)
+			blk, data, eof, err := b.pin(req.readerID, idx, false)
 			if err != nil {
 				return writeError(st, err)
 			}
@@ -482,7 +491,7 @@ func (c *connState) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []
 				e.I64(idx).Bool(eof).U32(uint32(len(out)))
 				err = st.Frame(msgGetWinResp, e.Bytes(), out)
 			}
-			b.Recycle(data)
+			b.release(blk)
 			if err != nil {
 				return err
 			}
