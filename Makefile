@@ -30,7 +30,7 @@ COVER_FLOOR_SIMNET     ?= 89.0
 # BENCH_OUT is the benchmark record of the current PR: `make bench` writes
 # it, `make bench-gate` compares it against BENCH_baseline.json and `make
 # stress` merges the overload curves into it.
-BENCH_OUT ?= BENCH_pr40.json
+BENCH_OUT ?= BENCH_pr44.json
 
 # Per-target fuzz budget for the `make fuzz` smoke pass. The checked-in
 # seed corpora always replay in full under plain `go test`; this adds a

@@ -1172,6 +1172,84 @@ func BenchmarkLayerObjstoreLoopbackGet64K(b *testing.B) {
 	b.ReportMetric(float64(writes.n.Load())/float64(b.N)/(total>>20), "connwrites/MB")
 }
 
+// BenchmarkLayerGridFTPLoopbackRead64K is the twin of
+// BenchmarkLayerObjstoreLoopbackGet64K for mechanism 3: one OPEN, a 16 MiB
+// file read to EOF in 64 KiB calls through the handle's read-ahead window,
+// one Close, through core.New against an in-process GNS store and an
+// in-process gridftp.Server, over real loopback TCP on the wall clock. It
+// reports MB/s, allocs/op (both ends), dials/op and connwrites/MB.
+func BenchmarkLayerGridFTPLoopbackRead64K(b *testing.B) {
+	benchGridFTPLayer(b, vfs.NewMemFS(), gns.ModeRemote)
+}
+
+// BenchmarkLayerGridFTPStageIn is mechanism 2 on the same rig: every op
+// stages the 16 MiB file into the same local path on a real directory
+// (vfs.OSFS), reads the staged copy to EOF in 64 KiB calls and closes it. It
+// is what a re-staged file costs the local file system on top of the bytes.
+func BenchmarkLayerGridFTPStageIn(b *testing.B) {
+	benchGridFTPLayer(b, vfs.NewOSFS(b.TempDir()), gns.ModeCopy)
+}
+
+func benchGridFTPLayer(b *testing.B, local vfs.FS, mode gns.Mode) {
+	const total = 16 << 20
+	clock := simclock.Real{}
+	body := make([]byte, total)
+	for i := range body {
+		body[i] = byte(i % 251)
+	}
+	var writes writeCounter
+	var dials atomic.Int64
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	remote := vfs.NewMemFS()
+	if err := vfs.WriteFile(remote, "layer.dat", body); err != nil {
+		b.Fatal(err)
+	}
+	go gridftp.NewServer(remote, clock).Serve(countedListener{l, &writes})
+	store := gns.NewStore(clock)
+	store.Set("app", "file", gns.Mapping{Mode: mode, RemoteHost: l.Addr().String(), RemotePath: "layer.dat", LocalPath: "stage/layer.dat"})
+	fm, err := core.New(core.Config{Machine: "app", Clock: clock, FS: local, Dialer: dialCountingDialer{countedTCPDialer{&writes}, &dials}, GNS: store})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fm.Close()
+	call := make([]byte, 64<<10)
+	op := func() {
+		f, err := fm.Open("file")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var n int64
+		for {
+			c, err := f.Read(call)
+			n += int64(c)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil || n != total {
+			b.Fatalf("read %d bytes, close: %v", n, err)
+		}
+	}
+	op() // warm the pools (and stage the first copy) outside the timed region
+	writes.n.Store(0)
+	dials.Store(0)
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
+	b.ReportMetric(float64(writes.n.Load())/float64(b.N)/(total>>20), "connwrites/MB")
+}
+
 // BenchmarkLayerSimKernel is the simulator kernel's Layer/* entry: wall time
 // and allocations per virtual event, where an event is a Sleep ending or a
 // Cond wait ending. Eight pairs of registered goroutines each play 1000

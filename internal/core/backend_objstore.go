@@ -10,6 +10,7 @@ import (
 
 	"griddles/internal/gns"
 	"griddles/internal/objstore"
+	"griddles/internal/rpc"
 )
 
 // objstoreBackend is mechanism 7: whole-object access on the object-store
@@ -97,11 +98,10 @@ func (objstoreBackend) Stat(_ context.Context, env *Env, path string, mapping gn
 
 // objstoreRaw is the uncached read handle over ranged GETs, with one
 // read-ahead window so sequential reads cost a round trip per window, not per
-// call. The window is objstoreReadAhead after an open or a seek and doubles,
-// up to objstoreReadAheadMax, each time a read runs off its end, so random
-// access moves 64 KiB per miss and a scan quickly moves 256 KiB. The object
-// size is known at open, so the full Seek surface (including io.SeekEnd)
-// works without a round trip.
+// call. The window's length follows the one rule of every ranged reader
+// (rpc.NextWindow): the floor after an open or a seek, doubling up to the cap
+// each time a read runs off its end. The object size is known at open, so
+// the full Seek surface (including io.SeekEnd) works without a round trip.
 type objstoreRaw struct {
 	client *objstore.Client
 	key    string
@@ -110,28 +110,16 @@ type objstoreRaw struct {
 
 	buf    []byte // the window, refilled in place: object bytes from bufOff
 	bufOff int64
-	ahead  int64 // length of the last refill asked for
+	ahead  int // length of the last refill asked for
 }
-
-// The read-ahead window's floor and cap. The cap is measured, not guessed:
-// past 256 KiB the copy out of the window starts to miss the CPU's cache
-// (DESIGN.md §20).
-const (
-	objstoreReadAhead    = 64 * 1024
-	objstoreReadAheadMax = 256 * 1024
-)
 
 func (f *objstoreRaw) Read(p []byte) (int, error) {
 	if f.pos >= f.size {
 		return 0, io.EOF
 	}
 	if end := f.bufOff + int64(len(f.buf)); f.pos < f.bufOff || f.pos >= end {
-		if f.pos == end && len(f.buf) > 0 {
-			f.ahead = min(2*f.ahead, objstoreReadAheadMax)
-		} else {
-			f.ahead = objstoreReadAhead
-		}
-		want := min(max(f.ahead, int64(len(p))), f.size-f.pos)
+		f.ahead = rpc.NextWindow(f.ahead, f.pos == end && len(f.buf) > 0)
+		want := min(int64(max(f.ahead, len(p))), f.size-f.pos)
 		// The refill overwrites the array the old window lives in, so the
 		// old window is gone from here on, whether the refill succeeds or not.
 		f.buf, f.bufOff = f.buf[:0], f.pos

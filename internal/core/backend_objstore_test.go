@@ -14,6 +14,7 @@ import (
 	"griddles/internal/fault"
 	"griddles/internal/objstore"
 	"griddles/internal/obs"
+	"griddles/internal/rpc"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 )
@@ -96,9 +97,9 @@ func (r *rawRig) gets() int64 { return r.obs.Snapshot().Counters["objstore.get.t
 // policy: that read fails, and a seek back into the window the failed refill
 // was overwriting must still return the object's bytes, not the array's.
 func TestObjstoreReadAheadProperty(t *testing.T) {
-	sizes := []int{0, 1, objstoreReadAhead - 1, objstoreReadAhead, objstoreReadAhead + 1,
-		objstoreReadAheadMax - 1, objstoreReadAheadMax, objstoreReadAheadMax + 1, 1<<20 + 3}
-	lengths := []int{1, 100, 4096, objstoreReadAhead, objstoreReadAhead + 1, 300_000}
+	sizes := []int{0, 1, rpc.WindowMin - 1, rpc.WindowMin, rpc.WindowMin + 1,
+		rpc.WindowMax - 1, rpc.WindowMax, rpc.WindowMax + 1, 1<<20 + 3}
+	lengths := []int{1, 100, 4096, rpc.WindowMin, rpc.WindowMin + 1, 300_000}
 	for seed := 0; seed < 90; seed++ {
 		size := sizes[seed%len(sizes)]
 		faulty := seed/len(sizes)%3 == 2
@@ -149,8 +150,8 @@ func TestObjstoreReadAheadProperty(t *testing.T) {
 					// Scan from the start until the window stops growing, so the
 					// refill that fails is as large as refills get.
 					seek(0, io.SeekStart)
-					for f.pos < f.size && (f.ahead < objstoreReadAheadMax || f.pos < f.bufOff+int64(len(f.buf))) {
-						if err := read(objstoreReadAhead); err != nil {
+					for f.pos < f.size && (f.ahead < rpc.WindowMax || f.pos < f.bufOff+int64(len(f.buf))) {
+						if err := read(rpc.WindowMin); err != nil {
 							t.Fatalf("scan: %v", err)
 						}
 					}
@@ -166,7 +167,7 @@ func TestObjstoreReadAheadProperty(t *testing.T) {
 						{Kind: fault.FailAfter, From: "srv", To: "app", Bytes: cut},
 					}}).Start().Wait()
 					pos := f.pos
-					if err := read(objstoreReadAhead); err != nil {
+					if err := read(rpc.WindowMin); err != nil {
 						if f.pos != pos {
 							t.Fatalf("a failed read moved the position from %d to %d", pos, f.pos)
 						}
@@ -195,7 +196,7 @@ func TestObjstoreReadAheadCost(t *testing.T) {
 	const total = 16 << 20
 	object := make([]byte, total)
 	rand.New(rand.NewSource(1)).Read(object)
-	call := make([]byte, objstoreReadAhead)
+	call := make([]byte, rpc.WindowMin)
 
 	withRaw(t, object, func(r *rawRig, f *objstoreRaw) {
 		var n int64
@@ -233,7 +234,7 @@ func TestObjstoreReadAheadCost(t *testing.T) {
 		c := objstore.NewClient(loopbackDialer{}, l.Addr().String(), simclock.Real{})
 		defer c.Close()
 		f := &objstoreRaw{client: c, key: "k", size: total}
-		for f.ahead < objstoreReadAheadMax {
+		for f.ahead < rpc.WindowMax {
 			if _, err := f.Read(call); err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +252,7 @@ func TestObjstoreReadAheadCost(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			if len(f.buf) != objstoreReadAheadMax {
+			if len(f.buf) != rpc.WindowMax {
 				t.Fatalf("refill %d fetched %d bytes, want the cap", i, len(f.buf))
 			}
 			least = min(least, after.TotalAlloc-before.TotalAlloc)

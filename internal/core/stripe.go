@@ -349,7 +349,9 @@ func (m *Multiplexer) stripedStageIn(path, lp string, ranked []replica.Ranked) (
 		m.stats.replicaChosen(src.loc.Host)
 	}
 	tasks := planStripes(size, bws, stripeStreamsPerReplica)
-	dst, err := m.cfg.FS.OpenFile(lp, vfs.CreateTruncFlag, 0o644)
+	// The copy overwrites lp in place and cuts it to what landed once the
+	// copy is whole, as gridftp.Client.CopyIn does (DESIGN.md §30).
+	dst, err := m.cfg.FS.OpenFile(lp, vfs.CreateFlag, 0o644)
 	if err != nil {
 		return 0, true, err
 	}
@@ -369,14 +371,32 @@ func (m *Multiplexer) stripedStageIn(path, lp string, ranked []replica.Ranked) (
 		obs.KV("tasks", len(tasks)),
 		obs.KV("streams_per_replica", stripeStreamsPerReplica))
 	runErr := s.run()
+	n := s.landed()
+	if runErr == nil {
+		runErr = dst.Truncate(n)
+	}
 	if cerr := dst.Close(); runErr == nil {
 		runErr = cerr
 	}
 	if runErr != nil {
 		return 0, true, runErr
 	}
-	m.obs.Counter("ftp.stripe.bytes").Add(size)
-	return size, true, nil
+	m.obs.Counter("ftp.stripe.bytes").Add(n)
+	return n, true, nil
+}
+
+// landed is how many bytes of the file the copy delivered: every range's
+// high-water mark. It is the planned size unless the replicas shrank after
+// the Stat the plan was sized from; the ranges are contiguous, so the bytes
+// that landed are then the new, shorter file.
+func (s *stripeCopy) landed() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, t := range s.tasks {
+		n += t.written
+	}
+	return n
 }
 
 // stripeSummary renders a plan as "host=plannedBytes@forecastBw|..." for the

@@ -203,8 +203,9 @@ func (c *Client) Close() error { return c.rc.Close() }
 
 // handleTrip is a round trip for handle-scoped requests: it fails with
 // errStaleHandle when the shared connection is no longer the one the handle
-// was opened on. The payload parts are written without joining them.
-func (c *Client) handleTrip(gen uint64, reqType uint8, payload ...[]byte) (uint8, []byte, error) {
+// was opened on. The payload parts are written without joining them; the
+// reply lands in *into (nil: a fresh payload), as rpc.Conn.CallLocked says.
+func (c *Client) handleTrip(into *[]byte, gen uint64, reqType uint8, payload ...[]byte) (uint8, []byte, error) {
 	c.rc.Lock()
 	defer c.rc.Unlock()
 	if err := c.rc.DialLocked(); err != nil {
@@ -213,7 +214,7 @@ func (c *Client) handleTrip(gen uint64, reqType uint8, payload ...[]byte) (uint8
 	if c.rc.GenLocked() != gen {
 		return 0, nil, errStaleHandle
 	}
-	return c.rc.CallLocked(reqType, payload...)
+	return c.rc.CallLocked(into, reqType, payload...)
 }
 
 // Stat reports whether path exists on the server and its size.
@@ -235,7 +236,7 @@ func (c *Client) Stat(path string) (size int64, exists bool, err error) {
 // supporting block-granular remote IO — the paper's "proxy file server"
 // access mode.
 func (c *Client) Open(path string, flag int) (*RemoteFile, error) {
-	f := &RemoteFile{c: c, name: path, flag: flag, ReadAhead: streamChunk}
+	f := &RemoteFile{c: c, name: path, flag: flag, ReadAhead: rpc.WindowMax}
 	err := c.rc.Retry.Do("gridftp.open", func(int) error { return f.ensureHandle() })
 	if err != nil {
 		return nil, err
@@ -323,14 +324,22 @@ type RemoteFile struct {
 	size   int64
 	pos    int64
 
-	// ReadAhead is how many bytes a sequential Read requests per round
-	// trip. Larger values hide latency (the paper's GridFTP observation);
-	// the default is 64 KiB.
+	// ReadAhead caps the read-ahead window: a Read that misses it asks for
+	// the window's next length (rpc.NextWindow: 64 KiB, doubling while reads
+	// stay sequential) but no more than ReadAhead, and never less than the
+	// caller's own length. Larger windows hide latency (the paper's GridFTP
+	// observation); the default is the rule's own cap, 256 KiB, and 1 turns
+	// read-ahead off.
 	ReadAhead int
 
-	buf    []byte // read-ahead buffer
-	bufOff int64  // file offset of buf[0]
-	eof    bool   // server reported EOF at the end of buf
+	// reply is the handle's reply buffer: a read up to the window cap lands
+	// in it, and the window aliases it. Whatever reads into it drops the
+	// window first (see readRemote).
+	reply  []byte
+	buf    []byte // read-ahead window: file bytes from bufOff
+	bufOff int64
+	ahead  int  // length the last refill asked for, before the caps
+	eof    bool // server reported EOF at the end of buf
 	closed bool
 
 	// run holds written bytes the server has not been sent yet: one
@@ -366,7 +375,7 @@ func (f *RemoteFile) ensureHandle() error {
 		flag &^= os.O_TRUNC | os.O_EXCL
 	}
 	e := wire.NewEncoder().String(f.name).U32(uint32(flag))
-	typ, resp, err := rc.CallLocked(msgOpen, e.Bytes())
+	typ, resp, err := rc.CallLocked(nil, msgOpen, e.Bytes())
 	if err != nil {
 		return err
 	}
@@ -388,22 +397,42 @@ func (f *RemoteFile) ensureHandle() error {
 
 // ReadAt implements io.ReaderAt with one round trip per call. It sends the
 // dirty run first (the read barrier), so the handle always reads its own
-// writes.
+// writes, and drops the read-ahead window, whose buffer the reply reuses.
 func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, errors.New("gridftp: file closed")
 	}
-	if err := f.flushRun(); err != nil {
+	f.invalidate()
+	data, eof, err := f.readRemote(off, len(p))
+	if err != nil {
 		return 0, err
 	}
-	var n int
-	var eof bool
-	err := f.c.rc.Retry.Do("gridftp.read", func(int) error {
+	n := copy(p, data)
+	if eof && (n < len(p) || n == 0) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// readRemote is one msgRead round trip for up to n bytes at off, after the
+// dirty run: the bytes, aliasing the reply, and whether the server reported
+// EOF. A read up to the window cap lands in the handle's reply buffer, so the
+// caller must have dropped the window first; a larger one gets a fresh
+// payload, so the handle keeps no buffer larger than the cap.
+func (f *RemoteFile) readRemote(off int64, n int) (data []byte, eof bool, err error) {
+	if err := f.flushRun(); err != nil {
+		return nil, false, err
+	}
+	into := &f.reply
+	if n > rpc.WindowMax {
+		into = nil
+	}
+	err = f.c.rc.Retry.Do("gridftp.read", func(int) error {
 		if err := f.ensureHandle(); err != nil {
 			return err
 		}
-		e := wire.NewEncoder().U64(f.handle).I64(off).U32(uint32(len(p)))
-		typ, resp, err := f.c.handleTrip(f.gen, msgRead, e.Bytes())
+		e := wire.NewEncoder().U64(f.handle).I64(off).U32(uint32(n))
+		typ, resp, err := f.c.handleTrip(into, f.gen, msgRead, e.Bytes())
 		if err != nil {
 			return err
 		}
@@ -411,67 +440,49 @@ func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 			return retry.Permanent(fmt.Errorf("gridftp: unexpected reply %d", typ))
 		}
 		d := wire.NewDecoder(resp)
-		eofResp := d.Bool()
-		data := d.Bytes32()
-		if err := d.Err(); err != nil {
-			return retry.Permanent(err)
-		}
-		n = copy(p, data)
-		eof = eofResp
-		return nil
+		eof = d.Bool()
+		data = d.Bytes32()
+		return retry.Permanent(d.Err())
 	})
-	if err != nil {
-		return 0, err
-	}
-	if eof && (n < len(p) || n == 0) {
-		return n, io.EOF
-	}
-	return n, nil
+	return data, eof, err
 }
 
-// Read implements io.Reader with read-ahead: each wire round trip fetches up
-// to ReadAhead bytes even when the caller asks for less.
+// Read implements io.Reader with read-ahead: a Read the window cannot answer
+// refills it with one round trip, for the window's next length even when the
+// caller asks for less (see ReadAhead).
 func (f *RemoteFile) Read(p []byte) (int, error) {
 	if f.closed {
 		return 0, errors.New("gridftp: file closed")
 	}
-	// Serve from the read-ahead buffer when the position lands inside it.
-	if f.pos >= f.bufOff && f.pos < f.bufOff+int64(len(f.buf)) {
+	end := f.bufOff + int64(len(f.buf))
+	if f.pos >= f.bufOff && f.pos < end {
 		f.c.readaheadHit.Inc()
 		n := copy(p, f.buf[f.pos-f.bufOff:])
 		f.pos += int64(n)
 		return n, nil
 	}
 	f.c.readaheadMiss.Inc()
-	// Past the end of a buffer the server already flagged as final.
-	if f.eof && f.pos >= f.bufOff+int64(len(f.buf)) {
+	// Past the end of a window the server already flagged as final.
+	if f.eof && f.pos >= end {
 		return 0, io.EOF
 	}
-	want := f.ReadAhead
-	if want < len(p) {
-		want = len(p)
+	f.ahead = rpc.NextWindow(f.ahead, f.pos == end && len(f.buf) > 0)
+	want := max(min(f.ahead, f.ReadAhead), len(p), 1)
+	// The refill overwrites the buffer the old window lives in, so the old
+	// window is gone from here on, whether the refill succeeds or not.
+	f.invalidate()
+	data, eof, err := f.readRemote(f.pos, want)
+	if err != nil {
+		return 0, err
 	}
-	if want <= 0 {
-		want = streamChunk
-	}
-	// The old window is dead once the position left it: refill in place.
-	buf := f.buf[:0]
-	if cap(buf) < want {
-		buf = make([]byte, want)
-	}
-	n, err := f.ReadAt(buf[:want], f.pos)
-	f.buf = buf[:n]
-	f.bufOff = f.pos
-	f.eof = errors.Is(err, io.EOF)
-	if n == 0 {
-		if err != nil {
-			return 0, err
-		}
+	f.buf, f.bufOff = data, f.pos
+	f.eof = eof && len(data) < want
+	if len(data) == 0 {
 		return 0, io.EOF
 	}
-	c := copy(p, f.buf)
-	f.pos += int64(c)
-	return c, nil
+	n := copy(p, data)
+	f.pos += int64(n)
+	return n, nil
 }
 
 // WriteAt implements io.WriterAt. Writes coalesce the way reads read ahead:
@@ -542,7 +553,7 @@ func (f *RemoteFile) writeAtRemote(p []byte, off int64) error {
 			return err
 		}
 		hdr := wire.NewEncoder().U64(f.handle).I64(off).U32(uint32(len(p)))
-		typ, resp, err := f.c.handleTrip(f.gen, msgWrite, hdr.Bytes(), p)
+		typ, resp, err := f.c.handleTrip(nil, f.gen, msgWrite, hdr.Bytes(), p)
 		if err != nil {
 			return err
 		}
@@ -590,12 +601,10 @@ func (f *RemoteFile) Seek(offset int64, whence int) (int64, error) {
 	return npos, nil
 }
 
-// invalidate discards the read-ahead window (after writes), keeping its
-// memory for the next fill.
+// invalidate discards the read-ahead window: after a write, and before
+// anything reads into the reply buffer the window aliases.
 func (f *RemoteFile) invalidate() {
-	f.buf = f.buf[:0]
-	f.bufOff = 0
-	f.eof = false
+	f.buf, f.bufOff, f.eof = nil, 0, false
 }
 
 // Close sends the dirty run and releases the server-side handle; it is the
@@ -614,7 +623,7 @@ func (f *RemoteFile) Close() error {
 	if f.handle == 0 || rc.GenLocked() != f.gen {
 		return flushErr
 	}
-	typ, _, err := rc.CallLocked(msgClose, wire.NewEncoder().U64(f.handle).Bytes())
+	typ, _, err := rc.CallLocked(nil, msgClose, wire.NewEncoder().U64(f.handle).Bytes())
 	if err != nil {
 		if f.c.rc.Retry.Enabled() && !retry.IsPermanent(err) {
 			return flushErr // transport died, and the handle with it
@@ -630,6 +639,14 @@ func (f *RemoteFile) Close() error {
 // CopyIn pulls remotePath from the server into localPath on fsys using the
 // given number of parallel stripe streams (1 = plain single-stream copy).
 // It returns the number of bytes copied.
+//
+// The copy overwrites localPath in place and, once every byte has landed,
+// cuts it to the byte count delivered: truncating to zero first and writing
+// again costs a file system such as ext4 block freeing and reallocation on
+// every stage-in (DESIGN.md §30). The cut is to what arrived, not to the
+// Stat size, since the remote may change between the two. A failed copy
+// leaves localPath holding old and new bytes; the caller treats it as
+// unstaged.
 func (c *Client) CopyIn(remotePath string, fsys vfs.FS, localPath string, streams int) (int64, error) {
 	if streams < 1 {
 		streams = 1
@@ -641,22 +658,31 @@ func (c *Client) CopyIn(remotePath string, fsys vfs.FS, localPath string, stream
 	if !exists {
 		return 0, fmt.Errorf("gridftp: %s: no such remote file", remotePath)
 	}
-	dst, err := fsys.OpenFile(localPath, vfs.CreateTruncFlag, 0o644)
+	dst, err := fsys.OpenFile(localPath, vfs.CreateFlag, 0o644)
 	if err != nil {
 		return 0, err
 	}
 	defer dst.Close()
-	if size == 0 {
-		return 0, nil
-	}
-	if streams == 1 || size < int64(streams)*streamChunk {
+	var n int64
+	switch {
+	case size == 0:
+	case streams == 1 || size < int64(streams)*streamChunk:
 		c.copyStreams.Observe(1)
-		n, err := c.Fetch(remotePath, 0, -1, &sectionWriter{f: dst, off: 0})
+		n, err = c.Fetch(remotePath, 0, -1, &sectionWriter{f: dst, off: 0})
 		c.copyinBytes.Add(n)
+	default:
+		n, err = c.fetchStripes(remotePath, size, streams, dst)
+	}
+	if err != nil {
 		return n, err
 	}
-	c.copyStreams.Observe(int64(streams))
+	return n, dst.Truncate(n)
+}
 
+// fetchStripes copies the size bytes of remotePath into dst over streams
+// parallel Fetch streams, one contiguous stripe each.
+func (c *Client) fetchStripes(remotePath string, size int64, streams int, dst io.WriterAt) (int64, error) {
+	c.copyStreams.Observe(int64(streams))
 	stripe := (size + int64(streams) - 1) / int64(streams)
 	wg := simclock.NewWaitGroup(c.clock)
 	errs := make([]error, streams)

@@ -11,6 +11,7 @@ package gridftp
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -104,6 +105,10 @@ type session struct {
 	next    uint64
 	handles map[uint64]vfs.File
 	sc      *rpc.StreamCodec
+	// reply is the msgReadResp payload every read up to the window cap is
+	// read into and sent from; requests are answered one at a time, so it is
+	// free again when the next one arrives.
+	reply []byte
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -174,17 +179,7 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		if err != nil {
 			return rpc.WriteError(w, err)
 		}
-		buf := make([]byte, n)
-		got, rerr := f.ReadAt(buf, off)
-		eof := false
-		if rerr == io.EOF {
-			eof = true
-		} else if rerr != nil {
-			return rpc.WriteError(w, rerr)
-		}
-		e := wire.NewEncoder()
-		e.Bool(eof).Bytes32(buf[:got])
-		return wire.WriteFrame(w, msgReadResp, e.Bytes())
+		return sess.read(w, f, off, int(n))
 
 	case msgWrite:
 		h, off := d.U64(), d.I64()
@@ -274,6 +269,37 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 	default:
 		return rpc.WriteError(w, fmt.Errorf("gridftp: unknown message type %d", typ))
 	}
+}
+
+// readPrefix is the length of what leads the data in a msgReadResp payload:
+// the eof flag and the data length (wire.Encoder's Bool and Bytes32).
+const readPrefix = 5
+
+// read answers one msgRead. The file is read straight into the reply payload,
+// behind its prefix, and the payload leaves as one frame: no copy between the
+// file and the connection's writer. A read up to the window cap lands in the
+// session's reply buffer; a larger one gets a buffer of its own, so a session
+// holds at most the cap plus the prefix between requests.
+func (sess *session) read(w io.Writer, f vfs.File, off int64, n int) error {
+	var buf []byte
+	if n <= rpc.WindowMax {
+		if cap(sess.reply) < readPrefix+n {
+			sess.reply = make([]byte, readPrefix+n)
+		}
+		buf = sess.reply[:readPrefix+n]
+	} else {
+		buf = make([]byte, readPrefix+n)
+	}
+	got, err := f.ReadAt(buf[readPrefix:], off)
+	if err != nil && err != io.EOF {
+		return rpc.WriteError(w, err)
+	}
+	buf[0] = 0
+	if err == io.EOF {
+		buf[0] = 1
+	}
+	binary.BigEndian.PutUint32(buf[1:readPrefix], uint32(got))
+	return wire.WriteFrameV(w, msgReadResp, buf[:readPrefix+got])
 }
 
 // fetch streams [off, off+length) of path; length < 0 means "to EOF".

@@ -395,10 +395,13 @@ func (c *Conn) dropLocked() {
 
 // CallLocked performs one request/response on the established connection;
 // the request payload is the concatenation of parts, written without joining
-// them. A transport error (or a shed that does not decode) drops the
-// connection; the reply is classified by Reply, so a shed or a server error
-// leaves the connection usable and comes back as the error.
-func (c *Conn) CallLocked(reqType uint8, parts ...[]byte) (uint8, []byte, error) {
+// them. The reply payload is read into *into, which grows when a reply does
+// not fit, and aliases it until the next call that passes the same buffer; a
+// nil into reads it into a fresh payload the caller keeps. A transport error
+// (or a shed that does not decode) drops the connection; the reply is
+// classified by Reply, so a shed or a server error leaves the connection
+// usable and comes back as the error.
+func (c *Conn) CallLocked(into *[]byte, reqType uint8, parts ...[]byte) (uint8, []byte, error) {
 	conn := c.s.conn
 	if dl := c.Retry.Deadline(); !dl.IsZero() {
 		conn.SetDeadline(dl)
@@ -411,7 +414,9 @@ func (c *Conn) CallLocked(reqType uint8, parts ...[]byte) (uint8, []byte, error)
 	}
 	var typ uint8
 	var resp []byte
-	if err == nil {
+	if err == nil && into != nil {
+		typ, resp, err = wire.ReadFrameInto(c.s.r, into)
+	} else if err == nil {
 		typ, resp, err = wire.ReadFrame(c.s.r)
 	}
 	if err != nil {
@@ -437,7 +442,7 @@ func (c *Conn) Call(reqType uint8, parts ...[]byte) (uint8, []byte, error) {
 	if err := c.DialLocked(); err != nil {
 		return 0, nil, err
 	}
-	return c.CallLocked(reqType, parts...)
+	return c.CallLocked(nil, reqType, parts...)
 }
 
 // Do runs one call under the Retry policy — a transport fault redials and

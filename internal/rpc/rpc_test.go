@@ -147,6 +147,40 @@ func wantEcho(t *testing.T, c *rpc.Conn) {
 	}
 }
 
+// TestCallLockedReadsIntoTheCallersBuffer: a reply read into the caller's
+// buffer aliases it and reuses its array while the reply fits, grows it when
+// it does not, and a nil buffer still gets a fresh payload.
+func TestCallLockedReadsIntoTheCallersBuffer(t *testing.T) {
+	b := newBench()
+	b.v.Run(func() {
+		b.start(t)
+		c := b.conn()
+		defer c.Close()
+		call := func(into *[]byte, req string) []byte {
+			c.Lock()
+			defer c.Unlock()
+			if err := c.DialLocked(); err != nil {
+				t.Fatal(err)
+			}
+			typ, resp, err := c.CallLocked(into, msgEcho, []byte(req))
+			if err != nil || typ != msgEchoResp || string(resp) != req {
+				t.Fatalf("echo %q = %d %q, %v", req, typ, resp, err)
+			}
+			return resp
+		}
+		buf := make([]byte, 8)
+		if resp := call(&buf, "hello"); &resp[0] != &buf[0] {
+			t.Fatal("a reply that fits did not land in the caller's buffer")
+		}
+		if resp := call(&buf, "a longer reply"); cap(buf) < len("a longer reply") || &resp[0] != &buf[0] {
+			t.Fatalf("a reply that does not fit: buffer cap %d, aliased %v", cap(buf), &resp[0] == &buf[0])
+		}
+		if resp := call(nil, "fresh"); &resp[0] == &buf[0] {
+			t.Fatal("a nil buffer reused the caller's array")
+		}
+	})
+}
+
 func TestShedLeavesTheConnectionUsable(t *testing.T) {
 	b := newBench()
 	b.adm = admit.New(admit.Options{Service: "test", MaxConcurrent: 1, ControlShare: -1, Clock: b.v})

@@ -15,7 +15,10 @@ import (
 const (
 	ReadOnlyFlag    = os.O_RDONLY
 	CreateTruncFlag = os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-	ReadWriteFlag   = os.O_RDWR | os.O_CREATE
+	// CreateFlag opens for writing in place: the old bytes stay until
+	// overwritten or truncated away.
+	CreateFlag    = os.O_WRONLY | os.O_CREATE
+	ReadWriteFlag = os.O_RDWR | os.O_CREATE
 )
 
 // MemFS is an in-memory FS. It is safe for concurrent use and has no
